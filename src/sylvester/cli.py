@@ -32,6 +32,7 @@ from .moments import (
     tetrahedron_moment_k1,
 )
 from .montecarlo import (
+    DEFAULT_CHUNK,
     INCONCLUSIVE,
     LHS_GREATER,
     Ball,
@@ -147,7 +148,7 @@ def _build_parser(defaults: dict) -> argparse.ArgumentParser:
     opt(p, "--l", type=Fraction, default=None)
     opt(p, "--n", type=int, default=1_000_000)
     opt(p, "--seed", type=int, default=0)
-    opt(p, "--chunk", type=int, default=250_000)
+    opt(p, "--chunk", type=int, default=DEFAULT_CHUNK)
     opt(p, "--confidence", type=float, default=0.99)
     add_output_flags(p)
 
@@ -155,7 +156,7 @@ def _build_parser(defaults: dict) -> argparse.ArgumentParser:
     p.add_argument("scenario", choices=COUNTEREXAMPLE_SCENARIOS)
     opt(p, "--n", type=int, default=10_000_000)
     opt(p, "--seed", type=int, default=0)
-    opt(p, "--chunk", type=int, default=250_000)
+    opt(p, "--chunk", type=int, default=DEFAULT_CHUNK)
     opt(p, "--confidence", type=float, default=0.99)
     add_output_flags(p)
 
@@ -267,8 +268,8 @@ def cmd_mc(ns) -> int:
               "n": ns.n, "seed": ns.seed, "chunk": ns.chunk,
               "confidence": ns.confidence}
     _manifest("mc", params)
-    body, fixed, _ = _make_body_and_fixed(ns)
     try:
+        body, fixed, _ = _make_body_and_fixed(ns)
         config = make_config(k=ns.k, n_samples=ns.n, seed=ns.seed,
                              chunk_size=ns.chunk, confidence=ns.confidence)
         estimate = estimate_moment(body, fixed, config)
@@ -302,9 +303,9 @@ def cmd_counterexample(ns) -> int:
     try:
         config = make_config(k=1, n_samples=ns.n, seed=ns.seed,
                              chunk_size=ns.chunk, confidence=ns.confidence)
+        verdict = certify_counterexample(lhs, rhs, config)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    verdict = certify_counterexample(lhs, rhs, config)
     certified = verdict.relation == LHS_GREATER
     record = {
         "scenario": ns.scenario,

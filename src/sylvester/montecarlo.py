@@ -14,7 +14,9 @@ Reproducibility: the generator is Philox4x64 (numpy), a counter-based RNG.
 Chunk i of a run uses key = [seed, i], and chunk accumulators are merged
 pairwise in index order with the standard two-sample mean/M2 combination, so a
 given :class:`EstimatorConfig` yields bit-identical results at any thread
-count.
+count.  Chunks run on ``os.cpu_count()`` threads unless SYLVESTER_THREADS or
+the ``workers`` argument says otherwise; the default chunk of 2^15 simplices
+keeps each thread's arrays a few megabytes in size.
 """
 
 from __future__ import annotations
@@ -23,14 +25,17 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from math import factorial, sqrt
+from statistics import NormalDist
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.stats import norm
 
 from .exactnum import PiPolynomial, kappa
 
 _MEMBERSHIP_TOL = 1e-9
+
+#: Simplices per chunk unless a config says otherwise.
+DEFAULT_CHUNK = 2**15
 
 
 # ---------------------------------------------------------------------------
@@ -260,12 +265,12 @@ def _sample_batch(body: Body, rng: np.random.Generator, n: int, m: int) -> np.nd
     if isinstance(body, Ball) or isinstance(body, HalfBall):
         d = body.d
         x = rng.standard_normal((n, m, d))
-        x /= np.linalg.norm(x, axis=-1, keepdims=True)
         r = rng.random((n, m)) ** (1.0 / d)
-        pts = x * r[..., None]
+        r /= np.sqrt(np.einsum("nmi,nmi->nm", x, x))
+        x *= r[..., None]
         if isinstance(body, HalfBall):
-            pts[..., 0] = np.abs(pts[..., 0])
-        return pts
+            np.abs(x[..., 0], out=x[..., 0])
+        return x
     if isinstance(body, Simplex):
         verts = body.vertex_array()
         e = rng.standard_exponential((n, m, len(verts)))
@@ -294,6 +299,22 @@ def _batched_abs_det(vecs: np.ndarray) -> np.ndarray:
             - a[:, 1] * (b[:, 0] * c[:, 2] - b[:, 2] * c[:, 0])
             + a[:, 2] * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
         )
+    if d == 4:
+        # Laplace expansion along the first two rows: 2x2 minors of rows 0-1
+        # times the complementary 2x2 minors of rows 2-3
+        a, b, c, e = vecs[:, 0], vecs[:, 1], vecs[:, 2], vecs[:, 3]
+
+        def minor(u, v, i, j):
+            return u[:, i] * v[:, j] - u[:, j] * v[:, i]
+
+        return np.abs(
+            minor(a, b, 0, 1) * minor(c, e, 2, 3)
+            - minor(a, b, 0, 2) * minor(c, e, 1, 3)
+            + minor(a, b, 0, 3) * minor(c, e, 1, 2)
+            + minor(a, b, 1, 2) * minor(c, e, 0, 3)
+            - minor(a, b, 1, 3) * minor(c, e, 0, 2)
+            + minor(a, b, 2, 3) * minor(c, e, 0, 1)
+        )
     return np.abs(np.linalg.det(vecs))
 
 
@@ -320,7 +341,7 @@ class EstimatorConfig:
     k: int
     n_samples: int
     seed: int = 0
-    chunk_size: int = 250_000
+    chunk_size: int = DEFAULT_CHUNK
     confidence: float = 0.99
 
     def __post_init__(self):
@@ -345,7 +366,7 @@ class EstimatorConfig:
         }
 
 
-def make_config(k: int, n_samples: int, seed: int = 0, chunk_size: int = 250_000,
+def make_config(k: int, n_samples: int, seed: int = 0, chunk_size: int = DEFAULT_CHUNK,
                 confidence: float = 0.99) -> EstimatorConfig:
     """EstimatorConfig with the chunk size clamped to the sample count."""
     return EstimatorConfig(
@@ -420,8 +441,13 @@ def _merge(a: tuple[int, float, float], b: tuple[int, float, float]) -> tuple[in
 
 
 def _resolve_workers(workers: int | None) -> int:
+    """``workers``, else SYLVESTER_THREADS, else the core count; at least 1."""
     if workers is None:
-        workers = int(os.environ.get("SYLVESTER_THREADS", "1"))
+        raw = os.environ.get("SYLVESTER_THREADS")
+        try:
+            workers = (os.cpu_count() or 1) if raw is None else int(raw)
+        except ValueError:
+            raise ValueError(f"SYLVESTER_THREADS must be an integer, got {raw!r}") from None
     return max(1, workers)
 
 
@@ -429,8 +455,9 @@ def estimate_moment(body: Body, fixed: FixedPointSpec, config: EstimatorConfig,
                     workers: int | None = None) -> MomentEstimate:
     """Estimate E[V^k] over ``config.n_samples`` i.i.d. random simplices.
 
-    Deterministic in ``config`` alone: worker count (``workers`` argument or
-    the SYLVESTER_THREADS environment variable) only changes wall time.
+    Deterministic in ``config`` alone: worker count (``workers`` argument,
+    else the SYLVESTER_THREADS environment variable, else ``os.cpu_count()``)
+    only changes wall time.
     """
     if isinstance(fixed, FixedPoint):
         if len(fixed.coords) != body.dimension:
@@ -442,8 +469,8 @@ def estimate_moment(body: Body, fixed: FixedPointSpec, config: EstimatorConfig,
         (body, fixed, config.k, config.seed, i, size)
         for i, size in enumerate(sizes)
     ]
-    n_workers = _resolve_workers(workers)
-    if n_workers > 1 and len(jobs) > 1:
+    n_workers = min(_resolve_workers(workers), len(jobs))
+    if n_workers > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             results = list(pool.map(lambda j: _chunk_stats(*j), jobs))
     else:
@@ -454,7 +481,7 @@ def estimate_moment(body: Body, fixed: FixedPointSpec, config: EstimatorConfig,
     n, mean, m2 = total
     variance = m2 / (n - 1) if n > 1 else 0.0
     std_error = sqrt(variance / n)
-    z = float(norm.ppf(0.5 + config.confidence / 2.0))
+    z = NormalDist().inv_cdf(0.5 + config.confidence / 2.0)
     return MomentEstimate(
         mean=mean,
         variance=variance,
@@ -533,7 +560,7 @@ MomentSpec = Union[PiPolynomial, tuple]
 
 
 def _resolve_side(spec: MomentSpec, config: EstimatorConfig, seed_offset: int,
-                  workers: int | None) -> ComparisonSide:
+                  workers: int) -> ComparisonSide:
     if isinstance(spec, PiPolynomial):
         return ExactSide(spec)
     body, fixed, k = spec
@@ -555,6 +582,7 @@ def certify_counterexample(lhs: MomentSpec, rhs: MomentSpec,
     seed+1 so both sides are independent).  The verdict certifies a strict
     inequality only when one side's confidence bound clears the other's.
     """
+    workers = _resolve_workers(workers)
     lhs_side = _resolve_side(lhs, config, 0, workers)
     rhs_side = _resolve_side(rhs, config, 1, workers)
     lhs_lo, lhs_hi = lhs_side.bounds()

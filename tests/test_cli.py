@@ -13,6 +13,7 @@ from sylvester.cli import (
     EXIT_USAGE,
     main,
 )
+from sylvester.montecarlo import DEFAULT_CHUNK
 
 F = Fraction
 
@@ -160,6 +161,30 @@ def test_mc_usage_errors(capsys):
     assert code == EXIT_USAGE
     code, _, _ = run_cli(capsys, "mc", "--body", "ball", "--d", "2", "--n", "0")
     assert code == EXIT_USAGE
+    code, _, err = run_cli(capsys, "mc", "--body", "ball", "--d", "0")
+    assert code == EXIT_USAGE
+    assert "usage error: ball dimension must be >= 1" in err
+    code, _, err = run_cli(capsys, "mc", "--body", "interval", "--l", "-1")
+    assert code == EXIT_USAGE
+    assert "usage error: interval length must be positive" in err
+
+
+def test_mc_default_chunk_is_reported(capsys):
+    code, out, _ = run_cli(capsys, "mc", "--body", "ball", "--d", "2", "--n", "100000")
+    assert code == EXIT_OK
+    assert json_lines(out)[0]["chunk_size"] == DEFAULT_CHUNK
+
+
+@pytest.mark.parametrize("argv", [
+    ("mc", "--body", "ball", "--d", "2", "--n", "1000"),
+    ("counterexample", "halfball-d3", "--n", "1000"),
+])
+def test_bad_thread_count_is_a_usage_error(capsys, monkeypatch, argv):
+    monkeypatch.setenv("SYLVESTER_THREADS", "abc")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "usage error: SYLVESTER_THREADS must be an integer, got 'abc'" in err
 
 
 # ---------------------------------------------------------------------------

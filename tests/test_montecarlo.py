@@ -1,5 +1,6 @@
 import json
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from sylvester.moments import (
     triangle_moment,
 )
 from sylvester.montecarlo import (
+    DEFAULT_CHUNK,
     Ball,
     EstimatorConfig,
     FixedPoint,
@@ -57,6 +59,25 @@ def test_simplex_volume_basic():
         [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
     ) == pytest.approx(1 / 6)
     assert simplex_volume([(0,), (3,)]) == 3.0
+
+
+def test_batched_abs_det_d4_matches_lapack():
+    from sylvester.montecarlo import _batched_abs_det
+
+    rng = _rng(21)
+    scaled = rng.standard_normal((20_000, 4, 4)) * rng.uniform(0.1, 10.0, (20_000, 4, 1))
+    # last row a random combination of the others plus a perturbation of 1e-9
+    base = rng.standard_normal((20_000, 3, 4))
+    last = np.einsum("nj,nji->ni", rng.standard_normal((20_000, 3)), base)
+    last += 1e-9 * rng.standard_normal((20_000, 4))
+    near_singular = np.concatenate([base, last[:, None, :]], axis=1)
+    for vecs in (scaled, near_singular):
+        got = _batched_abs_det(vecs)
+        want = np.abs(np.linalg.det(vecs))
+        # both are backward stable: errors are a few ulps of the Hadamard bound
+        hadamard = np.prod(np.linalg.norm(vecs, axis=-1), axis=-1)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 64 * np.finfo(float).eps * hadamard)
 
 
 def test_simplex_volume_shape_errors():
@@ -166,6 +187,28 @@ def test_ball_samples_inside_unit_ball():
     assert abs((r2**2).mean() - 0.5) < 0.005
 
 
+@pytest.mark.parametrize("body", [Ball(1), Ball(3), HalfBall(3), HalfBall(4), Ball(6)],
+                         ids=repr)
+def test_ball_sampler_matches_normalized_gaussian_formula(body):
+    from sylvester.montecarlo import _sample_batch
+
+    n, m, d = 20_000, body.d + 1, body.d
+    pts = _sample_batch(body, _rng([17, 3]), n, m)
+    # reference: the same draws, in the same order, as x / |x| * u^(1/d)
+    rng = _rng([17, 3])
+    x = rng.standard_normal((n, m, d))
+    u = rng.random((n, m))
+    want = x / np.linalg.norm(x, axis=-1, keepdims=True) * u[..., None] ** (1.0 / d)
+    if isinstance(body, HalfBall):
+        want[..., 0] = np.abs(want[..., 0])
+    assert pts.shape == (n, m, d)
+    assert np.max(np.abs(pts - want)) <= 1e-15
+    assert all(body.contains(p) for p in pts.reshape(-1, d)[:2_000])
+    assert np.all((pts**2).sum(axis=-1) <= 1 + 1e-12)
+    if isinstance(body, HalfBall):
+        assert np.all(pts[..., 0] >= 0)
+
+
 def test_interval_sampling_range():
     from sylvester.montecarlo import _sample_batch
 
@@ -236,6 +279,64 @@ def test_estimate_moment_env_thread_cap(monkeypatch):
     monkeypatch.delenv("SYLVESTER_THREADS")
     plain = estimate_moment(Ball(2), NO_FIXED_POINT, cfg)
     assert env_run.mean == plain.mean
+
+
+def test_worker_count_defaults_to_core_count(monkeypatch):
+    from sylvester.montecarlo import _resolve_workers
+
+    monkeypatch.delenv("SYLVESTER_THREADS", raising=False)
+    assert _resolve_workers(None) == (os.cpu_count() or 1)
+    monkeypatch.setenv("SYLVESTER_THREADS", "3")
+    assert _resolve_workers(None) == 3
+    assert _resolve_workers(2) == 2
+    monkeypatch.setenv("SYLVESTER_THREADS", "0")
+    assert _resolve_workers(None) == 1
+
+
+def test_bad_thread_count_is_a_value_error(monkeypatch):
+    monkeypatch.setenv("SYLVESTER_THREADS", "abc")
+    cfg = make_config(k=1, n_samples=1_000, seed=3)
+    with pytest.raises(ValueError, match="SYLVESTER_THREADS"):
+        estimate_moment(Ball(2), NO_FIXED_POINT, cfg)
+    with pytest.raises(ValueError, match="SYLVESTER_THREADS"):
+        certify_counterexample((Ball(2), NO_FIXED_POINT, 1), PiPolynomial.from_rational(1), cfg)
+
+
+def test_pool_is_capped_at_chunk_count(monkeypatch):
+    import sylvester.montecarlo as mc
+
+    seen = []
+
+    class RecordingExecutor:
+        """Stands in for ThreadPoolExecutor: records max_workers, runs serially."""
+
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(mc, "ThreadPoolExecutor", RecordingExecutor)
+    monkeypatch.setenv("SYLVESTER_THREADS", "100000")
+    cfg = make_config(k=1, n_samples=3_000, seed=3, chunk_size=1_000)
+    capped = estimate_moment(Ball(2), NO_FIXED_POINT, cfg)
+    assert seen == [3]
+    # one chunk needs no pool at all
+    estimate_moment(Ball(2), NO_FIXED_POINT, make_config(k=1, n_samples=1_000, seed=3))
+    assert seen == [3]
+    assert capped.mean == estimate_moment(Ball(2), NO_FIXED_POINT, cfg, workers=1).mean
+
+
+def test_default_chunk_is_two_to_the_fifteenth():
+    assert DEFAULT_CHUNK == 2**15
+    assert EstimatorConfig(k=1, n_samples=10**6).chunk_size == DEFAULT_CHUNK
+    assert make_config(k=1, n_samples=10**6).chunk_size == DEFAULT_CHUNK
 
 
 def test_estimate_rejects_fixed_point_outside():
