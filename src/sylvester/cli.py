@@ -12,6 +12,7 @@ direction).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from datetime import datetime, timezone
@@ -20,33 +21,23 @@ from fractions import Fraction
 from . import __version__
 from .exactnum import PiPolynomial
 from .moments import (
+    BODY_KINDS,
+    FIXED_KINDS,
+    SUPPORT,
     MomentQuery,
-    UnsupportedQueryError,
-    ball_fixed_moment,
     exact_moment,
     exact_ratio_bound,
-    halfball_fixed_moment,
     plane_counterexample_report,
     q_ratio,
     table1_rows,
-    tetrahedron_moment_k1,
 )
 from .montecarlo import (
     DEFAULT_CHUNK,
     INCONCLUSIVE,
     LHS_GREATER,
-    Ball,
-    FixedPoint,
-    HalfBall,
-    Interval,
-    NO_FIXED_POINT,
     certify_counterexample,
     estimate_moment,
     make_config,
-    tetrahedron_facet_centroid,
-    triangle_edge_midpoint,
-    unit_area_triangle,
-    unit_volume_tetrahedron,
 )
 
 EXIT_OK = 0
@@ -67,7 +58,17 @@ TABLE1_EXPECTED = {
     10: ("647/1405071360", "697/42688800", "22645/802944"),
 }
 
-COUNTEREXAMPLE_SCENARIOS = ("halfball-d3", "tetra-d3", "halfball-d4-k1")
+# Named counterexamples: scenario -> (lhs, rhs) queries, certified as lhs > rhs.
+# A side with a closed form enters exactly; the other is estimated.
+SCENARIOS = {
+    # the free moment in the 3-half-ball exceeds the exact base-center moment
+    "halfball-d3": (MomentQuery(3, 1, "halfball"), MomentQuery(3, 1, "halfball", "origin")),
+    # the exact free moment in the tetrahedron exceeds the facet-centroid moment
+    "tetra-d3": (MomentQuery(3, 1, "tetrahedron"),
+                 MomentQuery(3, 1, "tetrahedron", "facet_centroid")),
+    # the d >= 4 regime, where the first moment already fails monotonicity
+    "halfball-d4-k1": (MomentQuery(4, 1, "halfball"), MomentQuery(4, 1, "halfball", "origin")),
+}
 
 
 def _emit(record: dict, table: bool = False, renderer=None) -> None:
@@ -89,17 +90,28 @@ def _manifest(command: str, parameters: dict) -> None:
     print(json.dumps(manifest, sort_keys=True), file=sys.stderr)
 
 
-def _load_config_file(path: str) -> dict:
+def _read_config(argv: list[str]) -> dict[str, str]:
+    """key=value pairs of the --config file (``-`` in keys read as ``_``), parsed
+    ahead of the real parser because they become its defaults."""
+    pre = argparse.ArgumentParser(prog="sylvester", add_help=False)
+    pre.add_argument("--config")
+    pre.add_argument("rest", nargs=argparse.REMAINDER)  # the command and its flags
+    path = pre.parse_known_args(argv)[0].config
     values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"config line without '=': {raw.strip()!r}")
-            key, _, val = line.partition("=")
-            values[key.strip().replace("-", "_")] = val.strip().strip('"')
+    if path is None:
+        return values
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for raw in fh:
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise ValueError(f"config line without '=': {raw.strip()!r}")
+                key, _, val = line.partition("=")
+                values[key.strip().replace("-", "_")] = val.strip().strip('"')
+    except (OSError, ValueError) as exc:
+        pre.error(f"cannot read config file: {exc}")
     return values
 
 
@@ -107,19 +119,37 @@ class _UsageError(Exception):
     pass
 
 
-def _build_parser(defaults: dict) -> argparse.ArgumentParser:
+def _within(convert, choices):
+    """``convert``, also rejecting values outside ``choices`` (argparse skips defaults)."""
+    @functools.wraps(convert)
+    def checked(raw):
+        value = convert(raw)
+        if value not in choices:
+            raise argparse.ArgumentTypeError(
+                f"invalid choice: {value!r} (choose from {', '.join(map(repr, choices))})")
+        return value
+    return checked
+
+
+def _build_parser(config: dict) -> tuple[argparse.ArgumentParser, set[str]]:
+    """The parser with ``config`` values as flag defaults, and the config keys it knows."""
     parser = argparse.ArgumentParser(
         prog="sylvester",
         description="Exact and Monte Carlo moments of random simplex volumes in convex bodies.",
     )
     parser.add_argument("--config", help="key=value file supplying flag defaults")
     sub = parser.add_subparsers(dest="command", required=True)
+    known: set[str] = set()
 
-    def opt(p, flag, *, dest=None, type=str, default=None, **kw):
+    def opt(p, flag, *, dest=None, **kw):
         dest = dest or flag.lstrip("-").replace("-", "_")
-        if dest in defaults:
-            default = type(defaults[dest]) if type is not None else defaults[dest]
-        p.add_argument(flag, dest=dest, type=type, default=default, **kw)
+        known.add(dest)
+        if dest in config:
+            # a string default: argparse converts it with `type` and exits 2 on failure
+            kw["default"] = config[dest]
+            if "choices" in kw:
+                kw["type"] = _within(kw.get("type", str), kw["choices"])
+        p.add_argument(flag, dest=dest, **kw)
 
     def add_output_flags(p):
         opt(p, "--digits", type=int, default=12, help="significant digits for decimals")
@@ -127,25 +157,22 @@ def _build_parser(defaults: dict) -> argparse.ArgumentParser:
         p.add_argument("--json", dest="table", action="store_false",
                        help="JSON-lines output (default)")
 
+    def add_query_flags(p):
+        opt(p, "--body", choices=BODY_KINDS)
+        opt(p, "--fixed", default="none", choices=FIXED_KINDS)
+        opt(p, "--d", type=int)
+        opt(p, "--k", type=int, default=1)
+        opt(p, "--l", type=Fraction, default=None, help="interval length (fraction or decimal)")
+
     p = sub.add_parser("table1", help="triangle moment table for k=3..10, checked against frozen values")
     add_output_flags(p)
 
     p = sub.add_parser("exact", help="exact closed-form moment for a query")
-    opt(p, "--body", choices=["interval", "ball", "halfball", "triangle", "tetrahedron"])
-    opt(p, "--fixed", default="none",
-        choices=["none", "origin", "edge_midpoint", "facet_centroid"])
-    opt(p, "--d", type=int)
-    opt(p, "--k", type=int, default=1)
-    opt(p, "--l", type=Fraction, default=None, help="interval length (fraction or decimal)")
+    add_query_flags(p)
     add_output_flags(p)
 
     p = sub.add_parser("mc", help="Monte Carlo estimate of a moment")
-    opt(p, "--body", choices=["interval", "ball", "halfball", "triangle", "tetrahedron"])
-    opt(p, "--fixed", default="none",
-        choices=["none", "origin", "edge_midpoint", "facet_centroid"])
-    opt(p, "--d", type=int)
-    opt(p, "--k", type=int, default=1)
-    opt(p, "--l", type=Fraction, default=None)
+    add_query_flags(p)
     opt(p, "--n", type=int, default=1_000_000)
     opt(p, "--seed", type=int, default=0)
     opt(p, "--chunk", type=int, default=DEFAULT_CHUNK)
@@ -153,7 +180,7 @@ def _build_parser(defaults: dict) -> argparse.ArgumentParser:
     add_output_flags(p)
 
     p = sub.add_parser("counterexample", help="certify a named non-monotonicity scenario")
-    p.add_argument("scenario", choices=COUNTEREXAMPLE_SCENARIOS)
+    p.add_argument("scenario", choices=SCENARIOS)
     opt(p, "--n", type=int, default=10_000_000)
     opt(p, "--seed", type=int, default=0)
     opt(p, "--chunk", type=int, default=DEFAULT_CHUNK)
@@ -165,48 +192,22 @@ def _build_parser(defaults: dict) -> argparse.ArgumentParser:
     opt(p, "--k-max", dest="k_max", type=int, default=20)
     add_output_flags(p)
 
-    return parser
+    return parser, known
 
 
-def _make_body_and_fixed(ns):
-    body_kind = ns.body
-    if body_kind is None:
+def _query(ns) -> MomentQuery:
+    """The query the --body/--fixed/--d/--k flags select; ValueError if unsupported."""
+    if ns.body is None:
         raise _UsageError("--body is required")
-    fixed_kind = ns.fixed
-    if body_kind == "interval":
-        length = ns.l if ns.l is not None else Fraction(1)
-        body = Interval(length=float(length))
-        d = 1
-    elif body_kind == "ball":
-        if ns.d is None:
-            raise _UsageError("--d is required for ball")
-        body, d = Ball(ns.d), ns.d
-    elif body_kind == "halfball":
-        if ns.d is None:
-            raise _UsageError("--d is required for halfball")
-        body, d = HalfBall(ns.d), ns.d
-    elif body_kind == "triangle":
-        body, d = unit_area_triangle(), 2
-    else:
-        body, d = unit_volume_tetrahedron(), 3
-    if ns.d is not None and ns.d != d:
-        raise _UsageError(f"--d {ns.d} conflicts with body {body_kind} (d={d})")
+    d = SUPPORT[ns.body, ns.fixed].d if ns.d is None else ns.d
+    if d is None:
+        raise _UsageError(f"--d is required for body {ns.body}")
+    return MomentQuery(d=d, k=ns.k, body_kind=ns.body, fixed_kind=ns.fixed)
 
-    if fixed_kind == "none":
-        fixed = NO_FIXED_POINT
-    elif fixed_kind == "origin":
-        if body_kind not in ("ball", "halfball"):
-            raise _UsageError("--fixed origin is only valid for ball/halfball")
-        fixed = FixedPoint((0.0,) * d)
-    elif fixed_kind == "edge_midpoint":
-        if body_kind != "triangle":
-            raise _UsageError("--fixed edge_midpoint is only valid for triangle")
-        fixed = triangle_edge_midpoint()
-    else:
-        if body_kind != "tetrahedron":
-            raise _UsageError("--fixed facet_centroid is only valid for tetrahedron")
-        fixed = tetrahedron_facet_centroid()
-    return body, fixed, d
+
+def _sampler(query: MomentQuery, l: Fraction | None = None) -> tuple:
+    """(body, fixed vertex) for estimating ``query`` by Monte Carlo."""
+    return query.support.body(query.d, l), query.support.fixed(query.d)
 
 
 def cmd_table1(ns) -> int:
@@ -241,15 +242,10 @@ def cmd_exact(ns) -> int:
     params = {"body": ns.body, "fixed": ns.fixed, "d": ns.d, "k": ns.k,
               "l": None if ns.l is None else str(ns.l), "digits": ns.digits}
     _manifest("exact", params)
-    if ns.body is None:
-        raise _UsageError("--body is required")
-    d = ns.d if ns.d is not None else {"interval": 1, "triangle": 2, "tetrahedron": 3}.get(ns.body)
-    if d is None:
-        raise _UsageError(f"--d is required for body {ns.body}")
     try:
-        query = MomentQuery(d=d, k=ns.k, body_kind=ns.body, fixed_kind=ns.fixed)
+        query = _query(ns)
         value = exact_moment(query, l=ns.l)
-    except (UnsupportedQueryError, ValueError) as exc:
+    except ValueError as exc:
         raise _UsageError(str(exc)) from exc
     record = {
         "query": dict(query.to_json_dict(), l=None if ns.l is None else str(ns.l)),
@@ -269,7 +265,7 @@ def cmd_mc(ns) -> int:
               "confidence": ns.confidence}
     _manifest("mc", params)
     try:
-        body, fixed, _ = _make_body_and_fixed(ns)
+        body, fixed = _sampler(_query(ns), ns.l)
         config = make_config(k=ns.k, n_samples=ns.n, seed=ns.seed,
                              chunk_size=ns.chunk, confidence=ns.confidence)
         estimate = estimate_moment(body, fixed, config)
@@ -282,28 +278,23 @@ def cmd_mc(ns) -> int:
     return EXIT_OK
 
 
-def _scenario_sides(name: str):
-    if name == "halfball-d3":
-        # free moment in the 3-half-ball exceeds the exact base-center moment
-        return ((HalfBall(3), NO_FIXED_POINT, 1), halfball_fixed_moment(3, 1))
-    if name == "tetra-d3":
-        # exact free moment in the tetrahedron exceeds the facet-centroid estimate
-        return (tetrahedron_moment_k1(),
-                (unit_volume_tetrahedron(), tetrahedron_facet_centroid(), 1))
-    # halfball-d4-k1: the d>=4 regime, where the first moment already fails
-    # monotonicity: the free half-ball moment exceeds the base-center moment
-    return ((HalfBall(4), NO_FIXED_POINT, 1), ball_fixed_moment(4, 1))
+def _side(query: MomentQuery):
+    """A certification side: the exact value where a closed form exists, else the
+    (body, fixed vertex, k) to estimate."""
+    if query.support.exact_at(query.k):
+        return exact_moment(query)
+    return (*_sampler(query), query.k)
 
 
 def cmd_counterexample(ns) -> int:
     params = {"scenario": ns.scenario, "n": ns.n, "seed": ns.seed,
               "chunk": ns.chunk, "confidence": ns.confidence}
     _manifest("counterexample", params)
-    lhs, rhs = _scenario_sides(ns.scenario)
+    lhs, rhs = SCENARIOS[ns.scenario]
     try:
         config = make_config(k=1, n_samples=ns.n, seed=ns.seed,
                              chunk_size=ns.chunk, confidence=ns.confidence)
-        verdict = certify_counterexample(lhs, rhs, config)
+        verdict = certify_counterexample(_side(lhs), _side(rhs), config)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
     certified = verdict.relation == LHS_GREATER
@@ -376,20 +367,12 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    defaults: dict = {}
-    if "--config" in argv:
-        try:
-            path = argv[argv.index("--config") + 1]
-        except IndexError:
-            print("--config requires a path", file=sys.stderr)
-            return EXIT_USAGE
-        try:
-            defaults = _load_config_file(path)
-        except (OSError, ValueError) as exc:
-            print(f"cannot read config file: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    parser = _build_parser(defaults)
     try:
+        config = _read_config(argv)
+        parser, known = _build_parser(config)
+        unknown = sorted(set(config) - known)
+        if unknown:
+            parser.error(f"unknown config key(s): {', '.join(unknown)}")
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0

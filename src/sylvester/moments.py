@@ -19,54 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+from typing import Callable
 
 from .exactnum import PiPolynomial, kappa, omega
-
-BODY_KINDS = ("interval", "ball", "halfball", "triangle", "tetrahedron")
-FIXED_KINDS = ("none", "origin", "edge_midpoint", "facet_centroid")
-
-
-@dataclass(frozen=True)
-class MomentQuery:
-    """A (dimension, order, body, fixed-vertex) selector for exact moments."""
-
-    d: int
-    k: int
-    body_kind: str
-    fixed_kind: str = "none"
-
-    def __post_init__(self):
-        if self.body_kind not in BODY_KINDS:
-            raise ValueError(f"unknown body kind {self.body_kind!r}")
-        if self.fixed_kind not in FIXED_KINDS:
-            raise ValueError(f"unknown fixed kind {self.fixed_kind!r}")
-        if self.d < 1:
-            raise ValueError("dimension must be >= 1")
-        if self.k < 0:
-            raise ValueError("moment order must be >= 0")
-        required_d = {"interval": 1, "triangle": 2, "tetrahedron": 3}.get(self.body_kind)
-        if required_d is not None and self.d != required_d:
-            raise ValueError(
-                f"{self.body_kind} queries require d={required_d}, got d={self.d}"
-            )
-        if self.fixed_kind == "edge_midpoint" and self.body_kind != "triangle":
-            raise ValueError("edge_midpoint is only valid for triangle")
-        if self.fixed_kind == "facet_centroid" and self.body_kind != "tetrahedron":
-            raise ValueError("facet_centroid is only valid for tetrahedron")
-        if self.fixed_kind == "origin" and self.body_kind not in ("ball", "halfball"):
-            raise ValueError("origin is only valid for ball or halfball")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "k": self.k,
-            "body": self.body_kind,
-            "fixed": self.fixed_kind,
-        }
+from . import montecarlo as mc
 
 
 class UnsupportedQueryError(ValueError):
-    """No exact closed form is implemented for the requested combination."""
+    """The (body, fixed-vertex) pair, or its closed form at this order, is not implemented."""
 
 
 def interval_moment(k: int, l: Fraction | int) -> PiPolynomial:
@@ -359,32 +319,118 @@ def plane_counterexample_report(k: int) -> PlaneCounterexampleReport:
     )
 
 
-def exact_moment(query: MomentQuery, l: Fraction | int | None = None) -> PiPolynomial:
-    """Dispatch a :class:`MomentQuery` to its closed form.
+# ---------------------------------------------------------------------------
+# the (body, fixed-vertex) support table
 
-    Raises :class:`UnsupportedQueryError` for combinations without one.
+
+@dataclass(frozen=True)
+class Support:
+    """What is implemented for one (body, fixed-vertex) pair."""
+
+    d: int | None  # the body's dimension; None: any d >= 1, set by the query
+    body: Callable[[int, Fraction | None], mc.Body]  # sampler body for (d, interval length)
+    fixed: Callable[[int], mc.FixedPointSpec]  # the fixed vertex in dimension d
+    closed_form: Callable[[int, int, Fraction | None], PiPolynomial] | None = None  # (d, k, l)
+    exact_k: int | None = None  # the closed form holds only at this order
+
+    def exact_at(self, k: int) -> bool:
+        return self.closed_form is not None and self.exact_k in (None, k)
+
+    def describe(self) -> str:
+        d = "any d" if self.d is None else f"d={self.d}"
+        if self.closed_form is None:
+            return f"{d}, Monte Carlo only"
+        return f"{d}, exact {'any k' if self.exact_k is None else f'k={self.exact_k} only'}"
+
+
+class _SupportTable(dict):
+    def __missing__(self, pair):
+        raise UnsupportedQueryError(f"body={pair[0]} fixed={pair[1]} is not supported; "
+                                    f"supported: {SUPPORTED}")
+
+
+def _length(l: Fraction | int | None) -> Fraction:
+    return Fraction(1) if l is None else Fraction(l)
+
+
+def _no_fixed(d: int) -> mc.FixedPointSpec:
+    return mc.NO_FIXED_POINT
+
+
+def _origin(d: int) -> mc.FixedPoint:
+    return mc.FixedPoint((0.0,) * d)
+
+
+#: (body kind, fixed kind) -> :class:`Support`; looking up any other pair
+#: raises :class:`UnsupportedQueryError` listing the supported ones.
+SUPPORT = _SupportTable({
+    ("interval", "none"): Support(1, lambda d, l: mc.Interval(float(_length(l))), _no_fixed,
+                                  lambda d, k, l: interval_moment(k, _length(l))),
+    ("ball", "none"): Support(None, lambda d, l: mc.Ball(d), _no_fixed,
+                              lambda d, k, l: ball_moment(d, k)),
+    ("ball", "origin"): Support(None, lambda d, l: mc.Ball(d), _origin,
+                                lambda d, k, l: ball_fixed_moment(d, k)),
+    ("halfball", "none"): Support(None, lambda d, l: mc.HalfBall(d), _no_fixed),
+    ("halfball", "origin"): Support(None, lambda d, l: mc.HalfBall(d), _origin,
+                                    lambda d, k, l: halfball_fixed_moment(d, k)),
+    ("triangle", "none"): Support(2, lambda d, l: mc.unit_area_triangle(), _no_fixed,
+                                  lambda d, k, l: triangle_moment(k)),
+    ("triangle", "edge_midpoint"): Support(2, lambda d, l: mc.unit_area_triangle(),
+                                           lambda d: mc.triangle_edge_midpoint(),
+                                           lambda d, k, l: triangle_midpoint_moment(k)),
+    ("tetrahedron", "none"): Support(3, lambda d, l: mc.unit_volume_tetrahedron(), _no_fixed,
+                                     lambda d, k, l: tetrahedron_moment_k1(), exact_k=1),
+    ("tetrahedron", "facet_centroid"): Support(3, lambda d, l: mc.unit_volume_tetrahedron(),
+                                               lambda d: mc.tetrahedron_facet_centroid()),
+})
+SUPPORTED = ", ".join(f"{b}/{f} ({row.describe()})" for (b, f), row in SUPPORT.items())
+BODY_KINDS = tuple(dict.fromkeys(b for b, _ in SUPPORT))
+FIXED_KINDS = tuple(dict.fromkeys(f for _, f in SUPPORT))
+
+
+@dataclass(frozen=True)
+class MomentQuery:
+    """A (dimension, order, body, fixed-vertex) selector for a moment, exact or estimated."""
+
+    d: int
+    k: int
+    body_kind: str
+    fixed_kind: str = "none"
+
+    def __post_init__(self):
+        support = self.support
+        if self.d < 1:
+            raise ValueError(f"{self.body_kind} dimension must be >= 1, got {self.d}")
+        if self.k < 0:
+            raise ValueError("moment order must be >= 0")
+        if support.d is not None and self.d != support.d:
+            raise ValueError(f"{self.body_kind} queries require d={support.d}, got d={self.d}")
+
+    @property
+    def support(self) -> Support:
+        return SUPPORT[self.body_kind, self.fixed_kind]
+
+    def to_json_dict(self) -> dict:
+        return {
+            "d": self.d,
+            "k": self.k,
+            "body": self.body_kind,
+            "fixed": self.fixed_kind,
+        }
+
+
+def exact_moment(query: MomentQuery, l: Fraction | int | None = None) -> PiPolynomial:
+    """The closed form of a :class:`MomentQuery` (``l``: interval length, default 1).
+
+    Raises :class:`UnsupportedQueryError` for queries without one.
     """
-    kind = (query.body_kind, query.fixed_kind)
-    if kind == ("interval", "none"):
-        return interval_moment(query.k, l if l is not None else 1)
-    if kind == ("ball", "none"):
-        return ball_moment(query.d, query.k)
-    if kind == ("ball", "origin"):
-        return ball_fixed_moment(query.d, query.k)
-    if kind == ("halfball", "origin"):
-        return halfball_fixed_moment(query.d, query.k)
-    if kind == ("triangle", "none"):
-        return triangle_moment(query.k)
-    if kind == ("triangle", "edge_midpoint"):
-        return triangle_midpoint_moment(query.k)
-    if kind == ("tetrahedron", "none") and query.k == 1:
-        return tetrahedron_moment_k1()
-    raise UnsupportedQueryError(
-        f"no closed form for body={query.body_kind} fixed={query.fixed_kind} "
-        f"d={query.d} k={query.k}; supported: interval/none (any k), "
-        "ball/none, ball/origin, halfball/origin (any d, k), triangle/none, "
-        "triangle/edge_midpoint (any k), tetrahedron/none (k=1 only)"
-    )
+    support = query.support
+    if not support.exact_at(query.k):
+        raise UnsupportedQueryError(
+            f"no closed form for body={query.body_kind} fixed={query.fixed_kind} "
+            f"d={query.d} k={query.k}; supported: {SUPPORTED}"
+        )
+    return support.closed_form(query.d, query.k, l)
 
 
 def _check_dim(d: int) -> None:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from math import factorial, sqrt
+from math import factorial, inf, nextafter, sqrt
 from statistics import NormalDist
 from typing import Sequence, Union
 
@@ -168,19 +168,6 @@ class Simplex:
 Body = Union[Interval, Ball, HalfBall, Simplex]
 
 
-def body_from_json(data: dict) -> Body:
-    kind = data["kind"]
-    if kind == "interval":
-        return Interval(length=data["length"])
-    if kind == "ball":
-        return Ball(d=data["d"])
-    if kind == "halfball":
-        return HalfBall(d=data["d"])
-    if kind == "simplex":
-        return Simplex(vertices=tuple(tuple(v) for v in data["vertices"]))
-    raise ValueError(f"unknown body kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # fixed vertex
 
@@ -210,24 +197,8 @@ FixedPointSpec = Union[NoFixedPoint, FixedPoint]
 NO_FIXED_POINT = NoFixedPoint()
 
 
-def fixed_point_in(body: Body, coords: Sequence[float]) -> FixedPoint:
-    """A fixed vertex validated to lie in the closed body."""
-    point = FixedPoint(tuple(coords))
-    if not body.contains(point.array()):
-        raise ValueError(f"fixed point {point.coords} lies outside the body")
-    return point
-
-
-def fixed_from_json(data: dict) -> FixedPointSpec:
-    if data["kind"] == "none":
-        return NO_FIXED_POINT
-    if data["kind"] == "point":
-        return FixedPoint(tuple(data["coords"]))
-    raise ValueError(f"unknown fixed-point kind {data['kind']!r}")
-
-
 # ---------------------------------------------------------------------------
-# canonical bodies used by the CLI and the test suite
+# canonical bodies used by the support table (moments.SUPPORT) and the tests
 
 _SQRT2 = sqrt(2.0)
 _CBRT6 = 6.0 ** (1.0 / 3.0)
@@ -277,11 +248,6 @@ def _sample_batch(body: Body, rng: np.random.Generator, n: int, m: int) -> np.nd
         w = e / e.sum(axis=-1, keepdims=True)
         return w @ verts
     raise TypeError(f"cannot sample in {body!r}")
-
-
-def sample_uniform(body: Body, rng: np.random.Generator) -> np.ndarray:
-    """One point uniformly distributed in the body."""
-    return _sample_batch(body, rng, 1, 1)[0, 0]
 
 
 def _batched_abs_det(vecs: np.ndarray) -> np.ndarray:
@@ -506,8 +472,14 @@ class ExactSide:
     value: PiPolynomial
 
     def bounds(self) -> tuple[float, float]:
-        x = self.value.to_float()
-        return x, x
+        """Doubles enclosing the value: its certified enclosure, rounded outward."""
+        lo, hi = self.value.evaluate_interval(30)
+        f_lo, f_hi = float(lo), float(hi)
+        if f_lo > lo:
+            f_lo = nextafter(f_lo, -inf)
+        if f_hi < hi:
+            f_hi = nextafter(f_hi, inf)
+        return f_lo, f_hi
 
     def to_json_dict(self) -> dict:
         return {

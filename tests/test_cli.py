@@ -188,6 +188,61 @@ def test_bad_thread_count_is_a_usage_error(capsys, monkeypatch, argv):
 
 
 # ---------------------------------------------------------------------------
+# the whole body x fixed-vertex support matrix
+
+BODIES = ["interval", "ball", "halfball", "triangle", "tetrahedron"]
+FIXED = ["none", "origin", "edge_midpoint", "facet_centroid"]
+MC_PAIRS = {
+    ("interval", "none"), ("ball", "none"), ("ball", "origin"),
+    ("halfball", "none"), ("halfball", "origin"), ("triangle", "none"),
+    ("triangle", "edge_midpoint"), ("tetrahedron", "none"),
+    ("tetrahedron", "facet_centroid"),
+}
+EXACT_PAIRS = MC_PAIRS - {("halfball", "none"), ("tetrahedron", "facet_centroid")}
+
+
+def _matrix_argv(command, body, fixed):
+    argv = [command, "--body", body, "--fixed", fixed]
+    if body in ("ball", "halfball"):
+        argv += ["--d", "3"]
+    if command == "mc":
+        argv += ["--n", "1000"]
+    return argv
+
+
+@pytest.mark.parametrize("command", ["exact", "mc"])
+@pytest.mark.parametrize("fixed", FIXED)
+@pytest.mark.parametrize("body", BODIES)
+def test_support_matrix(capsys, command, body, fixed):
+    code, out, err = run_cli(capsys, *_matrix_argv(command, body, fixed))
+    if (body, fixed) in (EXACT_PAIRS if command == "exact" else MC_PAIRS):
+        assert code == EXIT_OK
+        assert len(json_lines(out)) == 1
+        return
+    assert code == EXIT_USAGE
+    assert out == ""
+    message = err.strip().splitlines()[-1]
+    assert message.startswith("usage error: ")
+    assert all(f"{b}/{f}" in message for b, f in MC_PAIRS)
+
+
+@pytest.mark.parametrize("body, fixed", [
+    (b, f) for b in BODIES for f in FIXED if (b, f) not in MC_PAIRS
+])
+def test_exact_and_mc_reject_a_pair_with_the_same_message(capsys, body, fixed):
+    _, _, exact_err = run_cli(capsys, *_matrix_argv("exact", body, fixed))
+    _, _, mc_err = run_cli(capsys, *_matrix_argv("mc", body, fixed))
+    assert exact_err.strip().splitlines()[-1] == mc_err.strip().splitlines()[-1]
+
+
+def test_exact_tetrahedron_has_a_closed_form_at_k1_only(capsys):
+    code, out, err = run_cli(capsys, "exact", "--body", "tetrahedron", "--k", "2")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "tetrahedron/none (d=3, exact k=1 only)" in err
+
+
+# ---------------------------------------------------------------------------
 # counterexample scenarios (small n here; full-strength runs live in the
 # acceptance suite)
 
@@ -273,6 +328,64 @@ def test_config_file_supplies_defaults_and_flags_win(tmp_path, capsys):
 def test_config_file_missing(capsys):
     code, _, err = run_cli(capsys, "--config", "/nonexistent/path", "table1")
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("form", [("--config={}",), ("--config", "{}"), ("--conf", "{}")])
+def test_config_path_forms_are_all_read(tmp_path, capsys, form):
+    cfg = tmp_path / "k2.cfg"
+    cfg.write_text("k=2\n")
+    argv = [part.format(cfg) for part in form]
+    code, out, _ = run_cli(capsys, *argv, "exact", "--body", "ball", "--d", "3")
+    assert code == EXIT_OK
+    assert json_lines(out)[0]["query"]["k"] == 2
+
+
+def test_config_option_after_the_command_is_not_taken_for_config(capsys):
+    # --con is an abbreviation of mc's --confidence, not of the global --config
+    code, out, _ = run_cli(capsys, "mc", "--body", "ball", "--d", "2",
+                           "--n", "1000", "--con", "0.9")
+    assert code == EXIT_OK
+    assert json_lines(out)[0]["confidence"] == 0.9
+
+
+def test_config_missing_path(capsys):
+    code, out, _ = run_cli(capsys, "--config")
+    assert code == EXIT_USAGE
+    assert out == ""
+
+
+@pytest.mark.parametrize("line, argv", [
+    ("k=abc", ("exact", "--body", "ball", "--d", "3")),
+    ("l=xyz", ("exact", "--body", "interval")),
+    ("digits=abc", ("table1",)),
+    ("n=1e5", ("mc", "--body", "ball", "--d", "2")),
+    ("body=cube", ("mc", "--n", "1000")),
+    ("body=cube", ("exact",)),
+    ("fixed=vertex", ("exact", "--body", "ball", "--d", "3")),
+    ("d=5", ("qscan",)),
+    ("seeed=5", ("mc", "--body", "ball", "--d", "2", "--n", "1000")),
+    ("table=1", ("table1",)),
+], ids=["bad-k", "bad-l", "bad-digits", "bad-n", "cube-mc", "cube-exact",
+        "bad-fixed", "qscan-d5", "unknown-key", "flag-not-a-key"])
+def test_config_bad_values_and_unknown_keys_are_usage_errors(tmp_path, capsys, line, argv):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    code, out, err = run_cli(capsys, "--config", str(cfg), *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "Traceback" not in err
+
+
+def test_config_key_of_another_command_is_accepted(tmp_path, capsys):
+    # one file may serve several commands: d=5 is out of qscan's choices but
+    # a valid --d for exact, and table1 has no --d at all
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text("d=5\nseed=3\n")
+    code, out, _ = run_cli(capsys, "--config", str(cfg), "exact", "--body", "ball")
+    assert code == EXIT_OK
+    assert json_lines(out)[0]["query"]["d"] == 5
+    code, _, _ = run_cli(capsys, "--config", str(cfg), "table1")
+    assert code == EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ from sylvester.exactnum import PiPolynomial
 from sylvester.moments import (
     ball_fixed_moment,
     ball_moment,
+    halfball_fixed_moment,
+    tetrahedron_moment_k1,
     triangle_midpoint_moment,
     triangle_moment,
 )
@@ -17,6 +19,7 @@ from sylvester.montecarlo import (
     DEFAULT_CHUNK,
     Ball,
     EstimatorConfig,
+    ExactSide,
     FixedPoint,
     HalfBall,
     INCONCLUSIVE,
@@ -25,13 +28,9 @@ from sylvester.montecarlo import (
     NO_FIXED_POINT,
     RHS_GREATER,
     Simplex,
-    body_from_json,
     certify_counterexample,
     estimate_moment,
-    fixed_from_json,
-    fixed_point_in,
     make_config,
-    sample_uniform,
     simplex_volume,
     tetrahedron_facet_centroid,
     triangle_edge_midpoint,
@@ -123,13 +122,6 @@ def test_membership():
     assert not Interval(2.0).contains((2.5,))
 
 
-def test_fixed_point_in():
-    fp = fixed_point_in(HalfBall(3), (0.0, 0.0, 0.0))
-    assert fp.coords == (0.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        fixed_point_in(Ball(2), (2.0, 0.0))
-
-
 def test_canonical_fixed_points_lie_in_bodies():
     assert unit_area_triangle().contains(triangle_edge_midpoint().array())
     assert unit_volume_tetrahedron().contains(tetrahedron_facet_centroid().array())
@@ -218,12 +210,6 @@ def test_interval_sampling_range():
     assert pts.max() <= 2.0
     # E|X - Y| on [-1,1] scaled: check the fixed-vertex oracle on [-1,1]
     assert uniform_interval_abs_moment(1) == pytest.approx(0.5, abs=1e-12)
-
-
-def test_sample_uniform_single_point():
-    p = sample_uniform(Ball(2), _rng(16))
-    assert p.shape == (2,)
-    assert p @ p <= 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +427,21 @@ def test_certify_estimate_vs_exact():
     assert json.loads(json.dumps(data)) == data
 
 
+@pytest.mark.parametrize("value", [
+    halfball_fixed_moment(3, 1),
+    ball_fixed_moment(4, 1),
+    tetrahedron_moment_k1(),
+], ids=["halfball-d3-origin", "ball-d4-origin", "tetrahedron"])
+def test_exact_side_bounds_enclose_the_value(value):
+    # the comparand is irrational, so no double equals it: both bounds must be
+    # rounded outward from the certified enclosure, one ulp or so apart
+    lo, hi = ExactSide(value).bounds()
+    enc_lo, enc_hi = value.evaluate_interval(30)
+    assert Fraction(lo) <= enc_lo
+    assert enc_hi <= Fraction(hi)
+    assert hi - lo <= 2 * math.ulp(hi)
+
+
 def test_certify_two_estimates_inconclusive_for_equal_targets():
     # same quantity on both sides: cannot separate, must stay inconclusive
     cfg = make_config(k=1, n_samples=50_000, seed=123)
@@ -454,17 +455,6 @@ def test_certify_two_estimates_inconclusive_for_equal_targets():
 
 # ---------------------------------------------------------------------------
 # serialization
-
-
-def test_body_json_round_trip():
-    bodies = [Interval(2.0), Ball(3), HalfBall(4), unit_area_triangle()]
-    for body in bodies:
-        assert body_from_json(json.loads(json.dumps(body.to_json_dict()))) == body
-
-
-def test_fixed_json_round_trip():
-    for fixed in (NO_FIXED_POINT, FixedPoint((0.5, 0.25))):
-        assert fixed_from_json(json.loads(json.dumps(fixed.to_json_dict()))) == fixed
 
 
 def test_estimate_json_echoes_config():
