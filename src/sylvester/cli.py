@@ -12,7 +12,6 @@ direction).
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 from datetime import datetime, timezone
@@ -78,10 +77,12 @@ def _emit(record: dict, table: bool = False, renderer=None) -> None:
         print(json.dumps(record, sort_keys=True))
 
 
-def _manifest(command: str, parameters: dict) -> None:
+def _manifest(ns: argparse.Namespace) -> None:
+    parameters = {key: str(value) if isinstance(value, Fraction) else value
+                  for key, value in vars(ns).items() if key != "command"}
     manifest = {
         "manifest": {
-            "command": command,
+            "command": ns.command,
             "parameters": parameters,
             "timestamp": datetime.now(timezone.utc).isoformat(),
             "version": __version__,
@@ -90,69 +91,29 @@ def _manifest(command: str, parameters: dict) -> None:
     print(json.dumps(manifest, sort_keys=True), file=sys.stderr)
 
 
-def _read_config(argv: list[str]) -> dict[str, str]:
-    """key=value pairs of the --config file (``-`` in keys read as ``_``), parsed
-    ahead of the real parser because they become its defaults."""
-    pre = argparse.ArgumentParser(prog="sylvester", add_help=False)
-    pre.add_argument("--config")
-    pre.add_argument("rest", nargs=argparse.REMAINDER)  # the command and its flags
-    path = pre.parse_known_args(argv)[0].config
-    values: dict[str, str] = {}
-    if path is None:
-        return values
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for raw in fh:
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ValueError(f"config line without '=': {raw.strip()!r}")
-                key, _, val = line.partition("=")
-                values[key.strip().replace("-", "_")] = val.strip().strip('"')
-    except (OSError, ValueError) as exc:
-        pre.error(f"cannot read config file: {exc}")
-    return values
-
-
 class _UsageError(Exception):
     pass
 
 
-def _within(convert, choices):
-    """``convert``, also rejecting values outside ``choices`` (argparse skips defaults)."""
-    @functools.wraps(convert)
-    def checked(raw):
-        value = convert(raw)
-        if value not in choices:
-            raise argparse.ArgumentTypeError(
-                f"invalid choice: {value!r} (choose from {', '.join(map(repr, choices))})")
-        return value
-    return checked
-
-
-def _build_parser(config: dict) -> tuple[argparse.ArgumentParser, set[str]]:
-    """The parser with ``config`` values as flag defaults, and the config keys it knows."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, str]]]:
+    """The parser, and per command the config keys it takes (``k_max`` -> ``--k-max``)."""
     parser = argparse.ArgumentParser(
         prog="sylvester",
         description="Exact and Monte Carlo moments of random simplex volumes in convex bodies.",
     )
-    parser.add_argument("--config", help="key=value file supplying flag defaults")
+    parser.add_argument("--config", help="key=value file, read as the command's own flags "
+                                         "placed before the explicit ones")
     sub = parser.add_subparsers(dest="command", required=True)
-    known: set[str] = set()
+    keys: dict[str, dict[str, str]] = {name: {} for name in _COMMANDS}
 
-    def opt(p, flag, *, dest=None, **kw):
-        dest = dest or flag.lstrip("-").replace("-", "_")
-        known.add(dest)
-        if dest in config:
-            # a string default: argparse converts it with `type` and exits 2 on failure
-            kw["default"] = config[dest]
-            if "choices" in kw:
-                kw["type"] = _within(kw.get("type", str), kw["choices"])
-        p.add_argument(flag, dest=dest, **kw)
+    def opt(p, flag, **kw):
+        name = p.prog.split()[-1]  # "sylvester exact" -> "exact"
+        keys[name][flag.lstrip("-").replace("-", "_")] = flag
+        p.add_argument(flag, **kw)
 
-    def add_output_flags(p):
-        opt(p, "--digits", type=int, default=12, help="significant digits for decimals")
+    def add_output_flags(p, digits=False):
+        if digits:
+            opt(p, "--digits", type=int, default=12, help="significant digits for decimals")
         p.add_argument("--table", action="store_true", help="human-readable table output")
         p.add_argument("--json", dest="table", action="store_false",
                        help="JSON-lines output (default)")
@@ -162,14 +123,15 @@ def _build_parser(config: dict) -> tuple[argparse.ArgumentParser, set[str]]:
         opt(p, "--fixed", default="none", choices=FIXED_KINDS)
         opt(p, "--d", type=int)
         opt(p, "--k", type=int, default=1)
-        opt(p, "--l", type=Fraction, default=None, help="interval length (fraction or decimal)")
+        opt(p, "--l", type=Fraction, default=None,
+            help="interval length (fraction or decimal), for --body interval only")
 
     p = sub.add_parser("table1", help="triangle moment table for k=3..10, checked against frozen values")
     add_output_flags(p)
 
     p = sub.add_parser("exact", help="exact closed-form moment for a query")
     add_query_flags(p)
-    add_output_flags(p)
+    add_output_flags(p, digits=True)
 
     p = sub.add_parser("mc", help="Monte Carlo estimate of a moment")
     add_query_flags(p)
@@ -189,29 +151,66 @@ def _build_parser(config: dict) -> tuple[argparse.ArgumentParser, set[str]]:
 
     p = sub.add_parser("qscan", help="scan the q(d,k) bound series")
     opt(p, "--d", type=int, choices=[2, 3], default=2)
-    opt(p, "--k-max", dest="k_max", type=int, default=20)
-    add_output_flags(p)
+    opt(p, "--k-max", type=int, default=20)
+    add_output_flags(p, digits=True)
 
-    return parser, known
+    return parser, keys
+
+
+def _config_flags(path: str, command: str) -> list[str]:
+    """The ``--key=value`` flags a config file gives ``command``: a key only
+    another command takes is skipped, a key no command takes is an error."""
+    flags, unknown = [], set()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for raw in fh:
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise ValueError(f"config line without '=': {raw.strip()!r}")
+                key, _, value = line.partition("=")
+                key = key.strip().replace("-", "_")
+                value = value.strip().strip('"')
+                if key in CONFIG_KEYS[command]:
+                    flags.append(f"{CONFIG_KEYS[command][key]}={value}")
+                elif not any(key in keys for keys in CONFIG_KEYS.values()):
+                    unknown.add(key)
+    except (OSError, ValueError) as exc:
+        PARSER.error(f"cannot read config file: {exc}")
+    if unknown:
+        PARSER.error(f"unknown config key(s): {', '.join(sorted(unknown))}")
+    return flags
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``argv`` parsed, with the --config file's flags placed right after the
+    command, so explicit flags, which come later, win."""
+    ns = PARSER.parse_args(argv)
+    if ns.config is None:
+        return ns
+    i = 0  # the command token: before it stand only --config options and their values
+    while argv[i].startswith("-"):
+        i += 1 if "=" in argv[i] else 2
+    return PARSER.parse_args([*argv[:i + 1], *_config_flags(ns.config, ns.command), *argv[i + 1:]])
 
 
 def _query(ns) -> MomentQuery:
-    """The query the --body/--fixed/--d/--k flags select; ValueError if unsupported."""
+    """The query the --body/--fixed/--d/--k/--l flags select; ValueError if unsupported."""
     if ns.body is None:
         raise _UsageError("--body is required")
     d = SUPPORT[ns.body, ns.fixed].d if ns.d is None else ns.d
     if d is None:
         raise _UsageError(f"--d is required for body {ns.body}")
-    return MomentQuery(d=d, k=ns.k, body_kind=ns.body, fixed_kind=ns.fixed)
+    return MomentQuery(d=d, k=ns.k, body_kind=ns.body, fixed_kind=ns.fixed, l=ns.l)
 
 
-def _sampler(query: MomentQuery, l: Fraction | None = None) -> tuple:
+def _sampler(query: MomentQuery) -> tuple:
     """(body, fixed vertex) for estimating ``query`` by Monte Carlo."""
-    return query.support.body(query.d, l), query.support.fixed(query.d)
+    return query.support.body(query.d, query.l), query.support.fixed(query.d)
 
 
 def cmd_table1(ns) -> int:
-    _manifest("table1", {"digits": ns.digits})
     mismatches = []
     for row in table1_rows():
         expected = TABLE1_EXPECTED[row.k]
@@ -239,19 +238,17 @@ def _render_table1_row(r: dict) -> str:
 
 
 def cmd_exact(ns) -> int:
-    params = {"body": ns.body, "fixed": ns.fixed, "d": ns.d, "k": ns.k,
-              "l": None if ns.l is None else str(ns.l), "digits": ns.digits}
-    _manifest("exact", params)
     try:
         query = _query(ns)
-        value = exact_moment(query, l=ns.l)
+        value = exact_moment(query)
+        decimal = value.to_decimal(ns.digits)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
     record = {
-        "query": dict(query.to_json_dict(), l=None if ns.l is None else str(ns.l)),
+        "query": query.to_json_dict(),
         "exact": value.to_json_dict(),
         "exact_str": str(value),
-        "decimal": value.to_decimal(ns.digits),
+        "decimal": decimal,
     }
     _emit(record, ns.table,
           lambda r: f"{r['query']}  =  {r['exact_str']}  ~ {r['decimal']}")
@@ -259,13 +256,8 @@ def cmd_exact(ns) -> int:
 
 
 def cmd_mc(ns) -> int:
-    params = {"body": ns.body, "fixed": ns.fixed, "d": ns.d, "k": ns.k,
-              "l": None if ns.l is None else str(ns.l),
-              "n": ns.n, "seed": ns.seed, "chunk": ns.chunk,
-              "confidence": ns.confidence}
-    _manifest("mc", params)
     try:
-        body, fixed = _sampler(_query(ns), ns.l)
+        body, fixed = _sampler(_query(ns))
         config = make_config(k=ns.k, n_samples=ns.n, seed=ns.seed,
                              chunk_size=ns.chunk, confidence=ns.confidence)
         estimate = estimate_moment(body, fixed, config)
@@ -287,9 +279,6 @@ def _side(query: MomentQuery):
 
 
 def cmd_counterexample(ns) -> int:
-    params = {"scenario": ns.scenario, "n": ns.n, "seed": ns.seed,
-              "chunk": ns.chunk, "confidence": ns.confidence}
-    _manifest("counterexample", params)
     lhs, rhs = SCENARIOS[ns.scenario]
     try:
         config = make_config(k=1, n_samples=ns.n, seed=ns.seed,
@@ -316,20 +305,21 @@ def cmd_counterexample(ns) -> int:
 
 
 def cmd_qscan(ns) -> int:
-    params = {"d": ns.d, "k_max": ns.k_max}
-    _manifest("qscan", params)
     if ns.k_max < 2:
         raise _UsageError("--k-max must be >= 2")
     first_below = None
     rows = []
-    for k in range(1, ns.k_max + 1):
-        q = q_ratio(ns.d, k)
-        below = q < 1
-        if below and first_below is None:
-            first_below = k
-        rows.append({"k": k, "q": str(q),
-                     "q_decimal": PiPolynomial.from_rational(q).to_decimal(ns.digits),
-                     "below_one": below})
+    try:
+        for k in range(1, ns.k_max + 1):
+            q = q_ratio(ns.d, k)
+            below = q < 1
+            if below and first_below is None:
+                first_below = k
+            rows.append({"k": k, "q": str(q),
+                         "q_decimal": PiPolynomial.from_rational(q).to_decimal(ns.digits),
+                         "below_one": below})
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
     threshold = 4 if ns.d == 2 else 2
     monotone = all(
         q_ratio(ns.d, k + 1) < q_ratio(ns.d, k)
@@ -363,19 +353,17 @@ _COMMANDS = {
     "counterexample": cmd_counterexample,
     "qscan": cmd_qscan,
 }
+# built once: parsing leaves no state in a parser, so every call of main shares it
+PARSER, CONFIG_KEYS = _build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        config = _read_config(argv)
-        parser, known = _build_parser(config)
-        unknown = sorted(set(config) - known)
-        if unknown:
-            parser.error(f"unknown config key(s): {', '.join(unknown)}")
-        ns = parser.parse_args(argv)
+        ns = _parse(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    _manifest(ns)
     try:
         return _COMMANDS[ns.command](ns)
     except _UsageError as exc:

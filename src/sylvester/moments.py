@@ -390,12 +390,13 @@ FIXED_KINDS = tuple(dict.fromkeys(f for _, f in SUPPORT))
 
 @dataclass(frozen=True)
 class MomentQuery:
-    """A (dimension, order, body, fixed-vertex) selector for a moment, exact or estimated."""
+    """A (d, k, body, fixed vertex, interval length) selector for an exact or estimated moment."""
 
     d: int
     k: int
     body_kind: str
     fixed_kind: str = "none"
+    l: Fraction | int | None = None  # interval length; None means 1
 
     def __post_init__(self):
         support = self.support
@@ -405,6 +406,10 @@ class MomentQuery:
             raise ValueError("moment order must be >= 0")
         if support.d is not None and self.d != support.d:
             raise ValueError(f"{self.body_kind} queries require d={support.d}, got d={self.d}")
+        if self.l is not None and self.body_kind != "interval":
+            raise ValueError(f"a length applies to body interval only, not {self.body_kind}")
+        if self.l is not None and self.l <= 0:
+            raise ValueError(f"interval length must be positive, got {self.l}")
 
     @property
     def support(self) -> Support:
@@ -416,11 +421,12 @@ class MomentQuery:
             "k": self.k,
             "body": self.body_kind,
             "fixed": self.fixed_kind,
+            "l": None if self.l is None else str(self.l),
         }
 
 
-def exact_moment(query: MomentQuery, l: Fraction | int | None = None) -> PiPolynomial:
-    """The closed form of a :class:`MomentQuery` (``l``: interval length, default 1).
+def exact_moment(query: MomentQuery) -> PiPolynomial:
+    """The closed form of a :class:`MomentQuery`.
 
     Raises :class:`UnsupportedQueryError` for queries without one.
     """
@@ -430,7 +436,7 @@ def exact_moment(query: MomentQuery, l: Fraction | int | None = None) -> PiPolyn
             f"no closed form for body={query.body_kind} fixed={query.fixed_kind} "
             f"d={query.d} k={query.k}; supported: {SUPPORTED}"
         )
-    return support.closed_form(query.d, query.k, l)
+    return support.closed_form(query.d, query.k, query.l)
 
 
 def _check_dim(d: int) -> None:

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from sylvester.cli import (
+    CONFIG_KEYS,
     EXIT_INCONCLUSIVE,
     EXIT_MISMATCH,
     EXIT_OK,
@@ -357,7 +358,7 @@ def test_config_missing_path(capsys):
 @pytest.mark.parametrize("line, argv", [
     ("k=abc", ("exact", "--body", "ball", "--d", "3")),
     ("l=xyz", ("exact", "--body", "interval")),
-    ("digits=abc", ("table1",)),
+    ("digits=abc", ("qscan",)),
     ("n=1e5", ("mc", "--body", "ball", "--d", "2")),
     ("body=cube", ("mc", "--n", "1000")),
     ("body=cube", ("exact",)),
@@ -386,6 +387,101 @@ def test_config_key_of_another_command_is_accepted(tmp_path, capsys):
     assert json_lines(out)[0]["query"]["d"] == 5
     code, _, _ = run_cli(capsys, "--config", str(cfg), "table1")
     assert code == EXIT_OK
+
+
+def test_one_parser_keeps_no_config_between_calls(tmp_path, capsys):
+    k2, k3 = tmp_path / "k2.cfg", tmp_path / "k3.cfg"
+    k2.write_text("k=2\n")
+    k3.write_text("k=3\n")
+    argv = ("exact", "--body", "ball", "--d", "3")
+    ks = []
+    for prefix in (("--config", str(k2)), (), ("--config", str(k3)), ("--config", str(k2))):
+        code, out, _ = run_cli(capsys, *prefix, *argv)
+        assert code == EXIT_OK
+        ks.append(json_lines(out)[0]["query"]["k"])
+    assert ks == [2, 1, 3, 2]
+
+
+def test_config_path_spelled_like_the_command(tmp_path, capsys, monkeypatch):
+    # the file's flags go after the command token, not after the path "exact"
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "exact").write_text("k=2\n")
+    code, out, _ = run_cli(capsys, "--config", "exact", "exact", "--body", "ball", "--d", "3")
+    assert code == EXIT_OK
+    assert json_lines(out)[0]["query"]["k"] == 2
+
+
+def test_config_negative_length_is_a_value_not_a_flag(tmp_path, capsys):
+    cfg = tmp_path / "neg.cfg"
+    cfg.write_text("l=-1\n")
+    code, out, err = run_cli(capsys, "--config", str(cfg), "exact", "--body", "interval")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "usage error: interval length must be positive" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("exact", "--body", "ball", "--d", "3", "--l", "5"),
+    ("mc", "--body", "triangle", "--l", "7", "--n", "1000"),
+])
+def test_length_is_for_the_interval_only(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "usage error: a length applies to body interval only" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("exact", "--body", "ball", "--d", "3", "--digits", "0"),
+    ("qscan", "--digits", "0"),
+    ("exact", "--body", "ball", "--d", "3", "--digits", "20000"),
+    ("table1", "--digits", "12"),
+    ("mc", "--body", "ball", "--d", "2", "--n", "1000", "--digits", "12"),
+    ("counterexample", "halfball-d3", "--n", "1000", "--digits", "12"),
+])
+def test_bad_or_unused_digits_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "Traceback" not in err
+
+
+# (command, config key) -> (base argv, another valid value for that key)
+FLAG_CASES = {
+    ("exact", "body"): (("exact", "--body", "triangle"), "tetrahedron"),
+    ("exact", "fixed"): (("exact", "--body", "triangle"), "edge_midpoint"),
+    ("exact", "d"): (("exact", "--body", "ball", "--d", "3"), "4"),
+    ("exact", "k"): (("exact", "--body", "triangle"), "2"),
+    ("exact", "l"): (("exact", "--body", "interval"), "3/2"),
+    ("exact", "digits"): (("exact", "--body", "ball", "--d", "3"), "30"),
+    ("mc", "body"): (("mc", "--body", "triangle", "--n", "1000"), "tetrahedron"),
+    ("mc", "fixed"): (("mc", "--body", "triangle", "--n", "1000"), "edge_midpoint"),
+    ("mc", "d"): (("mc", "--body", "ball", "--d", "2", "--n", "1000"), "3"),
+    ("mc", "k"): (("mc", "--body", "triangle", "--n", "1000"), "2"),
+    ("mc", "l"): (("mc", "--body", "interval", "--n", "1000"), "3/2"),
+    ("mc", "n"): (("mc", "--body", "triangle", "--n", "1000"), "2000"),
+    ("mc", "seed"): (("mc", "--body", "triangle", "--n", "1000"), "1"),
+    ("mc", "chunk"): (("mc", "--body", "triangle", "--n", "1000"), "300"),
+    ("mc", "confidence"): (("mc", "--body", "triangle", "--n", "1000"), "0.9"),
+    ("counterexample", "n"): (("counterexample", "halfball-d3", "--n", "2000"), "3000"),
+    ("counterexample", "seed"): (("counterexample", "halfball-d3", "--n", "2000"), "1"),
+    ("counterexample", "chunk"): (("counterexample", "halfball-d3", "--n", "2000"), "300"),
+    ("counterexample", "confidence"): (("counterexample", "halfball-d3", "--n", "2000"), "0.9"),
+    ("qscan", "d"): (("qscan", "--k-max", "5"), "3"),
+    ("qscan", "k_max"): (("qscan", "--k-max", "5"), "6"),
+    ("qscan", "digits"): (("qscan", "--k-max", "5"), "20"),
+}
+
+
+@pytest.mark.parametrize("command, key", sorted(FLAG_CASES))
+def test_every_flag_changes_stdout(capsys, command, key):
+    # a new flag must join FLAG_CASES, and so show that some output depends on it
+    assert set(FLAG_CASES) == {(c, k) for c, keys in CONFIG_KEYS.items() for k in keys}
+    base, value = FLAG_CASES[command, key]
+    base_code, base_out, _ = run_cli(capsys, *base)
+    code, out, _ = run_cli(capsys, *base, f"{CONFIG_KEYS[command][key]}={value}")
+    assert EXIT_USAGE not in (base_code, code)
+    assert base_out and out != base_out
 
 
 # ---------------------------------------------------------------------------

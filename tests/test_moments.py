@@ -339,7 +339,7 @@ def test_moment_query_validation():
 
 
 def test_exact_moment_dispatch():
-    assert exact_moment(MomentQuery(1, 2, "interval"), l=1) == F(1, 6)
+    assert exact_moment(MomentQuery(1, 2, "interval", l=1)) == F(1, 6)
     assert exact_moment(MomentQuery(3, 1, "ball")) == ball_moment(3, 1)
     assert exact_moment(MomentQuery(3, 1, "ball", "origin")) == ball_fixed_moment(3, 1)
     assert exact_moment(MomentQuery(3, 2, "halfball", "origin")) == ball_fixed_moment(3, 2)
