@@ -5,14 +5,15 @@ Monotonicity of K -> E[V_K^k] over all convex-body inclusions is equivalent to
 E[V_K^k] <= E[V_{K,x}^k] holding for every body K and boundary point x (pin
 one vertex at x).  A single pair with the strict opposite inequality is
 therefore a counterexample.  Each certification below compares an exact closed
-form with a Monte Carlo confidence interval: the verdict is only "certified"
-when the whole interval clears the exact value.
+form with a Monte Carlo confidence sequence, tested after every chunk of
+samples: the verdict is only "certified" when the whole interval clears the
+exact value, and the run stops at the first chunk where it does.
 """
 
 import sylvester as sy
 from sylvester.montecarlo import NO_FIXED_POINT
 
-N = 2_000_000  # the acceptance suite uses 10^7; this keeps the demo snappy
+N = 2_000_000  # the sample budget per estimated side; a run stops once decided
 
 scenarios = [
     ("3-half-ball, vertex at base center (k=1)",
@@ -37,7 +38,8 @@ for title, lhs, rhs in scenarios:
         else:
             e = side.estimate
             print(f"  {label} (estimate) : {e.mean:.8f}  "
-                  f"99% CI ({e.ci_low:.8f}, {e.ci_high:.8f})  n={e.n}")
+                  f"99% confidence sequence ({e.ci_low:.8f}, {e.ci_high:.8f})  "
+                  f"n={e.n} (budget {N})")
     print(f"  verdict: {verdict.relation}  at confidence {verdict.confidence}")
     print()
 

@@ -44,6 +44,10 @@ EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_MISMATCH = 4
 
+# the largest --digits: a decimal of that many digits stays clear of the
+# interpreter's limit on integer-to-string conversion (4300 digits)
+MAX_DIGITS = 4000
+
 # Frozen regression values for the k = 3..10 triangle table (midpoint moment,
 # free moment, ratio).  cmd_table1 exits nonzero if the closed forms drift.
 TABLE1_EXPECTED = {
@@ -95,6 +99,13 @@ class _UsageError(Exception):
     pass
 
 
+def _digits(text: str) -> int:
+    digits = int(text)
+    if digits > MAX_DIGITS:
+        raise argparse.ArgumentTypeError(f"--digits must be at most {MAX_DIGITS}")
+    return digits
+
+
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, str]]]:
     """The parser, and per command the config keys it takes (``k_max`` -> ``--k-max``)."""
     parser = argparse.ArgumentParser(
@@ -113,7 +124,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, str]]]
 
     def add_output_flags(p, digits=False):
         if digits:
-            opt(p, "--digits", type=int, default=12, help="significant digits for decimals")
+            opt(p, "--digits", type=_digits, default=12, help="significant digits for decimals")
         p.add_argument("--table", action="store_true", help="human-readable table output")
         p.add_argument("--json", dest="table", action="store_false",
                        help="JSON-lines output (default)")
@@ -286,6 +297,7 @@ def cmd_counterexample(ns) -> int:
         verdict = certify_counterexample(_side(lhs), _side(rhs), config)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
+    print(json.dumps({"certification": verdict.trace_dict()}, sort_keys=True), file=sys.stderr)
     certified = verdict.relation == LHS_GREATER
     record = {
         "scenario": ns.scenario,

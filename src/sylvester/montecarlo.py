@@ -17,14 +17,21 @@ given :class:`EstimatorConfig` yields bit-identical results at any thread
 count.  Chunks run on ``os.cpu_count()`` threads unless SYLVESTER_THREADS or
 the ``workers`` argument says otherwise; the default chunk of 2^15 simplices
 keeps each thread's arrays a few megabytes in size.
+
+Certification is sequential: each estimated side is a time-uniform
+empirical-Bernstein confidence sequence, tested after every chunk, and the
+run stops at the first chunk that decides the relation.
 """
 
 from __future__ import annotations
 
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from math import factorial, inf, nextafter, sqrt
+from functools import reduce
+from itertools import chain, islice, repeat
+from math import factorial, inf, log, nextafter, sqrt
 from statistics import NormalDist
 from typing import Sequence, Union
 
@@ -59,12 +66,26 @@ class Interval:
     def volume(self) -> float:
         return float(self.length)
 
+    def max_simplex_volume(self) -> float:
+        """Largest volume of a simplex with vertices in the body: its length."""
+        return float(self.length)
+
     def contains(self, point) -> bool:
         (x,) = np.asarray(point, dtype=float)
         return -_MEMBERSHIP_TOL <= x <= self.length + _MEMBERSHIP_TOL
 
     def to_json_dict(self) -> dict:
         return {"kind": "interval", "length": float(self.length)}
+
+
+def _hadamard_bound(d: int) -> float:
+    """An upper bound on the volume of a simplex with vertices in the unit d-ball.
+
+    The volume is |det A| / d!, where A is the (d+1)x(d+1) matrix with rows
+    (1, x_i).  Each row has norm at most sqrt(2), so by Hadamard's inequality
+    |det A| <= 2^((d+1)/2).
+    """
+    return 2.0 ** ((d + 1) / 2) / factorial(d)
 
 
 @dataclass(frozen=True)
@@ -83,6 +104,9 @@ class Ball:
 
     def volume(self) -> float:
         return kappa(self.d).to_float()
+
+    def max_simplex_volume(self) -> float:
+        return _hadamard_bound(self.d)
 
     def contains(self, point) -> bool:
         p = np.asarray(point, dtype=float)
@@ -111,6 +135,9 @@ class HalfBall:
 
     def volume(self) -> float:
         return kappa(self.d).to_float() / 2.0
+
+    def max_simplex_volume(self) -> float:
+        return _hadamard_bound(self.d)
 
     def contains(self, point) -> bool:
         p = np.asarray(point, dtype=float)
@@ -150,6 +177,10 @@ class Simplex:
         verts = np.asarray(self.vertices, dtype=float)
         vecs = verts[1:] - verts[0]
         return abs(float(np.linalg.det(vecs))) / factorial(self.dimension)
+
+    def max_simplex_volume(self) -> float:
+        """A simplex inside a simplex has at most its volume."""
+        return self.volume()
 
     def contains(self, point) -> bool:
         verts = self.vertex_array()
@@ -346,7 +377,11 @@ def make_config(k: int, n_samples: int, seed: int = 0, chunk_size: int = DEFAULT
 
 @dataclass(frozen=True)
 class MomentEstimate:
-    """Streaming estimate of E[V^k] with a normal-approximation CI."""
+    """Streaming estimate of E[V^k] with a confidence interval.
+
+    From :func:`estimate_moment` the interval is the normal approximation;
+    on a certification side it is the confidence sequence at the stop.
+    """
 
     mean: float
     variance: float
@@ -396,6 +431,9 @@ def _chunk_stats(body: Body, fixed: FixedPointSpec, k: int, seed: int,
     return size, mean, m2
 
 
+_EMPTY = (0, 0.0, 0.0)
+
+
 def _merge(a: tuple[int, float, float], b: tuple[int, float, float]) -> tuple[int, float, float]:
     # two-sample mean/M2 combination; exact when either side is empty
     na, ma, sa = a
@@ -417,6 +455,48 @@ def _resolve_workers(workers: int | None) -> int:
     return max(1, workers)
 
 
+def _chunk_stream(jobs: list[tuple], workers: int):
+    """``_chunk_stats(*job)`` for each job, yielded in job order.
+
+    ``workers`` chunks are in flight at first, and one more after each chunk
+    yielded, up to 2 x ``workers``: a caller that stops after a chunk or two
+    leaves little speculative work behind, and a long run keeps every thread
+    busy.  Closing the generator cancels the chunks not yet started and waits
+    for those running.
+    """
+    workers = min(workers, len(jobs))
+    if workers <= 1:
+        for job in jobs:
+            yield _chunk_stats(*job)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        todo = iter(jobs)
+        pending = deque()
+        try:
+            for depth in chain(range(workers, 2 * workers), repeat(2 * workers)):
+                for job in islice(todo, depth - len(pending)):
+                    pending.append(pool.submit(_chunk_stats, *job))
+                if not pending:
+                    return
+                yield pending.popleft().result()
+        finally:
+            for future in pending:
+                future.cancel()
+
+
+def _check_fixed(body: Body, fixed: FixedPointSpec) -> None:
+    if isinstance(fixed, FixedPoint):
+        if len(fixed.coords) != body.dimension:
+            raise ValueError("fixed point dimension does not match the body")
+        if not body.contains(fixed.array()):
+            raise ValueError(f"fixed point {fixed.coords} lies outside the body")
+
+
+def _jobs(body: Body, fixed: FixedPointSpec, config: EstimatorConfig) -> list[tuple]:
+    sizes = _chunk_sizes(config.n_samples, config.chunk_size)
+    return [(body, fixed, config.k, config.seed, i, size) for i, size in enumerate(sizes)]
+
+
 def estimate_moment(body: Body, fixed: FixedPointSpec, config: EstimatorConfig,
                     workers: int | None = None) -> MomentEstimate:
     """Estimate E[V^k] over ``config.n_samples`` i.i.d. random simplices.
@@ -425,40 +505,25 @@ def estimate_moment(body: Body, fixed: FixedPointSpec, config: EstimatorConfig,
     else the SYLVESTER_THREADS environment variable, else ``os.cpu_count()``)
     only changes wall time.
     """
-    if isinstance(fixed, FixedPoint):
-        if len(fixed.coords) != body.dimension:
-            raise ValueError("fixed point dimension does not match the body")
-        if not body.contains(fixed.array()):
-            raise ValueError(f"fixed point {fixed.coords} lies outside the body")
-    sizes = _chunk_sizes(config.n_samples, config.chunk_size)
-    jobs = [
-        (body, fixed, config.k, config.seed, i, size)
-        for i, size in enumerate(sizes)
-    ]
-    n_workers = min(_resolve_workers(workers), len(jobs))
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(lambda j: _chunk_stats(*j), jobs))
-    else:
-        results = [_chunk_stats(*j) for j in jobs]
-    total = results[0]
-    for part in results[1:]:
-        total = _merge(total, part)
-    n, mean, m2 = total
+    _check_fixed(body, fixed)
+    stream = _chunk_stream(_jobs(body, fixed, config), _resolve_workers(workers))
+    # merging into the empty accumulator is exact, so this is the index-order
+    # fold of the chunk stats
+    return _estimate(reduce(_merge, stream, _EMPTY), config, body, fixed)
+
+
+def _estimate(stats: tuple[int, float, float], config: EstimatorConfig, body: Body,
+              fixed: FixedPointSpec, ci: tuple[float, float] | None = None) -> MomentEstimate:
+    """The estimate from merged chunk stats; ``ci`` defaults to the normal approximation."""
+    n, mean, m2 = stats
     variance = m2 / (n - 1) if n > 1 else 0.0
     std_error = sqrt(variance / n)
-    z = NormalDist().inv_cdf(0.5 + config.confidence / 2.0)
-    return MomentEstimate(
-        mean=mean,
-        variance=variance,
-        std_error=std_error,
-        ci_low=mean - z * std_error,
-        ci_high=mean + z * std_error,
-        n=n,
-        config=config,
-        body=body,
-        fixed=fixed,
-    )
+    if ci is None:
+        z = NormalDist().inv_cdf(0.5 + config.confidence / 2.0)
+        ci = (mean - z * std_error, mean + z * std_error)
+    return MomentEstimate(mean=mean, variance=variance, std_error=std_error,
+                          ci_low=ci[0], ci_high=ci[1], n=n, config=config,
+                          body=body, fixed=fixed)
 
 
 # ---------------------------------------------------------------------------
@@ -491,15 +556,32 @@ class ExactSide:
 
 @dataclass(frozen=True)
 class EstimatedSide:
-    """A comparand backed by a finished Monte Carlo estimate."""
+    """A comparand backed by Monte Carlo samples.
+
+    ``estimate`` is taken where the certification stopped; its CI is the
+    confidence sequence's, which errs at any time with probability at most
+    ``alpha``, for samples that lie in [0, ``value_range``].
+    """
 
     estimate: MomentEstimate
+    alpha: float
+    value_range: float
 
     def bounds(self) -> tuple[float, float]:
         return self.estimate.ci_low, self.estimate.ci_high
 
     def to_json_dict(self) -> dict:
         return {"type": "estimate", "estimate": self.estimate.to_json_dict()}
+
+    def trace_dict(self) -> dict:
+        est = self.estimate
+        return {
+            "samples": est.n,
+            "chunks": -(-est.n // est.config.chunk_size),
+            "budget": est.config.n_samples,
+            "alpha": self.alpha,
+            "range": self.value_range,
+        }
 
 
 ComparisonSide = Union[ExactSide, EstimatedSide]
@@ -527,44 +609,139 @@ class CounterexampleVerdict:
             "confidence": self.confidence,
         }
 
+    def trace_dict(self) -> dict:
+        """How the certification ended.
+
+        Per estimated side: the samples and chunks used, the budget, alpha,
+        the range R and the stop reason (``decided`` or ``budget``).  The
+        margin is the gap between the two intervals' centres over the sum of
+        their half-widths; it exceeds 1 exactly when the relation is decided.
+        """
+        (lhs_lo, lhs_hi), (rhs_lo, rhs_hi) = self.lhs.bounds(), self.rhs.bounds()
+        half_widths = (lhs_hi - lhs_lo + rhs_hi - rhs_lo) / 2.0
+        gap = abs(lhs_lo + lhs_hi - rhs_lo - rhs_hi) / 2.0
+        record = {"margin": gap / half_widths if half_widths > 0 else None}
+        stop = "budget" if self.relation == INCONCLUSIVE else "decided"
+        for name, side in (("lhs", self.lhs), ("rhs", self.rhs)):
+            if isinstance(side, EstimatedSide):
+                record[name] = {**side.trace_dict(), "stop": stop}
+        return record
+
 
 MomentSpec = Union[PiPolynomial, tuple]
 
+# The polynomial stitched boundary of Howard, Ramdas, McAuliffe & Sekhon,
+# "Time-uniform, nonparametric, nonasymptotic confidence sequences",
+# Ann. Statist. 49 (2021), with eta = 2 and s = 1.4; _ZETA_S is zeta(1.4).
+_ETA = 2.0
+_S = 1.4
+_ZETA_S = 3.10554727797758
+_K1 = (_ETA**0.25 + _ETA**-0.25) / sqrt(2.0)
+_K2 = (sqrt(_ETA) + 1.0) / 2.0
 
-def _resolve_side(spec: MomentSpec, config: EstimatorConfig, seed_offset: int,
-                  workers: int) -> ComparisonSide:
-    if isinstance(spec, PiPolynomial):
-        return ExactSide(spec)
-    body, fixed, k = spec
-    side_config = replace(
-        config,
-        k=k,
-        seed=(config.seed + seed_offset) % 2**64,
-    )
-    return EstimatedSide(estimate_moment(body, fixed, side_config, workers=workers))
+
+def _stitched_boundary(v: float, c: float, alpha: float) -> float:
+    """u(v) such that a sub-gamma process with scale ``c`` and variance
+    process V_t exceeds u(V_t) at some time with probability at most
+    ``alpha``; the boundary is flat below m = c^2."""
+    m = c * c
+    v = max(v, m)
+    ell = _S * log(log(_ETA * v / m)) + log(_ZETA_S / (alpha * log(_ETA) ** _S))
+    linear = _K2 * c * ell
+    return sqrt(_K1 * _K1 * v * ell + linear * linear) + linear
+
+
+class _Sequence:
+    """An estimated side as an empirical-Bernstein confidence sequence.
+
+    Samples V^k lie in [0, R], R = (largest simplex volume in the body)^k.
+    Chunk j is predicted by p_j, the mean of the chunks before it clipped to
+    [0, R] (0 for chunk 0).  Then sum(x_i - mu) is sub-exponential, hence
+    sub-gamma, with scale R and variance process V = sum (x_i - p_j)^2
+    (Howard et al. 2021), and V grows by M2_j + n_j (mean_j - p_j)^2, exactly
+    from the chunk's (n, mean, M2).  Each tail gets ``alpha / 2``.
+    """
+
+    def __init__(self, body: Body, fixed: FixedPointSpec, config: EstimatorConfig,
+                 alpha: float):
+        _check_fixed(body, fixed)
+        self.body, self.fixed, self.config, self.alpha = body, fixed, config, alpha
+        self.value_range = body.max_simplex_volume() ** config.k
+        self.jobs = _jobs(body, fixed, config)
+        self.stats = _EMPTY
+        self.variance_process = 0.0
+
+    def add(self, chunk: tuple[int, float, float]) -> None:
+        n, mean, m2 = chunk
+        predicted = min(max(self.stats[1], 0.0), self.value_range)
+        self.variance_process += m2 + n * (mean - predicted) ** 2
+        self.stats = _merge(self.stats, chunk)
+
+    def bounds(self) -> tuple[float, float]:
+        n, mean, _ = self.stats
+        half = _stitched_boundary(self.variance_process, self.value_range, self.alpha / 2) / n
+        return max(mean - half, 0.0), min(mean + half, self.value_range)
+
+    def side(self) -> EstimatedSide:
+        estimate = _estimate(self.stats, self.config, self.body, self.fixed, self.bounds())
+        return EstimatedSide(estimate, self.alpha, self.value_range)
+
+
+def _relation(lhs, rhs) -> str:
+    lhs_lo, lhs_hi = lhs.bounds()
+    rhs_lo, rhs_hi = rhs.bounds()
+    if lhs_lo > rhs_hi:
+        return LHS_GREATER
+    if rhs_lo > lhs_hi:
+        return RHS_GREATER
+    return INCONCLUSIVE
 
 
 def certify_counterexample(lhs: MomentSpec, rhs: MomentSpec,
                            config: EstimatorConfig,
                            workers: int | None = None) -> CounterexampleVerdict:
-    """Compare two moment quantities, each exact or estimated.
+    """Compare two moment quantities, each exact or estimated, and stop as
+    soon as the comparison is decided.
 
     A side is either an exact :class:`PiPolynomial` or a (body, fixed, k)
     triple estimated with ``config`` (the right side, when estimated, uses
-    seed+1 so both sides are independent).  The verdict certifies a strict
-    inequality only when one side's confidence bound clears the other's.
+    seed+1 so both sides are independent); ``config.n_samples`` is each
+    estimated side's budget.  Each estimated side is a confidence sequence
+    that errs with probability at most (1 - confidence) / (number of
+    estimated sides).  The sides draw chunk i in turn, and after each chunk
+    index the verdict certifies a strict inequality when one side's bounds
+    clear the other's; the run stops there.  So a certified relation holds
+    with probability at least ``config.confidence``, wherever the run stops.
+    If the budget runs out first, the verdict is inconclusive.
     """
     workers = _resolve_workers(workers)
-    lhs_side = _resolve_side(lhs, config, 0, workers)
-    rhs_side = _resolve_side(rhs, config, 1, workers)
-    lhs_lo, lhs_hi = lhs_side.bounds()
-    rhs_lo, rhs_hi = rhs_side.bounds()
-    if lhs_lo > rhs_hi:
-        relation = LHS_GREATER
-    elif rhs_lo > lhs_hi:
-        relation = RHS_GREATER
-    else:
-        relation = INCONCLUSIVE
+    specs = (lhs, rhs)
+    n_estimated = sum(not isinstance(spec, PiPolynomial) for spec in specs)
+    alpha = (1.0 - config.confidence) / max(n_estimated, 1)
+    sides = []
+    for offset, spec in enumerate(specs):
+        if isinstance(spec, PiPolynomial):
+            sides.append(ExactSide(spec))
+        else:
+            body, fixed, k = spec
+            side_config = replace(config, k=k, seed=(config.seed + offset) % 2**64)
+            sides.append(_Sequence(body, fixed, side_config, alpha))
+    running = [side for side in sides if isinstance(side, _Sequence)]
+    relation = INCONCLUSIVE if running else _relation(*sides)
+    jobs = [job for index in zip(*(side.jobs for side in running)) for job in index]
+    stream = _chunk_stream(jobs, workers)
+    try:
+        # one chunk of each estimated side per index
+        for chunks in zip(*[stream] * len(running)):
+            for side, chunk in zip(running, chunks):
+                side.add(chunk)
+            relation = _relation(*sides)
+            if relation != INCONCLUSIVE:
+                break
+    finally:
+        stream.close()
+    lhs_side, rhs_side = (side.side() if isinstance(side, _Sequence) else side
+                          for side in sides)
     return CounterexampleVerdict(
         lhs=lhs_side, rhs=rhs_side, relation=relation, confidence=config.confidence
     )

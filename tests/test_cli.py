@@ -12,6 +12,7 @@ from sylvester.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_DIGITS,
     main,
 )
 from sylvester.montecarlo import DEFAULT_CHUNK
@@ -266,6 +267,35 @@ def test_counterexample_inconclusive_exit_code(capsys):
     assert rec["verdict"]["relation"] == "inconclusive"
 
 
+def test_counterexample_writes_its_certification_trace_to_stderr(capsys):
+    code, out, err = run_cli(capsys, "counterexample", "tetra-d3",
+                             "--n", "2000000", "--seed", "3")
+    assert code == EXIT_OK
+    (record,) = json_lines(out)
+    manifest, trace = json_lines(err)
+    assert "manifest" in manifest
+    trace = trace["certification"]
+    est = record["verdict"]["rhs"]["estimate"]
+    assert "lhs" not in trace  # the exact side
+    assert trace["rhs"] == {"samples": est["n"], "chunks": est["n"] // DEFAULT_CHUNK,
+                            "budget": 2_000_000, "alpha": pytest.approx(0.01),
+                            "range": pytest.approx(1.0), "stop": "decided"}
+    assert est["n"] < est["n_samples"] == 2_000_000
+    assert trace["margin"] > 1.0
+    assert "certification" not in out
+
+
+def test_inconclusive_counterexample_trace_names_the_budget(capsys):
+    code, out, err = run_cli(capsys, "counterexample", "halfball-d3",
+                             "--n", "2000", "--seed", "0")
+    assert code == EXIT_INCONCLUSIVE
+    trace = json_lines(err)[-1]["certification"]
+    assert trace["lhs"]["stop"] == "budget"
+    assert trace["lhs"]["samples"] == trace["lhs"]["budget"] == 2000
+    assert trace["margin"] < 1.0
+    assert json_lines(out)[0]["verdict"]["lhs"]["estimate"]["n"] == 2000
+
+
 def test_counterexample_unknown_scenario(capsys):
     code, _, _ = run_cli(capsys, "counterexample", "nonsense")
     assert code == EXIT_USAGE
@@ -446,6 +476,30 @@ def test_bad_or_unused_digits_are_usage_errors(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("exact", "--body", "ball", "--d", "12", "--k", "40"),
+    ("exact", "--body", "halfball", "--fixed", "origin", "--d", "12", "--k", "40"),
+])
+def test_the_largest_digits_works(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv, "--digits", str(MAX_DIGITS))
+    assert code == EXIT_OK
+    decimal = json_lines(out)[0]["decimal"]
+    assert len(decimal.lstrip("0.")) == MAX_DIGITS == 4000
+
+
+@pytest.mark.parametrize("argv", [
+    ("exact", "--body", "ball", "--d", "3"),
+    ("exact", "--body", "ball", "--d", "12", "--k", "40"),
+    ("qscan",),
+])
+def test_digits_above_the_limit_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--digits", str(MAX_DIGITS + 1))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "--digits must be at most 4000" in err
+    assert "Traceback" not in err and "set_int_max_str_digits" not in err
+
+
 # (command, config key) -> (base argv, another valid value for that key)
 FLAG_CASES = {
     ("exact", "body"): (("exact", "--body", "triangle"), "tetrahedron"),
@@ -506,3 +560,13 @@ def test_mc_stdout_byte_identical_across_thread_counts():
     assert out1 == out4
     code1b, out1b = _run_subprocess(1, *args)
     assert out1b == out1
+
+
+def test_counterexample_stdout_byte_identical_across_thread_counts():
+    args = ("counterexample", "halfball-d3", "--n", "2000000", "--seed", "17")
+    code1, out1 = _run_subprocess(1, *args)
+    code2, out2 = _run_subprocess(2, *args)
+    assert code1 == code2 == EXIT_OK
+    assert out1 == out2
+    est = json.loads(out1)["verdict"]["lhs"]["estimate"]
+    assert est["n"] % DEFAULT_CHUNK == 0 and est["n"] < 2_000_000

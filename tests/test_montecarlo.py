@@ -1,7 +1,10 @@
 import json
 import math
 import os
+import threading
+from concurrent.futures import Future
 from fractions import Fraction
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -77,6 +80,41 @@ def test_batched_abs_det_d4_matches_lapack():
         hadamard = np.prod(np.linalg.norm(vecs, axis=-1), axis=-1)
         assert got.shape == want.shape
         assert np.all(np.abs(got - want) <= 64 * np.finfo(float).eps * hadamard)
+
+
+def _regular_simplex(d):
+    """d+1 unit vectors in R^d with pairwise inner products -1/d."""
+    e = np.eye(d + 1) - 1.0 / (d + 1)
+    basis = np.linalg.svd(e)[2][:d]  # an orthonormal basis of the hyperplane sum x = 0
+    pts = e @ basis.T
+    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+def test_hadamard_range_is_never_exceeded(d):
+    from sylvester.montecarlo import _batched_abs_det, _sample_batch
+
+    bound = Ball(d).max_simplex_volume()
+    assert HalfBall(d).max_simplex_volume() == bound
+    assert bound == 2 ** ((d + 1) / 2) / math.factorial(d)
+    rng = _rng([31, d])
+    inside = _sample_batch(Ball(d), rng, 20_000, d + 1)
+    on_sphere = rng.standard_normal((20_000, d + 1, d))
+    on_sphere /= np.linalg.norm(on_sphere, axis=-1, keepdims=True)
+    regular = _regular_simplex(d)[None]
+    for pts in (inside, on_sphere, regular):
+        vols = _batched_abs_det(pts[:, 1:] - pts[:, :1]) / math.factorial(d)
+        assert np.all(vols <= bound)
+    regular_volume = simplex_volume(regular[0])
+    assert regular_volume == pytest.approx(
+        (d + 1) ** ((d + 1) / 2) / (math.factorial(d) * d ** (d / 2)))
+    assert regular_volume <= bound
+
+
+def test_max_simplex_volume_of_the_other_bodies():
+    assert Interval(2.5).max_simplex_volume() == 2.5
+    tetra = unit_volume_tetrahedron()
+    assert tetra.max_simplex_volume() == tetra.volume()
 
 
 def test_simplex_volume_shape_errors():
@@ -308,6 +346,11 @@ def test_pool_is_capped_at_chunk_count(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
     monkeypatch.setattr(mc, "ThreadPoolExecutor", RecordingExecutor)
     monkeypatch.setenv("SYLVESTER_THREADS", "100000")
     cfg = make_config(k=1, n_samples=3_000, seed=3, chunk_size=1_000)
@@ -451,6 +494,192 @@ def test_certify_two_estimates_inconclusive_for_equal_targets():
         cfg,
     )
     assert verdict.relation == INCONCLUSIVE
+
+
+def _binomial_upper(trials: int, p: float, tail: float = 1e-6) -> int:
+    """Smallest m with P(Binomial(trials, p) > m) <= tail."""
+    total = 0.0
+    for m in range(trials + 1):
+        total += math.comb(trials, m) * p**m * (1 - p) ** (trials - m)
+        if 1.0 - total <= tail:
+            return m
+    return trials
+
+
+def test_confidence_sequence_coverage_audit():
+    """Time-uniform coverage of the sequence on bodies with known moments.
+
+    100 frozen seeds per case, 16 chunks of 128 samples, checked after every
+    chunk at confidence 0.8 (so a miss is common enough to count): a run
+    misses when any checked interval excludes the exact value, and that may
+    happen in at most a fraction delta = 0.2 of runs, up to a binomial margin.
+    The CLT interval at 99%, from one 16-sample chunk, is recorded beside it:
+    at k = 3 it misses far more often than 1%.
+    """
+    from sylvester.montecarlo import _chunk_stats, _Sequence
+
+    origin = FixedPoint((0.0, 0.0, 0.0))
+    cases = {f"ball-d3-origin k={k}": (Ball(3), origin, k, ball_fixed_moment(3, k))
+             for k in (1, 2, 3)}
+    cases["triangle k=3"] = (unit_area_triangle(), NO_FIXED_POINT, 3, triangle_moment(3))
+    runs, delta = 100, 0.2
+    z = NormalDist().inv_cdf(0.995)
+    report = []
+    for name, (body, fixed, k, value) in cases.items():
+        exact = value.to_float()
+        misses = clt_misses = 0
+        for seed in range(runs):
+            cfg = make_config(k=k, n_samples=16 * 128, seed=seed, chunk_size=128,
+                              confidence=1 - delta)
+            sequence = _Sequence(body, fixed, cfg, delta)
+            missed = False
+            for job in sequence.jobs:
+                sequence.add(_chunk_stats(*job))
+                lo, hi = sequence.bounds()
+                missed |= not lo <= exact <= hi
+            misses += missed
+            n, mean, m2 = _chunk_stats(body, fixed, k, 10**6 + seed, 0, 16)
+            half = z * math.sqrt(m2 / (n - 1) / n)
+            clt_misses += not mean - half <= exact <= mean + half
+        report.append(f"{name}: sequence {misses}/{runs}, CLT 99% at n=16 {clt_misses}/{runs}")
+        assert misses <= _binomial_upper(runs, delta), report
+        if k == 3:
+            assert clt_misses > _binomial_upper(runs, 0.01), report
+    print("; ".join(report))
+
+
+def test_chunk_stream_fold_equals_index_order_merge():
+    from sylvester.montecarlo import _EMPTY, _chunk_stats, _chunk_stream, _jobs, _merge
+
+    cfg = make_config(k=2, n_samples=23_000, seed=41, chunk_size=1_000)
+    jobs = _jobs(HalfBall(3), NO_FIXED_POINT, cfg)
+    want = _chunk_stats(*jobs[0])
+    for job in jobs[1:]:
+        want = _merge(want, _chunk_stats(*job))
+    for workers in (1, 2, 3):
+        stream = list(_chunk_stream(jobs, workers))
+        assert stream == [_chunk_stats(*job) for job in jobs]
+        folded = _EMPTY
+        for part in stream:
+            folded = _merge(folded, part)
+        assert folded == want
+    est = estimate_moment(HalfBall(3), NO_FIXED_POINT, cfg, workers=2)
+    n, mean, m2 = want
+    assert (est.n, est.mean, est.variance) == (n, mean, m2 / (n - 1))
+
+
+def test_closing_the_chunk_stream_cancels_what_has_not_started(monkeypatch):
+    import sylvester.montecarlo as mc
+
+    started = []
+    gate = threading.Event()
+    real = mc._chunk_stats
+
+    def gated(*job):
+        started.append(job[4])
+        if job[4] >= 3:
+            gate.wait(timeout=10)
+        return real(*job)
+
+    monkeypatch.setattr(mc, "_chunk_stats", gated)
+    jobs = mc._jobs(Ball(2), NO_FIXED_POINT, make_config(k=1, n_samples=20_000,
+                                                           seed=5, chunk_size=1_000))
+    workers = 2
+    stream = mc._chunk_stream(jobs, workers)
+    assert next(stream) == real(*jobs[0])
+    stream.close()
+    # the first chunk starts with only workers - 1 others beside it
+    assert sorted(started) == list(range(len(started)))
+    assert 1 <= len(started) <= workers
+
+    started.clear()
+    stream = mc._chunk_stream(jobs, workers)
+    assert [next(stream) for _ in range(3)] == [real(*job) for job in jobs[:3]]
+    # chunks 3 to 5 are now in flight; the gate holds both threads on
+    # chunks 3 and 4, so chunk 5 has not started when the stream is closed,
+    # and must never start
+    opener = threading.Timer(0.5, gate.set)
+    opener.start()
+    stream.close()
+    opener.join()
+    assert sorted(started) == list(range(len(started)))
+    assert 3 <= len(started) <= 5
+
+
+def test_certification_stops_at_the_first_decided_chunk():
+    from sylvester.montecarlo import _chunk_stats, _Sequence
+
+    cfg = make_config(k=1, n_samples=1_000_000, seed=8, chunk_size=4_096)
+    exact = ball_fixed_moment(4, 1)
+    verdict = certify_counterexample((HalfBall(4), NO_FIXED_POINT, 1), exact, cfg)
+    assert verdict.relation == LHS_GREATER
+    est = verdict.lhs.estimate
+    assert est.n == 3 * 4_096  # at this seed
+    assert est.config.n_samples == 1_000_000
+    # the sequence replayed by hand is undecided after chunks 0 and 1
+    _, exact_hi = ExactSide(exact).bounds()
+    sequence = _Sequence(HalfBall(4), NO_FIXED_POINT, cfg, verdict.lhs.alpha)
+    for job in sequence.jobs[:3]:
+        sequence.add(_chunk_stats(*job))
+        decided = sequence.bounds()[0] > exact_hi
+        assert decided == (sequence.stats[0] == est.n)
+    assert sequence.bounds() == verdict.lhs.bounds()
+    trace = verdict.trace_dict()
+    assert trace["lhs"] == {"samples": est.n, "chunks": 3, "budget": 1_000_000,
+                            "alpha": verdict.lhs.alpha, "range": verdict.lhs.value_range,
+                            "stop": "decided"}
+    assert trace["margin"] > 1.0
+    assert "rhs" not in trace
+
+
+def test_inconclusive_certification_spends_the_budget():
+    cfg = make_config(k=1, n_samples=5_000, seed=2, chunk_size=1_000)
+    verdict = certify_counterexample((Ball(2), NO_FIXED_POINT, 1),
+                                     (Ball(2), NO_FIXED_POINT, 1), cfg)
+    assert verdict.relation == INCONCLUSIVE
+    trace = verdict.trace_dict()
+    for name in ("lhs", "rhs"):
+        side = getattr(verdict, name)
+        assert side.estimate.n == 5_000
+        assert trace[name]["stop"] == "budget"
+        assert trace[name]["chunks"] == 5
+    assert trace["margin"] < 1.0
+    assert verdict.lhs.estimate.config.seed == 2
+    assert verdict.rhs.estimate.config.seed == 3
+
+
+@pytest.mark.parametrize("confidence", [0.99, 0.9])
+def test_alpha_is_split_over_the_estimated_sides(confidence):
+    cfg = make_config(k=1, n_samples=2_000, seed=1, chunk_size=1_000, confidence=confidence)
+    one = certify_counterexample((Ball(3), NO_FIXED_POINT, 1), ball_moment(3, 1), cfg)
+    two = certify_counterexample((Ball(3), NO_FIXED_POINT, 1), (Ball(3), NO_FIXED_POINT, 1), cfg)
+    assert one.confidence == two.confidence == confidence
+    assert one.lhs.alpha == pytest.approx(1 - confidence)
+    assert two.lhs.alpha == two.rhs.alpha == pytest.approx((1 - confidence) / 2)
+    assert two.lhs.alpha + two.rhs.alpha == pytest.approx(1 - confidence)
+
+
+def test_verdict_n_is_whole_chunks_and_the_same_at_any_worker_count():
+    cfg = make_config(k=1, n_samples=600_000, seed=12, chunk_size=DEFAULT_CHUNK)
+    sides = ((HalfBall(3), NO_FIXED_POINT, 1), halfball_fixed_moment(3, 1))
+    serial = certify_counterexample(*sides, cfg, workers=1)
+    threaded = certify_counterexample(*sides, cfg, workers=2)
+    assert serial.relation == threaded.relation == LHS_GREATER
+    assert serial.to_json_dict() == threaded.to_json_dict()
+    n = serial.lhs.estimate.n
+    assert n % DEFAULT_CHUNK == 0 and 0 < n < 600_000
+
+
+def test_stitched_boundary_constants():
+    import mpmath
+
+    from sylvester.montecarlo import _ZETA_S, _S, _stitched_boundary
+
+    assert _ZETA_S == pytest.approx(float(mpmath.zeta(_S)), rel=1e-14)
+    # flat below m = c^2, then increasing, and wider for a smaller alpha
+    assert _stitched_boundary(0.0, 0.5, 0.01) == _stitched_boundary(0.25, 0.5, 0.01)
+    assert _stitched_boundary(10.0, 0.5, 0.01) < _stitched_boundary(20.0, 0.5, 0.01)
+    assert _stitched_boundary(10.0, 0.5, 0.01) < _stitched_boundary(10.0, 0.5, 0.001)
 
 
 # ---------------------------------------------------------------------------
