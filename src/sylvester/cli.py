@@ -255,10 +255,15 @@ def cmd_exact(ns) -> int:
         decimal = value.to_decimal(ns.digits)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
+    try:
+        exact, exact_str = value.to_json_dict(), str(value)
+    except ValueError as exc:  # the interpreter's limit on integer-to-string conversion
+        raise _UsageError(f"the exact value has a coefficient of more than "
+                          f"{sys.get_int_max_str_digits()} digits, too long to print") from exc
     record = {
         "query": query.to_json_dict(),
-        "exact": value.to_json_dict(),
-        "exact_str": str(value),
+        "exact": exact,
+        "exact_str": exact_str,
         "decimal": decimal,
     }
     _emit(record, ns.table,
@@ -319,24 +324,17 @@ def cmd_counterexample(ns) -> int:
 def cmd_qscan(ns) -> int:
     if ns.k_max < 2:
         raise _UsageError("--k-max must be >= 2")
-    first_below = None
-    rows = []
     try:
-        for k in range(1, ns.k_max + 1):
-            q = q_ratio(ns.d, k)
-            below = q < 1
-            if below and first_below is None:
-                first_below = k
-            rows.append({"k": k, "q": str(q),
-                         "q_decimal": PiPolynomial.from_rational(q).to_decimal(ns.digits),
-                         "below_one": below})
+        qs = [q_ratio(ns.d, k) for k in range(1, ns.k_max + 1)]  # qs[k - 1] = q(d, k)
+        rows = [{"k": k, "q": str(q),
+                 "q_decimal": PiPolynomial.from_rational(q).to_decimal(ns.digits),
+                 "below_one": q < 1}
+                for k, q in enumerate(qs, 1)]
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
+    first_below = next((r["k"] for r in rows if r["below_one"]), None)
     threshold = 4 if ns.d == 2 else 2
-    monotone = all(
-        q_ratio(ns.d, k + 1) < q_ratio(ns.d, k)
-        for k in range(threshold, ns.k_max)
-    )
+    monotone = all(qs[k] < qs[k - 1] for k in range(threshold, ns.k_max))
     for row in rows:
         _emit(row, ns.table,
               lambda r: f"k={r['k']:>3}  q={r['q_decimal']:>16}  "

@@ -10,19 +10,22 @@ canonical form (no zero coefficients), so equality of values is structural
 equality of representations.
 
 Numeric output (decimal strings, signs, comparisons) is certified with
-interval arithmetic: pi is enclosed at a working precision that escalates
+interval arithmetic in plain integers, at a working precision that escalates
 until the result is unambiguous, so no printed digit or comparison can be
-wrong by rounding.
+wrong by rounding.  sqrt(pi) is the only irrational number involved: pi is
+summed in binary fixed point from Machin's formula
+16 atan(1/5) - 4 atan(1/239), with a proven count of the series' error, and
+sqrt(pi) is enclosed from it by math.isqrt, rounded outward (cached per
+precision).  Each term c * sqrt(pi)^h is monotone in sqrt(pi), so its ends
+come from the two ends of that enclosure, chosen by the signs of c and h.
 """
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
-from math import factorial
+from functools import cache
+from math import factorial, isqrt
 from typing import Iterator, Mapping
-
-import mpmath
 
 # Rational values: arbitrary-precision numerator, positive denominator,
 # gcd-reduced.  Fraction maintains exactly these invariants.
@@ -36,21 +39,61 @@ DEFAULT_COMPARISON_DIGITS = 50
 #: (pi is transcendental), so escalation terminates; the cap guards bugs.
 MAX_COMPARISON_DIGITS = 1000
 
-_IV_LOCK = threading.Lock()
-
 
 class PrecisionError(ArithmeticError):
     """Raised when a certified comparison exhausts the precision cap."""
 
 
-def _fraction_from_mpf_tuple(t) -> Fraction:
-    sign, man, exp, _bc = t
-    if man == 0:
-        if exp == 0:
-            return _ZERO
-        raise PrecisionError("non-finite interval endpoint")
-    val = Fraction(int(man)) * Fraction(2) ** int(exp)
-    return -val if sign else val
+def _atan_inv(x: int, one: int) -> tuple[int, int]:
+    """(a, n) with |a - one * atan(1/x)| < n, for integers x >= 2 and one >= 1.
+
+    Proof: atan(1/x) * one = sum_j (-1)^j t_j with t_j = one / ((2j+1) x^(2j+1)).
+    For positive integers a, b, c, (a // b) // c == a // (b * c), so ``power``
+    is floor(one / x^(2j+1)) and each summed term is floor(t_j), low by less
+    than 1.  The loop stops at the first j = N with ``power`` 0, that is
+    one < x^(2N+1), so t_N < 1; the t_j decrease, so the alternating tail from
+    N is at most t_N.  N terms are summed: the error is below N + 1.
+    """
+    power = one // x
+    total = j = 0
+    while power:
+        term = power // (2 * j + 1)
+        total += -term if j & 1 else term
+        power //= x * x
+        j += 1
+    return total, j + 1
+
+
+@cache
+def _sqrt_pi(bits: int) -> tuple[int, int]:
+    """(lo, hi) with lo <= sqrt(pi) * 2^bits <= hi and hi - lo <= 3."""
+    # pi = 16 atan(1/5) - 4 atan(1/239) (Machin), summed ``guard`` bits finer
+    # than 2^-bits: the error count 16 n5 + 4 n239 stays below 2^guard / 2
+    guard = bits.bit_length() + 8
+    one = 1 << (bits + guard)
+    a5, n5 = _atan_inv(5, one)
+    a239, n239 = _atan_inv(239, one)
+    pi, err = 16 * a5 - 4 * a239, 16 * n5 + 4 * n239
+    pi_lo = (pi - err) >> guard
+    pi_hi = -(-(pi + err) >> guard)
+    # pi * 4^bits lies in [pi_lo, pi_hi] * 2^bits, and isqrt(m) <= sqrt(m) < isqrt(m) + 1
+    return isqrt(pi_lo << bits), isqrt(pi_hi << bits) + 1
+
+
+def _term(c: Fraction, h: int, s: int, bits: int) -> tuple[int, int]:
+    """c * (s / 2^bits)^h as (numerator, positive denominator)."""
+    if h >= 0:
+        return c.numerator * s**h, c.denominator << bits * h
+    return c.numerator << bits * -h, c.denominator * s**-h
+
+
+def _scaled(num: int, den: int, shift: int, up: bool) -> int:
+    """num / den * 2^shift, rounded down, or up if ``up``."""
+    if shift >= 0:
+        num <<= shift
+    else:
+        den <<= -shift
+    return -(-num // den) if up else num // den
 
 
 def _coerce(value) -> "PiPolynomial | None":
@@ -268,30 +311,26 @@ class PiPolynomial:
     def evaluate_interval(self, digits: int) -> tuple[Fraction, Fraction]:
         """A guaranteed enclosure [lo, hi] of the value, as exact Fractions.
 
-        Endpoints come from directed-rounding interval arithmetic at the given
-        working precision, so lo <= value <= hi holds unconditionally.
+        lo <= value <= hi holds unconditionally, and the width is about
+        10^-(digits + 5) times the largest term.
         """
         if not self._terms:
             return (_ZERO, _ZERO)
-        with _IV_LOCK:
-            iv = mpmath.iv
-            saved = iv.prec
-            try:
-                iv.dps = digits + 5
-                total = iv.mpf(0)
-                pi_iv = +iv.pi
-                sqrt_pi = iv.sqrt(pi_iv)
-                for h, c in self._terms.items():
-                    q, r = divmod(h, 2)
-                    power = pi_iv ** q if q else iv.mpf(1)
-                    if r:
-                        power = power * sqrt_pi
-                    coef = iv.mpf(c.numerator) / iv.mpf(c.denominator)
-                    total = total + coef * power
-                a, b = total._mpi_
-            finally:
-                iv.prec = saved
-        return (_fraction_from_mpf_tuple(a), _fraction_from_mpf_tuple(b))
+        work = digits * 10 // 3 + 20  # bits; 10/3 > log2(10)
+        # a power h multiplies the relative error of sqrt(pi) by |h|
+        bits = work + max(map(abs, self._terms)).bit_length() + 4
+        s_lo, s_hi = _sqrt_pi(bits)
+        lows, highs = [], []
+        for h, c in self._terms.items():
+            # c * x^h is increasing in x > 0 exactly when c and h share a sign
+            rising = (c > 0) == (h > 0)
+            lows.append(_term(c, h, s_lo if rising else s_hi, bits))
+            highs.append(_term(c, h, s_hi if rising else s_lo, bits))
+        # round every end outward to one scale, ``work`` bits below the largest term
+        shift = work - max(n.bit_length() - d.bit_length() for n, d in lows)
+        unit = Fraction(2) ** -shift
+        return (sum(_scaled(n, d, shift, False) for n, d in lows) * unit,
+                sum(_scaled(n, d, shift, True) for n, d in highs) * unit)
 
     def to_decimal(self, digits: int) -> str:
         """Decimal string with the first ``digits`` significant digits certified.
@@ -391,8 +430,9 @@ def _truncate_rational(q: Fraction, digits: int) -> str:
         return "0." + "0" * digits
     sign = "-" if q < 0 else ""
     p, d = abs(q).numerator, abs(q).denominator
-    # decimal exponent e with 10^e <= p/d < 10^(e+1)
-    e = len(str(p)) - len(str(d))
+    # decimal exponent e with 10^e <= p/d < 10^(e+1), from an estimate by
+    # bit lengths (log10(2) ~ 0.30103) that the loops below correct
+    e = (p.bit_length() - d.bit_length()) * 30103 // 100000
     while p * 10 ** max(0, -e) < d * 10 ** max(0, e):
         e -= 1
     while p * 10 ** max(0, -(e + 1)) >= d * 10 ** max(0, e + 1):

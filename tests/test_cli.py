@@ -500,6 +500,16 @@ def test_digits_above_the_limit_is_a_usage_error(capsys, argv):
     assert "Traceback" not in err and "set_int_max_str_digits" not in err
 
 
+def test_an_exact_value_too_long_to_print_is_a_usage_error(capsys):
+    # l = 10^100 at k = 50: the coefficient has about 5,000 digits
+    code, out, err = run_cli(capsys, "exact", "--body", "interval",
+                             "--l", "1" + "0" * 100, "--k", "50")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"more than {sys.get_int_max_str_digits()} digits" in err
+    assert "Traceback" not in err and "set_int_max_str_digits" not in err
+
+
 # (command, config key) -> (base argv, another valid value for that key)
 FLAG_CASES = {
     ("exact", "body"): (("exact", "--body", "triangle"), "tetrahedron"),
@@ -570,3 +580,29 @@ def test_counterexample_stdout_byte_identical_across_thread_counts():
     assert out1 == out2
     est = json.loads(out1)["verdict"]["lhs"]["estimate"]
     assert est["n"] % DEFAULT_CHUNK == 0 and est["n"] < 2_000_000
+
+
+# ---------------------------------------------------------------------------
+# runtime dependencies: mpmath is a test-only oracle
+
+
+RUNTIME_COMMANDS = [
+    ["exact", "--body", "ball", "--fixed", "origin", "--d", "3", "--k", "1"],  # 9/1024*pi
+    ["table1"],
+    ["qscan", "--d", "3"],
+    ["counterexample", "tetra-d3", "--n", "100000"],
+]
+
+
+def test_commands_run_without_mpmath():
+    script = (
+        "import json, sys\n"
+        "sys.modules['mpmath'] = None  # any import of mpmath now raises ImportError\n"
+        "from sylvester.cli import main\n"
+        f"codes = [main(argv) for argv in {RUNTIME_COMMANDS!r}]\n"
+        "print(json.dumps(codes))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [EXIT_OK] * len(RUNTIME_COMMANDS)

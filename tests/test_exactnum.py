@@ -1,3 +1,4 @@
+import functools
 import json
 from fractions import Fraction
 
@@ -6,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sylvester.exactnum import (
+    _atan_inv,
+    _sqrt_pi,
     PI,
     SQRT_PI,
     PiPolynomial,
@@ -16,6 +19,7 @@ from sylvester.exactnum import (
     pi_power,
     to_decimal,
 )
+from sylvester.moments import ball_fixed_moment, ball_moment, tetrahedron_moment_k1
 
 from oracles import gamma_half_by_recurrence
 
@@ -308,12 +312,77 @@ def test_str_rendering():
     assert str(pi_power(3)) == "pi^(3/2)"
 
 
+def _mpmath_enclosure(value, digits):
+    """mpmath's interval enclosure of ``value`` at ``digits`` digits, as exact Fractions."""
+    def exact(t):
+        sign, man, exp, _ = t
+        return (-1) ** sign * F(man) * F(2) ** exp
+
+    iv = mpmath.iv
+    saved = iv.prec
+    try:
+        iv.dps = digits
+        root = iv.sqrt(iv.pi)
+        total = iv.mpf(0)
+        for h, c in value.terms.items():
+            total += iv.mpf(c.numerator) / iv.mpf(c.denominator) * root**h
+        a, b = total._mpi_
+    finally:
+        iv.prec = saved
+    return exact(a), exact(b)
+
+
 def test_interval_evaluation_encloses_truth():
-    lo, hi = PI.evaluate_interval(30)
-    assert lo < hi
-    with mpmath.workdps(50):
-        true_pi = mpmath.mpf(mpmath.pi)
-        assert mpmath.mpf(float(lo)) <= true_pi
-    # enclosure width shrinks with precision
-    lo2, hi2 = PI.evaluate_interval(200)
-    assert hi2 - lo2 < hi - lo
+    # pi^(h/2) for h in -12..12 and the tetrahedron moment (two terms of
+    # opposite signs); mpmath's 100-digit enclosure is far narrower than ours
+    # at 30 and 50 digits, so it must lie inside, and likewise at 220 for 200
+    for value in [pi_power(h) for h in range(-12, 13)] + [tetrahedron_moment_k1()]:
+        for digits, oracle_digits in [(30, 100), (50, 100), (200, 220)]:
+            lo, hi = value.evaluate_interval(digits)
+            true_lo, true_hi = _mpmath_enclosure(value, oracle_digits)
+            assert lo <= true_lo <= true_hi <= hi
+        if not value.is_rational:
+            # enclosure width shrinks with precision: compare 200 digits with 30
+            lo30, hi30 = value.evaluate_interval(30)
+            assert lo30 < hi30 and hi - lo < hi30 - lo30
+
+
+@functools.cache
+def _ball_grid():
+    return [v for d in range(1, 13) for k in range(1, 41)
+            for v in (ball_moment(d, k), ball_fixed_moment(d, k)) if not v.is_rational]
+
+
+@pytest.mark.parametrize("digits", [30, 50, 1000])
+def test_interval_evaluation_on_the_ball_grid(digits):
+    # each enclosure holds mpmath's, at 20 more digits, and is 10^-digits tight
+    for value in _ball_grid():
+        lo, hi = value.evaluate_interval(digits)
+        true_lo, true_hi = _mpmath_enclosure(value, digits + 20)
+        assert lo <= true_lo <= true_hi <= hi
+        assert hi - lo <= abs(lo) / 10**digits
+
+
+def test_atan_series_error_count():
+    for x in (5, 239):
+        for bits in (1, 8, 100, 1000):
+            a, n = _atan_inv(x, 1 << bits)
+            with mpmath.workprec(bits + 64):
+                truth = mpmath.atan(mpmath.mpf(1) / x) * 2**bits
+                assert abs(a - truth) < n - 1e-6
+
+
+@pytest.mark.parametrize("bits", [1, 2, 10, 64, 200, 1000, 5000])
+def test_sqrt_pi_enclosure(bits):
+    s_lo, s_hi = _sqrt_pi(bits)
+    assert s_hi - s_lo <= 3
+    with mpmath.workprec(bits + 64):
+        scaled = mpmath.sqrt(mpmath.pi) * 2**bits
+        assert s_lo < scaled < s_hi
+
+
+def test_to_decimal_of_rationals_longer_than_the_string_limit():
+    # str() refuses integers of more than 4,300 digits; truncation needs none
+    q = F(7 * 10**4999 + 1, 3)
+    assert PiPolynomial.from_rational(q).to_decimal(12) == "233333333333" + "0" * 4988
+    assert PiPolynomial.from_rational(1 / q).to_decimal(12) == "0." + "0" * 4999 + "428571428571"
