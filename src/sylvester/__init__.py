@@ -8,6 +8,11 @@ in particular the failures of monotonicity under set inclusion.
 
 __version__ = "0.1.0"
 
+#: Simplices per Monte Carlo chunk unless a config says otherwise.  Defined
+#: here, not in the numpy-backed :mod:`.montecarlo`, so that the CLI can build
+#: its ``--chunk`` default without loading numpy.
+DEFAULT_CHUNK = 2**15
+
 from .exactnum import (
     PI,
     SQRT_PI,
@@ -43,30 +48,46 @@ from .moments import (
     triangle_moment,
     tx_over_t_ratio,
 )
-from .montecarlo import (
-    Ball,
-    Body,
-    CounterexampleVerdict,
-    EstimatedSide,
-    EstimatorConfig,
-    ExactSide,
-    FixedPoint,
-    FixedPointSpec,
-    HalfBall,
-    Interval,
-    MomentEstimate,
-    NO_FIXED_POINT,
-    NoFixedPoint,
-    Simplex,
-    certify_counterexample,
-    estimate_moment,
-    make_config,
-    simplex_volume,
-    tetrahedron_facet_centroid,
-    triangle_edge_midpoint,
-    unit_area_triangle,
-    unit_volume_tetrahedron,
+
+# The Monte Carlo names come from ``.montecarlo``, which loads numpy; the exact
+# path never needs it, so they are imported on first use (PEP 562).
+_MONTECARLO_NAMES = (
+    "Ball",
+    "Body",
+    "CounterexampleVerdict",
+    "EstimatedSide",
+    "EstimatorConfig",
+    "ExactSide",
+    "FixedPoint",
+    "FixedPointSpec",
+    "HalfBall",
+    "Interval",
+    "MomentEstimate",
+    "NO_FIXED_POINT",
+    "NoFixedPoint",
+    "Simplex",
+    "certify_counterexample",
+    "estimate_moment",
+    "make_config",
+    "simplex_volume",
+    "tetrahedron_facet_centroid",
+    "triangle_edge_midpoint",
+    "unit_area_triangle",
+    "unit_volume_tetrahedron",
 )
+
+
+def __getattr__(name: str):
+    if name in _MONTECARLO_NAMES:
+        from . import montecarlo
+
+        return getattr(montecarlo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_MONTECARLO_NAMES})
+
 
 __all__ = [
     "PI",
@@ -100,26 +121,5 @@ __all__ = [
     "triangle_midpoint_moment",
     "triangle_moment",
     "tx_over_t_ratio",
-    "Ball",
-    "Body",
-    "CounterexampleVerdict",
-    "EstimatedSide",
-    "EstimatorConfig",
-    "ExactSide",
-    "FixedPoint",
-    "FixedPointSpec",
-    "HalfBall",
-    "Interval",
-    "MomentEstimate",
-    "NO_FIXED_POINT",
-    "NoFixedPoint",
-    "Simplex",
-    "certify_counterexample",
-    "estimate_moment",
-    "make_config",
-    "simplex_volume",
-    "tetrahedron_facet_centroid",
-    "triangle_edge_midpoint",
-    "unit_area_triangle",
-    "unit_volume_tetrahedron",
+    *_MONTECARLO_NAMES,
 ]

@@ -17,26 +17,19 @@ import sys
 from datetime import datetime, timezone
 from fractions import Fraction
 
-from . import __version__
+from . import DEFAULT_CHUNK, __version__
 from .exactnum import PiPolynomial
 from .moments import (
     BODY_KINDS,
     FIXED_KINDS,
     SUPPORT,
     MomentQuery,
+    check_closed_form_size,
     exact_moment,
     exact_ratio_bound,
     plane_counterexample_report,
     q_ratio,
     table1_rows,
-)
-from .montecarlo import (
-    DEFAULT_CHUNK,
-    INCONCLUSIVE,
-    LHS_GREATER,
-    certify_counterexample,
-    estimate_moment,
-    make_config,
 )
 
 EXIT_OK = 0
@@ -272,6 +265,9 @@ def cmd_exact(ns) -> int:
 
 
 def cmd_mc(ns) -> int:
+    # imported here: montecarlo loads numpy, which only mc and counterexample need
+    from .montecarlo import estimate_moment, make_config
+
     try:
         body, fixed = _sampler(_query(ns))
         config = make_config(k=ns.k, n_samples=ns.n, seed=ns.seed,
@@ -295,6 +291,8 @@ def _side(query: MomentQuery):
 
 
 def cmd_counterexample(ns) -> int:
+    from .montecarlo import INCONCLUSIVE, LHS_GREATER, certify_counterexample, make_config
+
     lhs, rhs = SCENARIOS[ns.scenario]
     try:
         config = make_config(k=1, n_samples=ns.n, seed=ns.seed,
@@ -325,6 +323,7 @@ def cmd_qscan(ns) -> int:
     if ns.k_max < 2:
         raise _UsageError("--k-max must be >= 2")
     try:
+        check_closed_form_size(ns.d, ns.k_max)
         qs = [q_ratio(ns.d, k) for k in range(1, ns.k_max + 1)]  # qs[k - 1] = q(d, k)
         rows = [{"k": k, "q": str(q),
                  "q_decimal": PiPolynomial.from_rational(q).to_decimal(ns.digits),

@@ -19,10 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from .exactnum import PiPolynomial, kappa, omega
-from . import montecarlo as mc
+
+if TYPE_CHECKING:
+    from . import montecarlo as mc
 
 
 class UnsupportedQueryError(ValueError):
@@ -353,35 +355,43 @@ def _length(l: Fraction | int | None) -> Fraction:
     return Fraction(1) if l is None else Fraction(l)
 
 
+def _mc():
+    """:mod:`.montecarlo`, imported when a sampler is first built: it loads
+    numpy, which no closed form needs."""
+    from . import montecarlo
+
+    return montecarlo
+
+
 def _no_fixed(d: int) -> mc.FixedPointSpec:
-    return mc.NO_FIXED_POINT
+    return _mc().NO_FIXED_POINT
 
 
 def _origin(d: int) -> mc.FixedPoint:
-    return mc.FixedPoint((0.0,) * d)
+    return _mc().FixedPoint((0.0,) * d)
 
 
 #: (body kind, fixed kind) -> :class:`Support`; looking up any other pair
 #: raises :class:`UnsupportedQueryError` listing the supported ones.
 SUPPORT = _SupportTable({
-    ("interval", "none"): Support(1, lambda d, l: mc.Interval(float(_length(l))), _no_fixed,
+    ("interval", "none"): Support(1, lambda d, l: _mc().Interval(float(_length(l))), _no_fixed,
                                   lambda d, k, l: interval_moment(k, _length(l))),
-    ("ball", "none"): Support(None, lambda d, l: mc.Ball(d), _no_fixed,
+    ("ball", "none"): Support(None, lambda d, l: _mc().Ball(d), _no_fixed,
                               lambda d, k, l: ball_moment(d, k)),
-    ("ball", "origin"): Support(None, lambda d, l: mc.Ball(d), _origin,
+    ("ball", "origin"): Support(None, lambda d, l: _mc().Ball(d), _origin,
                                 lambda d, k, l: ball_fixed_moment(d, k)),
-    ("halfball", "none"): Support(None, lambda d, l: mc.HalfBall(d), _no_fixed),
-    ("halfball", "origin"): Support(None, lambda d, l: mc.HalfBall(d), _origin,
+    ("halfball", "none"): Support(None, lambda d, l: _mc().HalfBall(d), _no_fixed),
+    ("halfball", "origin"): Support(None, lambda d, l: _mc().HalfBall(d), _origin,
                                     lambda d, k, l: halfball_fixed_moment(d, k)),
-    ("triangle", "none"): Support(2, lambda d, l: mc.unit_area_triangle(), _no_fixed,
+    ("triangle", "none"): Support(2, lambda d, l: _mc().unit_area_triangle(), _no_fixed,
                                   lambda d, k, l: triangle_moment(k)),
-    ("triangle", "edge_midpoint"): Support(2, lambda d, l: mc.unit_area_triangle(),
-                                           lambda d: mc.triangle_edge_midpoint(),
+    ("triangle", "edge_midpoint"): Support(2, lambda d, l: _mc().unit_area_triangle(),
+                                           lambda d: _mc().triangle_edge_midpoint(),
                                            lambda d, k, l: triangle_midpoint_moment(k)),
-    ("tetrahedron", "none"): Support(3, lambda d, l: mc.unit_volume_tetrahedron(), _no_fixed,
+    ("tetrahedron", "none"): Support(3, lambda d, l: _mc().unit_volume_tetrahedron(), _no_fixed,
                                      lambda d, k, l: tetrahedron_moment_k1(), exact_k=1),
-    ("tetrahedron", "facet_centroid"): Support(3, lambda d, l: mc.unit_volume_tetrahedron(),
-                                               lambda d: mc.tetrahedron_facet_centroid()),
+    ("tetrahedron", "facet_centroid"): Support(3, lambda d, l: _mc().unit_volume_tetrahedron(),
+                                               lambda d: _mc().tetrahedron_facet_centroid()),
 })
 SUPPORTED = ", ".join(f"{b}/{f} ({row.describe()})" for (b, f), row in SUPPORT.items())
 BODY_KINDS = tuple(dict.fromkeys(b for b, _ in SUPPORT))
@@ -425,10 +435,33 @@ class MomentQuery:
         }
 
 
+#: The largest size of a closed form that is built.  The size is d*(d+k+1):
+#: the ball forms' largest factor is kappa(d(d+k+1)), a gamma function at half
+#: that size, q(d, k)'s is d(d+k+1) + k, and the triangle forms (d = 2) sum
+#: k + 1 binomial terms.  An interval length l enters as l^k, so the size is
+#: multiplied by the 64-bit words of l's numerator or denominator, whichever
+#: is longer.  The time to build a form grows faster than the square of its
+#: size: at the limit each takes well under a second, far beyond it minutes.
+MAX_CLOSED_FORM_SIZE = 2000
+
+
+def check_closed_form_size(d: int, k: int, l: Fraction | int | None = None) -> None:
+    """Raise ValueError if the closed form at (d, k, l) is above :data:`MAX_CLOSED_FORM_SIZE`."""
+    size = d * (d + k + 1)
+    if l is not None:
+        l = Fraction(l)
+        size *= -(-max(l.numerator.bit_length(), l.denominator.bit_length()) // 64)
+    if size > MAX_CLOSED_FORM_SIZE:
+        raise ValueError(f"the closed form at d={d}, k={k} has size {size}, above the limit "
+                         f"{MAX_CLOSED_FORM_SIZE} (size: d*(d+k+1), times the 64-bit words "
+                         f"of an interval length)")
+
+
 def exact_moment(query: MomentQuery) -> PiPolynomial:
     """The closed form of a :class:`MomentQuery`.
 
-    Raises :class:`UnsupportedQueryError` for queries without one.
+    Raises :class:`UnsupportedQueryError` for queries without one, and
+    ValueError for one above :data:`MAX_CLOSED_FORM_SIZE`.
     """
     support = query.support
     if not support.exact_at(query.k):
@@ -436,6 +469,7 @@ def exact_moment(query: MomentQuery) -> PiPolynomial:
             f"no closed form for body={query.body_kind} fixed={query.fixed_kind} "
             f"d={query.d} k={query.k}; supported: {SUPPORTED}"
         )
+    check_closed_form_size(query.d, query.k, query.l)
     return support.closed_form(query.d, query.k, query.l)
 
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,8 @@ from sylvester.cli import (
     MAX_DIGITS,
     main,
 )
-from sylvester.montecarlo import DEFAULT_CHUNK
+from sylvester import DEFAULT_CHUNK
+from sylvester.moments import MAX_CLOSED_FORM_SIZE, SUPPORT
 
 F = Fraction
 
@@ -510,6 +512,41 @@ def test_an_exact_value_too_long_to_print_is_a_usage_error(capsys):
     assert "Traceback" not in err and "set_int_max_str_digits" not in err
 
 
+# each ran for more than 10 s before the closed form's size was bounded
+OVERSIZED = [
+    ("exact", "--body", "ball", "--d", "3", "--k", "100000"),
+    ("exact", "--body", "ball", "--d", "200000", "--k", "1"),
+    ("exact", "--body", "ball", "--fixed", "origin", "--d", "3", "--k", "20000"),
+    ("exact", "--body", "triangle", "--k", "20000"),
+    ("exact", "--body", "triangle", "--fixed", "edge_midpoint", "--k", "20000"),
+    ("exact", "--body", "interval", "--l", "3" * 4000 + "/7", "--k", "2000"),
+    ("qscan", "--d", "2", "--k-max", "100000"),
+]
+
+
+@pytest.mark.parametrize("argv", OVERSIZED, ids=range(len(OVERSIZED)))
+def test_an_oversized_closed_form_is_a_usage_error(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"above the limit {MAX_CLOSED_FORM_SIZE}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("exact", "--body", "ball", "--d", "12", "--k", "40", "--digits", "30"),  # the exact grid's corner
+    ("exact", "--body", "halfball", "--fixed", "origin", "--d", "3", "--k", "662"),  # 3*666 = 1998
+    ("exact", "--body", "ball", "--d", "43", "--k", "1"),  # 43*45 = 1935
+    ("exact", "--body", "triangle", "--fixed", "edge_midpoint", "--k", "997"),  # 2*1000
+    ("exact", "--body", "interval", "--l", "3/2", "--k", "1998"),  # 1*2000
+    ("qscan", "--d", "3", "--k-max", "662"),
+], ids=range(6))
+def test_closed_forms_up_to_the_size_limit_are_built(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK and out
+
+
 # (command, config key) -> (base argv, another valid value for that key)
 FLAG_CASES = {
     ("exact", "body"): (("exact", "--body", "triangle"), "tetrahedron"),
@@ -583,26 +620,50 @@ def test_counterexample_stdout_byte_identical_across_thread_counts():
 
 
 # ---------------------------------------------------------------------------
-# runtime dependencies: mpmath is a test-only oracle
+# runtime dependencies: mpmath is a test-only oracle, numpy only for sampling
 
 
-RUNTIME_COMMANDS = [
-    ["exact", "--body", "ball", "--fixed", "origin", "--d", "3", "--k", "1"],  # 9/1024*pi
-    ["table1"],
-    ["qscan", "--d", "3"],
-    ["counterexample", "tetra-d3", "--n", "100000"],
-]
+# one row of each closed form, table1 and qscan: the commands that need no numpy
+EXACT_COMMANDS = [
+    ["exact", "--body", body, "--fixed", fixed, "--k", str(row.exact_k or 1),
+     *(["--d", "3"] if row.d is None else [])]  # ball/origin d=3 k=1: 9/1024*pi
+    for (body, fixed), row in SUPPORT.items() if row.closed_form is not None
+] + [["table1"], ["qscan", "--d", "2"], ["qscan", "--d", "3"]]
+
+# Runs each command with the named modules blocked (an import of one raises
+# ImportError) and prints what ``import sylvester.cli`` loaded of numpy and
+# montecarlo, then each command's exit code and stdout.
+_BLOCKED_RUN = """\
+import contextlib, io, json, sys
+for name in sys.argv[1].split(","):
+    sys.modules[name] = None
+from sylvester.cli import main
+loaded = [m for m in ("numpy", "sylvester.montecarlo") if sys.modules.get(m) is not None]
+runs = []
+for argv in json.loads(sys.argv[2]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runs.append([main(argv), out.getvalue()])
+print(json.dumps({"loaded": loaded, "runs": runs}))
+"""
 
 
-def test_commands_run_without_mpmath():
-    script = (
-        "import json, sys\n"
-        "sys.modules['mpmath'] = None  # any import of mpmath now raises ImportError\n"
-        "from sylvester.cli import main\n"
-        f"codes = [main(argv) for argv in {RUNTIME_COMMANDS!r}]\n"
-        "print(json.dumps(codes))\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", script],
+def _blocked_run(blocked, commands):
+    proc = subprocess.run([sys.executable, "-c", _BLOCKED_RUN, ",".join(blocked),
+                           json.dumps(commands)],
                           capture_output=True, text=True, check=False)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [EXIT_OK] * len(RUNTIME_COMMANDS)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_commands_run_without_mpmath(capsys):
+    # numpy is importable here, so what import sylvester.cli leaves out it really leaves out
+    result = _blocked_run(["mpmath"], [["counterexample", "tetra-d3", "--n", "100000"]])
+    assert result["loaded"] == []
+    assert [code for code, _ in result["runs"]] == [EXIT_OK]
+
+    result = _blocked_run(["mpmath", "numpy"], EXACT_COMMANDS)
+    assert len(result["runs"]) == len(EXACT_COMMANDS)
+    for argv, (code, out) in zip(EXACT_COMMANDS, result["runs"]):
+        assert (code, out) == run_cli(capsys, *argv)[:2], argv
+        assert code == EXIT_OK and out, argv

@@ -5,10 +5,12 @@ import pytest
 
 from sylvester.exactnum import PI, PiPolynomial, pi_power
 from sylvester.moments import (
+    MAX_CLOSED_FORM_SIZE,
     MomentQuery,
     UnsupportedQueryError,
     ball_fixed_moment,
     ball_moment,
+    check_closed_form_size,
     exact_moment,
     exact_ratio_bound,
     halfball_fixed_moment,
@@ -346,6 +348,21 @@ def test_exact_moment_dispatch():
     assert exact_moment(MomentQuery(2, 4, "triangle")) == F(1, 900)
     assert exact_moment(MomentQuery(2, 4, "triangle", "edge_midpoint")) == F(13, 21600)
     assert exact_moment(MomentQuery(3, 1, "tetrahedron")) == tetrahedron_moment_k1()
+
+
+def test_exact_moment_rejects_a_closed_form_above_the_size_limit():
+    assert MAX_CLOSED_FORM_SIZE == 2000
+    check_closed_form_size(3, 662)  # 3 * 666 = 1998
+    check_closed_form_size(1, 1998, F(3, 2))  # one 64-bit word: 1 * 2000
+    with pytest.raises(ValueError, match="size 2001, above the limit 2000"):
+        check_closed_form_size(3, 663)
+    with pytest.raises(ValueError, match="size 3003, above the limit 2000"):
+        check_closed_form_size(1, 1, F(1, 2**64000))  # 64001 bits: 1001 words, times 3
+    assert exact_moment(MomentQuery(1, 1, "interval", l=F(1, 2**1000))) == F(1, 3 * 2**1000)
+    with pytest.raises(ValueError, match="above the limit 2000"):
+        exact_moment(MomentQuery(3, 100_000, "ball"))
+    with pytest.raises(ValueError, match="above the limit 2000"):
+        exact_moment(MomentQuery(1, 100, "interval", l=F(3, 2) ** 1000))  # 102 * 25 words
 
 
 def test_exact_moment_unsupported():
