@@ -467,18 +467,26 @@ def pi_power(h: int) -> PiPolynomial:
     return PiPolynomial({h: 1})
 
 
-def gamma_half(two_n: int) -> PiPolynomial:
-    """Gamma(two_n / 2), exact.
+def gamma_half_parts(two_n: int) -> tuple[int, int, int]:
+    """Gamma(two_n / 2) as integers (num, den, h): num / den * pi^(h/2).
 
-    Even arguments give (two_n/2 - 1)!.  Odd arguments give
-    Gamma(m + 1/2) = (2m)! / (4^m m!) * sqrt(pi) with m = (two_n - 1)/2.
+    Even arguments give (two_n/2 - 1)! with h = 0.  Odd arguments give
+    Gamma(m + 1/2) = (2m)! / (4^m m!) * sqrt(pi) = (2m - 1)!! / 2^m * sqrt(pi)
+    with m = (two_n - 1)/2 and h = 1.  den is a power of two and the fraction
+    is not reduced: products of these parts are normalised once, by the caller.
     """
     if two_n <= 0:
         raise ValueError(f"gamma_half requires a positive argument, got {two_n}")
     if two_n % 2 == 0:
-        return PiPolynomial({0: factorial(two_n // 2 - 1)})
+        return factorial(two_n // 2 - 1), 1, 0
     m = (two_n - 1) // 2
-    return PiPolynomial({1: Fraction(factorial(2 * m), 4**m * factorial(m))})
+    return factorial(2 * m) // (factorial(m) << m), 1 << m, 1
+
+
+def gamma_half(two_n: int) -> PiPolynomial:
+    """Gamma(two_n / 2), exact (see :func:`gamma_half_parts`)."""
+    num, den, h = gamma_half_parts(two_n)
+    return PiPolynomial({h: Fraction(num, den)})
 
 
 def kappa(d: int) -> PiPolynomial:

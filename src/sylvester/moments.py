@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import TYPE_CHECKING, Callable
 
-from .exactnum import PiPolynomial, kappa, omega
+from .exactnum import PiPolynomial, gamma_half_parts, kappa
 
 if TYPE_CHECKING:
     from . import montecarlo as mc
@@ -47,18 +47,14 @@ def ball_moment(d: int, k: int) -> PiPolynomial:
     """k-th volume moment of a random simplex in the unit d-ball (all vertices random)."""
     _check_dim(d)
     _check_order(k)
-    value = (kappa(d + k) / kappa(d)) ** (d + 1)
-    value = value * kappa(d * (d + k + 1)) / kappa((d + 1) * (d + k))
-    value = value / Fraction(factorial(d)) ** k
-    return value * _omega_ratio(d, k)
+    return _miles_product(d, k, free=True)
 
 
 def ball_fixed_moment(d: int, k: int) -> PiPolynomial:
     """k-th volume moment with one vertex fixed at the center of the unit d-ball."""
     _check_dim(d)
     _check_order(k)
-    value = (kappa(d + k) / kappa(d)) ** d / Fraction(factorial(d)) ** k
-    return value * _omega_ratio(d, k)
+    return _miles_product(d, k, free=False)
 
 
 def halfball_fixed_moment(d: int, k: int) -> PiPolynomial:
@@ -73,11 +69,37 @@ def halfball_fixed_moment(d: int, k: int) -> PiPolynomial:
     return ball_fixed_moment(d, k)
 
 
-def _omega_ratio(d: int, k: int) -> PiPolynomial:
-    value = PiPolynomial.one()
-    for j in range(1, k + 1):
-        value = value * omega(j) / omega(d + j)
-    return value
+def _miles_product(d: int, k: int, free: bool) -> PiPolynomial:
+    """Miles' ball moment, built as one term c * pi^(h/2) in integers.
+
+    With kappa_n = pi^(n/2) / Gamma(n/2 + 1) and omega_n = n kappa_n, the
+    fixed-center moment is
+
+        (kappa_{d+k} / kappa_d)^d / (d!)^k * prod_{j=1..k} omega_j / omega_{d+j},
+
+    and the free one has the exponent d+1 and the extra factor
+    kappa_{d(d+k+1)} / kappa_{(d+1)(d+k)}.  The omega product telescopes to
+    pi^(-dk/2) * prod_{j=k+1..k+d} Gamma(j/2) / prod_{j=1..d} Gamma(j/2), and
+    the powers of pi outside the gammas cancel.  What is left is (d!)^-k
+    times about 2d + 4 gammas at half-integers: their numerators,
+    denominators and powers of sqrt(pi) are multiplied as integers, and the
+    fraction is reduced once.
+    """
+    p = d + 1 if free else d
+    gammas = [(d + 2, p), (d + k + 2, -p)]  # (twice the argument, exponent)
+    gammas += [(j, 1) for j in range(k + 1, k + d + 1)]
+    gammas += [(j, -1) for j in range(1, d + 1)]
+    if free:
+        gammas += [((d + 1) * (d + k) + 2, 1), (d * (d + k + 1) + 2, -1)]
+    num, den, h = 1, factorial(d) ** k, 0
+    for two_n, e in gammas:
+        g_num, g_den, g_h = gamma_half_parts(two_n)
+        if e < 0:
+            g_num, g_den, g_h, e = g_den, g_num, -g_h, -e
+        num *= g_num**e
+        den *= g_den**e
+        h += g_h * e
+    return PiPolynomial({h: Fraction(num, den)})
 
 
 def _triangle_moment_q(k: int) -> Fraction:
@@ -436,12 +458,15 @@ class MomentQuery:
 
 
 #: The largest size of a closed form that is built.  The size is d*(d+k+1):
-#: the ball forms' largest factor is kappa(d(d+k+1)), a gamma function at half
-#: that size, q(d, k)'s is d(d+k+1) + k, and the triangle forms (d = 2) sum
-#: k + 1 binomial terms.  An interval length l enters as l^k, so the size is
-#: multiplied by the 64-bit words of l's numerator or denominator, whichever
-#: is longer.  The time to build a form grows faster than the square of its
-#: size: at the limit each takes well under a second, far beyond it minutes.
+#: the ball forms' largest gamma factors are at about half that size,
+#: q(d, k)'s largest factor is d(d+k+1) + k, and the triangle forms (d = 2)
+#: sum k + 1 binomial terms.  An interval length l enters as l^k, so the size
+#: is multiplied by the 64-bit words of l's numerator or denominator,
+#: whichever is longer.  A ball form is one product of about 2d + 4 gammas,
+#: reduced once, and takes milliseconds even at the limit.  What bounds the
+#: time is the triangle sums and qscan's q(d, k) for every k up to --k-max,
+#: whose cost grows about as the square of k or faster: at the limit they
+#: take well under a second, far beyond it minutes.
 MAX_CLOSED_FORM_SIZE = 2000
 
 

@@ -3,7 +3,10 @@
 Everything here deliberately avoids the closed forms under test: moments come
 from adaptive quadrature of the defining integrals, geometric constants from
 one-dimensional integrals of cross sections.  Oracle outputs are compared to
-the exact implementations at tight tolerances.
+the exact implementations at tight tolerances.  The exception is
+:func:`ball_moments_by_kappa_omega`, an exact oracle: the same Miles formula
+as the ball closed forms, built factor by factor from kappa and omega rather
+than telescoped, and compared structurally.
 """
 
 from __future__ import annotations
@@ -78,6 +81,29 @@ def gamma_half_by_recurrence(two_n: int) -> tuple[int, int, int]:
         value *= x
         x += 1
     return value.numerator, value.denominator, sqrt_pi
+
+
+def ball_moments_by_kappa_omega(d: int, k: int):
+    """Miles' k-th volume moments in the unit d-ball, as products of kappas and omegas.
+
+    Returns (free, fixed): with all vertices random,
+    (kappa_{d+k} / kappa_d)^(d+1) * kappa_{d(d+k+1)} / kappa_{(d+1)(d+k)}
+    / (d!)^k * prod_{j=1..k} omega_j / omega_{d+j}; with one vertex fixed at
+    the center, (kappa_{d+k} / kappa_d)^d / (d!)^k times the same omega
+    product.  Every step is an exact PiPolynomial operation, so the loop over
+    j costs k multiplications and divisions.
+    """
+    from fractions import Fraction
+    from math import factorial
+
+    from sylvester.exactnum import PiPolynomial, kappa, omega
+
+    ratio = PiPolynomial.one()
+    for j in range(1, k + 1):
+        ratio = ratio * omega(j) / omega(d + j)
+    fixed = (kappa(d + k) / kappa(d)) ** d / Fraction(factorial(d)) ** k * ratio
+    free = fixed * kappa(d + k) / kappa(d) * kappa(d * (d + k + 1)) / kappa((d + 1) * (d + k))
+    return free, fixed
 
 
 def triangle_second_coordinate_moments() -> tuple[float, float]:

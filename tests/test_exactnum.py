@@ -14,6 +14,7 @@ from sylvester.exactnum import (
     PiPolynomial,
     PrecisionError,
     gamma_half,
+    gamma_half_parts,
     kappa,
     omega,
     pi_power,
@@ -43,6 +44,16 @@ def test_gamma_half_matches_recurrence_oracle(two_n):
     num, den, has_sqrt_pi = gamma_half_by_recurrence(two_n)
     expected = PiPolynomial({1 if has_sqrt_pi else 0: F(num, den)})
     assert gamma_half(two_n) == expected
+
+
+def test_gamma_half_parts_are_the_recurrence_value_over_a_power_of_two():
+    for two_n in range(1, 201):
+        num, den, h = gamma_half_parts(two_n)
+        r_num, r_den, r_h = gamma_half_by_recurrence(two_n)
+        assert (F(num, den), h) == (F(r_num, r_den), r_h)
+        assert den & (den - 1) == 0 and den.bit_length() - 1 == two_n // 2 * h
+    with pytest.raises(ValueError):
+        gamma_half_parts(0)
 
 
 @pytest.mark.parametrize("two_n", range(1, 30))

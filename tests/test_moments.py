@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from sylvester.exactnum import PI, PiPolynomial, pi_power
 from sylvester.moments import (
     MAX_CLOSED_FORM_SIZE,
@@ -28,7 +30,12 @@ from sylvester.moments import (
     tx_over_t_ratio,
 )
 
-from oracles import i0_quadrature, i12_quadrature, interval_moment_quadrature
+from oracles import (
+    ball_moments_by_kappa_omega,
+    i0_quadrature,
+    i12_quadrature,
+    interval_moment_quadrature,
+)
 
 F = Fraction
 
@@ -118,6 +125,41 @@ def test_ball_domain_errors():
             ball_fixed_moment(*bad)
         with pytest.raises(ValueError):
             halfball_fixed_moment(*bad)
+
+
+def _assert_ball_forms_match_the_oracle(d, k):
+    free, fixed = ball_moments_by_kappa_omega(d, k)
+    assert ball_moment(d, k).terms == free.terms
+    assert ball_fixed_moment(d, k).terms == fixed.terms
+    assert halfball_fixed_moment(d, k).terms == fixed.terms
+
+
+# the largest accepted queries: d*(d+k+1) <= MAX_CLOSED_FORM_SIZE, k or d maximal
+SIZE_LIMIT_EDGES = [(3, 662), (12, 153), (43, 1), (1, 997)]
+
+
+def test_ball_forms_match_the_kappa_omega_product():
+    for d in range(1, 13):
+        for k in range(0, 41):
+            _assert_ball_forms_match_the_oracle(d, k)
+    for d, k in SIZE_LIMIT_EDGES:
+        check_closed_form_size(d, k)
+        _assert_ball_forms_match_the_oracle(d, k)
+
+
+# the largest d with d*(d+1) <= MAX_CLOSED_FORM_SIZE, that is with k = 0 accepted
+_MAX_BALL_D = (math.isqrt(4 * MAX_CLOSED_FORM_SIZE + 1) - 1) // 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, _MAX_BALL_D).flatmap(
+    lambda d: st.tuples(st.just(d), st.integers(0, MAX_CLOSED_FORM_SIZE // d - d - 1))))
+def test_telescoped_omega_product_holds_within_the_size_limit(dk):
+    # the ball forms telescope prod_{j=1..k} omega_j / omega_{d+j}; the oracle
+    # multiplies it out term by term, at any accepted (d, k)
+    d, k = dk
+    check_closed_form_size(d, k)
+    _assert_ball_forms_match_the_oracle(d, k)
 
 
 # ---------------------------------------------------------------------------
