@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, perm
 from typing import TYPE_CHECKING, Callable
 
 from .exactnum import PiPolynomial, gamma_half_parts, kappa
@@ -176,13 +176,9 @@ def q_ratio(d: int, k: int) -> Fraction:
         raise ValueError("q_ratio requires d >= 2")
     if k < 1:
         raise ValueError("q_ratio requires k >= 1")
-    num = 1
-    for j in range(d + 2, d + k + 2):
-        num *= j
-    den = 1
+    num = perm(d + k + 1, k)  # (d+2)...(d+k+1)
     base = d * (d + k + 1)
-    for j in range(base + 1, base + k + 1):
-        den *= j
+    den = perm(base + k, k)  # (base+1)...(base+k)
     return Fraction(4) ** k * Fraction(num, den)
 
 

@@ -15,10 +15,17 @@ Chunk i of a run uses key = [seed, i], and chunk accumulators are merged
 pairwise in index order with the standard two-sample mean/M2 combination, so a
 given :class:`EstimatorConfig` yields bit-identical results at any thread
 count.  Chunks run on ``os.cpu_count()`` threads unless SYLVESTER_THREADS or
-the ``workers`` argument says otherwise.  A chunk's points are
-chunk_size x (d+1) x d doubles, and its vertex differences nearly as many, on
-every thread at once: for the default chunk of 2^15 simplices that is about
-3 MB per array at d = 3, but about 670 MB at d = 50.
+the ``workers`` argument says otherwise.
+
+Layout: a chunk's points are drawn coordinate-major, into one (m, d, n)
+buffer for n simplices of m points, and handed on as its (n, m, d) transposed
+view.  Each coordinate of each point is so one contiguous vector of n values,
+and numpy keeps that layout through the vertex differences, the closed-form
+determinants (d <= 4), the power and the reduction.  The points array,
+chunk_size x m x d doubles, is held on every thread at once, with the vertex
+differences nearly as large; a config whose points array exceeds
+:data:`MAX_CHUNK_BYTES` (2^26 bytes) is rejected with ValueError.  The
+default chunk of 2^15 simplices fits for d <= 15.
 
 Certification is sequential: each estimated side is a time-uniform
 empirical-Bernstein confidence sequence, tested after every chunk, and the
@@ -43,6 +50,10 @@ from . import DEFAULT_CHUNK
 from .exactnum import PiPolynomial, kappa
 
 _MEMBERSHIP_TOL = 1e-9
+
+#: Largest points array of one chunk, in bytes (chunk x m x d doubles).  Every
+#: worker thread holds one at a time, with its vertex differences beside it.
+MAX_CHUNK_BYTES = 2**26
 
 
 # ---------------------------------------------------------------------------
@@ -261,23 +272,29 @@ def tetrahedron_facet_centroid() -> FixedPoint:
 # sampling
 
 def _sample_batch(body: Body, rng: np.random.Generator, n: int, m: int) -> np.ndarray:
-    """n independent m-tuples of uniform points in the body, shape (n, m, d)."""
+    """n independent m-tuples of uniform points in the body, shape (n, m, d).
+
+    The array is the transposed view of a coordinate-major (m, d, n) buffer
+    (see the module docstring).
+    """
     if isinstance(body, Interval):
-        return (rng.random((n, m, 1)) * body.length).astype(float)
+        x = rng.random((m, 1, n))
+        x *= body.length
+        return x.transpose(2, 0, 1)
     if isinstance(body, Ball) or isinstance(body, HalfBall):
         d = body.d
-        x = rng.standard_normal((n, m, d))
-        r = rng.random((n, m)) ** (1.0 / d)
-        r /= np.sqrt(np.einsum("nmi,nmi->nm", x, x))
-        x *= r[..., None]
+        x = rng.standard_normal((m, d, n))
+        r = rng.random((m, n)) ** (1.0 / d)
+        r /= np.sqrt(np.einsum("mdn,mdn->mn", x, x))
+        x *= r[:, None, :]
         if isinstance(body, HalfBall):
-            np.abs(x[..., 0], out=x[..., 0])
-        return x
+            np.abs(x[:, 0], out=x[:, 0])
+        return x.transpose(2, 0, 1)
     if isinstance(body, Simplex):
         verts = body.vertex_array()
-        e = rng.standard_exponential((n, m, len(verts)))
-        w = e / e.sum(axis=-1, keepdims=True)
-        return w @ verts
+        e = rng.standard_exponential((m, len(verts), n))
+        e /= e.sum(axis=1, keepdims=True)
+        return (verts.T @ e).transpose(2, 0, 1)
     raise TypeError(f"cannot sample in {body!r}")
 
 
@@ -424,6 +441,7 @@ def _chunk_stats(body: Body, fixed: FixedPointSpec, k: int, seed: int,
     else:
         pts = _sample_batch(body, rng, size, d + 1)
         vecs = pts[:, 1:, :] - pts[:, :1, :]
+    del pts
     vols = _batched_abs_det(vecs) / factorial(d)
     x = np.ones(size) if k == 0 else vols**k
     mean = float(x.mean())
@@ -493,6 +511,14 @@ def _check_fixed(body: Body, fixed: FixedPointSpec) -> None:
 
 
 def _jobs(body: Body, fixed: FixedPointSpec, config: EstimatorConfig) -> list[tuple]:
+    d = body.dimension
+    point_bytes = (d if isinstance(fixed, FixedPoint) else d + 1) * d * 8
+    if config.chunk_size * point_bytes > MAX_CHUNK_BYTES:
+        raise ValueError(
+            f"a chunk of {config.chunk_size} simplices in dimension {d} needs "
+            f"{config.chunk_size * point_bytes} bytes of points, above the limit of "
+            f"{MAX_CHUNK_BYTES} bytes; the largest chunk that fits is "
+            f"{MAX_CHUNK_BYTES // point_bytes} (--chunk)")
     sizes = _chunk_sizes(config.n_samples, config.chunk_size)
     return [(body, fixed, config.k, config.seed, i, size) for i, size in enumerate(sizes)]
 

@@ -106,6 +106,20 @@ def ball_moments_by_kappa_omega(d: int, k: int):
     return free, fixed
 
 
+def q_ratio_by_loop(d: int, k: int):
+    """q(d, k) = 4^k (d+2)...(d+k+1) / ((b+1)...(b+k)), b = d(d+k+1), one factor at a time."""
+    from fractions import Fraction
+
+    num = 1
+    for j in range(d + 2, d + k + 2):
+        num *= j
+    den = 1
+    base = d * (d + k + 1)
+    for j in range(base + 1, base + k + 1):
+        den *= j
+    return Fraction(4) ** k * Fraction(num, den)
+
+
 def triangle_second_coordinate_moments() -> tuple[float, float]:
     """(mean, variance) of a coordinate of a uniform point in the standard triangle."""
     mean = 1.0 / 3.0

@@ -534,6 +534,31 @@ def test_an_oversized_closed_form_is_a_usage_error(capsys, argv):
     assert f"above the limit {MAX_CLOSED_FORM_SIZE}" in err and "Traceback" not in err
 
 
+# each points array is above MAX_CHUNK_BYTES: 51*50*8 B for 2^15 simplices, 4*3*8 B for 10^6
+OVERSIZED_CHUNKS = [
+    ("mc", "--body", "ball", "--d", "50", "--n", "100000"),
+    ("counterexample", "halfball-d3", "--n", "1000000", "--chunk", "1000000"),
+]
+
+
+@pytest.mark.parametrize("argv", OVERSIZED_CHUNKS, ids=range(len(OVERSIZED_CHUNKS)))
+def test_an_oversized_chunk_is_a_usage_error(capsys, argv):
+    from sylvester.montecarlo import MAX_CHUNK_BYTES
+
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"above the limit of {MAX_CHUNK_BYTES} bytes" in err and "Traceback" not in err
+
+
+def test_a_chunk_within_the_byte_limit_runs(capsys):
+    # 2000 * 51 * 50 * 8 B = 40.8 MB
+    code, out, _ = run_cli(capsys, "mc", "--body", "ball", "--d", "50", "--n", "2000")
+    assert code == EXIT_OK and json_lines(out)[0]["n"] == 2000
+
+
 @pytest.mark.parametrize("argv", [
     ("exact", "--body", "ball", "--d", "12", "--k", "40", "--digits", "30"),  # the exact grid's corner
     ("exact", "--body", "halfball", "--fixed", "origin", "--d", "3", "--k", "662"),  # 3*666 = 1998

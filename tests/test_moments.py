@@ -35,6 +35,7 @@ from oracles import (
     i0_quadrature,
     i12_quadrature,
     interval_moment_quadrature,
+    q_ratio_by_loop,
 )
 
 F = Fraction
@@ -249,6 +250,12 @@ def test_q_ratio_values():
     assert q_ratio(2, 11) < 1
     assert q_ratio(2, 10) > 1
     assert q_ratio(2, 11) == F(29360128, 32231847)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_q_ratio_matches_the_loop_product(d):
+    for k in range(1, 998):
+        assert q_ratio(d, k) == q_ratio_by_loop(d, k)
 
 
 def test_q_ratio_recursion_identity():

@@ -224,11 +224,12 @@ def test_ball_sampler_matches_normalized_gaussian_formula(body):
 
     n, m, d = 20_000, body.d + 1, body.d
     pts = _sample_batch(body, _rng([17, 3]), n, m)
-    # reference: the same draws, in the same order, as x / |x| * u^(1/d)
+    # reference: the same draws, in the same (m, d, n) order, as x / |x| * u^(1/d)
     rng = _rng([17, 3])
-    x = rng.standard_normal((n, m, d))
-    u = rng.random((n, m))
-    want = x / np.linalg.norm(x, axis=-1, keepdims=True) * u[..., None] ** (1.0 / d)
+    x = rng.standard_normal((m, d, n))
+    u = rng.random((m, n))
+    want = x / np.linalg.norm(x, axis=1, keepdims=True) * u[:, None, :] ** (1.0 / d)
+    want = want.transpose(2, 0, 1)
     if isinstance(body, HalfBall):
         want[..., 0] = np.abs(want[..., 0])
     assert pts.shape == (n, m, d)
@@ -248,6 +249,36 @@ def test_interval_sampling_range():
     assert pts.max() <= 2.0
     # E|X - Y| on [-1,1] scaled: check the fixed-vertex oracle on [-1,1]
     assert uniform_interval_abs_moment(1) == pytest.approx(0.5, abs=1e-12)
+
+
+# every body kind, with and without a fixed vertex
+LAYOUT_CASES = {
+    "interval": (Interval(2.0), NO_FIXED_POINT),
+    "ball": (Ball(3), NO_FIXED_POINT),
+    "ball-origin": (Ball(3), FixedPoint((0.0, 0.0, 0.0))),
+    "halfball": (HalfBall(4), NO_FIXED_POINT),
+    "triangle": (unit_area_triangle(), NO_FIXED_POINT),
+    "tetra-facet": (unit_volume_tetrahedron(), tetrahedron_facet_centroid()),
+}
+
+
+@pytest.mark.parametrize("body, fixed", LAYOUT_CASES.values(), ids=LAYOUT_CASES)
+def test_chunks_are_coordinate_major(monkeypatch, body, fixed):
+    import sylvester.montecarlo as mc
+
+    d = body.dimension
+    m = d if isinstance(fixed, FixedPoint) else d + 1
+    pts = mc._sample_batch(body, _rng([5, 0]), 1_000, m)
+    assert pts.shape == (1_000, m, d)
+    assert pts.transpose(1, 2, 0).flags.c_contiguous
+    # the vertex differences _chunk_stats hands to the determinant
+    seen = []
+    det = mc._batched_abs_det
+    monkeypatch.setattr(mc, "_batched_abs_det", lambda vecs: seen.append(vecs) or det(vecs))
+    mc._chunk_stats(body, fixed, 1, 5, 0, 1_000)
+    (vecs,) = seen
+    assert vecs.shape == (1_000, d, d)
+    assert vecs.transpose(1, 2, 0).flags.c_contiguous
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +325,41 @@ def test_estimate_moment_determinism_across_workers():
     assert serial.mean == threaded.mean
     assert serial.variance == threaded.variance
     assert serial.ci_low == threaded.ci_low
+
+
+@pytest.mark.parametrize("body, fixed, k", [
+    (unit_volume_tetrahedron(), tetrahedron_facet_centroid(), 1),
+    (unit_area_triangle(), NO_FIXED_POINT, 3),
+    (Interval(2.0), NO_FIXED_POINT, 2),
+], ids=["tetra-facet", "triangle", "interval"])
+def test_estimate_moment_determinism_across_workers_beyond_balls(body, fixed, k):
+    # the simplex sampler runs a BLAS matmul inside each worker thread
+    cfg = make_config(k=k, n_samples=150_000, seed=7, chunk_size=20_000)
+    serial = estimate_moment(body, fixed, cfg, workers=1)
+    threaded = estimate_moment(body, fixed, cfg, workers=4)
+    assert serial.mean == threaded.mean
+    assert serial.variance == threaded.variance
+    assert serial.ci_low == threaded.ci_low
+
+
+def test_chunk_bytes_are_bounded_by_the_config_and_body():
+    from sylvester.montecarlo import MAX_CHUNK_BYTES, _jobs
+
+    cfg = make_config(k=1, n_samples=10**6)
+    assert cfg.chunk_size == DEFAULT_CHUNK
+    assert len(_jobs(Ball(15), NO_FIXED_POINT, cfg)) == -(-10**6 // DEFAULT_CHUNK)
+    # 2^26 // (17*16*8) and 2^26 // (50*50*8)
+    for body, fixed, largest in [(Ball(16), NO_FIXED_POINT, 30_840),
+                                 (Ball(50), FixedPoint((0.0,) * 50), 3_355)]:
+        message = f"limit of {MAX_CHUNK_BYTES} bytes; the largest chunk that fits is {largest}"
+        for workers in (1, 4):
+            with pytest.raises(ValueError, match=message):
+                estimate_moment(body, fixed, cfg, workers=workers)
+        with pytest.raises(ValueError, match=message):
+            certify_counterexample((body, fixed, 1), PiPolynomial.from_rational(1), cfg)
+        _jobs(body, fixed, make_config(k=1, n_samples=10**6, chunk_size=largest))
+        with pytest.raises(ValueError, match=message):
+            _jobs(body, fixed, make_config(k=1, n_samples=10**6, chunk_size=largest + 1))
 
 
 def test_estimate_moment_env_thread_cap(monkeypatch):
@@ -614,18 +680,18 @@ def test_certification_stops_at_the_first_decided_chunk():
     verdict = certify_counterexample((HalfBall(4), NO_FIXED_POINT, 1), exact, cfg)
     assert verdict.relation == LHS_GREATER
     est = verdict.lhs.estimate
-    assert est.n == 3 * 4_096  # at this seed
+    assert est.n == 2 * 4_096  # at this seed
     assert est.config.n_samples == 1_000_000
-    # the sequence replayed by hand is undecided after chunks 0 and 1
+    # the sequence replayed by hand is undecided after chunk 0
     _, exact_hi = ExactSide(exact).bounds()
     sequence = _Sequence(HalfBall(4), NO_FIXED_POINT, cfg, verdict.lhs.alpha)
-    for job in sequence.jobs[:3]:
+    for job in sequence.jobs[:2]:
         sequence.add(_chunk_stats(*job))
         decided = sequence.bounds()[0] > exact_hi
         assert decided == (sequence.stats[0] == est.n)
     assert sequence.bounds() == verdict.lhs.bounds()
     trace = verdict.trace_dict()
-    assert trace["lhs"] == {"samples": est.n, "chunks": 3, "budget": 1_000_000,
+    assert trace["lhs"] == {"samples": est.n, "chunks": 2, "budget": 1_000_000,
                             "alpha": verdict.lhs.alpha, "range": verdict.lhs.value_range,
                             "stop": "decided"}
     assert trace["margin"] > 1.0
