@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Reproducible Monte Carlo estimation of simplex-volume moments.
 
-Sampling is exact and rejection-free in every body, the generator is
-counter-based (Philox4x64 keyed per chunk), and results are a deterministic
-function of the estimator config: rerunning with the same seed reproduces
-every digit, at any thread count.
+Sampling is exact and rejection-free in every body, each chunk draws from
+an SFC64 generator seeded by a Philox4x64 generator keyed [seed, chunk], and
+results are a deterministic function of the estimator config: rerunning with
+the same seed reproduces every digit, at any thread count.
 """
 
 import sylvester as sy

@@ -10,12 +10,14 @@ Sampling is exact and rejection-free:
 * simplices: barycentric weights from normalized standard exponentials;
 * intervals: an affine image of a unit uniform.
 
-Reproducibility: the generator is Philox4x64 (numpy), a counter-based RNG.
-Chunk i of a run uses key = [seed, i], and chunk accumulators are merged
-pairwise in index order with the standard two-sample mean/M2 combination, so a
-given :class:`EstimatorConfig` yields bit-identical results at any thread
-count.  Chunks run on ``os.cpu_count()`` threads unless SYLVESTER_THREADS or
-the ``workers`` argument says otherwise.
+Reproducibility: chunk i of a run is keyed by numpy's counter-based
+Philox4x64 with key = [seed, i].  128 bits drawn from it seed, through numpy's
+SeedSequence, an SFC64 generator, and every draw of the chunk comes from that
+SFC64, which draws normals, uniforms and exponentials faster than Philox.
+Chunk accumulators are merged pairwise in index order with the standard
+two-sample mean/M2 combination, so a given :class:`EstimatorConfig` yields
+bit-identical results at any thread count.  Chunks run on ``os.cpu_count()``
+threads unless SYLVESTER_THREADS or the ``workers`` argument says otherwise.
 
 Layout: a chunk's points are drawn coordinate-major, into one (m, d, n)
 buffer for n simplices of m points, and handed on as its (n, m, d) transposed
@@ -271,12 +273,21 @@ def tetrahedron_facet_centroid() -> FixedPoint:
 # ---------------------------------------------------------------------------
 # sampling
 
+def _draw_generator(key_rng: np.random.Generator) -> np.random.Generator:
+    """The SFC64 generator seeded, through SeedSequence, by 128 bits of ``key_rng``."""
+    seed = np.random.SeedSequence(key_rng.bit_generator.random_raw(2))
+    return np.random.Generator(np.random.SFC64(seed))
+
+
 def _sample_batch(body: Body, rng: np.random.Generator, n: int, m: int) -> np.ndarray:
     """n independent m-tuples of uniform points in the body, shape (n, m, d).
 
+    ``rng`` is the chunk's keyed Philox generator.  128 bits of it seed the
+    SFC64 generator (:func:`_draw_generator`) that every draw here comes from.
     The array is the transposed view of a coordinate-major (m, d, n) buffer
     (see the module docstring).
     """
+    rng = _draw_generator(rng)
     if isinstance(body, Interval):
         x = rng.random((m, 1, n))
         x *= body.length
@@ -433,7 +444,9 @@ def _chunk_sizes(n: int, chunk: int) -> list[int]:
 
 def _chunk_stats(body: Body, fixed: FixedPointSpec, k: int, seed: int,
                  index: int, size: int) -> tuple[int, float, float]:
-    rng = np.random.Generator(np.random.Philox(key=[seed, index]))
+    # an explicit uint64 key: a list holding a seed >= 2^63 would pass through float64
+    key = np.array([seed, index], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
     d = body.dimension
     if isinstance(fixed, FixedPoint):
         pts = _sample_batch(body, rng, size, d)

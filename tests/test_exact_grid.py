@@ -10,24 +10,14 @@ not only the benchmark.  Both files are only read.
 import contextlib
 import io
 import json
-import types
-from pathlib import Path
 
 from sylvester.cli import main
 
-WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
-
-
-def _workloads() -> types.ModuleType:
-    # executed from its source, so nothing (not even bytecode) is written under bench/
-    module = types.ModuleType("workloads")
-    module.__file__ = str(WORKLOADS)
-    exec(compile(WORKLOADS.read_text(), str(WORKLOADS), "exec"), module.__dict__)
-    return module
+import bench_source
 
 
 def test_every_exact_grid_stdout_matches_its_recorded_digest():
-    workloads = _workloads()
+    workloads = bench_source.load("workloads")
     digests = json.loads(workloads.DIGESTS_FILE.read_text())
     grid = workloads.exact_grid()
     assert len(grid) == 3203

@@ -47,7 +47,13 @@ F = Fraction
 
 
 def _rng(seed):
-    return np.random.Generator(np.random.Philox(key=seed))
+    return np.random.Generator(np.random.Philox(key=np.array(seed, dtype=np.uint64)))
+
+
+def _derived_rng(key):
+    """The generator _sample_batch draws from when handed ``_rng(key)``."""
+    seed = np.random.SeedSequence(_rng(key).bit_generator.random_raw(2))
+    return np.random.Generator(np.random.SFC64(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +230,9 @@ def test_ball_sampler_matches_normalized_gaussian_formula(body):
 
     n, m, d = 20_000, body.d + 1, body.d
     pts = _sample_batch(body, _rng([17, 3]), n, m)
-    # reference: the same draws, in the same (m, d, n) order, as x / |x| * u^(1/d)
-    rng = _rng([17, 3])
+    # reference: the same draws, from the SFC64 seeded by the first 128 bits of
+    # the same Philox key, in the same (m, d, n) order, as x / |x| * u^(1/d)
+    rng = _derived_rng([17, 3])
     x = rng.standard_normal((m, d, n))
     u = rng.random((m, n))
     want = x / np.linalg.norm(x, axis=1, keepdims=True) * u[:, None, :] ** (1.0 / d)
@@ -279,6 +286,41 @@ def test_chunks_are_coordinate_major(monkeypatch, body, fixed):
     (vecs,) = seen
     assert vecs.shape == (1_000, d, d)
     assert vecs.transpose(1, 2, 0).flags.c_contiguous
+
+
+@pytest.mark.parametrize("body, fixed", LAYOUT_CASES.values(), ids=LAYOUT_CASES)
+def test_the_draws_are_a_function_of_the_philox_key(body, fixed):
+    import sylvester.montecarlo as mc
+
+    m = body.dimension + 1
+
+    def draws(key):
+        return mc._sample_batch(body, _rng(key), 1_000, m)
+
+    same = draws([41, 6])
+    assert np.array_equal(same, draws([41, 6]))
+    # another seed or another chunk index changes every draw
+    for key in ([42, 6], [41, 7]):
+        assert not np.any(draws(key) == same)
+
+
+def test_seeds_above_2_63_key_distinct_chunks():
+    from sylvester.montecarlo import _chunk_stats
+
+    seeds = (0, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 2, 2**64 - 1)
+    stats = {_chunk_stats(Ball(3), NO_FIXED_POINT, 1, seed, 0, 1_000) for seed in seeds}
+    assert len(stats) == len(seeds)
+
+
+def test_derived_sfc64_seeds_are_distinct():
+    from sylvester.montecarlo import _draw_generator
+
+    states = set()
+    for seed in (0, 8, 2**64 - 1):
+        for index in range(2_000):
+            state = _draw_generator(_rng([seed, index])).bit_generator.state["state"]
+            states.add(tuple(state["state"].tolist()))
+    assert len(states) == 3 * 2_000
 
 
 # ---------------------------------------------------------------------------
@@ -680,18 +722,18 @@ def test_certification_stops_at_the_first_decided_chunk():
     verdict = certify_counterexample((HalfBall(4), NO_FIXED_POINT, 1), exact, cfg)
     assert verdict.relation == LHS_GREATER
     est = verdict.lhs.estimate
-    assert est.n == 2 * 4_096  # at this seed
+    assert est.n == 3 * 4_096  # at this seed
     assert est.config.n_samples == 1_000_000
-    # the sequence replayed by hand is undecided after chunk 0
+    # the sequence replayed by hand is undecided after chunks 0 and 1
     _, exact_hi = ExactSide(exact).bounds()
     sequence = _Sequence(HalfBall(4), NO_FIXED_POINT, cfg, verdict.lhs.alpha)
-    for job in sequence.jobs[:2]:
+    for job in sequence.jobs[:3]:
         sequence.add(_chunk_stats(*job))
         decided = sequence.bounds()[0] > exact_hi
         assert decided == (sequence.stats[0] == est.n)
     assert sequence.bounds() == verdict.lhs.bounds()
     trace = verdict.trace_dict()
-    assert trace["lhs"] == {"samples": est.n, "chunks": 2, "budget": 1_000_000,
+    assert trace["lhs"] == {"samples": est.n, "chunks": 3, "budget": 1_000_000,
                             "alpha": verdict.lhs.alpha, "range": verdict.lhs.value_range,
                             "stop": "decided"}
     assert trace["margin"] > 1.0
