@@ -1,9 +1,11 @@
 """Moments of volumes of random simplices in convex bodies.
 
-Exact closed forms (interval, ball, half-ball, triangle, with or without a
-fixed vertex) in certified pi-polynomial arithmetic, plus reproducible Monte
-Carlo estimation strong enough to certify strict inequalities between moments,
-in particular the failures of monotonicity under set inclusion.
+Exact closed forms in certified pi-polynomial arithmetic (interval; ball,
+free or with its center as a vertex; half-ball with its base center as a
+vertex; triangle, free or with an edge midpoint as a vertex; tetrahedron, free,
+at k = 1), plus reproducible Monte Carlo estimation strong enough to certify
+strict inequalities between moments, in particular the failures of
+monotonicity under set inclusion.
 """
 
 __version__ = "0.1.0"

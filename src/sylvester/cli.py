@@ -22,6 +22,7 @@ from .exactnum import PiPolynomial
 from .moments import (
     BODY_KINDS,
     FIXED_KINDS,
+    Q_DECREASING_FROM,
     SUPPORT,
     MomentQuery,
     check_closed_form_size,
@@ -332,7 +333,7 @@ def cmd_qscan(ns) -> int:
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
     first_below = next((r["k"] for r in rows if r["below_one"]), None)
-    threshold = 4 if ns.d == 2 else 2
+    threshold = Q_DECREASING_FROM[ns.d]
     monotone = all(qs[k] < qs[k - 1] for k in range(threshold, ns.k_max))
     for row in rows:
         _emit(row, ns.table,

@@ -23,7 +23,7 @@ come from the two ends of that enclosure, chosen by the signs of c and h.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, total_ordering
 from math import factorial, isqrt
 from typing import Iterator, Mapping
 
@@ -104,6 +104,7 @@ def _coerce(value) -> "PiPolynomial | None":
     return None
 
 
+@total_ordering
 class PiPolynomial:
     """A number of the form sum_h coef(h) * pi^(h/2), held exactly.
 
@@ -287,24 +288,6 @@ class PiPolynomial:
         if other is None:
             return NotImplemented
         return (self - other).sign() < 0
-
-    def __le__(self, other) -> bool:
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return (self - other).sign() <= 0
-
-    def __gt__(self, other) -> bool:
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return (self - other).sign() > 0
-
-    def __ge__(self, other) -> bool:
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return (self - other).sign() >= 0
 
     # -- numeric evaluation ----------------------------------------------------
 

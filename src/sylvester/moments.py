@@ -3,9 +3,10 @@
 A "random simplex" in a convex body K is the convex hull of d+1 points drawn
 independently and uniformly from K; optionally one vertex is pinned at a fixed
 point x (written below as the "fixed-vertex" variant).  For intervals, balls,
-balls with a fixed center vertex, half-balls with the base center fixed,
-triangles, and triangles with an edge-midpoint vertex, the k-th moment of the
-simplex volume has an exact closed form in the ring handled by
+balls with a fixed center vertex, half-balls with the base center fixed (the
+free half-ball has none), triangles, triangles with an edge-midpoint vertex,
+and the free tetrahedron at k = 1, the k-th moment of the simplex volume has
+an exact closed form in the ring handled by
 :mod:`sylvester.exactnum`; this module evaluates all of them, plus the ratio
 quantities used to exhibit failures of monotonicity under set inclusion.
 
@@ -260,8 +261,10 @@ def table1_rows() -> list[Table1Row]:
 
 #: First moment order at which the triangle family fails monotonicity in the plane.
 PLANE_CRITICAL_ORDER = 3
-#: First order at which q(2, .) < 1; q(2, .) decreases strictly from order 4 on.
+#: First order at which q(2, .) < 1.
 HALFDISK_CRITICAL_ORDER = 11
+#: d -> the order k from which q(d, .) decreases strictly: q(d, k+1) < q(d, k).
+Q_DECREASING_FROM = {2: 4, 3: 2}
 
 
 @dataclass(frozen=True)
@@ -293,7 +296,8 @@ def plane_counterexample_report(k: int) -> PlaneCounterexampleReport:
     edge-midpoint ratio is 10/9 at k=1 and exactly 1 at k=2).  Orders 3..10 use
     the triangle family, whose exact ratio drops below 1.  From order 11 on the
     half-disk family takes over: q(2,k) < 1 there, and q(2,.) decreases
-    strictly from order 4, so the witness persists for every larger k.
+    strictly from order ``Q_DECREASING_FROM[2]``, so the witness persists for
+    every larger k.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -333,8 +337,8 @@ def plane_counterexample_report(k: int) -> PlaneCounterexampleReport:
         q2=q2,
         note=(
             f"half-disk with base-center vertex: q(2,{k}) = {q2} < 1; "
-            f"q(2,.) decreases strictly from order 4 and is < 1 from order "
-            f"{HALFDISK_CRITICAL_ORDER} on"
+            f"q(2,.) decreases strictly from order {Q_DECREASING_FROM[2]} and is < 1 "
+            f"from order {HALFDISK_CRITICAL_ORDER} on"
         ),
     )
 

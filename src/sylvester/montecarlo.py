@@ -17,7 +17,8 @@ SFC64, which draws normals, uniforms and exponentials faster than Philox.
 Chunk accumulators are merged pairwise in index order with the standard
 two-sample mean/M2 combination, so a given :class:`EstimatorConfig` yields
 bit-identical results at any thread count.  Chunks run on ``os.cpu_count()``
-threads unless SYLVESTER_THREADS or the ``workers`` argument says otherwise.
+threads, or on fewer when SYLVESTER_THREADS or the ``workers`` argument asks
+for fewer.
 
 Layout: a chunk's points are drawn coordinate-major, into one (m, d, n)
 buffer for n simplices of m points, and handed on as its (n, m, d) transposed
@@ -39,7 +40,7 @@ from __future__ import annotations
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import reduce
 from itertools import chain, islice, repeat
 from math import factorial, inf, log, nextafter, sqrt
@@ -129,36 +130,17 @@ class Ball:
         return {"kind": "ball", "d": self.d}
 
 
-@dataclass(frozen=True)
-class HalfBall:
+class HalfBall(Ball):
     """The unit ball in R^d intersected with the half-space {x_1 >= 0}.
 
     The origin is the center of the flat base, and lies on the boundary.
     """
 
-    d: int
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"half-ball dimension must be >= 1, got {self.d}")
-
-    @property
-    def dimension(self) -> int:
-        return self.d
-
     def volume(self) -> float:
-        return kappa(self.d).to_float() / 2.0
-
-    def max_simplex_volume(self) -> float:
-        return _hadamard_bound(self.d)
+        return super().volume() / 2.0
 
     def contains(self, point) -> bool:
-        p = np.asarray(point, dtype=float)
-        return (
-            p.shape == (self.d,)
-            and float(p @ p) <= 1.0 + _MEMBERSHIP_TOL
-            and p[0] >= -_MEMBERSHIP_TOL
-        )
+        return super().contains(point) and float(point[0]) >= -_MEMBERSHIP_TOL
 
     def to_json_dict(self) -> dict:
         return {"kind": "halfball", "d": self.d}
@@ -292,7 +274,7 @@ def _sample_batch(body: Body, rng: np.random.Generator, n: int, m: int) -> np.nd
         x = rng.random((m, 1, n))
         x *= body.length
         return x.transpose(2, 0, 1)
-    if isinstance(body, Ball) or isinstance(body, HalfBall):
+    if isinstance(body, Ball):
         d = body.d
         x = rng.standard_normal((m, d, n))
         r = rng.random((m, n)) ** (1.0 / d)
@@ -382,13 +364,7 @@ class EstimatorConfig:
             raise ValueError("confidence must lie in (0, 1)")
 
     def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "chunk_size": self.chunk_size,
-            "confidence": self.confidence,
-        }
+        return asdict(self)
 
 
 def make_config(k: int, n_samples: int, seed: int = 0, chunk_size: int = DEFAULT_CHUNK,
@@ -493,9 +469,11 @@ def _chunk_stream(jobs: list[tuple], workers: int):
     yielded, up to 2 x ``workers``: a caller that stops after a chunk or two
     leaves little speculative work behind, and a long run keeps every thread
     busy.  Closing the generator cancels the chunks not yet started and waits
-    for those running.
+    for those running.  The pool has at most one thread per core and per
+    job: numpy-bound chunks gain nothing from more threads than cores, and
+    each thread holds a chunk's arrays.
     """
-    workers = min(workers, len(jobs))
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers <= 1:
         for job in jobs:
             yield _chunk_stats(*job)
@@ -593,38 +571,6 @@ class ExactSide:
         }
 
 
-@dataclass(frozen=True)
-class EstimatedSide:
-    """A comparand backed by Monte Carlo samples.
-
-    ``estimate`` is taken where the certification stopped; its CI is the
-    confidence sequence's, which errs at any time with probability at most
-    ``alpha``, for samples that lie in [0, ``value_range``].
-    """
-
-    estimate: MomentEstimate
-    alpha: float
-    value_range: float
-
-    def bounds(self) -> tuple[float, float]:
-        return self.estimate.ci_low, self.estimate.ci_high
-
-    def to_json_dict(self) -> dict:
-        return {"type": "estimate", "estimate": self.estimate.to_json_dict()}
-
-    def trace_dict(self) -> dict:
-        est = self.estimate
-        return {
-            "samples": est.n,
-            "chunks": -(-est.n // est.config.chunk_size),
-            "budget": est.config.n_samples,
-            "alpha": self.alpha,
-            "range": self.value_range,
-        }
-
-
-ComparisonSide = Union[ExactSide, EstimatedSide]
-
 #: Relations a verdict can certify.
 LHS_GREATER = "lhs>rhs"
 RHS_GREATER = "rhs>lhs"
@@ -635,8 +581,8 @@ INCONCLUSIVE = "inconclusive"
 class CounterexampleVerdict:
     """Outcome of comparing two moment quantities at a confidence level."""
 
-    lhs: ComparisonSide
-    rhs: ComparisonSide
+    lhs: ExactSide | EstimatedSide
+    rhs: ExactSide | EstimatedSide
     relation: str
     confidence: float
 
@@ -690,13 +636,15 @@ def _stitched_boundary(v: float, c: float, alpha: float) -> float:
     return sqrt(_K1 * _K1 * v * ell + linear * linear) + linear
 
 
-class _Sequence:
-    """An estimated side as an empirical-Bernstein confidence sequence.
+class EstimatedSide:
+    """A comparand backed by Monte Carlo samples: an empirical-Bernstein
+    confidence sequence, which errs at any time with probability at most
+    ``alpha``.
 
-    Samples V^k lie in [0, R], R = (largest simplex volume in the body)^k.
-    Chunk j is predicted by p_j, the mean of the chunks before it clipped to
-    [0, R] (0 for chunk 0).  Then sum(x_i - mu) is sub-exponential, hence
-    sub-gamma, with scale R and variance process V = sum (x_i - p_j)^2
+    Samples V^k lie in [0, R], R = ``value_range`` = (largest simplex volume in
+    the body)^k.  Chunk j is predicted by p_j, the mean of the chunks before it
+    clipped to [0, R] (0 for chunk 0).  Then sum(x_i - mu) is sub-exponential,
+    hence sub-gamma, with scale R and variance process V = sum (x_i - p_j)^2
     (Howard et al. 2021), and V grows by M2_j + n_j (mean_j - p_j)^2, exactly
     from the chunk's (n, mean, M2).  Each tail gets ``alpha / 2``.
     """
@@ -721,9 +669,23 @@ class _Sequence:
         half = _stitched_boundary(self.variance_process, self.value_range, self.alpha / 2) / n
         return max(mean - half, 0.0), min(mean + half, self.value_range)
 
-    def side(self) -> EstimatedSide:
-        estimate = _estimate(self.stats, self.config, self.body, self.fixed, self.bounds())
-        return EstimatedSide(estimate, self.alpha, self.value_range)
+    @property
+    def estimate(self) -> MomentEstimate:
+        """The estimate so far; its CI is the confidence sequence's."""
+        return _estimate(self.stats, self.config, self.body, self.fixed, self.bounds())
+
+    def to_json_dict(self) -> dict:
+        return {"type": "estimate", "estimate": self.estimate.to_json_dict()}
+
+    def trace_dict(self) -> dict:
+        n = self.stats[0]
+        return {
+            "samples": n,
+            "chunks": -(-n // self.config.chunk_size),
+            "budget": self.config.n_samples,
+            "alpha": self.alpha,
+            "range": self.value_range,
+        }
 
 
 def _relation(lhs, rhs) -> str:
@@ -764,8 +726,8 @@ def certify_counterexample(lhs: MomentSpec, rhs: MomentSpec,
         else:
             body, fixed, k = spec
             side_config = replace(config, k=k, seed=(config.seed + offset) % 2**64)
-            sides.append(_Sequence(body, fixed, side_config, alpha))
-    running = [side for side in sides if isinstance(side, _Sequence)]
+            sides.append(EstimatedSide(body, fixed, side_config, alpha))
+    running = [side for side in sides if isinstance(side, EstimatedSide)]
     relation = INCONCLUSIVE if running else _relation(*sides)
     jobs = [job for index in zip(*(side.jobs for side in running)) for job in index]
     stream = _chunk_stream(jobs, workers)
@@ -779,8 +741,6 @@ def certify_counterexample(lhs: MomentSpec, rhs: MomentSpec,
                 break
     finally:
         stream.close()
-    lhs_side, rhs_side = (side.side() if isinstance(side, _Sequence) else side
-                          for side in sides)
     return CounterexampleVerdict(
-        lhs=lhs_side, rhs=rhs_side, relation=relation, confidence=config.confidence
+        lhs=sides[0], rhs=sides[1], relation=relation, confidence=config.confidence
     )

@@ -1,5 +1,6 @@
 import functools
 import json
+import operator
 from fractions import Fraction
 
 import mpmath
@@ -200,6 +201,15 @@ def test_comparison_operators():
     assert PI >= PI
     assert PI <= PI
     assert not PI > PI
+    # an int or a Fraction on the left
+    assert 3 < PI and 3 <= PI and not 3 > PI and not 3 >= PI
+    assert F(22, 7) > PI and F(22, 7) >= PI and not F(22, 7) < PI and not F(22, 7) <= PI
+    # the equal case, on a rational value and on an irrational one
+    for x, same in ((PiPolynomial.from_rational(F(1, 2)), F(1, 2)), (kappa(2), PI)):
+        assert x <= same and x >= same and not x > same and not x < same
+    for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(TypeError):
+            compare(PI, "3")
 
 
 def test_equality_with_numbers():

@@ -146,6 +146,8 @@ def test_body_validation():
         Ball(0)
     with pytest.raises(ValueError):
         HalfBall(-1)
+    assert HalfBall(3) != Ball(3)
+    assert HalfBall(3).to_json_dict()["kind"] != Ball(3).to_json_dict()["kind"]
     with pytest.raises(ValueError):
         Simplex(((0.0, 0.0), (1.0, 1.0), (2.0, 2.0)))
 
@@ -159,6 +161,8 @@ def test_membership():
     assert half.contains((0, 0, 0))
     assert half.contains((0.5, 0.5, 0))
     assert not half.contains((-0.5, 0, 0))
+    assert ball.contains((-0.5, 0, 0))
+    assert not half.contains((0.5, 0))
     tri = unit_area_triangle()
     assert tri.contains(triangle_edge_midpoint().array())
     assert not tri.contains((2.0, 2.0))
@@ -463,11 +467,17 @@ def test_pool_is_capped_at_chunk_count(monkeypatch):
     monkeypatch.setenv("SYLVESTER_THREADS", "100000")
     cfg = make_config(k=1, n_samples=3_000, seed=3, chunk_size=1_000)
     capped = estimate_moment(Ball(2), NO_FIXED_POINT, cfg)
-    assert seen == [3]
+    cores = os.cpu_count() or 1
+    pools = [min(3, cores)] if cores > 1 else []
+    assert seen == pools
     # one chunk needs no pool at all
     estimate_moment(Ball(2), NO_FIXED_POINT, make_config(k=1, n_samples=1_000, seed=3))
-    assert seen == [3]
+    assert seen == pools
     assert capped.mean == estimate_moment(Ball(2), NO_FIXED_POINT, cfg, workers=1).mean
+    # more chunks than cores: one thread per core
+    many = make_config(k=1, n_samples=(cores + 2) * 100, seed=3, chunk_size=100)
+    estimate_moment(Ball(2), NO_FIXED_POINT, many)
+    assert seen == pools + ([cores] if cores > 1 else [])
 
 
 def test_default_chunk_is_two_to_the_fifteenth():
@@ -624,7 +634,7 @@ def test_confidence_sequence_coverage_audit():
     The CLT interval at 99%, from one 16-sample chunk, is recorded beside it:
     at k = 3 it misses far more often than 1%.
     """
-    from sylvester.montecarlo import _chunk_stats, _Sequence
+    from sylvester.montecarlo import EstimatedSide, _chunk_stats
 
     origin = FixedPoint((0.0, 0.0, 0.0))
     cases = {f"ball-d3-origin k={k}": (Ball(3), origin, k, ball_fixed_moment(3, k))
@@ -639,7 +649,7 @@ def test_confidence_sequence_coverage_audit():
         for seed in range(runs):
             cfg = make_config(k=k, n_samples=16 * 128, seed=seed, chunk_size=128,
                               confidence=1 - delta)
-            sequence = _Sequence(body, fixed, cfg, delta)
+            sequence = EstimatedSide(body, fixed, cfg, delta)
             missed = False
             for job in sequence.jobs:
                 sequence.add(_chunk_stats(*job))
@@ -715,7 +725,7 @@ def test_closing_the_chunk_stream_cancels_what_has_not_started(monkeypatch):
 
 
 def test_certification_stops_at_the_first_decided_chunk():
-    from sylvester.montecarlo import _chunk_stats, _Sequence
+    from sylvester.montecarlo import EstimatedSide, _chunk_stats
 
     cfg = make_config(k=1, n_samples=1_000_000, seed=8, chunk_size=4_096)
     exact = ball_fixed_moment(4, 1)
@@ -726,7 +736,7 @@ def test_certification_stops_at_the_first_decided_chunk():
     assert est.config.n_samples == 1_000_000
     # the sequence replayed by hand is undecided after chunks 0 and 1
     _, exact_hi = ExactSide(exact).bounds()
-    sequence = _Sequence(HalfBall(4), NO_FIXED_POINT, cfg, verdict.lhs.alpha)
+    sequence = EstimatedSide(HalfBall(4), NO_FIXED_POINT, cfg, verdict.lhs.alpha)
     for job in sequence.jobs[:3]:
         sequence.add(_chunk_stats(*job))
         decided = sequence.bounds()[0] > exact_hi
