@@ -8,6 +8,8 @@ strict inequalities between moments, in particular the failures of
 monotonicity under set inclusion.
 """
 
+from importlib import import_module
+
 __version__ = "0.1.0"
 
 #: Simplices per Monte Carlo chunk unless a config says otherwise.  Defined
@@ -15,113 +17,82 @@ __version__ = "0.1.0"
 #: its ``--chunk`` default without loading numpy.
 DEFAULT_CHUNK = 2**15
 
-from .exactnum import (
-    PI,
-    SQRT_PI,
-    PiPolynomial,
-    PrecisionError,
-    Rational,
-    gamma_half,
-    kappa,
-    omega,
-    pi_power,
-    to_decimal,
-)
-from .moments import (
-    MomentQuery,
-    PlaneCounterexampleReport,
-    Table1Row,
-    UnsupportedQueryError,
-    ball_fixed_moment,
-    ball_moment,
-    exact_moment,
-    exact_ratio_bound,
-    halfball_fixed_moment,
-    cutoff_integral_right_angle,
-    cutoff_integral_acute,
-    interval_moment,
-    plane_counterexample_report,
-    q_ratio,
-    scale_to_volume,
-    table1_rows,
-    tetrahedron_moment_k1,
-    midpoint_moment_from_cutoff_integrals,
-    triangle_midpoint_moment,
-    triangle_moment,
-    tx_over_t_ratio,
-)
+# Every public name, by the submodule that defines it.  A submodule is imported
+# on the first use of one of its names, or of its own name (PEP 562), so
+# ``import sylvester`` imports none, and only a sampling user loads numpy.
+_EXPORTS = {
+    "exactnum": (
+        "PI",
+        "SQRT_PI",
+        "PiPolynomial",
+        "PrecisionError",
+        "Rational",
+        "gamma_half",
+        "kappa",
+        "omega",
+        "pi_power",
+        "to_decimal",
+    ),
+    "moments": (
+        "MomentQuery",
+        "PlaneCounterexampleReport",
+        "Table1Row",
+        "UnsupportedQueryError",
+        "ball_fixed_moment",
+        "ball_moment",
+        "exact_moment",
+        "exact_ratio_bound",
+        "halfball_fixed_moment",
+        "cutoff_integral_right_angle",
+        "cutoff_integral_acute",
+        "interval_moment",
+        "plane_counterexample_report",
+        "q_ratio",
+        "scale_to_volume",
+        "table1_rows",
+        "tetrahedron_moment_k1",
+        "midpoint_moment_from_cutoff_integrals",
+        "triangle_midpoint_moment",
+        "triangle_moment",
+        "tx_over_t_ratio",
+    ),
+    "montecarlo": (
+        "Ball",
+        "Body",
+        "CounterexampleVerdict",
+        "EstimatedSide",
+        "EstimatorConfig",
+        "ExactSide",
+        "FixedPoint",
+        "FixedPointSpec",
+        "HalfBall",
+        "Interval",
+        "MomentEstimate",
+        "NO_FIXED_POINT",
+        "NoFixedPoint",
+        "Simplex",
+        "certify_counterexample",
+        "estimate_moment",
+        "make_config",
+        "simplex_volume",
+        "tetrahedron_facet_centroid",
+        "triangle_edge_midpoint",
+        "unit_area_triangle",
+        "unit_volume_tetrahedron",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-# The Monte Carlo names come from ``.montecarlo``, which loads numpy; the exact
-# path never needs it, so they are imported on first use (PEP 562).
-_MONTECARLO_NAMES = (
-    "Ball",
-    "Body",
-    "CounterexampleVerdict",
-    "EstimatedSide",
-    "EstimatorConfig",
-    "ExactSide",
-    "FixedPoint",
-    "FixedPointSpec",
-    "HalfBall",
-    "Interval",
-    "MomentEstimate",
-    "NO_FIXED_POINT",
-    "NoFixedPoint",
-    "Simplex",
-    "certify_counterexample",
-    "estimate_moment",
-    "make_config",
-    "simplex_volume",
-    "tetrahedron_facet_centroid",
-    "triangle_edge_midpoint",
-    "unit_area_triangle",
-    "unit_volume_tetrahedron",
-)
+__all__ = list(_HOME)
 
 
 def __getattr__(name: str):
-    if name in _MONTECARLO_NAMES:
-        from . import montecarlo
-
-        return getattr(montecarlo, name)
+    if name in _EXPORTS:
+        return import_module(f".{name}", __name__)
+    if name in _HOME:
+        return getattr(import_module(f".{_HOME[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *_MONTECARLO_NAMES})
-
-
-__all__ = [
-    "PI",
-    "SQRT_PI",
-    "PiPolynomial",
-    "PrecisionError",
-    "Rational",
-    "gamma_half",
-    "kappa",
-    "omega",
-    "pi_power",
-    "to_decimal",
-    "MomentQuery",
-    "PlaneCounterexampleReport",
-    "Table1Row",
-    "UnsupportedQueryError",
-    "ball_fixed_moment",
-    "ball_moment",
-    "exact_moment",
-    "exact_ratio_bound",
-    "halfball_fixed_moment",
-    "cutoff_integral_right_angle",
-    "cutoff_integral_acute",
-    "interval_moment",
-    "plane_counterexample_report",
-    "q_ratio",
-    "scale_to_volume",
-    "table1_rows",
-    "tetrahedron_moment_k1",
-    "midpoint_moment_from_cutoff_integrals",
-    "triangle_midpoint_moment",
-    "triangle_moment",
-    "tx_over_t_ratio",
-    *_MONTECARLO_NAMES,
-]
+    return sorted({*globals(), *_EXPORTS, *__all__})

@@ -89,8 +89,12 @@ def _manifest(ns: argparse.Namespace) -> None:
     print(json.dumps(manifest, sort_keys=True), file=sys.stderr)
 
 
-class _UsageError(Exception):
-    pass
+def _fraction(text: str) -> Fraction:
+    # argparse reports a ValueError from ``type`` but lets a ZeroDivisionError through
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
 
 
 def _digits(text: str) -> int:
@@ -128,7 +132,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, str]]]
         opt(p, "--fixed", default="none", choices=FIXED_KINDS)
         opt(p, "--d", type=int)
         opt(p, "--k", type=int, default=1)
-        opt(p, "--l", type=Fraction, default=None,
+        opt(p, "--l", type=_fraction, default=None,
             help="interval length (fraction or decimal), for --body interval only")
 
     p = sub.add_parser("table1", help="triangle moment table for k=3..10, checked against frozen values")
@@ -203,10 +207,10 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 def _query(ns) -> MomentQuery:
     """The query the --body/--fixed/--d/--k/--l flags select; ValueError if unsupported."""
     if ns.body is None:
-        raise _UsageError("--body is required")
+        raise ValueError("--body is required")
     d = SUPPORT[ns.body, ns.fixed].d if ns.d is None else ns.d
     if d is None:
-        raise _UsageError(f"--d is required for body {ns.body}")
+        raise ValueError(f"--d is required for body {ns.body}")
     return MomentQuery(d=d, k=ns.k, body_kind=ns.body, fixed_kind=ns.fixed, l=ns.l)
 
 
@@ -243,17 +247,14 @@ def _render_table1_row(r: dict) -> str:
 
 
 def cmd_exact(ns) -> int:
-    try:
-        query = _query(ns)
-        value = exact_moment(query)
-        decimal = value.to_decimal(ns.digits)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    query = _query(ns)
+    value = exact_moment(query)
+    decimal = value.to_decimal(ns.digits)
     try:
         exact, exact_str = value.to_json_dict(), str(value)
     except ValueError as exc:  # the interpreter's limit on integer-to-string conversion
-        raise _UsageError(f"the exact value has a coefficient of more than "
-                          f"{sys.get_int_max_str_digits()} digits, too long to print") from exc
+        raise ValueError(f"the exact value has a coefficient of more than "
+                         f"{sys.get_int_max_str_digits()} digits, too long to print") from exc
     record = {
         "query": query.to_json_dict(),
         "exact": exact,
@@ -269,13 +270,10 @@ def cmd_mc(ns) -> int:
     # imported here: montecarlo loads numpy, which only mc and counterexample need
     from .montecarlo import estimate_moment, make_config
 
-    try:
-        body, fixed = _sampler(_query(ns))
-        config = make_config(k=ns.k, n_samples=ns.n, seed=ns.seed,
-                             chunk_size=ns.chunk, confidence=ns.confidence)
-        estimate = estimate_moment(body, fixed, config)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    body, fixed = _sampler(_query(ns))
+    config = make_config(k=ns.k, n_samples=ns.n, seed=ns.seed,
+                         chunk_size=ns.chunk, confidence=ns.confidence)
+    estimate = estimate_moment(body, fixed, config)
     record = estimate.to_json_dict()
     _emit(record, ns.table,
           lambda r: (f"mean={r['mean']:.9g}  se={r['std_error']:.3g}  "
@@ -295,12 +293,9 @@ def cmd_counterexample(ns) -> int:
     from .montecarlo import INCONCLUSIVE, LHS_GREATER, certify_counterexample, make_config
 
     lhs, rhs = SCENARIOS[ns.scenario]
-    try:
-        config = make_config(k=1, n_samples=ns.n, seed=ns.seed,
-                             chunk_size=ns.chunk, confidence=ns.confidence)
-        verdict = certify_counterexample(_side(lhs), _side(rhs), config)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    config = make_config(k=1, n_samples=ns.n, seed=ns.seed,
+                         chunk_size=ns.chunk, confidence=ns.confidence)
+    verdict = certify_counterexample(_side(lhs), _side(rhs), config)
     print(json.dumps({"certification": verdict.trace_dict()}, sort_keys=True), file=sys.stderr)
     certified = verdict.relation == LHS_GREATER
     record = {
@@ -322,16 +317,13 @@ def cmd_counterexample(ns) -> int:
 
 def cmd_qscan(ns) -> int:
     if ns.k_max < 2:
-        raise _UsageError("--k-max must be >= 2")
-    try:
-        check_closed_form_size(ns.d, ns.k_max)
-        qs = [q_ratio(ns.d, k) for k in range(1, ns.k_max + 1)]  # qs[k - 1] = q(d, k)
-        rows = [{"k": k, "q": str(q),
-                 "q_decimal": PiPolynomial.from_rational(q).to_decimal(ns.digits),
-                 "below_one": q < 1}
-                for k, q in enumerate(qs, 1)]
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+        raise ValueError("--k-max must be >= 2")
+    check_closed_form_size(ns.d, ns.k_max)
+    qs = [q_ratio(ns.d, k) for k in range(1, ns.k_max + 1)]  # qs[k - 1] = q(d, k)
+    rows = [{"k": k, "q": str(q),
+             "q_decimal": PiPolynomial.from_rational(q).to_decimal(ns.digits),
+             "below_one": q < 1}
+            for k, q in enumerate(qs, 1)]
     first_below = next((r["k"] for r in rows if r["below_one"]), None)
     threshold = Q_DECREASING_FROM[ns.d]
     monotone = all(qs[k] < qs[k - 1] for k in range(threshold, ns.k_max))
@@ -376,7 +368,7 @@ def main(argv: list[str] | None = None) -> int:
     _manifest(ns)
     try:
         return _COMMANDS[ns.command](ns)
-    except _UsageError as exc:
+    except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import comb, factorial, perm
 from typing import TYPE_CHECKING, Callable
 
-from .exactnum import PiPolynomial, gamma_half_parts, kappa
+from .exactnum import PiPolynomial, gamma_half_parts
 
 if TYPE_CHECKING:
     from . import montecarlo as mc
@@ -186,16 +186,16 @@ def q_ratio(d: int, k: int) -> Fraction:
 def exact_ratio_bound(d: int, k: int) -> PiPolynomial:
     """Exact upper bound for the fixed-vertex/free moment ratio in the d-half-ball.
 
-    The value 2^k (kappa_d / kappa_{d+k}) (kappa_{(d+1)(d+k)} / kappa_{d(d+k+1)}),
-    obtained by bounding the free moment from below through the ball of the
-    half-ball's volume.
+    The base-center moment over the free moment in the ball of the half-ball's
+    volume, kappa_d / 2, which bounds the free moment from below.  Scaling to
+    that ball (r^d = 1/2) divides the free moment by 2^k, so the bound is
+    2^k ball_fixed_moment(d, k) / ball_moment(d, k), equal to
+    2^k (kappa_d / kappa_{d+k}) (kappa_{(d+1)(d+k)} / kappa_{d(d+k+1)}).
     """
     _check_dim(d)
     if k < 1:
         raise ValueError("exact_ratio_bound requires k >= 1")
-    value = PiPolynomial.from_rational(Fraction(2) ** k)
-    value = value * kappa(d) / kappa(d + k)
-    return value * kappa((d + 1) * (d + k)) / kappa(d * (d + k + 1))
+    return ball_fixed_moment(d, k) * Fraction(2) ** k / ball_moment(d, k)
 
 
 def tx_over_t_ratio(k: int) -> Fraction:
@@ -396,7 +396,7 @@ def _origin(d: int) -> mc.FixedPoint:
 #: (body kind, fixed kind) -> :class:`Support`; looking up any other pair
 #: raises :class:`UnsupportedQueryError` listing the supported ones.
 SUPPORT = _SupportTable({
-    ("interval", "none"): Support(1, lambda d, l: _mc().Interval(float(_length(l))), _no_fixed,
+    ("interval", "none"): Support(1, lambda d, l: _mc().Interval(_length(l)), _no_fixed,
                                   lambda d, k, l: interval_moment(k, _length(l))),
     ("ball", "none"): Support(None, lambda d, l: _mc().Ball(d), _no_fixed,
                               lambda d, k, l: ball_moment(d, k)),

@@ -32,7 +32,9 @@ default chunk of 2^15 simplices fits for d <= 15.
 
 Certification is sequential: each estimated side is a time-uniform
 empirical-Bernstein confidence sequence, tested after every chunk, and the
-run stops at the first chunk that decides the relation.
+run stops at the first chunk that decides the relation.  A chunk's job is
+computed only when the chunk is drawn, so the part of a budget a run does
+not use costs nothing.
 """
 
 from __future__ import annotations
@@ -43,9 +45,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from functools import reduce
 from itertools import chain, islice, repeat
-from math import factorial, inf, log, nextafter, sqrt
+from math import factorial, inf, isfinite, log, nextafter, sqrt
 from statistics import NormalDist
-from typing import Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -65,31 +67,36 @@ MAX_CHUNK_BYTES = 2**26
 
 @dataclass(frozen=True)
 class Interval:
-    """The segment [0, length] in R^1."""
+    """The segment [0, length] in R^1; the length is stored as a double."""
 
     length: float = 1.0
 
     def __post_init__(self):
-        if not self.length > 0:
-            raise ValueError(f"interval length must be positive, got {self.length}")
+        try:
+            length = float(self.length)
+        except OverflowError:  # an int or Fraction beyond the double range
+            length = inf
+        if not 0.0 < length < inf:
+            raise ValueError(f"interval length must be a positive finite double, got {length}")
+        object.__setattr__(self, "length", length)
 
     @property
     def dimension(self) -> int:
         return 1
 
     def volume(self) -> float:
-        return float(self.length)
+        return self.length
 
     def max_simplex_volume(self) -> float:
         """Largest volume of a simplex with vertices in the body: its length."""
-        return float(self.length)
+        return self.length
 
     def contains(self, point) -> bool:
         (x,) = np.asarray(point, dtype=float)
         return -_MEMBERSHIP_TOL <= x <= self.length + _MEMBERSHIP_TOL
 
     def to_json_dict(self) -> dict:
-        return {"kind": "interval", "length": float(self.length)}
+        return {"kind": "interval", "length": self.length}
 
 
 def _hadamard_bound(d: int) -> float:
@@ -411,13 +418,6 @@ class MomentEstimate:
         }
 
 
-def _chunk_sizes(n: int, chunk: int) -> list[int]:
-    sizes = [chunk] * (n // chunk)
-    if n % chunk:
-        sizes.append(n % chunk)
-    return sizes
-
-
 def _chunk_stats(body: Body, fixed: FixedPointSpec, k: int, seed: int,
                  index: int, size: int) -> tuple[int, float, float]:
     # an explicit uint64 key: a list holding a seed >= 2^63 would pass through float64
@@ -432,9 +432,12 @@ def _chunk_stats(body: Body, fixed: FixedPointSpec, k: int, seed: int,
         vecs = pts[:, 1:, :] - pts[:, :1, :]
     del pts
     vols = _batched_abs_det(vecs) / factorial(d)
-    x = np.ones(size) if k == 0 else vols**k
-    mean = float(x.mean())
-    m2 = float(((x - mean) ** 2).sum())
+    # a moment beyond the double range gives inf or nan here, which the
+    # estimate rejects from the merged stats
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.ones(size) if k == 0 else vols**k
+        mean = float(x.mean())
+        m2 = float(((x - mean) ** 2).sum())
     return size, mean, m2
 
 
@@ -462,24 +465,29 @@ def _resolve_workers(workers: int | None) -> int:
     return max(1, workers)
 
 
-def _chunk_stream(jobs: list[tuple], workers: int):
+def _chunk_stream(jobs: Iterable[tuple], workers: int):
     """``_chunk_stats(*job)`` for each job, yielded in job order.
 
-    ``workers`` chunks are in flight at first, and one more after each chunk
-    yielded, up to 2 x ``workers``: a caller that stops after a chunk or two
-    leaves little speculative work behind, and a long run keeps every thread
-    busy.  Closing the generator cancels the chunks not yet started and waits
-    for those running.  The pool has at most one thread per core and per
-    job: numpy-bound chunks gain nothing from more threads than cores, and
-    each thread holds a chunk's arrays.
+    The pool has at most ``workers`` threads, one per core and one per job:
+    numpy-bound chunks gain nothing from more threads than cores, and each
+    thread holds a chunk's arrays.  The first ``min(workers, cores)`` jobs
+    are drawn to size it, the others only as their chunks are submitted; a
+    pool of one thread is not started, and the chunks run in the caller's
+    thread.  As many chunks as threads are in flight at first, and one more
+    after each chunk yielded, up to twice as many: a caller that stops after
+    a chunk or two leaves little speculative work behind, and a long run
+    keeps every thread busy.  Closing the generator cancels the chunks not
+    yet started and waits for those running.
     """
-    workers = min(workers, len(jobs), os.cpu_count() or 1)
+    jobs = iter(jobs)
+    first = list(islice(jobs, min(workers, os.cpu_count() or 1)))
+    todo = chain(first, jobs)
+    workers = len(first)
     if workers <= 1:
-        for job in jobs:
+        for job in todo:
             yield _chunk_stats(*job)
         return
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        todo = iter(jobs)
         pending = deque()
         try:
             for depth in chain(range(workers, 2 * workers), repeat(2 * workers)):
@@ -493,16 +501,20 @@ def _chunk_stream(jobs: list[tuple], workers: int):
                 future.cancel()
 
 
-def _check_fixed(body: Body, fixed: FixedPointSpec) -> None:
+def _jobs(body: Body, fixed: FixedPointSpec, config: EstimatorConfig) -> Iterator[tuple]:
+    """The ``_chunk_stats`` arguments of a run's chunks, in index order.
+
+    The fixed vertex, the chunk's bytes and the dimension are checked now,
+    with ValueError.  The jobs are computed as they are drawn: job i has
+    ``min(chunk_size, n_samples - i * chunk_size)`` simplices, so a budget
+    costs nothing until its chunks are drawn.
+    """
+    d = body.dimension
     if isinstance(fixed, FixedPoint):
-        if len(fixed.coords) != body.dimension:
+        if len(fixed.coords) != d:
             raise ValueError("fixed point dimension does not match the body")
         if not body.contains(fixed.array()):
             raise ValueError(f"fixed point {fixed.coords} lies outside the body")
-
-
-def _jobs(body: Body, fixed: FixedPointSpec, config: EstimatorConfig) -> list[tuple]:
-    d = body.dimension
     point_bytes = (d if isinstance(fixed, FixedPoint) else d + 1) * d * 8
     if config.chunk_size * point_bytes > MAX_CHUNK_BYTES:
         raise ValueError(
@@ -510,8 +522,12 @@ def _jobs(body: Body, fixed: FixedPointSpec, config: EstimatorConfig) -> list[tu
             f"{config.chunk_size * point_bytes} bytes of points, above the limit of "
             f"{MAX_CHUNK_BYTES} bytes; the largest chunk that fits is "
             f"{MAX_CHUNK_BYTES // point_bytes} (--chunk)")
-    sizes = _chunk_sizes(config.n_samples, config.chunk_size)
-    return [(body, fixed, config.k, config.seed, i, size) for i, size in enumerate(sizes)]
+    if d > 170:  # the double range: 170! < 2^1024 < 171!
+        raise ValueError(f"sampling needs d <= 170, got {d}: "
+                         f"a volume divides by d!, and {d}! overflows a double")
+    n, chunk = config.n_samples, config.chunk_size
+    return ((body, fixed, config.k, config.seed, i, min(chunk, n - i * chunk))
+            for i in range(-(-n // chunk)))
 
 
 def estimate_moment(body: Body, fixed: FixedPointSpec, config: EstimatorConfig,
@@ -522,11 +538,13 @@ def estimate_moment(body: Body, fixed: FixedPointSpec, config: EstimatorConfig,
     else the SYLVESTER_THREADS environment variable, else ``os.cpu_count()``)
     only changes wall time.
     """
-    _check_fixed(body, fixed)
     stream = _chunk_stream(_jobs(body, fixed, config), _resolve_workers(workers))
     # merging into the empty accumulator is exact, so this is the index-order
     # fold of the chunk stats
-    return _estimate(reduce(_merge, stream, _EMPTY), config, body, fixed)
+    _, mean, m2 = stats = reduce(_merge, stream, _EMPTY)
+    if not (isfinite(mean) and isfinite(m2)):  # then the CI and std error are finite too
+        raise ValueError(f"E[V^{config.k}] overflows a double in this body")
+    return _estimate(stats, config, body, fixed)
 
 
 def _estimate(stats: tuple[int, float, float], config: EstimatorConfig, body: Body,
@@ -651,10 +669,9 @@ class EstimatedSide:
 
     def __init__(self, body: Body, fixed: FixedPointSpec, config: EstimatorConfig,
                  alpha: float):
-        _check_fixed(body, fixed)
+        self.jobs = _jobs(body, fixed, config)  # checks the dimension before R is computed
         self.body, self.fixed, self.config, self.alpha = body, fixed, config, alpha
         self.value_range = body.max_simplex_volume() ** config.k
-        self.jobs = _jobs(body, fixed, config)
         self.stats = _EMPTY
         self.variance_process = 0.0
 
@@ -665,13 +682,18 @@ class EstimatedSide:
         self.stats = _merge(self.stats, chunk)
 
     def bounds(self) -> tuple[float, float]:
+        """The interval after the chunks added so far; [0, R] before the first."""
         n, mean, _ = self.stats
+        if n == 0:
+            return 0.0, self.value_range
         half = _stitched_boundary(self.variance_process, self.value_range, self.alpha / 2) / n
         return max(mean - half, 0.0), min(mean + half, self.value_range)
 
     @property
     def estimate(self) -> MomentEstimate:
         """The estimate so far; its CI is the confidence sequence's."""
+        if self.stats[0] == 0:
+            raise ValueError("no chunk has been added to this sequence yet")
         return _estimate(self.stats, self.config, self.body, self.fixed, self.bounds())
 
     def to_json_dict(self) -> dict:
@@ -729,8 +751,7 @@ def certify_counterexample(lhs: MomentSpec, rhs: MomentSpec,
             sides.append(EstimatedSide(body, fixed, side_config, alpha))
     running = [side for side in sides if isinstance(side, EstimatedSide)]
     relation = INCONCLUSIVE if running else _relation(*sides)
-    jobs = [job for index in zip(*(side.jobs for side in running)) for job in index]
-    stream = _chunk_stream(jobs, workers)
+    stream = _chunk_stream(chain.from_iterable(zip(*(side.jobs for side in running))), workers)
     try:
         # one chunk of each estimated side per index
         for chunks in zip(*[stream] * len(running)):

@@ -3,10 +3,11 @@
 Everything here deliberately avoids the closed forms under test: moments come
 from adaptive quadrature of the defining integrals, geometric constants from
 one-dimensional integrals of cross sections.  Oracle outputs are compared to
-the exact implementations at tight tolerances.  The exception is
-:func:`ball_moments_by_kappa_omega`, an exact oracle: the same Miles formula
-as the ball closed forms, built factor by factor from kappa and omega rather
-than telescoped, and compared structurally.
+the exact implementations at tight tolerances.  The exceptions are exact
+oracles, compared structurally: :func:`ball_moments_by_kappa_omega`, the same
+Miles formula as the ball closed forms, built factor by factor from kappa and
+omega rather than telescoped, and :func:`ratio_bound_by_kappas`, the ball
+ratio bound as four kappas rather than a quotient of ball moments.
 """
 
 from __future__ import annotations
@@ -104,6 +105,20 @@ def ball_moments_by_kappa_omega(d: int, k: int):
     fixed = (kappa(d + k) / kappa(d)) ** d / Fraction(factorial(d)) ** k * ratio
     free = fixed * kappa(d + k) / kappa(d) * kappa(d * (d + k + 1)) / kappa((d + 1) * (d + k))
     return free, fixed
+
+
+def ratio_bound_by_kappas(d: int, k: int):
+    """The half-ball ratio bound in its four-kappa form.
+
+    2^k (kappa_d / kappa_{d+k}) (kappa_{(d+1)(d+k)} / kappa_{d(d+k+1)}), built
+    from kappa directly rather than as a quotient of the ball moments.
+    """
+    from fractions import Fraction
+
+    from sylvester.exactnum import PiPolynomial, kappa
+
+    value = PiPolynomial.from_rational(Fraction(2) ** k) * kappa(d) / kappa(d + k)
+    return value * kappa((d + 1) * (d + k)) / kappa(d * (d + k + 1))
 
 
 def q_ratio_by_loop(d: int, k: int):

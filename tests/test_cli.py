@@ -261,6 +261,14 @@ def test_counterexample_certifies_at_moderate_n(capsys, scenario):
     assert rec["verdict"]["relation"] == "lhs>rhs"
 
 
+def test_an_unused_budget_costs_nothing(capsys):
+    # 3 * 10^10 chunks of budget; the first one decides
+    code, out, _ = run_cli(capsys, "counterexample", "tetra-d3", "--n", str(10**15))
+    assert code == EXIT_OK
+    record = json_lines(out)[0]
+    assert record["certified"] and record["verdict"]["rhs"]["estimate"]["n"] == DEFAULT_CHUNK
+
+
 def test_counterexample_inconclusive_exit_code(capsys):
     code, out, _ = run_cli(capsys, "counterexample", "halfball-d3",
                            "--n", "2000", "--seed", "0")
@@ -398,8 +406,9 @@ def test_config_missing_path(capsys):
     ("d=5", ("qscan",)),
     ("seeed=5", ("mc", "--body", "ball", "--d", "2", "--n", "1000")),
     ("table=1", ("table1",)),
+    ("l=1/0", ("exact", "--body", "interval")),
 ], ids=["bad-k", "bad-l", "bad-digits", "bad-n", "cube-mc", "cube-exact",
-        "bad-fixed", "qscan-d5", "unknown-key", "flag-not-a-key"])
+        "bad-fixed", "qscan-d5", "unknown-key", "flag-not-a-key", "zero-denominator-l"])
 def test_config_bad_values_and_unknown_keys_are_usage_errors(tmp_path, capsys, line, argv):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n")
@@ -470,6 +479,15 @@ def test_length_is_for_the_interval_only(capsys, argv):
     ("table1", "--digits", "12"),
     ("mc", "--body", "ball", "--d", "2", "--n", "1000", "--digits", "12"),
     ("counterexample", "halfball-d3", "--n", "1000", "--digits", "12"),
+    # values outside what a Fraction or a double holds
+    ("exact", "--body", "interval", "--l", "1/0"),
+    ("mc", "--body", "interval", "--l", "1/0"),
+    ("mc", "--body", "interval", "--l", "1e400"),
+    ("mc", "--body", "interval", "--l", "1e-400"),
+    ("mc", "--body", "ball", "--d", "171", "--n", "100"),
+    ("mc", "--body", "halfball", "--d", "171", "--n", "100"),
+    ("mc", "--body", "ball", "--d", "200", "--n", "100"),
+    ("mc", "--body", "interval", "--l", "1e200", "--k", "2", "--n", "10"),
 ])
 def test_bad_or_unused_digits_are_usage_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

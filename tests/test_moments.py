@@ -36,6 +36,7 @@ from oracles import (
     i12_quadrature,
     interval_moment_quadrature,
     q_ratio_by_loop,
+    ratio_bound_by_kappas,
 )
 
 F = Fraction
@@ -298,11 +299,11 @@ def _log_kappa(n):
 @pytest.mark.parametrize("d", range(1, 9))
 def test_exact_ratio_bound_is_ball_of_halfball_volume(d):
     # Base-center moment over the free moment in the ball of volume kappa_d/2
-    # (r^d = 1/2 scales the k-th moment by 2^-k), evaluated independently
-    # through lgamma.
+    # (r^d = 1/2 scales the k-th moment by 2^-k), against the four-kappa form,
+    # and that form evaluated independently through lgamma.
     for k in range(1, 9):
         bound = exact_ratio_bound(d, k)
-        assert bound == 2**k * ball_fixed_moment(d, k) / ball_moment(d, k)
+        assert bound == ratio_bound_by_kappas(d, k)
         log_ref = (k * math.log(2) + _log_kappa(d) - _log_kappa(d + k)
                    + _log_kappa((d + 1) * (d + k)) - _log_kappa(d * (d + k + 1)))
         assert bound.to_float() == pytest.approx(math.exp(log_ref), rel=1e-12)

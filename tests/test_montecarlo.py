@@ -152,6 +152,23 @@ def test_body_validation():
         Simplex(((0.0, 0.0), (1.0, 1.0), (2.0, 2.0)))
 
 
+def test_what_a_double_cannot_hold_is_rejected():
+    # the interval length is stored as a double, and must be a positive finite one
+    assert Interval(Fraction(3, 2)) == Interval(1.5)
+    assert type(Interval(Fraction(3, 2)).length) is float
+    for length in (float("inf"), float("nan"), Fraction(10**400), Fraction(1, 10**400)):
+        with pytest.raises(ValueError, match="positive finite double"):
+            Interval(length)
+    # 171! overflows a double, so no volume in d = 171 can be computed
+    cfg = make_config(k=1, n_samples=100)
+    message = "sampling needs d <= 170, got 171"
+    with pytest.raises(ValueError, match=message):
+        estimate_moment(Ball(171), NO_FIXED_POINT, cfg)
+    with pytest.raises(ValueError, match=message):
+        certify_counterexample((Ball(171), NO_FIXED_POINT, 1), PiPolynomial.from_rational(1), cfg)
+    assert estimate_moment(Ball(170), NO_FIXED_POINT, make_config(k=0, n_samples=2)).mean == 1.0
+
+
 def test_membership():
     ball = Ball(3)
     assert ball.contains((0, 0, 0))
@@ -393,7 +410,7 @@ def test_chunk_bytes_are_bounded_by_the_config_and_body():
 
     cfg = make_config(k=1, n_samples=10**6)
     assert cfg.chunk_size == DEFAULT_CHUNK
-    assert len(_jobs(Ball(15), NO_FIXED_POINT, cfg)) == -(-10**6 // DEFAULT_CHUNK)
+    assert len(list(_jobs(Ball(15), NO_FIXED_POINT, cfg))) == -(-10**6 // DEFAULT_CHUNK)
     # 2^26 // (17*16*8) and 2^26 // (50*50*8)
     for body, fixed, largest in [(Ball(16), NO_FIXED_POINT, 30_840),
                                  (Ball(50), FixedPoint((0.0,) * 50), 3_355)]:
@@ -406,6 +423,17 @@ def test_chunk_bytes_are_bounded_by_the_config_and_body():
         _jobs(body, fixed, make_config(k=1, n_samples=10**6, chunk_size=largest))
         with pytest.raises(ValueError, match=message):
             _jobs(body, fixed, make_config(k=1, n_samples=10**6, chunk_size=largest + 1))
+
+
+def test_a_budget_costs_nothing_until_its_chunks_are_drawn():
+    from sylvester.montecarlo import _jobs
+
+    # 3 * 10^10 chunks: a list of them would not fit in memory
+    jobs = _jobs(Ball(3), NO_FIXED_POINT, make_config(k=1, n_samples=10**15))
+    assert next(jobs) == (Ball(3), NO_FIXED_POINT, 1, 0, 0, DEFAULT_CHUNK)
+    tail = list(_jobs(Ball(3), NO_FIXED_POINT, make_config(k=2, n_samples=2_500,
+                                                           seed=9, chunk_size=1_000)))
+    assert [job[2:] for job in tail] == [(2, 9, 0, 1_000), (2, 9, 1, 1_000), (2, 9, 2, 500)]
 
 
 def test_estimate_moment_env_thread_cap(monkeypatch):
@@ -670,7 +698,7 @@ def test_chunk_stream_fold_equals_index_order_merge():
     from sylvester.montecarlo import _EMPTY, _chunk_stats, _chunk_stream, _jobs, _merge
 
     cfg = make_config(k=2, n_samples=23_000, seed=41, chunk_size=1_000)
-    jobs = _jobs(HalfBall(3), NO_FIXED_POINT, cfg)
+    jobs = list(_jobs(HalfBall(3), NO_FIXED_POINT, cfg))
     want = _chunk_stats(*jobs[0])
     for job in jobs[1:]:
         want = _merge(want, _chunk_stats(*job))
@@ -700,8 +728,8 @@ def test_closing_the_chunk_stream_cancels_what_has_not_started(monkeypatch):
         return real(*job)
 
     monkeypatch.setattr(mc, "_chunk_stats", gated)
-    jobs = mc._jobs(Ball(2), NO_FIXED_POINT, make_config(k=1, n_samples=20_000,
-                                                           seed=5, chunk_size=1_000))
+    jobs = list(mc._jobs(Ball(2), NO_FIXED_POINT, make_config(k=1, n_samples=20_000,
+                                                                seed=5, chunk_size=1_000)))
     workers = 2
     stream = mc._chunk_stream(jobs, workers)
     assert next(stream) == real(*jobs[0])
@@ -737,7 +765,13 @@ def test_certification_stops_at_the_first_decided_chunk():
     # the sequence replayed by hand is undecided after chunks 0 and 1
     _, exact_hi = ExactSide(exact).bounds()
     sequence = EstimatedSide(HalfBall(4), NO_FIXED_POINT, cfg, verdict.lhs.alpha)
-    for job in sequence.jobs[:3]:
+    # before its first chunk the sequence is the whole range, and has no estimate
+    assert sequence.bounds() == (0.0, sequence.value_range)
+    assert sequence.trace_dict()["samples"] == 0
+    for read in (lambda: sequence.estimate, sequence.to_json_dict):
+        with pytest.raises(ValueError, match="no chunk has been added"):
+            read()
+    for job in list(sequence.jobs)[:3]:
         sequence.add(_chunk_stats(*job))
         decided = sequence.bounds()[0] > exact_hi
         assert decided == (sequence.stats[0] == est.n)

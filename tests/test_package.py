@@ -1,17 +1,33 @@
-"""The package namespace: exact names load eagerly, Monte Carlo names on first use."""
+"""The package namespace: every name, and every submodule, loads on first use."""
+
+import subprocess
+import sys
 
 import pytest
 
 import sylvester
 import sylvester.montecarlo as mc
-from sylvester import _MONTECARLO_NAMES
+from sylvester import _EXPORTS
 
 
 def test_every_exported_name_resolves():
     for name in sylvester.__all__:
         value = getattr(sylvester, name)
-        if name in _MONTECARLO_NAMES:
+        if name in _EXPORTS["montecarlo"]:
             assert value is getattr(mc, name), name
+
+
+def test_import_loads_no_submodule_until_one_is_used():
+    script = """\
+import sys
+import sylvester
+print(sorted(m for m in sys.modules if m.startswith("sylvester.")), "numpy" in sys.modules)
+print(sylvester.exactnum.__name__, sylvester.moments.__name__, sylvester.montecarlo.__name__)
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.splitlines() == [
+        "[] False", "sylvester.exactnum sylvester.moments sylvester.montecarlo"]
 
 
 def test_star_import_binds_every_exported_name():
