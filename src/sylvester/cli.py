@@ -154,7 +154,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, str]]]
     p.add_argument("scenario", choices=SCENARIOS)
     opt(p, "--n", type=int, default=10_000_000)
     opt(p, "--seed", type=int, default=0)
-    opt(p, "--chunk", type=int, default=DEFAULT_CHUNK)
+    opt(p, "--chunk", type=int, default=DEFAULT_CHUNK,
+        help="largest chunk; the first five ramp up to it from chunk/32")
     opt(p, "--confidence", type=float, default=0.99)
     add_output_flags(p)
 

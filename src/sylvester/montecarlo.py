@@ -34,7 +34,11 @@ Certification is sequential: each estimated side is a time-uniform
 empirical-Bernstein confidence sequence, tested after every chunk, and the
 run stops at the first chunk that decides the relation.  A chunk's job is
 computed only when the chunk is drawn, so the part of a budget a run does
-not use costs nothing.
+not use costs nothing.  Its chunks ramp up to the configured size, from
+chunk_size / 32 and doubling, and the chunk stream keeps in flight behind
+the chunk it waits for no more samples than it has already yielded (or
+than that chunk holds): a run decided after a few small chunks draws, and
+waits for, about what it used.  ``estimate_moment`` uses equal chunks.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from functools import reduce
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from math import factorial, inf, isfinite, log, nextafter, sqrt
 from statistics import NormalDist
 from typing import Iterable, Iterator, Sequence, Union
@@ -99,14 +103,28 @@ class Interval:
         return {"kind": "interval", "length": self.length}
 
 
+def _factorial(d: int, what: str) -> int:
+    """d!, which a volume in R^d divides by; ValueError when it overflows a double."""
+    if d > 170:  # the double range: 170! < 2^1024 < 171!
+        raise ValueError(f"{what} needs d <= 170, got {d}: "
+                         f"a volume divides by d!, and {d}! overflows a double")
+    return factorial(d)
+
+
 def _hadamard_bound(d: int) -> float:
-    """An upper bound on the volume of a simplex with vertices in the unit d-ball.
+    """The largest volume of a simplex with vertices in the unit d-ball.
 
     The volume is |det A| / d!, where A is the (d+1)x(d+1) matrix with rows
-    (1, x_i).  Each row has norm at most sqrt(2), so by Hadamard's inequality
-    |det A| <= 2^((d+1)/2).
+    (1, x_i).  Scaling A's first column by a scales det A by a, and the rows
+    (a, x_i) have norm at most sqrt(a^2 + 1), so by Hadamard's inequality
+    |det A| <= (a^2 + 1)^((d+1)/2) / a.  At a^2 = 1/d this is
+    sqrt(d+1) ((d+1)/d)^(d/2), the |det A| of the regular simplex inscribed
+    in the sphere, so the bound is attained.  It is rounded up by a relative
+    2^-40, far above the rounding error of computing it, so that no computed
+    volume exceeds it.
     """
-    return 2.0 ** ((d + 1) / 2) / factorial(d)
+    bound = sqrt(d + 1) * ((d + 1) / d) ** (d / 2) / _factorial(d, "a ball's range")
+    return bound * (1.0 + 2.0**-40)
 
 
 @dataclass(frozen=True)
@@ -178,7 +196,7 @@ class Simplex:
     def volume(self) -> float:
         verts = np.asarray(self.vertices, dtype=float)
         vecs = verts[1:] - verts[0]
-        return abs(float(np.linalg.det(vecs))) / factorial(self.dimension)
+        return abs(float(np.linalg.det(vecs))) / _factorial(self.dimension, "a simplex volume")
 
     def max_simplex_volume(self) -> float:
         """A simplex inside a simplex has at most its volume."""
@@ -341,7 +359,7 @@ def simplex_volume(points: Sequence[Sequence[float]]) -> float:
         )
     d = pts.shape[1]
     vecs = (pts[1:] - pts[0])[None, :, :]
-    return float(_batched_abs_det(vecs)[0]) / factorial(d)
+    return float(_batched_abs_det(vecs)[0]) / _factorial(d, "a simplex volume")
 
 
 # ---------------------------------------------------------------------------
@@ -473,11 +491,13 @@ def _chunk_stream(jobs: Iterable[tuple], workers: int):
     thread holds a chunk's arrays.  The first ``min(workers, cores)`` jobs
     are drawn to size it, the others only as their chunks are submitted; a
     pool of one thread is not started, and the chunks run in the caller's
-    thread.  As many chunks as threads are in flight at first, and one more
-    after each chunk yielded, up to twice as many: a caller that stops after
-    a chunk or two leaves little speculative work behind, and a long run
-    keeps every thread busy.  Closing the generator cancels the chunks not
-    yet started and waits for those running.
+    thread.  Lookahead is bounded by what was used: the chunks in flight
+    behind the one awaited hold at most max(samples yielded so far, samples
+    of the awaited chunk), and at most twice as many chunks as threads are
+    in flight.  Equal chunks so keep every thread busy after the first two,
+    and a caller that stops after a few ramped chunks (a certification)
+    leaves about as much speculative work as it used.  Closing the generator
+    cancels the chunks not yet started and waits for those running.
     """
     jobs = iter(jobs)
     first = list(islice(jobs, min(workers, os.cpu_count() or 1)))
@@ -488,26 +508,45 @@ def _chunk_stream(jobs: Iterable[tuple], workers: int):
             yield _chunk_stats(*job)
         return
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = deque()
+        pending = deque()  # (future, simplices), in job order
+        in_flight = yielded = 0
+        job = next(todo, None)
         try:
-            for depth in chain(range(workers, 2 * workers), repeat(2 * workers)):
-                for job in islice(todo, depth - len(pending)):
-                    pending.append(pool.submit(_chunk_stats, *job))
+            while True:
+                while job is not None and len(pending) < 2 * workers:
+                    size = job[-1]  # a job's last argument is its simplex count
+                    if pending and (in_flight - pending[0][1] + size
+                                    > max(yielded, pending[0][1])):
+                        break
+                    pending.append((pool.submit(_chunk_stats, *job), size))
+                    in_flight += size
+                    job = next(todo, None)
                 if not pending:
                     return
-                yield pending.popleft().result()
+                future, size = pending.popleft()
+                in_flight -= size
+                yielded += size
+                yield future.result()
         finally:
-            for future in pending:
+            for future, _ in pending:
                 future.cancel()
 
 
-def _jobs(body: Body, fixed: FixedPointSpec, config: EstimatorConfig) -> Iterator[tuple]:
+#: The chunks a certification takes to ramp up to its chunk size (see _jobs).
+_RAMP = 5
+
+
+def _jobs(body: Body, fixed: FixedPointSpec, config: EstimatorConfig,
+          ramp: bool = False) -> Iterator[tuple]:
     """The ``_chunk_stats`` arguments of a run's chunks, in index order.
 
     The fixed vertex, the chunk's bytes and the dimension are checked now,
-    with ValueError.  The jobs are computed as they are drawn: job i has
-    ``min(chunk_size, n_samples - i * chunk_size)`` simplices, so a budget
-    costs nothing until its chunks are drawn.
+    with ValueError.  The jobs are computed as they are drawn, so a budget
+    costs nothing until its chunks are drawn.  Job i has
+    ``min(chunk_size, remaining)`` simplices, or with ``ramp`` (a
+    certification) ``min(chunk_size >> max(5 - i, 0), remaining)``, at least
+    1: 1,024, 2,048, ..., 16,384, then 32,768 at the default chunk.  Chunk i
+    is keyed [seed, i] either way.
     """
     d = body.dimension
     if isinstance(fixed, FixedPoint):
@@ -522,12 +561,19 @@ def _jobs(body: Body, fixed: FixedPointSpec, config: EstimatorConfig) -> Iterato
             f"{config.chunk_size * point_bytes} bytes of points, above the limit of "
             f"{MAX_CHUNK_BYTES} bytes; the largest chunk that fits is "
             f"{MAX_CHUNK_BYTES // point_bytes} (--chunk)")
-    if d > 170:  # the double range: 170! < 2^1024 < 171!
-        raise ValueError(f"sampling needs d <= 170, got {d}: "
-                         f"a volume divides by d!, and {d}! overflows a double")
-    n, chunk = config.n_samples, config.chunk_size
-    return ((body, fixed, config.k, config.seed, i, min(chunk, n - i * chunk))
-            for i in range(-(-n // chunk)))
+    _factorial(d, "sampling")
+    return _schedule(body, fixed, config, ramp)
+
+
+def _schedule(body: Body, fixed: FixedPointSpec, config: EstimatorConfig,
+              ramp: bool) -> Iterator[tuple]:
+    drawn = i = 0
+    while drawn < config.n_samples:
+        size = max(config.chunk_size >> max(_RAMP - i, 0), 1) if ramp else config.chunk_size
+        size = min(size, config.n_samples - drawn)
+        yield body, fixed, config.k, config.seed, i, size
+        drawn += size
+        i += 1
 
 
 def estimate_moment(body: Body, fixed: FixedPointSpec, config: EstimatorConfig,
@@ -664,15 +710,23 @@ class EstimatedSide:
     clipped to [0, R] (0 for chunk 0).  Then sum(x_i - mu) is sub-exponential,
     hence sub-gamma, with scale R and variance process V = sum (x_i - p_j)^2
     (Howard et al. 2021), and V grows by M2_j + n_j (mean_j - p_j)^2, exactly
-    from the chunk's (n, mean, M2).  Each tail gets ``alpha / 2``.
+    from the chunk's (n, mean, M2).  Each tail gets ``alpha / 2``.  The
+    chunks of ``jobs`` ramp up to the configured size (see :func:`_jobs`).
     """
 
     def __init__(self, body: Body, fixed: FixedPointSpec, config: EstimatorConfig,
                  alpha: float):
-        self.jobs = _jobs(body, fixed, config)  # checks the dimension before R is computed
+        self.jobs = _jobs(body, fixed, config, ramp=True)  # checks d before R is computed
         self.body, self.fixed, self.config, self.alpha = body, fixed, config, alpha
-        self.value_range = body.max_simplex_volume() ** config.k
+        try:
+            self.value_range = body.max_simplex_volume() ** config.k
+        except OverflowError:
+            self.value_range = inf
+        if not 0.0 < self.value_range < inf:
+            raise ValueError(f"the range R^{config.k} of V^{config.k} in this body, "
+                             f"{self.value_range}, is not a positive finite double")
         self.stats = _EMPTY
+        self.chunks = 0
         self.variance_process = 0.0
 
     def add(self, chunk: tuple[int, float, float]) -> None:
@@ -680,6 +734,7 @@ class EstimatedSide:
         predicted = min(max(self.stats[1], 0.0), self.value_range)
         self.variance_process += m2 + n * (mean - predicted) ** 2
         self.stats = _merge(self.stats, chunk)
+        self.chunks += 1
 
     def bounds(self) -> tuple[float, float]:
         """The interval after the chunks added so far; [0, R] before the first."""
@@ -703,7 +758,7 @@ class EstimatedSide:
         n = self.stats[0]
         return {
             "samples": n,
-            "chunks": -(-n // self.config.chunk_size),
+            "chunks": self.chunks,
             "budget": self.config.n_samples,
             "alpha": self.alpha,
             "range": self.value_range,

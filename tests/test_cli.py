@@ -262,11 +262,12 @@ def test_counterexample_certifies_at_moderate_n(capsys, scenario):
 
 
 def test_an_unused_budget_costs_nothing(capsys):
-    # 3 * 10^10 chunks of budget; the first one decides
+    # 3 * 10^10 chunks of budget; the ramp's first four, 1,024 to 8,192
+    # samples, decide
     code, out, _ = run_cli(capsys, "counterexample", "tetra-d3", "--n", str(10**15))
     assert code == EXIT_OK
     record = json_lines(out)[0]
-    assert record["certified"] and record["verdict"]["rhs"]["estimate"]["n"] == DEFAULT_CHUNK
+    assert record["certified"] and record["verdict"]["rhs"]["estimate"]["n"] == 15_360
 
 
 def test_counterexample_inconclusive_exit_code(capsys):
@@ -287,7 +288,9 @@ def test_counterexample_writes_its_certification_trace_to_stderr(capsys):
     trace = trace["certification"]
     est = record["verdict"]["rhs"]["estimate"]
     assert "lhs" not in trace  # the exact side
-    assert trace["rhs"] == {"samples": est["n"], "chunks": est["n"] // DEFAULT_CHUNK,
+    # at this seed, the ramp's five chunks of 1,024 to 16,384 samples
+    assert est["n"] == 31_744
+    assert trace["rhs"] == {"samples": est["n"], "chunks": 5,
                             "budget": 2_000_000, "alpha": pytest.approx(0.01),
                             "range": pytest.approx(1.0), "stop": "decided"}
     assert est["n"] < est["n_samples"] == 2_000_000
@@ -659,7 +662,8 @@ def test_counterexample_stdout_byte_identical_across_thread_counts():
     assert code1 == code2 == EXIT_OK
     assert out1 == out2
     est = json.loads(out1)["verdict"]["lhs"]["estimate"]
-    assert est["n"] % DEFAULT_CHUNK == 0 and est["n"] < 2_000_000
+    # whole chunks: the ramp's 1,024 + ... + 16,384 = 31,744 samples, then 2^15 each
+    assert (est["n"] + DEFAULT_CHUNK // 32) % DEFAULT_CHUNK == 0 and est["n"] < 2_000_000
 
 
 # ---------------------------------------------------------------------------

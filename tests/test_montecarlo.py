@@ -4,6 +4,7 @@ import os
 import threading
 from concurrent.futures import Future
 from fractions import Fraction
+from itertools import islice
 from statistics import NormalDist
 
 import numpy as np
@@ -102,7 +103,11 @@ def test_hadamard_range_is_never_exceeded(d):
 
     bound = Ball(d).max_simplex_volume()
     assert HalfBall(d).max_simplex_volume() == bound
-    assert bound == 2 ** ((d + 1) / 2) / math.factorial(d)
+    # Hadamard's inequality with the first column scaled by 1/sqrt(d), below
+    # its unscaled form 2^((d+1)/2) / d! from d = 2 on
+    assert bound == pytest.approx(math.sqrt(d + 1) * ((d + 1) / d) ** (d / 2)
+                                  / math.factorial(d), rel=1e-12)
+    assert bound <= 2 ** ((d + 1) / 2) / math.factorial(d) * (1 + 1e-12)
     rng = _rng([31, d])
     inside = _sample_batch(Ball(d), rng, 20_000, d + 1)
     on_sphere = rng.standard_normal((20_000, d + 1, d))
@@ -114,7 +119,9 @@ def test_hadamard_range_is_never_exceeded(d):
     regular_volume = simplex_volume(regular[0])
     assert regular_volume == pytest.approx(
         (d + 1) ** ((d + 1) / 2) / (math.factorial(d) * d ** (d / 2)))
+    # the regular simplex attains the bound
     assert regular_volume <= bound
+    assert regular_volume == pytest.approx(bound, rel=1e-12)
 
 
 def test_max_simplex_volume_of_the_other_bodies():
@@ -167,6 +174,19 @@ def test_what_a_double_cannot_hold_is_rejected():
     with pytest.raises(ValueError, match=message):
         certify_counterexample((Ball(171), NO_FIXED_POINT, 1), PiPolynomial.from_rational(1), cfg)
     assert estimate_moment(Ball(170), NO_FIXED_POINT, make_config(k=0, n_samples=2)).mean == 1.0
+    # nor a volume computed, nor a simplex made, in d = 171
+    corners = [(0.0,) * 171] + [tuple(float(i == j) for j in range(171)) for i in range(171)]
+    message = "a simplex volume needs d <= 170, got 171"
+    for volume in (lambda: simplex_volume(corners), lambda: Simplex(corners)):
+        with pytest.raises(ValueError, match=message):
+            volume()
+    corners = [(0.0,) * 170] + [tuple(float(i == j) for j in range(170)) for i in range(170)]
+    assert simplex_volume(corners) == pytest.approx(1 / math.factorial(170))
+    # the range R^k of a certification side must be a positive finite double
+    for length in (1e200, 1e-200):
+        with pytest.raises(ValueError, match="is not a positive finite double"):
+            certify_counterexample((Interval(length), NO_FIXED_POINT, 2),
+                                   PiPolynomial.from_rational(1), cfg)
 
 
 def test_membership():
@@ -434,6 +454,15 @@ def test_a_budget_costs_nothing_until_its_chunks_are_drawn():
     tail = list(_jobs(Ball(3), NO_FIXED_POINT, make_config(k=2, n_samples=2_500,
                                                            seed=9, chunk_size=1_000)))
     assert [job[2:] for job in tail] == [(2, 9, 0, 1_000), (2, 9, 1, 1_000), (2, 9, 2, 500)]
+    # a certification's jobs ramp up to the chunk, doubling from chunk / 32
+    ramp = _jobs(Ball(3), NO_FIXED_POINT, make_config(k=1, n_samples=10**15), ramp=True)
+    assert [job[4:] for job in islice(ramp, 7)] == [
+        (0, 1_024), (1, 2_048), (2, 4_096), (3, 8_192), (4, 16_384), (5, DEFAULT_CHUNK),
+        (6, DEFAULT_CHUNK)]
+    # at least one simplex a chunk, and the budget caps the last
+    short = _jobs(Ball(3), NO_FIXED_POINT, make_config(k=1, n_samples=10, chunk_size=10),
+                  ramp=True)
+    assert [job[5] for job in short] == [1, 1, 1, 2, 5]
 
 
 def test_estimate_moment_env_thread_cap(monkeypatch):
@@ -723,7 +752,7 @@ def test_closing_the_chunk_stream_cancels_what_has_not_started(monkeypatch):
 
     def gated(*job):
         started.append(job[4])
-        if job[4] >= 3:
+        if job[4] >= 4:
             gate.wait(timeout=10)
         return real(*job)
 
@@ -740,16 +769,43 @@ def test_closing_the_chunk_stream_cancels_what_has_not_started(monkeypatch):
 
     started.clear()
     stream = mc._chunk_stream(jobs, workers)
-    assert [next(stream) for _ in range(3)] == [real(*job) for job in jobs[:3]]
-    # chunks 3 to 5 are now in flight; the gate holds both threads on
-    # chunks 3 and 4, so chunk 5 has not started when the stream is closed,
-    # and must never start
+    assert [next(stream) for _ in range(4)] == [real(*job) for job in jobs[:4]]
+    # 4,000 samples yielded, so chunks 4 to 6 are now in flight behind chunk
+    # 3; the gate holds both threads on chunks 4 and 5, so chunk 6 has not
+    # started when the stream is closed, and must never start
     opener = threading.Timer(0.5, gate.set)
     opener.start()
     stream.close()
     opener.join()
     assert sorted(started) == list(range(len(started)))
-    assert 3 <= len(started) <= 5
+    assert 4 <= len(started) <= 6
+
+
+def test_a_decided_certification_waits_for_little_speculative_work(monkeypatch):
+    import sylvester.montecarlo as mc
+
+    started = {}
+    real = mc._chunk_stats
+
+    def recording(*job):
+        started[job[4]] = job[5]  # index -> simplices
+        return real(*job)
+
+    monkeypatch.setattr(mc, "_chunk_stats", recording)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool of two on any host
+    workers = 2
+    cfg = make_config(k=1, n_samples=1_000_000, seed=8, chunk_size=4_096)
+    verdict = certify_counterexample((HalfBall(4), NO_FIXED_POINT, 1),
+                                     ball_fixed_moment(4, 1), cfg, workers=workers)
+    decided = verdict.trace_dict()["lhs"]["chunks"] - 1
+    assert decided == 5  # at this seed; see test_certification_stops_at_the_first_decided_chunk
+    assert sorted(started) == list(range(len(started)))
+    # behind the deciding chunk, at most the samples used before it (or its
+    # own size), in fewer than 2 * workers chunks
+    behind = [size for index, size in started.items() if index > decided]
+    used = sum(size for index, size in started.items() if index < decided)
+    assert sum(behind) <= max(used, started[decided])
+    assert len(behind) < 2 * workers
 
 
 def test_certification_stops_at_the_first_decided_chunk():
@@ -760,9 +816,10 @@ def test_certification_stops_at_the_first_decided_chunk():
     verdict = certify_counterexample((HalfBall(4), NO_FIXED_POINT, 1), exact, cfg)
     assert verdict.relation == LHS_GREATER
     est = verdict.lhs.estimate
-    assert est.n == 3 * 4_096  # at this seed
+    # at this seed, the ramp's chunks 0 to 5: 128 + 256 + ... + 4,096 samples
+    assert est.n == 8_064
     assert est.config.n_samples == 1_000_000
-    # the sequence replayed by hand is undecided after chunks 0 and 1
+    # the sequence replayed by hand is undecided after chunks 0 to 4
     _, exact_hi = ExactSide(exact).bounds()
     sequence = EstimatedSide(HalfBall(4), NO_FIXED_POINT, cfg, verdict.lhs.alpha)
     # before its first chunk the sequence is the whole range, and has no estimate
@@ -771,13 +828,13 @@ def test_certification_stops_at_the_first_decided_chunk():
     for read in (lambda: sequence.estimate, sequence.to_json_dict):
         with pytest.raises(ValueError, match="no chunk has been added"):
             read()
-    for job in list(sequence.jobs)[:3]:
+    for job in islice(sequence.jobs, 6):
         sequence.add(_chunk_stats(*job))
         decided = sequence.bounds()[0] > exact_hi
         assert decided == (sequence.stats[0] == est.n)
     assert sequence.bounds() == verdict.lhs.bounds()
     trace = verdict.trace_dict()
-    assert trace["lhs"] == {"samples": est.n, "chunks": 3, "budget": 1_000_000,
+    assert trace["lhs"] == {"samples": est.n, "chunks": 6, "budget": 1_000_000,
                             "alpha": verdict.lhs.alpha, "range": verdict.lhs.value_range,
                             "stop": "decided"}
     assert trace["margin"] > 1.0
@@ -794,7 +851,8 @@ def test_inconclusive_certification_spends_the_budget():
         side = getattr(verdict, name)
         assert side.estimate.n == 5_000
         assert trace[name]["stop"] == "budget"
-        assert trace[name]["chunks"] == 5
+        # 31 + 62 + 125 + 250 + 500, then 1,000 four times and a tail of 32
+        assert trace[name]["chunks"] == 10
     assert trace["margin"] < 1.0
     assert verdict.lhs.estimate.config.seed == 2
     assert verdict.rhs.estimate.config.seed == 3
@@ -819,7 +877,8 @@ def test_verdict_n_is_whole_chunks_and_the_same_at_any_worker_count():
     assert serial.relation == threaded.relation == LHS_GREATER
     assert serial.to_json_dict() == threaded.to_json_dict()
     n = serial.lhs.estimate.n
-    assert n % DEFAULT_CHUNK == 0 and 0 < n < 600_000
+    # whole chunks: the ramp's 1,024 + ... + 16,384 = 31,744 samples, then 2^15 each
+    assert (n + DEFAULT_CHUNK // 32) % DEFAULT_CHUNK == 0 and 0 < n < 600_000
 
 
 def test_stitched_boundary_constants():
