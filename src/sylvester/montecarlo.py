@@ -34,11 +34,12 @@ Certification is sequential: each estimated side is a time-uniform
 empirical-Bernstein confidence sequence, tested after every chunk, and the
 run stops at the first chunk that decides the relation.  A chunk's job is
 computed only when the chunk is drawn, so the part of a budget a run does
-not use costs nothing.  Its chunks ramp up to the configured size, from
-chunk_size / 32 and doubling, and the chunk stream keeps in flight behind
-the chunk it waits for no more samples than it has already yielded (or
-than that chunk holds): a run decided after a few small chunks draws, and
-waits for, about what it used.  ``estimate_moment`` uses equal chunks.
+not use costs nothing.  Its chunks double up to the configured size over
+the first ``_RAMP`` chunks, and the chunk stream keeps in flight behind the
+chunk it waits for no more samples than it has already yielded (or than
+one chunk of that size per other thread): a run decided after a few small
+chunks draws, and waits for, about what it used.  ``estimate_moment`` uses
+equal chunks.
 """
 
 from __future__ import annotations
@@ -492,12 +493,13 @@ def _chunk_stream(jobs: Iterable[tuple], workers: int):
     are drawn to size it, the others only as their chunks are submitted; a
     pool of one thread is not started, and the chunks run in the caller's
     thread.  Lookahead is bounded by what was used: the chunks in flight
-    behind the one awaited hold at most max(samples yielded so far, samples
-    of the awaited chunk), and at most twice as many chunks as threads are
-    in flight.  Equal chunks so keep every thread busy after the first two,
-    and a caller that stops after a few ramped chunks (a certification)
-    leaves about as much speculative work as it used.  Closing the generator
-    cancels the chunks not yet started and waits for those running.
+    behind the one awaited hold at most max(samples yielded so far,
+    (threads - 1) x samples of the awaited chunk), and at most twice as many
+    chunks as threads are in flight.  Equal chunks so keep every thread busy
+    from the start, and a caller that stops after a few ramped chunks (a
+    certification) leaves about as much speculative work as it used, or as
+    one round of the threads on chunks of the awaited size.  Closing the
+    generator cancels the chunks not yet started and waits for those running.
     """
     jobs = iter(jobs)
     first = list(islice(jobs, min(workers, os.cpu_count() or 1)))
@@ -516,7 +518,7 @@ def _chunk_stream(jobs: Iterable[tuple], workers: int):
                 while job is not None and len(pending) < 2 * workers:
                     size = job[-1]  # a job's last argument is its simplex count
                     if pending and (in_flight - pending[0][1] + size
-                                    > max(yielded, pending[0][1])):
+                                    > max(yielded, (workers - 1) * pending[0][1])):
                         break
                     pending.append((pool.submit(_chunk_stats, *job), size))
                     in_flight += size
@@ -544,9 +546,9 @@ def _jobs(body: Body, fixed: FixedPointSpec, config: EstimatorConfig,
     with ValueError.  The jobs are computed as they are drawn, so a budget
     costs nothing until its chunks are drawn.  Job i has
     ``min(chunk_size, remaining)`` simplices, or with ``ramp`` (a
-    certification) ``min(chunk_size >> max(5 - i, 0), remaining)``, at least
-    1: 1,024, 2,048, ..., 16,384, then 32,768 at the default chunk.  Chunk i
-    is keyed [seed, i] either way.
+    certification) ``min(chunk_size >> max(_RAMP - i, 0), remaining)``, at
+    least 1: the first ``_RAMP`` chunks double up to ``chunk_size``.  Chunk
+    i is keyed [seed, i] either way.
     """
     d = body.dimension
     if isinstance(fixed, FixedPoint):

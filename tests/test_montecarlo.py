@@ -103,10 +103,11 @@ def test_hadamard_range_is_never_exceeded(d):
 
     bound = Ball(d).max_simplex_volume()
     assert HalfBall(d).max_simplex_volume() == bound
-    # Hadamard's inequality with the first column scaled by 1/sqrt(d), below
-    # its unscaled form 2^((d+1)/2) / d! from d = 2 on
-    assert bound == pytest.approx(math.sqrt(d + 1) * ((d + 1) / d) ** (d / 2)
-                                  / math.factorial(d), rel=1e-12)
+    # Hadamard's inequality with the first column scaled by 1/sqrt(d), rounded
+    # up by a relative 2^-40 so that it stays a range ...
+    assert bound == (math.sqrt(d + 1) * ((d + 1) / d) ** (d / 2) / math.factorial(d)
+                     * (1 + 2.0**-40))
+    # ... and below its unscaled form 2^((d+1)/2) / d! from d = 2 on
     assert bound <= 2 ** ((d + 1) / 2) / math.factorial(d) * (1 + 1e-12)
     rng = _rng([31, d])
     inside = _sample_batch(Ball(d), rng, 20_000, d + 1)
@@ -781,7 +782,36 @@ def test_closing_the_chunk_stream_cancels_what_has_not_started(monkeypatch):
     assert 4 <= len(started) <= 6
 
 
-def test_a_decided_certification_waits_for_little_speculative_work(monkeypatch):
+def test_equal_chunks_keep_every_thread_busy_from_the_start(monkeypatch):
+    import sylvester.montecarlo as mc
+
+    workers = 4
+    started = []
+    all_started = threading.Event()
+    real = mc._chunk_stats
+
+    def gated(*job):
+        started.append(job[4])
+        if len(started) >= workers:
+            all_started.set()
+        if job[4] == 0:
+            # the first result is taken only once chunk 0 returns, so this
+            # holds only if a chunk per thread was submitted before it
+            assert all_started.wait(timeout=10)
+        return real(*job)
+
+    monkeypatch.setattr(mc, "_chunk_stats", gated)
+    monkeypatch.setattr(os, "cpu_count", lambda: workers)  # a pool of four on any host
+    jobs = list(mc._jobs(Ball(2), NO_FIXED_POINT, make_config(k=1, n_samples=20_000,
+                                                                seed=5, chunk_size=1_000)))
+    stream = mc._chunk_stream(jobs, workers)
+    assert next(stream) == real(*jobs[0])
+    stream.close()
+    assert sorted(started)[:workers] == list(range(workers))
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_a_decided_certification_waits_for_little_speculative_work(monkeypatch, workers):
     import sylvester.montecarlo as mc
 
     started = {}
@@ -792,8 +822,7 @@ def test_a_decided_certification_waits_for_little_speculative_work(monkeypatch):
         return real(*job)
 
     monkeypatch.setattr(mc, "_chunk_stats", recording)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool of two on any host
-    workers = 2
+    monkeypatch.setattr(os, "cpu_count", lambda: workers)  # a pool of `workers` on any host
     cfg = make_config(k=1, n_samples=1_000_000, seed=8, chunk_size=4_096)
     verdict = certify_counterexample((HalfBall(4), NO_FIXED_POINT, 1),
                                      ball_fixed_moment(4, 1), cfg, workers=workers)
@@ -801,10 +830,10 @@ def test_a_decided_certification_waits_for_little_speculative_work(monkeypatch):
     assert decided == 5  # at this seed; see test_certification_stops_at_the_first_decided_chunk
     assert sorted(started) == list(range(len(started)))
     # behind the deciding chunk, at most the samples used before it (or its
-    # own size), in fewer than 2 * workers chunks
+    # own size once per other thread), in fewer than 2 * workers chunks
     behind = [size for index, size in started.items() if index > decided]
     used = sum(size for index, size in started.items() if index < decided)
-    assert sum(behind) <= max(used, started[decided])
+    assert sum(behind) <= max(used, (workers - 1) * started[decided])
     assert len(behind) < 2 * workers
 
 
