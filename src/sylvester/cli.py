@@ -155,7 +155,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, str]]]
     opt(p, "--n", type=int, default=10_000_000)
     opt(p, "--seed", type=int, default=0)
     opt(p, "--chunk", type=int, default=DEFAULT_CHUNK,
-        help="largest chunk; a certification's chunks ramp up to it")
+        help="a certification's chunks ramp up to a fraction of it")
     opt(p, "--confidence", type=float, default=0.99)
     add_output_flags(p)
 

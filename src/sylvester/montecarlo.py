@@ -34,12 +34,13 @@ Certification is sequential: each estimated side is a time-uniform
 empirical-Bernstein confidence sequence, tested after every chunk, and the
 run stops at the first chunk that decides the relation.  A chunk's job is
 computed only when the chunk is drawn, so the part of a budget a run does
-not use costs nothing.  Its chunks double up to the configured size over
-the first ``_RAMP`` chunks, and the chunk stream keeps in flight behind the
-chunk it waits for no more samples than it has already yielded (or than
-one chunk of that size per other thread): a run decided after a few small
-chunks draws, and waits for, about what it used.  ``estimate_moment`` uses
-equal chunks.
+not use costs nothing.  Its chunks ramp from a small first chunk up to a
+fraction of the configured size, so a run's samples, and its time, grow in
+small steps with the samples that decide it; and the chunk stream keeps in
+flight behind the chunk it waits for no more samples than it has already
+yielded (or than one chunk of that size per other thread): a run decided
+after a few small chunks draws, and waits for, about what it used.
+``estimate_moment`` uses equal chunks.
 """
 
 from __future__ import annotations
@@ -534,8 +535,9 @@ def _chunk_stream(jobs: Iterable[tuple], workers: int):
                 future.cancel()
 
 
-#: The chunks a certification takes to ramp up to its chunk size (see _jobs).
-_RAMP = 5
+#: A certification's chunk i has chunk_size >> max(_RAMP_FIRST - i, _RAMP_LAST)
+#: simplices: chunk_size / 32 first, doubling up to chunk_size / 4 (see _jobs).
+_RAMP_FIRST, _RAMP_LAST = 5, 2
 
 
 def _jobs(body: Body, fixed: FixedPointSpec, config: EstimatorConfig,
@@ -546,9 +548,12 @@ def _jobs(body: Body, fixed: FixedPointSpec, config: EstimatorConfig,
     with ValueError.  The jobs are computed as they are drawn, so a budget
     costs nothing until its chunks are drawn.  Job i has
     ``min(chunk_size, remaining)`` simplices, or with ``ramp`` (a
-    certification) ``min(chunk_size >> max(_RAMP - i, 0), remaining)``, at
-    least 1: the first ``_RAMP`` chunks double up to ``chunk_size``.  Chunk
-    i is keyed [seed, i] either way.
+    certification) ``min(chunk_size >> max(_RAMP_FIRST - i, _RAMP_LAST),
+    remaining)``, at least 1: the chunks double from ``chunk_size >>
+    _RAMP_FIRST`` up to ``chunk_size >> _RAMP_LAST``.  A certification is
+    decided only at the end of a chunk, so the steady size sets the step in
+    which its samples, and its time, grow with the samples that decide it.
+    Chunk i is keyed [seed, i] either way.
     """
     d = body.dimension
     if isinstance(fixed, FixedPoint):
@@ -571,7 +576,8 @@ def _schedule(body: Body, fixed: FixedPointSpec, config: EstimatorConfig,
               ramp: bool) -> Iterator[tuple]:
     drawn = i = 0
     while drawn < config.n_samples:
-        size = max(config.chunk_size >> max(_RAMP - i, 0), 1) if ramp else config.chunk_size
+        size = (max(config.chunk_size >> max(_RAMP_FIRST - i, _RAMP_LAST), 1) if ramp
+                else config.chunk_size)
         size = min(size, config.n_samples - drawn)
         yield body, fixed, config.k, config.seed, i, size
         drawn += size
@@ -713,7 +719,8 @@ class EstimatedSide:
     hence sub-gamma, with scale R and variance process V = sum (x_i - p_j)^2
     (Howard et al. 2021), and V grows by M2_j + n_j (mean_j - p_j)^2, exactly
     from the chunk's (n, mean, M2).  Each tail gets ``alpha / 2``.  The
-    chunks of ``jobs`` ramp up to the configured size (see :func:`_jobs`).
+    chunks of ``jobs`` ramp up to a fraction of the chunk size (see
+    :func:`_jobs`).
     """
 
     def __init__(self, body: Body, fixed: FixedPointSpec, config: EstimatorConfig,

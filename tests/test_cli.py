@@ -288,8 +288,8 @@ def test_counterexample_writes_its_certification_trace_to_stderr(capsys):
     trace = trace["certification"]
     est = record["verdict"]["rhs"]["estimate"]
     assert "lhs" not in trace  # the exact side
-    # at this seed, the ramp's five chunks of 1,024 to 16,384 samples
-    assert est["n"] == 31_744
+    # at this seed, the ramp's 1,024 + 2,048 + 4,096, then two chunks of 8,192
+    assert est["n"] == 23_552
     assert trace["rhs"] == {"samples": est["n"], "chunks": 5,
                             "budget": 2_000_000, "alpha": pytest.approx(0.01),
                             "range": pytest.approx(1.0), "stop": "decided"}
@@ -662,8 +662,9 @@ def test_counterexample_stdout_byte_identical_across_thread_counts():
     assert code1 == code2 == EXIT_OK
     assert out1 == out2
     est = json.loads(out1)["verdict"]["lhs"]["estimate"]
-    # whole chunks: the ramp's 1,024 + ... + 16,384 = 31,744 samples, then 2^15 each
-    assert (est["n"] + DEFAULT_CHUNK // 32) % DEFAULT_CHUNK == 0 and est["n"] < 2_000_000
+    # whole chunks: the ramp's 1,024 + 2,048 + 4,096 = 7,168 samples, then 2^13 each
+    assert (est["n"] + DEFAULT_CHUNK // 32) % (DEFAULT_CHUNK // 4) == 0
+    assert est["n"] < 2_000_000
 
 
 # ---------------------------------------------------------------------------

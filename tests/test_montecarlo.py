@@ -455,15 +455,15 @@ def test_a_budget_costs_nothing_until_its_chunks_are_drawn():
     tail = list(_jobs(Ball(3), NO_FIXED_POINT, make_config(k=2, n_samples=2_500,
                                                            seed=9, chunk_size=1_000)))
     assert [job[2:] for job in tail] == [(2, 9, 0, 1_000), (2, 9, 1, 1_000), (2, 9, 2, 500)]
-    # a certification's jobs ramp up to the chunk, doubling from chunk / 32
+    # a certification's jobs double from chunk / 32 up to chunk / 4
     ramp = _jobs(Ball(3), NO_FIXED_POINT, make_config(k=1, n_samples=10**15), ramp=True)
-    assert [job[4:] for job in islice(ramp, 7)] == [
-        (0, 1_024), (1, 2_048), (2, 4_096), (3, 8_192), (4, 16_384), (5, DEFAULT_CHUNK),
-        (6, DEFAULT_CHUNK)]
+    assert [job[4:] for job in islice(ramp, 6)] == [
+        (0, 1_024), (1, 2_048), (2, 4_096), (3, DEFAULT_CHUNK // 4), (4, DEFAULT_CHUNK // 4),
+        (5, DEFAULT_CHUNK // 4)]
     # at least one simplex a chunk, and the budget caps the last
     short = _jobs(Ball(3), NO_FIXED_POINT, make_config(k=1, n_samples=10, chunk_size=10),
                   ramp=True)
-    assert [job[5] for job in short] == [1, 1, 1, 2, 5]
+    assert [job[5] for job in short] == [1, 1, 1, 2, 2, 2, 1]
 
 
 def test_estimate_moment_env_thread_cap(monkeypatch):
@@ -827,7 +827,7 @@ def test_a_decided_certification_waits_for_little_speculative_work(monkeypatch, 
     verdict = certify_counterexample((HalfBall(4), NO_FIXED_POINT, 1),
                                      ball_fixed_moment(4, 1), cfg, workers=workers)
     decided = verdict.trace_dict()["lhs"]["chunks"] - 1
-    assert decided == 5  # at this seed; see test_certification_stops_at_the_first_decided_chunk
+    assert decided == 7  # at this seed; see test_certification_stops_at_the_first_decided_chunk
     assert sorted(started) == list(range(len(started)))
     # behind the deciding chunk, at most the samples used before it (or its
     # own size once per other thread), in fewer than 2 * workers chunks
@@ -845,10 +845,10 @@ def test_certification_stops_at_the_first_decided_chunk():
     verdict = certify_counterexample((HalfBall(4), NO_FIXED_POINT, 1), exact, cfg)
     assert verdict.relation == LHS_GREATER
     est = verdict.lhs.estimate
-    # at this seed, the ramp's chunks 0 to 5: 128 + 256 + ... + 4,096 samples
-    assert est.n == 8_064
+    # at this seed, chunks 0 to 7: the ramp's 128 + 256 + 512, then five of 1,024
+    assert est.n == 6_016
     assert est.config.n_samples == 1_000_000
-    # the sequence replayed by hand is undecided after chunks 0 to 4
+    # the sequence replayed by hand is undecided after chunks 0 to 6
     _, exact_hi = ExactSide(exact).bounds()
     sequence = EstimatedSide(HalfBall(4), NO_FIXED_POINT, cfg, verdict.lhs.alpha)
     # before its first chunk the sequence is the whole range, and has no estimate
@@ -857,13 +857,13 @@ def test_certification_stops_at_the_first_decided_chunk():
     for read in (lambda: sequence.estimate, sequence.to_json_dict):
         with pytest.raises(ValueError, match="no chunk has been added"):
             read()
-    for job in islice(sequence.jobs, 6):
+    for job in islice(sequence.jobs, 8):
         sequence.add(_chunk_stats(*job))
         decided = sequence.bounds()[0] > exact_hi
         assert decided == (sequence.stats[0] == est.n)
     assert sequence.bounds() == verdict.lhs.bounds()
     trace = verdict.trace_dict()
-    assert trace["lhs"] == {"samples": est.n, "chunks": 6, "budget": 1_000_000,
+    assert trace["lhs"] == {"samples": est.n, "chunks": 8, "budget": 1_000_000,
                             "alpha": verdict.lhs.alpha, "range": verdict.lhs.value_range,
                             "stop": "decided"}
     assert trace["margin"] > 1.0
@@ -880,8 +880,8 @@ def test_inconclusive_certification_spends_the_budget():
         side = getattr(verdict, name)
         assert side.estimate.n == 5_000
         assert trace[name]["stop"] == "budget"
-        # 31 + 62 + 125 + 250 + 500, then 1,000 four times and a tail of 32
-        assert trace[name]["chunks"] == 10
+        # 31 + 62 + 125, then 250 nineteen times and a tail of 32
+        assert trace[name]["chunks"] == 23
     assert trace["margin"] < 1.0
     assert verdict.lhs.estimate.config.seed == 2
     assert verdict.rhs.estimate.config.seed == 3
@@ -906,8 +906,8 @@ def test_verdict_n_is_whole_chunks_and_the_same_at_any_worker_count():
     assert serial.relation == threaded.relation == LHS_GREATER
     assert serial.to_json_dict() == threaded.to_json_dict()
     n = serial.lhs.estimate.n
-    # whole chunks: the ramp's 1,024 + ... + 16,384 = 31,744 samples, then 2^15 each
-    assert (n + DEFAULT_CHUNK // 32) % DEFAULT_CHUNK == 0 and 0 < n < 600_000
+    # whole chunks: the ramp's 1,024 + 2,048 + 4,096 = 7,168 samples, then 2^13 each
+    assert (n + DEFAULT_CHUNK // 32) % (DEFAULT_CHUNK // 4) == 0 and 0 < n < 600_000
 
 
 def test_stitched_boundary_constants():
