@@ -3,9 +3,10 @@
 Exact closed forms in certified pi-polynomial arithmetic (interval; ball,
 free or with its center as a vertex; half-ball with its base center as a
 vertex; triangle, free or with an edge midpoint as a vertex; tetrahedron, free,
-at k = 1), plus reproducible Monte Carlo estimation strong enough to certify
-strict inequalities between moments, in particular the failures of
-monotonicity under set inclusion.
+at k = 1; and every one of these bodies and vertices at k = 2, from its
+centroid and covariance), plus reproducible Monte Carlo estimation strong
+enough to certify strict inequalities between moments, in particular the
+failures of monotonicity under set inclusion.
 """
 
 from importlib import import_module

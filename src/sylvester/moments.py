@@ -3,12 +3,17 @@
 A "random simplex" in a convex body K is the convex hull of d+1 points drawn
 independently and uniformly from K; optionally one vertex is pinned at a fixed
 point x (written below as the "fixed-vertex" variant).  For intervals, balls,
-balls with a fixed center vertex, half-balls with the base center fixed (the
-free half-ball has none), triangles, triangles with an edge-midpoint vertex,
-and the free tetrahedron at k = 1, the k-th moment of the simplex volume has
-an exact closed form in the ring handled by
-:mod:`sylvester.exactnum`; this module evaluates all of them, plus the ratio
-quantities used to exhibit failures of monotonicity under set inclusion.
+balls with a fixed center vertex, half-balls with the base center fixed,
+triangles and triangles with an edge-midpoint vertex, the k-th moment of the
+simplex volume has an exact closed form at every k, and the free tetrahedron
+has one at k = 1, in the ring handled by :mod:`sylvester.exactnum`; this
+module evaluates all of them, plus the ratio quantities used to exhibit
+failures of monotonicity under set inclusion.
+
+Every supported pair also has its second moment (k = 2) exactly, from the
+body's centroid mu and covariance Sigma alone (:func:`second_moment`): so the
+free half-ball and the tetrahedron, free or with a facet-centroid vertex, are
+exact at k = 2 too.
 
 Triangle and tetrahedron moments are normalized to unit-volume bodies (the
 moments are affine-invariant, so this is the canonical form); use
@@ -22,7 +27,7 @@ from fractions import Fraction
 from math import comb, factorial, perm
 from typing import TYPE_CHECKING, Callable
 
-from .exactnum import PiPolynomial, gamma_half_parts
+from .exactnum import SQRT_PI, PiPolynomial, gamma_half, gamma_half_parts
 
 if TYPE_CHECKING:
     from . import montecarlo as mc
@@ -226,6 +231,80 @@ def scale_to_volume(
     return unit_moment * volume**k
 
 
+# ---------------------------------------------------------------------------
+# second moments from the centroid and the covariance
+
+
+@dataclass(frozen=True)
+class Covariance:
+    """What E V^2 needs of a body's centroid mu and covariance Sigma.
+
+    ``det`` is det Sigma; ``vertex`` is (x - mu)^T adj(Sigma) (x - mu), that
+    is det Sigma times the squared Mahalanobis distance of the fixed vertex x,
+    or None when no vertex is fixed.
+    """
+
+    det: PiPolynomial
+    vertex: PiPolynomial | None = None
+
+
+def second_moment(d: int, cov: Covariance) -> PiPolynomial:
+    """E V^2 of a random simplex in a body of R^d, from its covariance.
+
+    The volume is |det A| / d!, where A has the rows z_i = (1, x_i).  For
+    independent rows, E (det A)^2 is the sum over pairs of permutations
+    (s, t) of sgn s sgn t prod_i E[z_{i,s(i)} z_{i,t(i)}] (Nyquist, Rice &
+    Riordan 1954).  When the d+1 rows are i.i.d. with M = E z z^T this is
+    (d+1)! det M, and when row 0 is fixed at u = (1, x) it is
+    d! u^T adj(M) u.  Here det M = det Sigma and
+    u^T adj(M) u = det Sigma + (x - mu)^T adj(Sigma) (x - mu), so
+
+        E V^2 = (d+1) det Sigma / d!   and   E_x V^2 = (det Sigma + vertex) / d!.
+    """
+    total = cov.det * (d + 1) if cov.vertex is None else cov.det + cov.vertex
+    return total / factorial(d)
+
+
+def _ball_covariance(d: int, centre: bool) -> Covariance:
+    """The unit d-ball: mu = 0 and Sigma = I / (d+2)."""
+    return Covariance(PiPolynomial.from_rational(Fraction(1, (d + 2) ** d)),
+                      PiPolynomial.zero() if centre else None)
+
+
+def _halfball_covariance(d: int, base_centre: bool) -> Covariance:
+    """The unit d-half-ball {x_1 >= 0}: mu = mu_1 e_1 and Sigma = I/(d+2) - mu_1^2 e_1 e_1^T.
+
+    mu_1 = 2 kappa_{d-1} / ((d+1) kappa_d)
+    = 2 Gamma(d/2 + 1) / ((d+1) sqrt(pi) Gamma((d+1)/2)) is one term (3/8
+    at d = 3, 16/(15 pi) at d = 4), so det Sigma = (d+2)^-(d-1) (1/(d+2) -
+    mu_1^2).  At the base centre, x - mu = -mu_1 e_1 and adj(Sigma)_11 =
+    (d+2)^-(d-1).
+    """
+    mu_1 = gamma_half(d + 2) * 2 / (gamma_half(d + 1) * SQRT_PI * (d + 1))
+    mu_1_sq = mu_1 * mu_1
+    lead = Fraction(1, (d + 2) ** (d - 1))
+    return Covariance((Fraction(1, d + 2) - mu_1_sq) * lead,
+                      mu_1_sq * lead if base_centre else None)
+
+
+def _simplex_covariance(d: int, facet_centroid: bool) -> Covariance:
+    """A d-simplex of unit volume, free or with a vertex at a facet centroid.
+
+    In the reference simplex conv(0, e_1, ..., e_d) the barycentric
+    coordinates are Dirichlet(1, ..., 1): mu = (1, ..., 1)/(d+1) and
+    Sigma = ((d+1) I - J) / ((d+1)^2 (d+2)), so det Sigma =
+    (d+1)^-(d+1) (d+2)^-d, and the squared Mahalanobis distance of a point
+    with barycentric coordinates lambda is (d+1)(d+2) sum_i (lambda_i -
+    1/(d+1))^2: (d+2)/d at a facet centroid.  The linear map onto a simplex
+    of unit volume has determinant d!, which multiplies det Sigma by (d!)^2
+    and leaves the distance as it is.
+    """
+    det = Fraction(factorial(d) ** 2, (d + 1) ** (d + 1) * (d + 2) ** d)
+    return Covariance(PiPolynomial.from_rational(det),
+                      PiPolynomial.from_rational(det * Fraction(d + 2, d))
+                      if facet_centroid else None)
+
+
 TABLE1_KS = tuple(range(3, 11))
 
 
@@ -354,17 +433,25 @@ class Support:
     d: int | None  # the body's dimension; None: any d >= 1, set by the query
     body: Callable[[int, Fraction | None], mc.Body]  # sampler body for (d, interval length)
     fixed: Callable[[int], mc.FixedPointSpec]  # the fixed vertex in dimension d
+    covariance: Callable[[int, Fraction | None], Covariance]  # (d, l), for the k = 2 form
     closed_form: Callable[[int, int, Fraction | None], PiPolynomial] | None = None  # (d, k, l)
-    exact_k: int | None = None  # the closed form holds only at this order
+    exact_k: frozenset[int] | None = None  # the orders with a form; None: every k
 
     def exact_at(self, k: int) -> bool:
-        return self.closed_form is not None and self.exact_k in (None, k)
+        return self.exact_k is None or k in self.exact_k
+
+    def moment(self, d: int, k: int, l: Fraction | None) -> PiPolynomial:
+        """The form at an order it has: :func:`second_moment` at k = 2 unless
+        ``closed_form`` holds at every order, else ``closed_form``."""
+        if k == 2 and self.exact_k is not None:
+            return second_moment(d, self.covariance(d, l))
+        return self.closed_form(d, k, l)
 
     def describe(self) -> str:
         d = "any d" if self.d is None else f"d={self.d}"
-        if self.closed_form is None:
-            return f"{d}, Monte Carlo only"
-        return f"{d}, exact {'any k' if self.exact_k is None else f'k={self.exact_k} only'}"
+        if self.exact_k is None:
+            return f"{d}, exact any k"
+        return f"{d}, exact k={','.join(map(str, sorted(self.exact_k)))} only"
 
 
 class _SupportTable(dict):
@@ -397,23 +484,36 @@ def _origin(d: int) -> mc.FixedPoint:
 #: raises :class:`UnsupportedQueryError` listing the supported ones.
 SUPPORT = _SupportTable({
     ("interval", "none"): Support(1, lambda d, l: _mc().Interval(_length(l)), _no_fixed,
+                                  lambda d, l: Covariance(
+                                      PiPolynomial.from_rational(_length(l) ** 2 / 12)),
                                   lambda d, k, l: interval_moment(k, _length(l))),
     ("ball", "none"): Support(None, lambda d, l: _mc().Ball(d), _no_fixed,
+                              lambda d, l: _ball_covariance(d, False),
                               lambda d, k, l: ball_moment(d, k)),
     ("ball", "origin"): Support(None, lambda d, l: _mc().Ball(d), _origin,
+                                lambda d, l: _ball_covariance(d, True),
                                 lambda d, k, l: ball_fixed_moment(d, k)),
-    ("halfball", "none"): Support(None, lambda d, l: _mc().HalfBall(d), _no_fixed),
+    ("halfball", "none"): Support(None, lambda d, l: _mc().HalfBall(d), _no_fixed,
+                                  lambda d, l: _halfball_covariance(d, False),
+                                  exact_k=frozenset({2})),
     ("halfball", "origin"): Support(None, lambda d, l: _mc().HalfBall(d), _origin,
+                                    lambda d, l: _halfball_covariance(d, True),
                                     lambda d, k, l: halfball_fixed_moment(d, k)),
     ("triangle", "none"): Support(2, lambda d, l: _mc().unit_area_triangle(), _no_fixed,
+                                  lambda d, l: _simplex_covariance(2, False),
                                   lambda d, k, l: triangle_moment(k)),
     ("triangle", "edge_midpoint"): Support(2, lambda d, l: _mc().unit_area_triangle(),
                                            lambda d: _mc().triangle_edge_midpoint(),
+                                           lambda d, l: _simplex_covariance(2, True),
                                            lambda d, k, l: triangle_midpoint_moment(k)),
     ("tetrahedron", "none"): Support(3, lambda d, l: _mc().unit_volume_tetrahedron(), _no_fixed,
-                                     lambda d, k, l: tetrahedron_moment_k1(), exact_k=1),
+                                     lambda d, l: _simplex_covariance(3, False),
+                                     lambda d, k, l: tetrahedron_moment_k1(),
+                                     exact_k=frozenset({1, 2})),
     ("tetrahedron", "facet_centroid"): Support(3, lambda d, l: _mc().unit_volume_tetrahedron(),
-                                               lambda d: _mc().tetrahedron_facet_centroid()),
+                                               lambda d: _mc().tetrahedron_facet_centroid(),
+                                               lambda d, l: _simplex_covariance(3, True),
+                                               exact_k=frozenset({2})),
 })
 SUPPORTED = ", ".join(f"{b}/{f} ({row.describe()})" for (b, f), row in SUPPORT.items())
 BODY_KINDS = tuple(dict.fromkeys(b for b, _ in SUPPORT))
@@ -495,7 +595,7 @@ def exact_moment(query: MomentQuery) -> PiPolynomial:
             f"d={query.d} k={query.k}; supported: {SUPPORTED}"
         )
     check_closed_form_size(query.d, query.k, query.l)
-    return support.closed_form(query.d, query.k, query.l)
+    return support.moment(query.d, query.k, query.l)
 
 
 def _check_dim(d: int) -> None:

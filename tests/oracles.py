@@ -6,8 +6,11 @@ one-dimensional integrals of cross sections.  Oracle outputs are compared to
 the exact implementations at tight tolerances.  The exceptions are exact
 oracles, compared structurally: :func:`ball_moments_by_kappa_omega`, the same
 Miles formula as the ball closed forms, built factor by factor from kappa and
-omega rather than telescoped, and :func:`ratio_bound_by_kappas`, the ball
-ratio bound as four kappas rather than a quotient of ball moments.
+omega rather than telescoped, :func:`ratio_bound_by_kappas`, the ball
+ratio bound as four kappas rather than a quotient of ball moments, and
+:func:`second_moment_by_bordered_det`, E V^2 from a body's centroid and
+covariance through a general determinant rather than each body's closed
+det Sigma.
 """
 
 from __future__ import annotations
@@ -141,3 +144,78 @@ def triangle_second_coordinate_moments() -> tuple[float, float]:
     second, _ = dblquad(lambda y, x: x * x, 0.0, 1.0, 0.0, lambda x: 1.0 - x)
     var = second / 0.5 - mean * mean
     return mean, var
+
+
+def bareiss_det(rows):
+    """The determinant of a square matrix, by Bareiss elimination in Fractions."""
+    from fractions import Fraction
+
+    a = [[Fraction(x) for x in row] for row in rows]
+    n, sign, previous = len(a), 1, Fraction(1)
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is None:
+                return Fraction(0)
+            a[k], a[swap], sign = a[swap], a[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) / previous
+        previous = a[k][k]
+    return sign * a[-1][-1]
+
+
+def second_moment_by_bordered_det(mu, cov, x=None):
+    """E V^2 of a random simplex from the centroid ``mu`` and covariance ``cov``.
+
+    The rows z_i = (1, x_i) have the second-moment matrix
+    M = [[1, mu^T], [mu, cov + mu mu^T]].  With every vertex random,
+    E (det A)^2 = (d+1)! det M; with one vertex fixed at x and u = (1, x),
+    it is d! u^T adj(M) u = -d! det [[M, u], [u^T, 0]].  V = |det A| / d!.
+    """
+    from math import factorial
+
+    d = len(mu)
+    m = [[1, *mu]] + [[mu[i], *(cov[i][j] + mu[i] * mu[j] for j in range(d))]
+                      for i in range(d)]
+    if x is None:
+        return factorial(d + 1) * bareiss_det(m) / factorial(d) ** 2
+    u = [1, *x]
+    bordered = [row + [ui] for row, ui in zip(m, u)] + [u + [0]]
+    return -bareiss_det(bordered) / factorial(d)
+
+
+def ball_centroid_covariance(d: int):
+    """The unit d-ball: mu = 0, and E x_i x_j = delta_ij / (d+2)."""
+    from fractions import Fraction
+
+    return [0] * d, [[Fraction(int(i == j), d + 2) for j in range(d)] for i in range(d)]
+
+
+def halfball_centroid_covariance(d: int):
+    """The unit d-half-ball {x_1 >= 0}, for odd d, where its centroid is rational.
+
+    mu_1 = E|x_1| = 2 Gamma(d/2 + 1) / ((d+1) sqrt(pi) Gamma((d+1)/2)), with
+    the gammas from their recurrence; the second moments are the ball's.
+    """
+    from fractions import Fraction
+
+    assert d % 2 == 1, "mu_1 has a factor 1/pi in even d"
+    num_a, den_a, root_a = gamma_half_by_recurrence(d + 2)
+    num_b, den_b, root_b = gamma_half_by_recurrence(d + 1)
+    assert (root_a, root_b) == (1, 0)  # the sqrt(pi) cancels
+    mu_1 = 2 * Fraction(num_a, den_a) / ((d + 1) * Fraction(num_b, den_b))
+    mu, second = ball_centroid_covariance(d)
+    mu[0] = mu_1
+    second[0][0] -= mu_1 * mu_1
+    return mu, second
+
+
+def reference_simplex_centroid_covariance(d: int):
+    """conv(0, e_1, ..., e_d): Dirichlet(1, ..., 1) moments, E l_i = 1/(d+1)
+    and E l_i l_j = (1 + delta_ij) / ((d+1)(d+2))."""
+    from fractions import Fraction
+
+    mean = Fraction(1, d + 1)
+    second = [[Fraction(1 + (i == j), (d + 1) * (d + 2)) for j in range(d)] for i in range(d)]
+    return [mean] * d, [[second[i][j] - mean * mean for j in range(d)] for i in range(d)]

@@ -109,7 +109,7 @@ def test_exact_unsupported_combo_lists_support(capsys):
     code, _, err = run_cli(capsys, "exact", "--body", "halfball", "--d", "3")
     assert code == EXIT_USAGE
     assert "supported" in err
-    code, _, _ = run_cli(capsys, "exact", "--body", "tetrahedron", "--k", "2")
+    code, _, _ = run_cli(capsys, "exact", "--body", "tetrahedron", "--k", "3")
     assert code == EXIT_USAGE
     code, _, _ = run_cli(capsys, "exact", "--body", "ball", "--fixed",
                          "edge_midpoint", "--d", "2")
@@ -202,7 +202,8 @@ MC_PAIRS = {
     ("triangle", "edge_midpoint"), ("tetrahedron", "none"),
     ("tetrahedron", "facet_centroid"),
 }
-EXACT_PAIRS = MC_PAIRS - {("halfball", "none"), ("tetrahedron", "facet_centroid")}
+# the pairs exact at k = 1, the order the matrix queries; every pair is exact at k = 2
+EXACT_AT_K1 = MC_PAIRS - {("halfball", "none"), ("tetrahedron", "facet_centroid")}
 
 
 def _matrix_argv(command, body, fixed):
@@ -219,7 +220,7 @@ def _matrix_argv(command, body, fixed):
 @pytest.mark.parametrize("body", BODIES)
 def test_support_matrix(capsys, command, body, fixed):
     code, out, err = run_cli(capsys, *_matrix_argv(command, body, fixed))
-    if (body, fixed) in (EXACT_PAIRS if command == "exact" else MC_PAIRS):
+    if (body, fixed) in (EXACT_AT_K1 if command == "exact" else MC_PAIRS):
         assert code == EXIT_OK
         assert len(json_lines(out)) == 1
         return
@@ -239,11 +240,26 @@ def test_exact_and_mc_reject_a_pair_with_the_same_message(capsys, body, fixed):
     assert exact_err.strip().splitlines()[-1] == mc_err.strip().splitlines()[-1]
 
 
-def test_exact_tetrahedron_has_a_closed_form_at_k1_only(capsys):
-    code, out, err = run_cli(capsys, "exact", "--body", "tetrahedron", "--k", "2")
+def test_every_pair_is_exact_at_k2(capsys):
+    for body, fixed in sorted(MC_PAIRS):
+        argv = [*_matrix_argv("exact", body, fixed), "--k", "2"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK, argv
+        (record,) = json_lines(out)
+        if (body, fixed) == ("halfball", "none"):  # d = 3
+            assert record["exact_str"] == "19/12000"
+
+
+def test_exact_tetrahedron_has_closed_forms_at_k1_and_k2_only(capsys):
+    for k, value in (("1", "13/720 - 1/15015*pi^2"), ("2", "3/4000")):
+        code, out, _ = run_cli(capsys, "exact", "--body", "tetrahedron", "--k", k)
+        assert code == EXIT_OK
+        assert json_lines(out)[0]["exact_str"] == value
+    code, out, err = run_cli(capsys, "exact", "--body", "tetrahedron", "--k", "3")
     assert code == EXIT_USAGE
     assert out == ""
-    assert "tetrahedron/none (d=3, exact k=1 only)" in err
+    assert "tetrahedron/none (d=3, exact k=1,2 only)" in err
+    assert "tetrahedron/facet_centroid (d=3, exact k=2 only)" in err
 
 
 # ---------------------------------------------------------------------------
@@ -262,12 +278,12 @@ def test_counterexample_certifies_at_moderate_n(capsys, scenario):
 
 
 def test_an_unused_budget_costs_nothing(capsys):
-    # 3 * 10^10 chunks of budget; the ramp's first four, 1,024 to 8,192
+    # 3 * 10^10 chunks of budget; the ramp's first three, 1,024 to 4,096
     # samples, decide
     code, out, _ = run_cli(capsys, "counterexample", "tetra-d3", "--n", str(10**15))
     assert code == EXIT_OK
     record = json_lines(out)[0]
-    assert record["certified"] and record["verdict"]["rhs"]["estimate"]["n"] == 15_360
+    assert record["certified"] and record["verdict"]["rhs"]["estimate"]["n"] == 7_168
 
 
 def test_counterexample_inconclusive_exit_code(capsys):
@@ -288,11 +304,14 @@ def test_counterexample_writes_its_certification_trace_to_stderr(capsys):
     trace = trace["certification"]
     est = record["verdict"]["rhs"]["estimate"]
     assert "lhs" not in trace  # the exact side
-    # at this seed, the ramp's 1,024 + 2,048 + 4,096, then two chunks of 8,192
-    assert est["n"] == 23_552
-    assert trace["rhs"] == {"samples": est["n"], "chunks": 5,
+    # at this seed, the ramp's 1,024 + 2,048 + 4,096
+    assert est["n"] == 7_168
+    # the facet-centroid side has an exact E V^2, so its sequence runs on the
+    # bounded control variate, whose range is a quarter of the volume's
+    assert trace["rhs"] == {"samples": est["n"], "chunks": 3,
                             "budget": 2_000_000, "alpha": pytest.approx(0.01),
-                            "range": pytest.approx(1.0), "stop": "decided"}
+                            "range": pytest.approx(0.25), "stop": "decided",
+                            "sample": "V^k(1-beta*V^k)", "beta": pytest.approx(1.0)}
     assert est["n"] < est["n_samples"] == 2_000_000
     assert trace["margin"] > 1.0
     assert "certification" not in out
@@ -673,9 +692,9 @@ def test_counterexample_stdout_byte_identical_across_thread_counts():
 
 # one row of each closed form, table1 and qscan: the commands that need no numpy
 EXACT_COMMANDS = [
-    ["exact", "--body", body, "--fixed", fixed, "--k", str(row.exact_k or 1),
+    ["exact", "--body", body, "--fixed", fixed, "--k", str(min(row.exact_k or {1})),
      *(["--d", "3"] if row.d is None else [])]  # ball/origin d=3 k=1: 9/1024*pi
-    for (body, fixed), row in SUPPORT.items() if row.closed_form is not None
+    for (body, fixed), row in SUPPORT.items()
 ] + [["table1"], ["qscan", "--d", "2"], ["qscan", "--d", "3"]]
 
 # Runs each command with the named modules blocked (an import of one raises

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from sylvester.exactnum import PI, PiPolynomial, pi_power
 from sylvester.moments import (
     MAX_CLOSED_FORM_SIZE,
+    SUPPORT,
     MomentQuery,
     UnsupportedQueryError,
     ball_fixed_moment,
@@ -22,6 +23,7 @@ from sylvester.moments import (
     plane_counterexample_report,
     q_ratio,
     scale_to_volume,
+    second_moment,
     table1_rows,
     tetrahedron_moment_k1,
     midpoint_moment_from_cutoff_integrals,
@@ -31,12 +33,17 @@ from sylvester.moments import (
 )
 
 from oracles import (
+    ball_centroid_covariance,
     ball_moments_by_kappa_omega,
+    halfball_centroid_covariance,
+    halfball_first_coordinate_mean,
     i0_quadrature,
     i12_quadrature,
     interval_moment_quadrature,
     q_ratio_by_loop,
     ratio_bound_by_kappas,
+    reference_simplex_centroid_covariance,
+    second_moment_by_bordered_det,
 )
 
 F = Fraction
@@ -415,11 +422,79 @@ def test_exact_moment_rejects_a_closed_form_above_the_size_limit():
         exact_moment(MomentQuery(1, 100, "interval", l=F(3, 2) ** 1000))  # 102 * 25 words
 
 
+# ---------------------------------------------------------------------------
+# second moments from the centroid and the covariance
+
+
+def _pi(q):
+    return PiPolynomial.from_rational(q)
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_bordered_det_second_moment_equals_the_ball_forms(d):
+    mu, cov = ball_centroid_covariance(d)
+    assert _pi(second_moment_by_bordered_det(mu, cov)) == ball_moment(d, 2)
+    assert _pi(second_moment_by_bordered_det(mu, cov, [0] * d)) == ball_fixed_moment(d, 2)
+    if d % 2:  # the half-ball's centroid is rational in odd d
+        mu, cov = halfball_centroid_covariance(d)
+        assert _pi(second_moment_by_bordered_det(mu, cov, [0] * d)) == halfball_fixed_moment(d, 2)
+        assert _pi(second_moment_by_bordered_det(mu, cov)) == exact_moment(
+            MomentQuery(d, 2, "halfball"))
+
+
+@pytest.mark.parametrize("l", [F(1), F(3, 7), F(5, 2)])
+def test_bordered_det_second_moment_equals_the_interval_form(l):
+    assert _pi(second_moment_by_bordered_det([l / 2], [[l * l / 12]])) == interval_moment(2, l)
+
+
+def test_bordered_det_second_moment_equals_the_simplex_forms():
+    # the reference simplex has volume 1/d!: scale to unit volume by (d!)^2
+    mu, cov = reference_simplex_centroid_covariance(2)
+    triangle = F(2) ** 2 * second_moment_by_bordered_det(mu, cov)
+    midpoint = F(2) ** 2 * second_moment_by_bordered_det(mu, cov, [F(1, 2)] * 2)
+    assert _pi(triangle) == triangle_moment(2) == PiPolynomial.from_rational(F(1, 72))
+    assert _pi(midpoint) == triangle_midpoint_moment(2)
+    mu, cov = reference_simplex_centroid_covariance(3)
+    assert _pi(F(6) ** 2 * second_moment_by_bordered_det(mu, cov)) == exact_moment(
+        MomentQuery(3, 2, "tetrahedron"))
+    assert _pi(F(6) ** 2 * second_moment_by_bordered_det(mu, cov, [F(1, 3)] * 3)) == exact_moment(
+        MomentQuery(3, 2, "tetrahedron", "facet_centroid"))
+
+
+def test_every_support_row_has_a_second_moment_from_its_covariance():
+    for (body, fixed), row in SUPPORT.items():
+        assert row.exact_at(2)
+        for d in ([row.d] if row.d is not None else range(1, 13)):
+            l = F(3, 7) if body == "interval" else None
+            value = exact_moment(MomentQuery(d, 2, body, fixed, l))
+            assert second_moment(d, row.covariance(d, l)) == value, (body, fixed, d)
+
+
+def test_new_exact_second_moments():
+    assert exact_moment(MomentQuery(3, 2, "halfball")) == _pi(F(19, 12000))
+    assert exact_moment(MomentQuery(3, 2, "tetrahedron")) == _pi(F(3, 4000))
+    assert exact_moment(MomentQuery(3, 2, "tetrahedron", "facet_centroid")) == _pi(F(1, 2000))
+    d4 = exact_moment(MomentQuery(4, 2, "halfball"))
+    assert d4 == PiPolynomial({0: F(5, 31104), -4: F(-4, 3645)})
+    assert d4.to_decimal(4) == "0.00004956"
+    # in even d the half-ball's centroid has a factor 1/pi: check it by quadrature
+    for d in (2, 4, 6):
+        mu_1 = halfball_first_coordinate_mean(d)
+        want = (d + 1) / math.factorial(d) / (d + 2) ** (d - 1) * (1 / (d + 2) - mu_1**2)
+        assert exact_moment(MomentQuery(d, 2, "halfball")).to_float() == pytest.approx(
+            want, rel=1e-10)
+    # so at k = 2 the pinned moment is below the free one: 16/19 and 2/3
+    assert (halfball_fixed_moment(3, 2) / exact_moment(MomentQuery(3, 2, "halfball"))
+            == _pi(F(16, 19)))
+    assert (exact_moment(MomentQuery(3, 2, "tetrahedron", "facet_centroid"))
+            / exact_moment(MomentQuery(3, 2, "tetrahedron")) == _pi(F(2, 3)))
+
+
 def test_exact_moment_unsupported():
     with pytest.raises(UnsupportedQueryError):
         exact_moment(MomentQuery(3, 1, "halfball"))
     with pytest.raises(UnsupportedQueryError):
-        exact_moment(MomentQuery(3, 2, "tetrahedron"))
+        exact_moment(MomentQuery(3, 3, "tetrahedron"))
     with pytest.raises(UnsupportedQueryError):
         exact_moment(MomentQuery(3, 1, "tetrahedron", "facet_centroid"))
 

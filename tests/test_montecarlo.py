@@ -685,8 +685,10 @@ def _binomial_upper(trials: int, p: float, tail: float = 1e-6) -> int:
 def test_confidence_sequence_coverage_audit():
     """Time-uniform coverage of the sequence on bodies with known moments.
 
-    100 frozen seeds per case, 16 chunks of 128 samples, checked after every
-    chunk at confidence 0.8 (so a miss is common enough to count): a run
+    100 frozen seeds per case, a budget of 16 x 128 samples in the ramp of a
+    certification (chunks of 4, 8 and 16, then sixty-three of 32 and a tail
+    of 4), checked after every chunk at confidence 0.8 (so a miss is common
+    enough to count): a run
     misses when any checked interval excludes the exact value, and that may
     happen in at most a fraction delta = 0.2 of runs, up to a binomial margin.
     The CLT interval at 99%, from one 16-sample chunk, is recorded beside it:
@@ -722,6 +724,151 @@ def test_confidence_sequence_coverage_audit():
         if k == 3:
             assert clt_misses > _binomial_upper(runs, 0.01), report
     print("; ".join(report))
+
+
+def test_control_variate_coverage_audit():
+    """The same audit for the bounded control-variate sequence.
+
+    Pairs whose E V^k and E V^(2k) are both exact, with the frozen seeds,
+    budget, ramp and confidence 0.8 of the audit above.
+    """
+    from sylvester.montecarlo import EstimatedSide, _chunk_stats
+
+    origin = FixedPoint((0.0, 0.0, 0.0))
+    cases = {
+        "ball-d3-origin k=1": (Ball(3), origin, 1, ball_fixed_moment(3, 1),
+                               ball_fixed_moment(3, 2)),
+        "ball-d3 k=1": (Ball(3), NO_FIXED_POINT, 1, ball_moment(3, 1), ball_moment(3, 2)),
+        "triangle k=1": (unit_area_triangle(), NO_FIXED_POINT, 1, triangle_moment(1),
+                         triangle_moment(2)),
+    }
+    runs, delta = 100, 0.2
+    report = []
+    for name, (body, fixed, k, value, second) in cases.items():
+        exact = value.to_float()
+        misses = 0
+        for seed in range(runs):
+            cfg = make_config(k=k, n_samples=16 * 128, seed=seed, chunk_size=128,
+                              confidence=1 - delta)
+            sequence = EstimatedSide(body, fixed, cfg, delta, second)
+            assert sequence.value_range < sequence.moment_range / 3.99
+            missed = False
+            for job in sequence.jobs:
+                sequence.add(_chunk_stats(*job))
+                lo, hi = sequence.bounds()
+                missed |= not lo <= exact <= hi
+            misses += missed
+        report.append(f"{name}: control variate {misses}/{runs}")
+        assert misses <= _binomial_upper(runs, delta), report
+    print("; ".join(report))
+
+
+@pytest.mark.parametrize("body, k, fl_beta_r_is_one", [
+    (Ball(2), 1, True), (Ball(3), 1, False), (HalfBall(3), 1, False), (HalfBall(4), 1, True),
+    (unit_volume_tetrahedron(), 1, True), (unit_area_triangle(), 1, True),
+    (Ball(3), 2, False), (Interval(2.5), 3, False),
+])
+def test_control_variate_range_is_never_exceeded(body, k, fl_beta_r_is_one):
+    from sylvester.montecarlo import (EstimatedSide, _batched_abs_det, _control_variate,
+                                      _sample_batch)
+
+    side = EstimatedSide(body, NO_FIXED_POINT, make_config(k=k, n_samples=1), 0.01,
+                         PiPolynomial.one())
+    r, beta, c = side.moment_range, side.beta, side.value_range
+    # beta is 1/R^k rounded down: the largest double with beta R^k <= 1
+    assert F(beta) * F(r) <= 1 < F(math.nextafter(beta, math.inf)) * F(r)
+    assert c == 0.25 / beta * (1 + 2.0**-40)
+    # at x = R^k the sample is 0 when fl(beta R^k) = 1, else R^k 2^-53 or R^k 2^-52
+    at_r = _control_variate(np.array([r]), beta)[0]
+    assert (beta * r == 1.0) == fl_beta_r_is_one
+    assert at_r == 0.0 if fl_beta_r_is_one else at_r in (r * 2.0**-53, r * 2.0**-52)
+    # the maximum, at x = R^k / 2 = 1/(2 beta) up to rounding, stays in the range
+    at_half = _control_variate(np.array([r / 2, 0.5 / beta]), beta)
+    assert np.all(at_half <= c) and np.all(at_half >= c * (1 - 2.0**-39))
+    # and so does every sampled volume, which is >= 0
+    d = body.dimension
+    pts = _sample_batch(body, _rng([37, 10 * d + k]), 20_000, d + 1)
+    x = (_batched_abs_det(pts[:, 1:] - pts[:, :1]) / math.factorial(d)) ** k
+    y = _control_variate(x, beta)
+    assert np.all(y >= 0.0) and np.all(y <= c)
+
+
+@pytest.mark.parametrize("d, body_kind, fixed_kind", [
+    (3, "halfball", "none"), (4, "halfball", "none"),
+    (3, "tetrahedron", "none"), (3, "tetrahedron", "facet_centroid"),
+])
+def test_new_second_moments_agree_with_a_frozen_estimate(d, body_kind, fixed_kind):
+    from sylvester.moments import MomentQuery, exact_moment
+
+    query = MomentQuery(d, 2, body_kind, fixed_kind)
+    body, fixed = query.support.body(d, None), query.support.fixed(d)
+    est = estimate_moment(body, fixed, make_config(k=2, n_samples=400_000, seed=2_718))
+    assert abs(est.mean - exact_moment(query).to_float()) <= 5 * est.std_error
+
+
+def test_a_certification_encloses_each_exact_value_once(monkeypatch):
+    # the exact side's enclosure and the control variate's shift are each
+    # computed once, not after every chunk
+    from sylvester.moments import MomentQuery, exact_moment
+
+    calls = []
+    real = PiPolynomial.evaluate_interval
+
+    def counted(self, digits):
+        calls.append(self)
+        return real(self, digits)
+
+    monkeypatch.setattr(PiPolynomial, "evaluate_interval", counted)
+    second = exact_moment(MomentQuery(3, 2, "halfball"))
+    cfg = make_config(k=1, n_samples=1_000_000, seed=3)
+    verdict = certify_counterexample((HalfBall(3), NO_FIXED_POINT, 1, second),
+                                     halfball_fixed_moment(3, 1), cfg)
+    assert verdict.relation == LHS_GREATER and verdict.lhs.chunks > 3
+    assert calls == [second, halfball_fixed_moment(3, 1)]
+    verdict.trace_dict()
+    verdict.lhs.estimate
+    assert len(calls) == 2
+
+
+def test_control_variate_side_bounds_and_estimate():
+    from sylvester.montecarlo import EstimatedSide, _chunk_stats
+
+    second = ball_fixed_moment(3, 2)
+    cfg = make_config(k=1, n_samples=50_000, seed=6, chunk_size=4_096)
+    plain = EstimatedSide(Ball(3), FixedPoint((0.0,) * 3), cfg, 0.01)
+    side = EstimatedSide(Ball(3), FixedPoint((0.0,) * 3), cfg, 0.01, second)
+    assert side.bounds() == plain.bounds() == (0.0, side.moment_range)
+    # the same keys and sizes, with beta appended for the control variate
+    for job, cv_job in zip(plain.jobs, side.jobs):
+        assert cv_job == (*job, side.beta)
+        plain.add(_chunk_stats(*job))
+        side.add(_chunk_stats(*cv_job))
+    assert side.stats[0] == plain.stats[0] == 50_000
+    shift_lo, shift_hi = side.shift
+    assert F(shift_lo) <= F(side.beta) * second.evaluate_interval(30)[0]
+    assert F(side.beta) * second.evaluate_interval(30)[1] <= F(shift_hi)
+    lo, hi = side.bounds()
+    assert lo < ball_fixed_moment(3, 1).to_float() < hi
+    # narrower than the plain sequence on the same draws
+    plain_lo, plain_hi = plain.bounds()
+    assert hi - lo < plain_hi - plain_lo
+    est = side.estimate
+    assert est.mean == side.stats[1] + (shift_lo + shift_hi) / 2
+    assert (est.ci_low, est.ci_high) == (lo, hi)
+    trace = side.trace_dict()
+    assert trace["sample"] == "V^k(1-beta*V^k)" and trace["beta"] == side.beta
+    assert trace["range"] == side.value_range
+    assert "sample" not in plain.trace_dict()
+
+
+def test_control_variate_needs_a_finite_inverse_range():
+    from sylvester.montecarlo import EstimatedSide
+
+    # R^2 = 1e-310 is a subnormal double, and 1/R^2 overflows
+    with pytest.raises(ValueError, match="overflows a double"):
+        EstimatedSide(Interval(1e-155), NO_FIXED_POINT, make_config(k=2, n_samples=10), 0.01,
+                      PiPolynomial.one())
+    EstimatedSide(Interval(1e-155), NO_FIXED_POINT, make_config(k=2, n_samples=10), 0.01)
 
 
 def test_chunk_stream_fold_equals_index_order_merge():
