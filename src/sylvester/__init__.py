@@ -35,6 +35,7 @@ _EXPORTS = {
         "to_decimal",
     ),
     "moments": (
+        "Covariance",
         "MomentQuery",
         "PlaneCounterexampleReport",
         "Table1Row",
@@ -50,6 +51,7 @@ _EXPORTS = {
         "plane_counterexample_report",
         "q_ratio",
         "scale_to_volume",
+        "second_moment",
         "table1_rows",
         "tetrahedron_moment_k1",
         "midpoint_moment_from_cutoff_integrals",

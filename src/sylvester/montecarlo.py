@@ -16,9 +16,9 @@ SeedSequence, an SFC64 generator, and every draw of the chunk comes from that
 SFC64, which draws normals, uniforms and exponentials faster than Philox.
 Chunk accumulators are merged pairwise in index order with the standard
 two-sample mean/M2 combination, so a given :class:`EstimatorConfig` yields
-bit-identical results at any thread count.  Chunks run on ``os.cpu_count()``
-threads, or on fewer when SYLVESTER_THREADS or the ``workers`` argument asks
-for fewer.
+bit-identical results at any thread count.  ``estimate_moment`` runs its
+chunks on ``os.cpu_count()`` threads, or on fewer when SYLVESTER_THREADS or
+the ``workers`` argument asks for fewer.
 
 Layout: a chunk's points are drawn coordinate-major, into one (m, d, n)
 buffer for n simplices of m points, and handed on as its (n, m, d) transposed
@@ -36,14 +36,13 @@ run stops at the first chunk that decides the relation.  A chunk's job is
 computed only when the chunk is drawn, so the part of a budget a run does
 not use costs nothing.  Its chunks ramp from a small first chunk up to a
 fraction of the configured size, so a run's samples, and its time, grow in
-small steps with the samples that decide it; and the chunk stream keeps in
-flight behind the chunk it waits for no more samples than it has already
-yielded (or than one chunk of that size per other thread): a run decided
-after a few small chunks draws, and waits for, about what it used.
-``estimate_moment`` uses equal chunks.  A side whose E V^(2k) is known
-exactly runs its sequence on the bounded control variate V^k (1 - beta V^k)
-instead of V^k (:class:`EstimatedSide`): the same draws, in a range a
-quarter as wide, so it decides on about half the samples.
+small steps with the samples that decide it.  They run one after another in
+the caller's thread, so a decided run has drawn exactly the chunks it used:
+such runs stop after a few small chunks, where a thread pool costs more than
+it saves.  ``estimate_moment`` uses equal chunks.  A side whose E V^(2k) is
+known exactly runs its sequence on the bounded control variate
+V^k (1 - beta V^k) instead of V^k (:class:`EstimatedSide`): the same draws,
+in a range a quarter as wide, so it decides on about half the samples.
 """
 
 from __future__ import annotations
@@ -513,14 +512,10 @@ def _chunk_stream(jobs: Iterable[tuple], workers: int):
     thread holds a chunk's arrays.  The first ``min(workers, cores)`` jobs
     are drawn to size it, the others only as their chunks are submitted; a
     pool of one thread is not started, and the chunks run in the caller's
-    thread.  Lookahead is bounded by what was used: the chunks in flight
-    behind the one awaited hold at most max(samples yielded so far,
-    (threads - 1) x samples of the awaited chunk), and at most twice as many
-    chunks as threads are in flight.  Equal chunks so keep every thread busy
-    from the start, and a caller that stops after a few ramped chunks (a
-    certification) leaves about as much speculative work as it used, or as
-    one round of the threads on chunks of the awaited size.  Closing the
-    generator cancels the chunks not yet started and waits for those running.
+    thread.  At most twice as many chunks as threads are in flight, and one
+    more is submitted as each result is taken, so equal chunks keep every
+    thread busy from the start.  Closing the generator cancels the chunks
+    not yet started and waits for those running.
     """
     jobs = iter(jobs)
     first = list(islice(jobs, min(workers, os.cpu_count() or 1)))
@@ -531,27 +526,16 @@ def _chunk_stream(jobs: Iterable[tuple], workers: int):
             yield _chunk_stats(*job)
         return
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = deque()  # (future, simplices), in job order
-        in_flight = yielded = 0
-        job = next(todo, None)
+        pending = deque()  # futures, in job order
         try:
-            while True:
-                while job is not None and len(pending) < 2 * workers:
-                    size = job[5]  # a job's sixth argument is its simplex count
-                    if pending and (in_flight - pending[0][1] + size
-                                    > max(yielded, (workers - 1) * pending[0][1])):
-                        break
-                    pending.append((pool.submit(_chunk_stats, *job), size))
-                    in_flight += size
-                    job = next(todo, None)
-                if not pending:
-                    return
-                future, size = pending.popleft()
-                in_flight -= size
-                yielded += size
-                yield future.result()
+            for job in todo:
+                pending.append(pool.submit(_chunk_stats, *job))
+                if len(pending) == 2 * workers:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
         finally:
-            for future, _ in pending:
+            for future in pending:
                 future.cancel()
 
 
@@ -701,7 +685,8 @@ class CounterexampleVerdict:
         Per estimated side: the samples and chunks used, the budget, alpha,
         the range R and the stop reason (``decided`` or ``budget``).  The
         margin is the gap between the two intervals' centres over the sum of
-        their half-widths; it exceeds 1 exactly when the relation is decided.
+        their half-widths; with a side estimated, it exceeds 1 exactly when
+        the relation is decided.
         """
         (lhs_lo, lhs_hi), (rhs_lo, rhs_hi) = self.lhs.bounds(), self.rhs.bounds()
         half_widths = (lhs_hi - lhs_lo + rhs_hi - rhs_lo) / 2.0
@@ -859,8 +844,7 @@ def _relation(lhs, rhs) -> str:
 
 
 def certify_counterexample(lhs: MomentSpec, rhs: MomentSpec,
-                           config: EstimatorConfig,
-                           workers: int | None = None) -> CounterexampleVerdict:
+                           config: EstimatorConfig) -> CounterexampleVerdict:
     """Compare two moment quantities, each exact or estimated, and stop as
     soon as the comparison is decided.
 
@@ -872,13 +856,13 @@ def certify_counterexample(lhs: MomentSpec, rhs: MomentSpec,
     :class:`EstimatedSide`: the same draws, a narrower sequence.  Each
     estimated side is a confidence sequence that errs with probability at
     most (1 - confidence) / (number of estimated sides).  The sides draw
-    chunk i in turn, and after each chunk index the verdict certifies a
-    strict inequality when one side's bounds clear the other's; the run
-    stops there.  So a certified relation holds with probability at least
-    ``config.confidence``, wherever the run stops.  If the budget runs out
-    first, the verdict is inconclusive.
+    chunk i in turn, in the caller's thread, and after each chunk index the
+    verdict certifies a strict inequality when one side's bounds clear the
+    other's; the run stops there.  So a certified relation holds with
+    probability at least ``config.confidence``, wherever the run stops.  If
+    the budget runs out first, the verdict is inconclusive.  Two exact
+    sides are compared exactly, and equal ones are inconclusive.
     """
-    workers = _resolve_workers(workers)
     specs = (lhs, rhs)
     n_estimated = sum(not isinstance(spec, PiPolynomial) for spec in specs)
     alpha = (1.0 - config.confidence) / max(n_estimated, 1)
@@ -891,18 +875,17 @@ def certify_counterexample(lhs: MomentSpec, rhs: MomentSpec,
             side_config = replace(config, k=k, seed=(config.seed + offset) % 2**64)
             sides.append(EstimatedSide(body, fixed, side_config, alpha, *second_moment))
     running = [side for side in sides if isinstance(side, EstimatedSide)]
-    relation = INCONCLUSIVE if running else _relation(*sides)
-    stream = _chunk_stream(chain.from_iterable(zip(*(side.jobs for side in running))), workers)
-    try:
-        # one chunk of each estimated side per index
-        for chunks in zip(*[stream] * len(running)):
-            for side, chunk in zip(running, chunks):
-                side.add(chunk)
-            relation = _relation(*sides)
-            if relation != INCONCLUSIVE:
-                break
-    finally:
-        stream.close()
+    if running:
+        relation = INCONCLUSIVE
+    else:  # the certified sign of lhs - rhs: 1, -1 or 0
+        relation = (INCONCLUSIVE, LHS_GREATER, RHS_GREATER)[(lhs - rhs).sign()]
+    # chunk i of each estimated side per index
+    for jobs in zip(*(side.jobs for side in running)):
+        for side, job in zip(running, jobs):
+            side.add(_chunk_stats(*job))
+        relation = _relation(*sides)
+        if relation != INCONCLUSIVE:
+            break
     return CounterexampleVerdict(
         lhs=sides[0], rhs=sides[1], relation=relation, confidence=config.confidence
     )

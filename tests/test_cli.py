@@ -181,7 +181,6 @@ def test_mc_default_chunk_is_reported(capsys):
 
 @pytest.mark.parametrize("argv", [
     ("mc", "--body", "ball", "--d", "2", "--n", "1000"),
-    ("counterexample", "halfball-d3", "--n", "1000"),
 ])
 def test_bad_thread_count_is_a_usage_error(capsys, monkeypatch, argv):
     monkeypatch.setenv("SYLVESTER_THREADS", "abc")

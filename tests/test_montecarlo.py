@@ -10,7 +10,7 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from sylvester.exactnum import PiPolynomial
+from sylvester.exactnum import PI, PiPolynomial
 from sylvester.moments import (
     ball_fixed_moment,
     ball_moment,
@@ -492,8 +492,10 @@ def test_bad_thread_count_is_a_value_error(monkeypatch):
     cfg = make_config(k=1, n_samples=1_000, seed=3)
     with pytest.raises(ValueError, match="SYLVESTER_THREADS"):
         estimate_moment(Ball(2), NO_FIXED_POINT, cfg)
-    with pytest.raises(ValueError, match="SYLVESTER_THREADS"):
-        certify_counterexample((Ball(2), NO_FIXED_POINT, 1), PiPolynomial.from_rational(1), cfg)
+    # a certification runs in the caller's thread and does not read the variable
+    verdict = certify_counterexample((Ball(2), NO_FIXED_POINT, 1),
+                                     PiPolynomial.from_rational(1), cfg)
+    assert verdict.relation == RHS_GREATER
 
 
 def test_pool_is_capped_at_chunk_count(monkeypatch):
@@ -630,6 +632,18 @@ def test_certify_exact_vs_exact_equal_is_inconclusive():
         triangle_moment(2), triangle_midpoint_moment(2), cfg
     )
     assert verdict.relation == INCONCLUSIVE
+
+
+def test_certify_exact_vs_exact_closer_than_doubles_tell():
+    # each pair shares its enclosing doubles, yet the values differ
+    cfg = make_config(k=1, n_samples=1000)
+    one = PiPolynomial.one()
+    above_one = PiPolynomial.from_rational(1 + Fraction(1, 10**30))
+    above_pi = PiPolynomial.from_rational(Fraction("3.14159265358979323846264338328"))
+    for larger, smaller in ((above_one, one), (above_pi, PI)):
+        assert ExactSide(larger).bounds()[0] <= ExactSide(smaller).bounds()[1]
+        assert certify_counterexample(larger, smaller, cfg).relation == LHS_GREATER
+        assert certify_counterexample(smaller, larger, cfg).relation == RHS_GREATER
 
 
 def test_certify_estimate_vs_exact():
@@ -911,16 +925,16 @@ def test_closing_the_chunk_stream_cancels_what_has_not_started(monkeypatch):
     stream = mc._chunk_stream(jobs, workers)
     assert next(stream) == real(*jobs[0])
     stream.close()
-    # the first chunk starts with only workers - 1 others beside it
+    # at most 2 x workers chunks are submitted before the first is taken
     assert sorted(started) == list(range(len(started)))
-    assert 1 <= len(started) <= workers
+    assert 1 <= len(started) <= 2 * workers
 
     started.clear()
     stream = mc._chunk_stream(jobs, workers)
     assert [next(stream) for _ in range(4)] == [real(*job) for job in jobs[:4]]
-    # 4,000 samples yielded, so chunks 4 to 6 are now in flight behind chunk
-    # 3; the gate holds both threads on chunks 4 and 5, so chunk 6 has not
-    # started when the stream is closed, and must never start
+    # each result taken submits one more chunk, so chunks 4 to 6 are now in
+    # flight; the gate holds both threads on chunks 4 and 5, so chunk 6 has
+    # not started when the stream is closed, and must never start
     opener = threading.Timer(0.5, gate.set)
     opener.start()
     stream.close()
@@ -957,31 +971,32 @@ def test_equal_chunks_keep_every_thread_busy_from_the_start(monkeypatch):
     assert sorted(started)[:workers] == list(range(workers))
 
 
-@pytest.mark.parametrize("workers", [2, 4])
-def test_a_decided_certification_waits_for_little_speculative_work(monkeypatch, workers):
+def test_a_certification_starts_no_pool_and_no_chunk_past_the_deciding_one(monkeypatch):
     import sylvester.montecarlo as mc
 
-    started = {}
+    started, threads = [], set()
     real = mc._chunk_stats
 
     def recording(*job):
-        started[job[4]] = job[5]  # index -> simplices
+        started.append(job[4])
+        threads.add(threading.get_ident())
         return real(*job)
 
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a certification started a thread pool")
+
     monkeypatch.setattr(mc, "_chunk_stats", recording)
-    monkeypatch.setattr(os, "cpu_count", lambda: workers)  # a pool of `workers` on any host
+    monkeypatch.setattr(mc, "ThreadPoolExecutor", NoPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)  # a pool of four, were one started
     cfg = make_config(k=1, n_samples=1_000_000, seed=8, chunk_size=4_096)
     verdict = certify_counterexample((HalfBall(4), NO_FIXED_POINT, 1),
-                                     ball_fixed_moment(4, 1), cfg, workers=workers)
-    decided = verdict.trace_dict()["lhs"]["chunks"] - 1
-    assert decided == 7  # at this seed; see test_certification_stops_at_the_first_decided_chunk
-    assert sorted(started) == list(range(len(started)))
-    # behind the deciding chunk, at most the samples used before it (or its
-    # own size once per other thread), in fewer than 2 * workers chunks
-    behind = [size for index, size in started.items() if index > decided]
-    used = sum(size for index, size in started.items() if index < decided)
-    assert sum(behind) <= max(used, (workers - 1) * started[decided])
-    assert len(behind) < 2 * workers
+                                     ball_fixed_moment(4, 1), cfg)
+    # chunk 7 decides at this seed; see test_certification_stops_at_the_first_decided_chunk
+    assert verdict.relation == LHS_GREATER
+    assert verdict.trace_dict()["lhs"]["chunks"] == 8
+    assert started == list(range(8))
+    assert threads == {threading.get_ident()}
 
 
 def test_certification_stops_at_the_first_decided_chunk():
@@ -1045,11 +1060,13 @@ def test_alpha_is_split_over_the_estimated_sides(confidence):
     assert two.lhs.alpha + two.rhs.alpha == pytest.approx(1 - confidence)
 
 
-def test_verdict_n_is_whole_chunks_and_the_same_at_any_worker_count():
+def test_verdict_n_is_whole_chunks_and_the_same_at_any_worker_count(monkeypatch):
     cfg = make_config(k=1, n_samples=600_000, seed=12, chunk_size=DEFAULT_CHUNK)
     sides = ((HalfBall(3), NO_FIXED_POINT, 1), halfball_fixed_moment(3, 1))
-    serial = certify_counterexample(*sides, cfg, workers=1)
-    threaded = certify_counterexample(*sides, cfg, workers=2)
+    monkeypatch.setenv("SYLVESTER_THREADS", "1")
+    serial = certify_counterexample(*sides, cfg)
+    monkeypatch.setenv("SYLVESTER_THREADS", "2")
+    threaded = certify_counterexample(*sides, cfg)
     assert serial.relation == threaded.relation == LHS_GREATER
     assert serial.to_json_dict() == threaded.to_json_dict()
     n = serial.lhs.estimate.n
