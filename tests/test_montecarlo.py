@@ -971,7 +971,9 @@ def test_equal_chunks_keep_every_thread_busy_from_the_start(monkeypatch):
     assert sorted(started)[:workers] == list(range(workers))
 
 
-def test_a_certification_starts_no_pool_and_no_chunk_past_the_deciding_one(monkeypatch):
+@pytest.mark.parametrize("workers", [2, 4])
+def test_a_decided_certification_waits_for_little_speculative_work(monkeypatch, workers):
+    # a certification starts no pool and no chunk past the deciding one
     import sylvester.montecarlo as mc
 
     started, threads = [], set()
@@ -988,7 +990,8 @@ def test_a_certification_starts_no_pool_and_no_chunk_past_the_deciding_one(monke
 
     monkeypatch.setattr(mc, "_chunk_stats", recording)
     monkeypatch.setattr(mc, "ThreadPoolExecutor", NoPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)  # a pool of four, were one started
+    monkeypatch.setattr(os, "cpu_count", lambda: workers)  # a pool of `workers`, were one started
+    monkeypatch.setenv("SYLVESTER_THREADS", str(workers))
     cfg = make_config(k=1, n_samples=1_000_000, seed=8, chunk_size=4_096)
     verdict = certify_counterexample((HalfBall(4), NO_FIXED_POINT, 1),
                                      ball_fixed_moment(4, 1), cfg)
