@@ -5,9 +5,11 @@ Monotonicity of K -> E[V_K^k] over all convex-body inclusions is equivalent to
 E[V_K^k] <= E[V_{K,x}^k] holding for every body K and boundary point x (pin
 one vertex at x).  A single pair with the strict opposite inequality is
 therefore a counterexample.  Each certification below compares an exact closed
-form with a Monte Carlo confidence sequence, tested after every chunk of
-samples: the verdict is only "certified" when the whole interval clears the
-exact value, and the run stops at the first chunk where it does.
+form with Monte Carlo samples by a one-sided test by betting, tested after
+every chunk of samples: the verdict is only "certified" when the test's
+log-wealth reaches log(2/alpha), and the run stops at the first chunk where it
+does.  The printed interval is the side's confidence sequence at that stop,
+with coverage of its own; it may still contain the exact value.
 """
 
 import sylvester as sy
@@ -40,6 +42,8 @@ for title, lhs, rhs in scenarios:
             print(f"  {label} (estimate) : {e.mean:.8f}  "
                   f"99% confidence sequence ({e.ci_low:.8f}, {e.ci_high:.8f})  "
                   f"n={e.n} (budget {N})")
+            print(f"  log-wealth {max(side.test.log_wealth):.2f} "
+                  f"against the threshold {side.test.threshold:.2f}")
     print(f"  verdict: {verdict.relation}  at confidence {verdict.confidence}")
     print()
 

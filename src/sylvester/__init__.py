@@ -61,6 +61,7 @@ _EXPORTS = {
     ),
     "montecarlo": (
         "Ball",
+        "BettingTest",
         "Body",
         "CounterexampleVerdict",
         "EstimatedSide",

@@ -285,7 +285,7 @@ def cmd_mc(ns) -> int:
 def _side(query: MomentQuery):
     """A certification side: the exact value where a closed form exists, else the
     (body, fixed vertex, k) to estimate, followed by the exact E V^(2k) where
-    that has a closed form (the sequence then runs on a bounded control variate)."""
+    that has a closed form (the side then samples a bounded control variate)."""
     if query.support.exact_at(query.k):
         return exact_moment(query)
     twice = MomentQuery(query.d, 2 * query.k, query.body_kind, query.fixed_kind, query.l)

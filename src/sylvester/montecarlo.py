@@ -30,19 +30,23 @@ differences nearly as large; a config whose points array exceeds
 :data:`MAX_CHUNK_BYTES` (2^26 bytes) is rejected with ValueError.  The
 default chunk of 2^15 simplices fits for d <= 15.
 
-Certification is sequential: each estimated side is a time-uniform
-empirical-Bernstein confidence sequence, tested after every chunk, and the
-run stops at the first chunk that decides the relation.  A chunk's job is
-computed only when the chunk is drawn, so the part of a budget a run does
-not use costs nothing.  Its chunks ramp from a small first chunk up to a
-fraction of the configured size, so a run's samples, and its time, grow in
+Certification is sequential, and stops at the first chunk that decides the
+relation.  When one side is exact, as in every CLI scenario, the estimated
+side runs two mirrored one-sided tests by betting against the exact value
+(:class:`BettingTest`): a wealth that grows with each chunk that lies on one
+side of it, valid at any stopping time by Ville's inequality.  Two estimated
+sides compare time-uniform empirical-Bernstein confidence sequences
+(:class:`EstimatedSide`); two exact sides, their certified sign.  A chunk's
+job is computed only when the chunk is drawn, so the part of a budget a run
+does not use costs nothing.  Its chunks ramp from a small first chunk up to
+a fraction of the configured size, so a run's samples, and its time, grow in
 small steps with the samples that decide it.  They run one after another in
 the caller's thread, so a decided run has drawn exactly the chunks it used:
 such runs stop after a few small chunks, where a thread pool costs more than
 it saves.  ``estimate_moment`` uses equal chunks.  A side whose E V^(2k) is
-known exactly runs its sequence on the bounded control variate
-V^k (1 - beta V^k) instead of V^k (:class:`EstimatedSide`): the same draws,
-in a range a quarter as wide, so it decides on about half the samples.
+known exactly is sampled as the bounded control variate V^k (1 - beta V^k)
+instead of V^k (:class:`EstimatedSide`): the same draws, in a range a
+quarter as wide, so it decides on about half the samples.
 """
 
 from __future__ import annotations
@@ -661,6 +665,9 @@ LHS_GREATER = "lhs>rhs"
 RHS_GREATER = "rhs>lhs"
 INCONCLUSIVE = "inconclusive"
 
+# the relation certified for the sign of lhs - rhs: 0, 1 or -1
+_RELATIONS = (INCONCLUSIVE, LHS_GREATER, RHS_GREATER)
+
 
 @dataclass(frozen=True)
 class CounterexampleVerdict:
@@ -683,15 +690,25 @@ class CounterexampleVerdict:
         """How the certification ended.
 
         Per estimated side: the samples and chunks used, the budget, alpha,
-        the range R and the stop reason (``decided`` or ``budget``).  The
-        margin is the gap between the two intervals' centres over the sum of
-        their half-widths; with a side estimated, it exceeds 1 exactly when
-        the relation is decided.
+        the range R and the stop reason (``decided`` or ``budget``); a side
+        tested against an exact one adds its larger log-wealth and the
+        threshold (see :class:`BettingTest`).  The margin says how decisive
+        the run was, and exceeds 1 exactly when the relation is decided: the
+        log-wealth over the threshold for a tested side, and for two
+        estimated sides the gap between the intervals' centres over the sum
+        of their half-widths.  Two exact sides are compared by a certified
+        sign, not a statistic, and have no margin (``None``).
         """
-        (lhs_lo, lhs_hi), (rhs_lo, rhs_hi) = self.lhs.bounds(), self.rhs.bounds()
-        half_widths = (lhs_hi - lhs_lo + rhs_hi - rhs_lo) / 2.0
-        gap = abs(lhs_lo + lhs_hi - rhs_lo - rhs_hi) / 2.0
-        record = {"margin": gap / half_widths if half_widths > 0 else None}
+        estimated = [side for side in (self.lhs, self.rhs) if isinstance(side, EstimatedSide)]
+        if not estimated:
+            margin = None
+        elif estimated[0].test is not None:
+            margin = max(estimated[0].test.log_wealth) / estimated[0].test.threshold
+        else:
+            (lhs_lo, lhs_hi), (rhs_lo, rhs_hi) = self.lhs.bounds(), self.rhs.bounds()
+            half_widths = (lhs_hi - lhs_lo + rhs_hi - rhs_lo) / 2.0
+            margin = abs(lhs_lo + lhs_hi - rhs_lo - rhs_hi) / 2.0 / half_widths
+        record = {"margin": margin}
         stop = "budget" if self.relation == INCONCLUSIVE else "decided"
         for name, side in (("lhs", self.lhs), ("rhs", self.rhs)):
             if isinstance(side, EstimatedSide):
@@ -725,7 +742,10 @@ def _stitched_boundary(v: float, c: float, alpha: float) -> float:
 class EstimatedSide:
     """A comparand backed by Monte Carlo samples: an empirical-Bernstein
     confidence sequence, which errs at any time with probability at most
-    ``alpha``.
+    ``alpha``.  Against an exact side, a certification also gives it a
+    :class:`BettingTest` (``test``, else None), which the chunks feed too: the
+    test then decides, and the sequence gives the estimate's interval, which
+    has its own coverage and may still contain the exact value.
 
     The sequence runs on samples x_i in [0, c], c = ``value_range``.  Chunk j
     is predicted by p_j, the mean of the chunks before it clipped to [0, c]
@@ -752,11 +772,11 @@ class EstimatedSide:
       and (1 + u)^2 / (1 - u) < 1 + 2^-51 is far inside the 2^-40.
 
     E V^k = E Y + beta E V^(2k).  The sequence's bounds on E Y are shifted by
-    the enclosure of beta E V^(2k), from ``evaluate_interval(30)`` with both
-    ends rounded outward to doubles, and each sum is rounded outward by one
-    ulp, so they bound E V^k with the same coverage.  The range c is about
-    R^k / 4, and the boundary's width grows with the range, so the same
-    decision takes about half the samples.  The estimate's mean is then
+    ``shift``, the enclosure of beta E V^(2k), from ``evaluate_interval(30)``
+    with both ends rounded outward to doubles, and each sum is rounded
+    outward by one ulp, so they bound E V^k with the same coverage.  The
+    range c is about R^k / 4, and the boundary's width grows with the range,
+    so the same decision takes about half the samples.  The estimate's mean is then
     mean(Y) + beta E V^(2k); its variance and standard error are Y's.
     """
 
@@ -787,8 +807,11 @@ class EstimatedSide:
         self.stats = _EMPTY
         self.chunks = 0
         self.variance_process = 0.0
+        self.test: BettingTest | None = None
 
     def add(self, chunk: tuple[int, float, float]) -> None:
+        if self.test is not None:
+            self.test.add(self.stats, chunk)
         n, mean, m2 = chunk
         predicted = min(max(self.stats[1], 0.0), self.value_range)
         self.variance_process += m2 + n * (mean - predicted) ** 2
@@ -830,10 +853,115 @@ class EstimatedSide:
         }
         if self.beta is not None:
             record.update(sample="V^k(1-beta*V^k)", beta=self.beta)
+        if self.test is not None:
+            record.update(log_wealth=max(self.test.log_wealth), threshold=self.test.threshold)
         return record
 
 
+#: A bet risks at most this fraction of the wealth on one sample (b in BettingTest).
+_MAX_STAKE = 0.5
+
+
+def _psi(b: float) -> float:
+    """psi(b) = (-log(1 - b) - b) / b^2, rounded up, for 0 <= b <= 0.6.
+
+    For every y >= -b, log(1 + y) >= y - psi(b) y^2 (Fan, Grama & Liu 2015):
+    (y - log(1 + y)) / y^2 decreases in y, and equals psi(b) at y = -b.
+    psi(b) = sum_{n >= 0} b^n / (n + 2), summed here by Horner's rule to 64
+    terms, so that a small b loses nothing to cancellation.  The tail left
+    out is below b^64 / (66 (1 - b)), a relative 2^-50 at b = 0.6, and the
+    sum of positive terms is rounded by at most a relative 200 u, u = 2^-53;
+    raising it by a relative 2^-40 covers both.  psi(0) is the limit 1/2.
+    """
+    total = 0.0
+    for n in range(65, 1, -1):
+        total = total * b + 1.0 / n
+    return total * (1.0 + 2.0**-40)
+
+
+def _log_growth(stake: float, sign: float, m: float, span: float,
+                chunk: tuple[int, float, float]) -> float:
+    """A lower bound on sum log(1 + stake z_i) over a chunk's samples, for
+    z_i = sign (Y_i - m) >= -span, from the chunk's (n, mean, M2) alone.
+
+    y = stake z_i >= -b for b = stake span rounded up, so each term is at
+    least y - psi(b) y^2 (:func:`_psi`); summed, with sum z = sign n (mean - m)
+    and sum z^2 = M2 + n (mean - m)^2.
+    """
+    n, mean, m2 = chunk
+    gap = mean - m
+    b = nextafter(stake * span, inf)
+    return stake * sign * n * gap - _psi(b) * stake * stake * (m2 + n * gap * gap)
+
+
+class BettingTest:
+    """Two mirrored one-sided tests by betting of an estimated side's mean
+    against an exact value, each at level alpha / 2 for the side's alpha.
+
+    The side's samples Y_i lie in [0, c], c = ``side.value_range``, and
+    E V^k = E Y + beta E V^(2k) (0 without the control variate; see
+    :class:`EstimatedSide`).  ``upper`` is the exact side's upper double less
+    the shift's lower end, and ``lower`` its lower double less the shift's
+    upper end, each rounded outward, against the test.  So E Y > upper
+    implies that E V^k exceeds the exact value, and E Y < lower that it falls
+    below it.  The up test bets on z_i = Y_i - upper, against H0: E Y <= upper;
+    the down test on z_i = lower - Y_i, against H0: E Y >= lower.
+
+    Chunk j stakes lambda_j >= 0 on each of its samples, fixed by the chunks
+    merged before it (Waudby-Smith & Ramdas, "Estimating means of bounded
+    random variables by betting", JRSSB 86, 2024): the Kelly-like
+    g / (s^2 + g^2), with g and s^2 the mean and variance of their z, clipped
+    to [0, b / l], where -l is the least value z can take (upper, or
+    c - lower, rounded up) and b = 1/2; chunk 0 stakes nothing.  Under H0
+    each sample's factor 1 + lambda_j z_i has mean at most 1 and is >= 1 - b,
+    so the wealth W = prod (1 + lambda_j z_i) is a nonnegative
+    supermartingale, and by Ville's inequality it ever reaches 2 / alpha with
+    probability at most alpha / 2: the test is valid at any stopping time.
+
+    ``log_wealth`` holds, per test, a lower bound on log W that needs only
+    each chunk's (n, mean, M2) (:func:`_log_growth`).  A test decides when
+    its bound reaches ``threshold`` = log(2 / alpha), and so no sooner than
+    the wealth itself.
+    """
+
+    def __init__(self, side: EstimatedSide, exact: ExactSide):
+        lo, hi = exact.bounds()
+        shift_lo, shift_hi = side.shift
+        self.lower, self.upper = _outward(Fraction(lo) - Fraction(shift_hi),
+                                          Fraction(hi) - Fraction(shift_lo))
+        # per test: the sign of z = +-(Y - m), m, and l = -min z, rounded up
+        self.tests = ((1.0, self.upper, max(self.upper, 0.0)),
+                      (-1.0, self.lower, max(nextafter(side.value_range - self.lower, inf), 0.0)))
+        self.threshold = log(2.0 / side.alpha)
+        self.log_wealth = [0.0, 0.0]  # the up test's, then the down test's
+
+    def add(self, prior: tuple[int, float, float], chunk: tuple[int, float, float]) -> None:
+        """Bet on ``chunk``, staking by ``prior``, the merged chunks before it."""
+        n_prior, mean_prior, m2_prior = prior
+        if n_prior == 0:
+            return  # chunk 0 stakes nothing
+        variance = m2_prior / n_prior
+        for i, (sign, m, span) in enumerate(self.tests):
+            g = sign * (mean_prior - m)
+            if g > 0.0:  # else the stake is 0
+                stake = 1.0 / (variance / g + g)  # g / (variance + g^2)
+                if span > 0.0:
+                    stake = min(stake, _MAX_STAKE / span)
+                self.log_wealth[i] += _log_growth(stake, sign, m, span, chunk)
+
+    def decision(self) -> int:
+        """1 when the up test has decided (E V^k above the exact value), -1
+        when the down test has, else 0."""
+        up, down = self.log_wealth
+        return 1 if up >= self.threshold else -1 if down >= self.threshold else 0
+
+
 def _relation(lhs, rhs) -> str:
+    """The relation decided so far: by a tested side's :class:`BettingTest`,
+    else by whether one side's bounds clear the other's."""
+    for sign, side in ((1, lhs), (-1, rhs)):
+        if isinstance(side, EstimatedSide) and side.test is not None:
+            return _RELATIONS[sign * side.test.decision()]
     lhs_lo, lhs_hi = lhs.bounds()
     rhs_lo, rhs_hi = rhs.bounds()
     if lhs_lo > rhs_hi:
@@ -852,16 +980,21 @@ def certify_counterexample(lhs: MomentSpec, rhs: MomentSpec,
     triple estimated with ``config`` (the right side, when estimated, uses
     seed+1 so both sides are independent); ``config.n_samples`` is each
     estimated side's budget.  A fourth element, the exact E V^(2k), makes
-    the side's sequence run on the bounded control variate of
-    :class:`EstimatedSide`: the same draws, a narrower sequence.  Each
-    estimated side is a confidence sequence that errs with probability at
-    most (1 - confidence) / (number of estimated sides).  The sides draw
-    chunk i in turn, in the caller's thread, and after each chunk index the
-    verdict certifies a strict inequality when one side's bounds clear the
-    other's; the run stops there.  So a certified relation holds with
-    probability at least ``config.confidence``, wherever the run stops.  If
-    the budget runs out first, the verdict is inconclusive.  Two exact
-    sides are compared exactly, and equal ones are inconclusive.
+    the side sample the bounded control variate of :class:`EstimatedSide`:
+    the same draws, in a narrower range.  The sides draw chunk i in turn, in
+    the caller's thread, and the run stops at the first chunk index after
+    which the verdict certifies a strict inequality:
+
+    * one side exact: when the estimated side's :class:`BettingTest` decides,
+      in either direction; its two tests have alpha / 2 each, alpha =
+      1 - confidence;
+    * both estimated: when one side's confidence sequence clears the
+      other's; each errs with probability at most alpha / 2.
+
+    So a certified relation holds with probability at least
+    ``config.confidence``, wherever the run stops.  If the budget runs out
+    first, the verdict is inconclusive.  Two exact sides are compared by the
+    certified sign of their difference, and equal ones are inconclusive.
     """
     specs = (lhs, rhs)
     n_estimated = sum(not isinstance(spec, PiPolynomial) for spec in specs)
@@ -875,10 +1008,10 @@ def certify_counterexample(lhs: MomentSpec, rhs: MomentSpec,
             side_config = replace(config, k=k, seed=(config.seed + offset) % 2**64)
             sides.append(EstimatedSide(body, fixed, side_config, alpha, *second_moment))
     running = [side for side in sides if isinstance(side, EstimatedSide)]
-    if running:
-        relation = INCONCLUSIVE
-    else:  # the certified sign of lhs - rhs: 1, -1 or 0
-        relation = (INCONCLUSIVE, LHS_GREATER, RHS_GREATER)[(lhs - rhs).sign()]
+    relation = INCONCLUSIVE if running else _RELATIONS[(lhs - rhs).sign()]
+    if len(running) == 1:  # tested against the exact side
+        (side,) = running
+        side.test = BettingTest(side, sides[1] if side is sides[0] else sides[0])
     # chunk i of each estimated side per index
     for jobs in zip(*(side.jobs for side in running)):
         for side, job in zip(running, jobs):

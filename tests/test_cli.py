@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -277,12 +278,35 @@ def test_counterexample_certifies_at_moderate_n(capsys, scenario):
 
 
 def test_an_unused_budget_costs_nothing(capsys):
-    # 3 * 10^10 chunks of budget; the ramp's first three, 1,024 to 4,096
+    # 3 * 10^10 chunks of budget; the ramp's first two, 1,024 and 2,048
     # samples, decide
     code, out, _ = run_cli(capsys, "counterexample", "tetra-d3", "--n", str(10**15))
     assert code == EXIT_OK
     record = json_lines(out)[0]
-    assert record["certified"] and record["verdict"]["rhs"]["estimate"]["n"] == 7_168
+    assert record["certified"] and record["verdict"]["rhs"]["estimate"]["n"] == 3_072
+
+
+# Samples drawn by the estimated side when each scenario stops, at seeds 0-9
+# and --n 2000000.  A change to the stopping rule shows up here by name.
+PINNED_STOPS = {
+    "halfball-d3": [39_936, 15_360, 15_360, 64_512, 23_552,
+                    56_320, 48_128, 23_552, 64_512, 48_128],
+    "tetra-d3": [3_072, 7_168, 3_072, 7_168, 7_168, 7_168, 3_072, 3_072, 3_072, 7_168],
+    "halfball-d4-k1": [3_072] * 10,
+}
+
+
+@pytest.mark.parametrize("scenario", PINNED_STOPS)
+def test_certification_stops_are_pinned(capsys, scenario):
+    stops = []
+    for seed in range(10):
+        code, out, _ = run_cli(capsys, "counterexample", scenario,
+                               "--n", "2000000", "--seed", str(seed))
+        assert code == EXIT_OK
+        verdict = json_lines(out)[0]["verdict"]
+        (side,) = (side for side in (verdict["lhs"], verdict["rhs"]) if side["type"] == "estimate")
+        stops.append(side["estimate"]["n"])
+    assert stops == PINNED_STOPS[scenario]
 
 
 def test_counterexample_inconclusive_exit_code(capsys):
@@ -305,14 +329,18 @@ def test_counterexample_writes_its_certification_trace_to_stderr(capsys):
     assert "lhs" not in trace  # the exact side
     # at this seed, the ramp's 1,024 + 2,048 + 4,096
     assert est["n"] == 7_168
-    # the facet-centroid side has an exact E V^2, so its sequence runs on the
-    # bounded control variate, whose range is a quarter of the volume's
+    # the facet-centroid side has an exact E V^2, so it samples the bounded
+    # control variate, whose range is a quarter of the volume's; its test
+    # against the exact side decides at a log-wealth above log(2 / alpha)
+    log_wealth = trace["rhs"]["log_wealth"]
     assert trace["rhs"] == {"samples": est["n"], "chunks": 3,
                             "budget": 2_000_000, "alpha": pytest.approx(0.01),
                             "range": pytest.approx(0.25), "stop": "decided",
-                            "sample": "V^k(1-beta*V^k)", "beta": pytest.approx(1.0)}
+                            "sample": "V^k(1-beta*V^k)", "beta": pytest.approx(1.0),
+                            "log_wealth": log_wealth,
+                            "threshold": pytest.approx(math.log(200.0))}
     assert est["n"] < est["n_samples"] == 2_000_000
-    assert trace["margin"] > 1.0
+    assert trace["margin"] == log_wealth / trace["rhs"]["threshold"] > 1.0
     assert "certification" not in out
 
 

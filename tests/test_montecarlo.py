@@ -646,6 +646,17 @@ def test_certify_exact_vs_exact_closer_than_doubles_tell():
         assert certify_counterexample(smaller, larger, cfg).relation == RHS_GREATER
 
 
+def test_two_exact_sides_have_no_margin():
+    # the relation is a certified sign, not a statistic: no margin, and no
+    # estimated side to trace
+    cfg = make_config(k=1, n_samples=1000)
+    above_one = PiPolynomial.from_rational(1 + Fraction(1, 10**30))
+    unequal = certify_counterexample(above_one, PiPolynomial.one(), cfg)
+    equal = certify_counterexample(triangle_moment(2), triangle_midpoint_moment(2), cfg)
+    assert (unequal.relation, equal.relation) == (LHS_GREATER, INCONCLUSIVE)
+    assert unequal.trace_dict() == equal.trace_dict() == {"margin": None}
+
+
 def test_certify_estimate_vs_exact():
     cfg = make_config(k=1, n_samples=300_000, seed=77)
     verdict = certify_counterexample(
@@ -777,6 +788,38 @@ def test_control_variate_coverage_audit():
     print("; ".join(report))
 
 
+def test_betting_test_coverage_audit():
+    """The betting test at the boundary null: the exact side is the true value.
+
+    Pairs whose E V^k and E V^(2k) are both exact, with the frozen seeds,
+    budget, ramp and confidence 0.8 of the audits above.  Every certified
+    relation, in either direction, is false; the two tests together may
+    certify in at most a fraction delta = 0.2 of runs, up to a binomial
+    margin.
+    """
+    origin = FixedPoint((0.0, 0.0, 0.0))
+    cases = {
+        "ball-d3-origin k=1": (Ball(3), origin, 1, ball_fixed_moment(3, 1),
+                               ball_fixed_moment(3, 2)),
+        "ball-d3 k=1": (Ball(3), NO_FIXED_POINT, 1, ball_moment(3, 1), ball_moment(3, 2)),
+        "triangle k=1": (unit_area_triangle(), NO_FIXED_POINT, 1, triangle_moment(1),
+                         triangle_moment(2)),
+    }
+    runs, delta = 100, 0.2
+    report = []
+    for name, (body, fixed, k, value, second) in cases.items():
+        false = 0
+        for seed in range(runs):
+            cfg = make_config(k=k, n_samples=16 * 128, seed=seed, chunk_size=128,
+                              confidence=1 - delta)
+            verdict = certify_counterexample((body, fixed, k, second), value, cfg)
+            assert verdict.lhs.test.threshold == pytest.approx(math.log(2 / delta))
+            false += verdict.relation != INCONCLUSIVE
+        report.append(f"{name}: betting test {false}/{runs}")
+        assert false <= _binomial_upper(runs, delta), report
+    print("; ".join(report))
+
+
 @pytest.mark.parametrize("body, k, fl_beta_r_is_one", [
     (Ball(2), 1, True), (Ball(3), 1, False), (HalfBall(3), 1, False), (HalfBall(4), 1, True),
     (unit_volume_tetrahedron(), 1, True), (unit_area_triangle(), 1, True),
@@ -873,6 +916,81 @@ def test_control_variate_side_bounds_and_estimate():
     assert trace["sample"] == "V^k(1-beta*V^k)" and trace["beta"] == side.beta
     assert trace["range"] == side.value_range
     assert "sample" not in plain.trace_dict()
+
+
+@pytest.mark.parametrize("body, fixed, k, control_variate", [
+    (HalfBall(3), NO_FIXED_POINT, 1, False),
+    (HalfBall(3), NO_FIXED_POINT, 1, True),
+    (unit_volume_tetrahedron(), tetrahedron_facet_centroid(), 1, True),
+    (Ball(2), FixedPoint((0.0, 0.0)), 3, False),
+], ids=["halfball-d3", "halfball-d3-cv", "tetra-facet-cv", "disk-origin-k3"])
+def test_log_growth_bounds_the_log_wealth_of_the_samples(body, fixed, k, control_variate):
+    # for a chunk's samples, m on either side of their mean and stakes up to
+    # the cap, the bound from (n, mean, M2) is at most sum log1p(stake z_i)
+    from sylvester.montecarlo import (_MAX_STAKE, EstimatedSide, _batched_abs_det,
+                                      _control_variate, _log_growth, _sample_batch)
+
+    side = EstimatedSide(body, fixed, make_config(k=k, n_samples=1), 0.01,
+                         *((PiPolynomial.one(),) if control_variate else ()))
+    d = body.dimension
+    if isinstance(fixed, FixedPoint):
+        vecs = _sample_batch(body, _rng([11, d + k]), 2_048, d) - fixed.array()
+    else:
+        pts = _sample_batch(body, _rng([11, d + k]), 2_048, d + 1)
+        vecs = pts[:, 1:] - pts[:, :1]
+    y = (_batched_abs_det(vecs) / math.factorial(d)) ** k
+    if control_variate:
+        y = _control_variate(y, side.beta)
+    mean = float(y.mean())
+    chunk = (len(y), mean, float(((y - mean) ** 2).sum()))
+    c = side.value_range
+    for m in (mean * 0.5, mean * 0.97, mean, mean * 1.03, mean * 2.0):
+        for sign, span in ((1.0, m), (-1.0, c - m)):
+            z = sign * (y - m)
+            assert z.min() >= -span
+            for stake in (_MAX_STAKE / span / 8, _MAX_STAKE / span / 2, _MAX_STAKE / span):
+                assert _log_growth(stake, sign, m, span, chunk) <= float(np.log1p(stake * z).sum())
+
+
+def test_betting_test_bounds_are_rounded_against_it():
+    # upper and lower are the exact side's doubles moved by the shift, and
+    # rounded outward; the down test's span is rounded up; psi is rounded up
+    from sylvester.montecarlo import BettingTest, EstimatedSide, _psi
+    from sylvester.moments import MomentQuery, exact_moment
+
+    cases = [
+        (HalfBall(3), NO_FIXED_POINT, exact_moment(MomentQuery(3, 2, "halfball")),
+         halfball_fixed_moment(3, 1)),
+        (unit_volume_tetrahedron(), tetrahedron_facet_centroid(),
+         exact_moment(MomentQuery(3, 2, "tetrahedron", "facet_centroid")),
+         tetrahedron_moment_k1()),
+        (HalfBall(4), NO_FIXED_POINT, None, ball_fixed_moment(4, 1)),
+    ]
+    for body, fixed, second, value in cases:
+        side = EstimatedSide(body, fixed, make_config(k=1, n_samples=1), 0.01,
+                             *(() if second is None else (second,)))
+        test = BettingTest(side, ExactSide(value))
+        value_lo, value_hi = value.evaluate_interval(30)
+        second_lo, second_hi = (second.evaluate_interval(30) if second is not None
+                                else (F(0), F(0)))
+        beta = F(side.beta or 0.0)
+        assert F(test.upper) >= value_hi - beta * second_lo
+        assert F(test.lower) <= value_lo - beta * second_hi
+        # and each is its double difference rounded outward
+        (lo, hi), (shift_lo, shift_hi) = ExactSide(value).bounds(), side.shift
+        assert F(test.upper) >= F(hi) - F(shift_lo)
+        assert F(test.lower) <= F(lo) - F(shift_hi)
+        (_, upper, up_span), (_, lower, down_span) = test.tests
+        assert (upper, lower, up_span) == (test.upper, test.lower, test.upper)
+        assert F(down_span) >= F(side.value_range) - F(test.lower)
+        assert test.threshold == pytest.approx(math.log(200.0))
+    # psi(b) = sum_{n >= 0} b^n / (n + 2) lies in [partial, partial + tail]
+    for b in [0.0, 2.0**-30, 1e-3, 0.1, 0.25, 1 / 3, 0.5, math.nextafter(0.5, 1.0), 0.6]:
+        fb = F(b)
+        partial = sum(fb**n / (n + 2) for n in range(80))
+        tail = fb**80 / (82 * (1 - fb))
+        assert partial + tail <= F(_psi(b)) <= partial * (1 + F(1, 2**38))
+    assert _psi(0.5) == pytest.approx((math.log(2.0) - 0.5) / 0.25, rel=1e-11)
 
 
 def test_control_variate_needs_a_finite_inverse_range():
@@ -995,10 +1113,10 @@ def test_a_decided_certification_waits_for_little_speculative_work(monkeypatch, 
     cfg = make_config(k=1, n_samples=1_000_000, seed=8, chunk_size=4_096)
     verdict = certify_counterexample((HalfBall(4), NO_FIXED_POINT, 1),
                                      ball_fixed_moment(4, 1), cfg)
-    # chunk 7 decides at this seed; see test_certification_stops_at_the_first_decided_chunk
+    # chunk 3 decides at this seed; see test_certification_stops_at_the_first_decided_chunk
     assert verdict.relation == LHS_GREATER
-    assert verdict.trace_dict()["lhs"]["chunks"] == 8
-    assert started == list(range(8))
+    assert verdict.trace_dict()["lhs"]["chunks"] == 4
+    assert started == list(range(4))
     assert threads == {threading.get_ident()}
 
 
@@ -1010,11 +1128,12 @@ def test_certification_stops_at_the_first_decided_chunk():
     verdict = certify_counterexample((HalfBall(4), NO_FIXED_POINT, 1), exact, cfg)
     assert verdict.relation == LHS_GREATER
     est = verdict.lhs.estimate
-    # at this seed, chunks 0 to 7: the ramp's 128 + 256 + 512, then five of 1,024
-    assert est.n == 6_016
+    # at this seed, chunks 0 to 3: the ramp's 128 + 256 + 512, then 1,024
+    assert est.n == 1_920
     assert est.config.n_samples == 1_000_000
-    # the sequence replayed by hand is undecided after chunks 0 to 6
-    _, exact_hi = ExactSide(exact).bounds()
+    # the up test's wealth replayed by hand, on z = V - m for m the exact
+    # side's upper double, is below log(2 / alpha) after chunks 0 to 2
+    _, m = ExactSide(exact).bounds()
     sequence = EstimatedSide(HalfBall(4), NO_FIXED_POINT, cfg, verdict.lhs.alpha)
     # before its first chunk the sequence is the whole range, and has no estimate
     assert sequence.bounds() == (0.0, sequence.value_range)
@@ -1022,16 +1141,29 @@ def test_certification_stops_at_the_first_decided_chunk():
     for read in (lambda: sequence.estimate, sequence.to_json_dict):
         with pytest.raises(ValueError, match="no chunk has been added"):
             read()
-    for job in islice(sequence.jobs, 8):
-        sequence.add(_chunk_stats(*job))
-        decided = sequence.bounds()[0] > exact_hi
-        assert decided == (sequence.stats[0] == est.n)
+    threshold = math.log(2 / verdict.lhs.alpha)
+    log_wealth = 0.0
+    for j, job in enumerate(islice(sequence.jobs, 4)):
+        n, mean, m2 = chunk = _chunk_stats(*job)
+        if j > 0:  # chunk 0 stakes nothing
+            prior_n, prior_mean, prior_m2 = sequence.stats
+            g = prior_mean - m
+            assert g > 0  # at this seed; else the stake would be 0
+            stake = min(g / (prior_m2 / prior_n + g * g), 0.5 / m)
+            b = stake * m
+            psi = (-math.log1p(-b) - b) / b**2
+            log_wealth += stake * n * (mean - m) - psi * stake**2 * (m2 + n * (mean - m) ** 2)
+        sequence.add(chunk)
+        assert (log_wealth >= threshold) == (sequence.stats[0] == est.n)
     assert sequence.bounds() == verdict.lhs.bounds()
+    # the same wealth, up to psi and b rounded up
+    assert verdict.lhs.test.log_wealth[0] == pytest.approx(log_wealth, rel=1e-10)
     trace = verdict.trace_dict()
-    assert trace["lhs"] == {"samples": est.n, "chunks": 8, "budget": 1_000_000,
+    assert trace["lhs"] == {"samples": est.n, "chunks": 4, "budget": 1_000_000,
                             "alpha": verdict.lhs.alpha, "range": verdict.lhs.value_range,
-                            "stop": "decided"}
-    assert trace["margin"] > 1.0
+                            "log_wealth": verdict.lhs.test.log_wealth[0],
+                            "threshold": threshold, "stop": "decided"}
+    assert trace["margin"] == trace["lhs"]["log_wealth"] / threshold > 1.0
     assert "rhs" not in trace
 
 
