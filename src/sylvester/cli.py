@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -284,13 +285,18 @@ def cmd_mc(ns) -> int:
 
 def _side(query: MomentQuery):
     """A certification side: the exact value where a closed form exists, else the
-    (body, fixed vertex, k) to estimate, followed by the exact E V^(2k) where
-    that has a closed form (the side then samples a bounded control variate)."""
-    if query.support.exact_at(query.k):
+    (body, fixed vertex, k) to estimate, followed by the exact E V^(2k), and
+    then E V^(4k), as far as they have closed forms (the side then samples a
+    bounded control variate, quadratic or quartic)."""
+    support = query.support
+    if support.exact_at(query.d, query.k):
         return exact_moment(query)
-    twice = MomentQuery(query.d, 2 * query.k, query.body_kind, query.fixed_kind, query.l)
-    second = (exact_moment(twice),) if query.support.exact_at(twice.k) else ()
-    return (*_sampler(query), query.k, *second)
+    moments = []
+    for order in (2 * query.k, 4 * query.k):
+        if not support.exact_at(query.d, order):
+            break
+        moments.append(exact_moment(replace(query, k=order)))
+    return (*_sampler(query), query.k, *moments)
 
 
 def cmd_counterexample(ns) -> int:

@@ -13,7 +13,8 @@ failures of monotonicity under set inclusion.
 Every supported pair also has its second moment (k = 2) exactly, from the
 body's centroid mu and covariance Sigma alone (:func:`second_moment`): so the
 free half-ball and the tetrahedron, free or with a facet-centroid vertex, are
-exact at k = 2 too.
+exact at k = 2 too.  Their fourth moments (k = 4) are constants in the
+support table, for the free half-ball at d = 3 and 4 only.
 
 Triangle and tetrahedron moments are normalized to unit-volume bodies (the
 moments are affine-invariant, so this is the canonical form); use
@@ -22,10 +23,10 @@ moments are affine-invariant, so this is the canonical form); use
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial, perm
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from .exactnum import SQRT_PI, PiPolynomial, gamma_half, gamma_half_parts
 
@@ -435,14 +436,18 @@ class Support:
     fixed: Callable[[int], mc.FixedPointSpec]  # the fixed vertex in dimension d
     covariance: Callable[[int, Fraction | None], Covariance]  # (d, l), for the k = 2 form
     closed_form: Callable[[int, int, Fraction | None], PiPolynomial] | None = None  # (d, k, l)
-    exact_k: frozenset[int] | None = None  # the orders with a form; None: every k
+    exact_k: frozenset[int] | None = None  # the orders with a form at every d; None: every k
+    fourth: Mapping[int, PiPolynomial] = field(default_factory=dict)  # d -> E V^4, beside exact_k
 
-    def exact_at(self, k: int) -> bool:
-        return self.exact_k is None or k in self.exact_k
+    def exact_at(self, d: int, k: int) -> bool:
+        return self.exact_k is None or k in self.exact_k or (k == 4 and d in self.fourth)
 
     def moment(self, d: int, k: int, l: Fraction | None) -> PiPolynomial:
-        """The form at an order it has: :func:`second_moment` at k = 2 unless
-        ``closed_form`` holds at every order, else ``closed_form``."""
+        """The form at an order it has: the ``fourth`` value at k = 4,
+        :func:`second_moment` at k = 2 unless ``closed_form`` holds at every
+        order, else ``closed_form``."""
+        if k == 4 and d in self.fourth:
+            return self.fourth[d]
         if k == 2 and self.exact_k is not None:
             return second_moment(d, self.covariance(d, l))
         return self.closed_form(d, k, l)
@@ -451,7 +456,11 @@ class Support:
         d = "any d" if self.d is None else f"d={self.d}"
         if self.exact_k is None:
             return f"{d}, exact any k"
-        return f"{d}, exact k={','.join(map(str, sorted(self.exact_k)))} only"
+        orders = sorted(self.exact_k) + ([4] if self.fourth and self.d is not None else [])
+        text = f"{d}, exact k={','.join(map(str, orders))}"
+        if self.fourth and self.d is None:
+            text += f", and k=4 at d={','.join(map(str, sorted(self.fourth)))}"
+        return text + " only"
 
 
 class _SupportTable(dict):
@@ -480,6 +489,18 @@ def _origin(d: int) -> mc.FixedPoint:
     return _mc().FixedPoint((0.0,) * d)
 
 
+#: E V^4 of the pairs without a closed form at every k, from the expansion of
+#: E det^4 over four permutations (Nyquist, Rice & Riordan 1954), run row by
+#: row on each body's monomial moments of order <= 4; the test suite re-derives
+#: each.  The half-ball has pi in even d, the simplices are rational.
+_HALFBALL_FOURTH = {
+    3: PiPolynomial.from_rational(Fraction(9827, 702464000)),
+    4: PiPolynomial({0: Fraction(475, 3057647616), -4: Fraction(-83, 54867456),
+                     -8: Fraction(64, 43758225)}),
+}
+_TETRAHEDRON_FOURTH = PiPolynomial.from_rational(Fraction(871, 123480000))
+_FACET_CENTROID_FOURTH = PiPolynomial.from_rational(Fraction(43, 27783000))
+
 #: (body kind, fixed kind) -> :class:`Support`; looking up any other pair
 #: raises :class:`UnsupportedQueryError` listing the supported ones.
 SUPPORT = _SupportTable({
@@ -495,7 +516,7 @@ SUPPORT = _SupportTable({
                                 lambda d, k, l: ball_fixed_moment(d, k)),
     ("halfball", "none"): Support(None, lambda d, l: _mc().HalfBall(d), _no_fixed,
                                   lambda d, l: _halfball_covariance(d, False),
-                                  exact_k=frozenset({2})),
+                                  exact_k=frozenset({2}), fourth=_HALFBALL_FOURTH),
     ("halfball", "origin"): Support(None, lambda d, l: _mc().HalfBall(d), _origin,
                                     lambda d, l: _halfball_covariance(d, True),
                                     lambda d, k, l: halfball_fixed_moment(d, k)),
@@ -509,11 +530,12 @@ SUPPORT = _SupportTable({
     ("tetrahedron", "none"): Support(3, lambda d, l: _mc().unit_volume_tetrahedron(), _no_fixed,
                                      lambda d, l: _simplex_covariance(3, False),
                                      lambda d, k, l: tetrahedron_moment_k1(),
-                                     exact_k=frozenset({1, 2})),
+                                     exact_k=frozenset({1, 2}), fourth={3: _TETRAHEDRON_FOURTH}),
     ("tetrahedron", "facet_centroid"): Support(3, lambda d, l: _mc().unit_volume_tetrahedron(),
                                                lambda d: _mc().tetrahedron_facet_centroid(),
                                                lambda d, l: _simplex_covariance(3, True),
-                                               exact_k=frozenset({2})),
+                                               exact_k=frozenset({2}),
+                                               fourth={3: _FACET_CENTROID_FOURTH}),
 })
 SUPPORTED = ", ".join(f"{b}/{f} ({row.describe()})" for (b, f), row in SUPPORT.items())
 BODY_KINDS = tuple(dict.fromkeys(b for b, _ in SUPPORT))
@@ -589,7 +611,7 @@ def exact_moment(query: MomentQuery) -> PiPolynomial:
     ValueError for one above :data:`MAX_CLOSED_FORM_SIZE`.
     """
     support = query.support
-    if not support.exact_at(query.k):
+    if not support.exact_at(query.d, query.k):
         raise UnsupportedQueryError(
             f"no closed form for body={query.body_kind} fixed={query.fixed_kind} "
             f"d={query.d} k={query.k}; supported: {SUPPORTED}"

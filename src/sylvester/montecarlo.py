@@ -43,10 +43,12 @@ a fraction of the configured size, so a run's samples, and its time, grow in
 small steps with the samples that decide it.  They run one after another in
 the caller's thread, so a decided run has drawn exactly the chunks it used:
 such runs stop after a few small chunks, where a thread pool costs more than
-it saves.  ``estimate_moment`` uses equal chunks.  A side whose E V^(2k) is
-known exactly is sampled as the bounded control variate V^k (1 - beta V^k)
-instead of V^k (:class:`EstimatedSide`): the same draws, in a range a
-quarter as wide, so it decides on about half the samples.
+it saves.  ``estimate_moment`` uses equal chunks.  A side whose E V^(2k) and
+E V^(4k) are known exactly is sampled as the bounded control variate
+V^k (1 + t (a + b t^2)), t = V^k / R^k, for fixed (a, b) near the minimax
+pair, instead of V^k, where R^k bounds V^k (:class:`EstimatedSide`): the same
+draws, in a range of 0.1352 R^k instead of R^k.  A side with only E V^(2k)
+exact samples V^k (1 - V^k / R^k), in a range of R^k / 4.
 """
 
 from __future__ import annotations
@@ -56,11 +58,11 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 from itertools import chain, islice
 from math import factorial, inf, isfinite, log, nextafter, sqrt
 from statistics import NormalDist
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -445,10 +447,12 @@ class MomentEstimate:
         }
 
 
-def _chunk_stats(body: Body, fixed: FixedPointSpec, k: int, seed: int,
-                 index: int, size: int, beta: float | None = None) -> tuple[int, float, float]:
-    """(size, mean, M2) of the chunk's samples x = V^k, or with ``beta`` of
-    the bounded control-variate samples x (1 - beta x) (see :class:`EstimatedSide`)."""
+def _chunk_stats(body: Body, fixed: FixedPointSpec, k: int, seed: int, index: int, size: int,
+                 variate: Callable[[np.ndarray], np.ndarray] | None = None,
+                 ) -> tuple[int, float, float]:
+    """(size, mean, M2) of the chunk's samples x = V^k, or with ``variate`` of
+    the bounded control-variate samples it maps x to in place (see
+    :class:`EstimatedSide`)."""
     # an explicit uint64 key: a list holding a seed >= 2^63 would pass through float64
     key = np.array([seed, index], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
@@ -465,8 +469,8 @@ def _chunk_stats(body: Body, fixed: FixedPointSpec, k: int, seed: int,
     # estimate rejects from the merged stats
     with np.errstate(over="ignore", invalid="ignore"):
         x = np.ones(size) if k == 0 else vols**k
-        if beta is not None:
-            x = _control_variate(x, beta)
+        if variate is not None:
+            x = variate(x)
         mean = float(x.mean())
         m2 = float(((x - mean) ** 2).sum())
     return size, mean, m2
@@ -481,6 +485,31 @@ def _control_variate(x: np.ndarray, beta: float) -> np.ndarray:
     y = beta * x
     np.subtract(1.0, y, out=y)
     x *= y
+    return x
+
+
+#: The quartic control variate's (a, b), near the minimax pair
+#: (-1.930299, 1.065541): t (1 + a t + b t^3) then has the least range,
+#: [0, 1 + a + b], over t in [0, 1] (see EstimatedSide).
+_QUARTIC_A, _QUARTIC_B = -1.93029937, 1.06554117
+#: 1 + a + b, exactly: both sums are exact in doubles (Sterbenz).
+_QUARTIC_TOP = 1.0 + _QUARTIC_A + _QUARTIC_B
+
+
+def _quartic_variate(x: np.ndarray, r: float) -> np.ndarray:
+    """x (1 + t (a + b t^2)) for t = x / r, computed in place as
+    fl(x fl(1 + fl(t fl(a + fl(b fl(t t)))))), with t = fl(x / r).
+
+    For 0 <= x <= r this lies in [0, r (1 + a + b)] up to a relative 2^-46
+    (see :class:`EstimatedSide`).
+    """
+    t = x / r
+    g = t * t
+    g *= _QUARTIC_B
+    g += _QUARTIC_A
+    g *= t
+    g += 1.0
+    x *= g
     return x
 
 
@@ -771,17 +800,58 @@ class EstimatedSide:
       computed Y is at most (1 + u)^2 x (1 - beta' x) <= (1 + u)^2 / (4 beta'),
       and (1 + u)^2 / (1 - u) < 1 + 2^-51 is far inside the 2^-40.
 
-    E V^k = E Y + beta E V^(2k).  The sequence's bounds on E Y are shifted by
-    ``shift``, the enclosure of beta E V^(2k), from ``evaluate_interval(30)``
-    with both ends rounded outward to doubles, and each sum is rounded
-    outward by one ulp, so they bound E V^k with the same coverage.  The
-    range c is about R^k / 4, and the boundary's width grows with the range,
-    so the same decision takes about half the samples.  The estimate's mean is then
-    mean(Y) + beta E V^(2k); its variance and standard error are Y's.
+    E V^k = E Y + beta E V^(2k), and ``shift`` is the enclosure of beta
+    E V^(2k).  The range c is about R^k / 4.
+
+    With ``fourth_moment`` too, the exact E V^(4k), the samples are the
+    quartic Y = x (1 + t (a + b t^2)), t = x / R^k, for the fixed doubles
+    (a, b) = (``_QUARTIC_A``, ``_QUARTIC_B``), near the minimax pair: on
+    t in [0, 1], f(t) = t (1 + a t + b t^3) lies in [0, 1 + a + b], about
+    [0, 0.1352], with its maximum at t = 1 and, less than 2e-9 below it, at
+    t ~ 0.2844, and its minimum 0 at t = 0 and, about 5e-10 above it, at
+    t ~ 0.7771.
+    Two facts about the doubles, which the tests check in exact arithmetic:
+
+    * g(t) = 1 + a t + b t^3 >= delta = 2^-40 for t >= 0: g is convex there,
+      with its minimum 1 + (2a/3) t* at t* = sqrt(-a / (3b)), and
+      4 |a|^3 <= 27 b (1 - delta)^2.
+    * f(t) <= 1 + a + b on [0, 1]: f' = 1 + 2a t + 4b t^3 is convex for
+      t >= 0 and f'(0) = 1, so f rises to a maximum at the first root of f',
+      falls to a minimum at the second and rises again; f' is decreasing on
+      a rational bracket [p, q] of the first root, so f <= f(p) + (q - p)
+      f'(p) there, below 1 + a + b = f(1).
+
+    Y is computed by Horner's rule (:func:`_quartic_variate`), with
+    t = fl(x / R^k) in [0, 1], since x <= R^k and rounding is monotone, and
+    x <= R^k t / (1 - u).  For t in [0, 1], |a| < 2 and b < 1.1, the
+    roundings of t t and b t^2 move the computed g by less than 2.2u
+    together, those of a + b t^2 and t (a + b t^2) by less than 2u each, and
+    that of 1 + t (a + b t^2) by less than u, so it is within 8u of
+    g(t) >= 2^-40 > 8u; hence:
+
+    * Y >= 0, as the product of two numbers >= 0.
+    * Y <= c, which is R^k (1 + a + b) rounded up by a relative 2^-40: the
+      computed Y is at most (1 + u) x (g(t) + 8u) <= R^k (1 + u) / (1 - u)
+      (f(t) + 8u t), and 8u / (1 + a + b) < 60u, so Y is within a relative
+      2^-46 of R^k (1 + a + b).  c must be a normal double, else ValueError.
+
+    E V^k = E Y - (a E V^(2k) / R^k + b E V^(4k) / R^(3k)), and ``shift`` is
+    the enclosure of that difference, one exact value, since a, b and R^k
+    are rationals.  The range c is about 0.135 R^k.
+
+    The sequence's bounds on E Y are moved by ``shift``, from
+    ``evaluate_interval(30)`` with both ends rounded outward to doubles, and
+    each sum is rounded outward by one ulp, so they bound E V^k with the same
+    coverage.  The boundary's width grows with the range, so a narrower
+    range decides on fewer samples.  The estimate's mean is then mean(Y)
+    plus the shift's midpoint; its variance and standard error are Y's.  The
+    control variate's identity holds for Y in exact arithmetic; like V^k's
+    own, its computed values are off by a few units in the last place.
     """
 
     def __init__(self, body: Body, fixed: FixedPointSpec, config: EstimatorConfig, alpha: float,
-                 second_moment: PiPolynomial | None = None):
+                 second_moment: PiPolynomial | None = None,
+                 fourth_moment: PiPolynomial | None = None):
         self.jobs = _jobs(body, fixed, config, ramp=True)  # checks d before R is computed
         self.body, self.fixed, self.config, self.alpha = body, fixed, config, alpha
         k = config.k
@@ -792,8 +862,22 @@ class EstimatedSide:
         if not 0.0 < self.moment_range < inf:
             raise ValueError(f"the range R^{k} of V^{k} in this body, "
                              f"{self.moment_range}, is not a positive finite double")
-        self.value_range, self.beta, self.shift = self.moment_range, None, (0.0, 0.0)
-        if second_moment is not None:
+        self.value_range, self.shift = self.moment_range, (0.0, 0.0)
+        self.beta = self.variate = None
+        if fourth_moment is not None:
+            if second_moment is None:
+                raise ValueError("the quartic control variate needs E V^(2k) too")
+            top = self.moment_range * _QUARTIC_TOP
+            if top < 2.0**-1022:
+                raise ValueError(f"the quartic control variate's range for R^{k} = "
+                                 f"{self.moment_range} is below the normal doubles")
+            self.value_range = top * (1.0 + 2.0**-40)
+            r = Fraction(self.moment_range)
+            shift = -(second_moment * (Fraction(_QUARTIC_A) / r)
+                      + fourth_moment * (Fraction(_QUARTIC_B) / r**3))
+            self.shift = _outward(*shift.evaluate_interval(30))
+            self.variate = partial(_quartic_variate, r=self.moment_range)
+        elif second_moment is not None:
             beta = 1.0 / self.moment_range
             if beta == inf:
                 raise ValueError(f"1/R^{k} for the range R^{k} = {self.moment_range} "
@@ -803,7 +887,9 @@ class EstimatedSide:
             lo, hi = second_moment.evaluate_interval(30)
             self.beta, self.shift = beta, _outward(Fraction(beta) * lo, Fraction(beta) * hi)
             self.value_range = 0.25 / beta * (1.0 + 2.0**-40)
-            self.jobs = (job + (beta,) for job in self.jobs)
+            self.variate = partial(_control_variate, beta=beta)
+        if self.variate is not None:
+            self.jobs = (job + (self.variate,) for job in self.jobs)
         self.stats = _EMPTY
         self.chunks = 0
         self.variance_process = 0.0
@@ -825,7 +911,7 @@ class EstimatedSide:
             return 0.0, self.moment_range
         half = _stitched_boundary(self.variance_process, self.value_range, self.alpha / 2) / n
         lo, hi = max(mean - half, 0.0), min(mean + half, self.value_range)
-        if self.beta is None:
+        if self.variate is None:
             return lo, hi
         return (max(nextafter(lo + self.shift[0], -inf), 0.0),
                 min(nextafter(hi + self.shift[1], inf), self.moment_range))
@@ -836,7 +922,7 @@ class EstimatedSide:
         n, mean, m2 = self.stats
         if n == 0:
             raise ValueError("no chunk has been added to this sequence yet")
-        if self.beta is not None:
+        if self.variate is not None:
             mean += (self.shift[0] + self.shift[1]) / 2.0
         return _estimate((n, mean, m2), self.config, self.body, self.fixed, self.bounds())
 
@@ -853,6 +939,8 @@ class EstimatedSide:
         }
         if self.beta is not None:
             record.update(sample="V^k(1-beta*V^k)", beta=self.beta)
+        elif self.variate is not None:
+            record.update(sample="V^k(1+t(a+b*t^2)),t=V^k/R^k", a=_QUARTIC_A, b=_QUARTIC_B)
         if self.test is not None:
             record.update(log_wealth=max(self.test.log_wealth), threshold=self.test.threshold)
         return record
@@ -899,13 +987,14 @@ class BettingTest:
     against an exact value, each at level alpha / 2 for the side's alpha.
 
     The side's samples Y_i lie in [0, c], c = ``side.value_range``, and
-    E V^k = E Y + beta E V^(2k) (0 without the control variate; see
-    :class:`EstimatedSide`).  ``upper`` is the exact side's upper double less
-    the shift's lower end, and ``lower`` its lower double less the shift's
-    upper end, each rounded outward, against the test.  So E Y > upper
-    implies that E V^k exceeds the exact value, and E Y < lower that it falls
-    below it.  The up test bets on z_i = Y_i - upper, against H0: E Y <= upper;
-    the down test on z_i = lower - Y_i, against H0: E Y >= lower.
+    E V^k is E Y plus a value in ``side.shift`` ([0, 0] without a control
+    variate; see :class:`EstimatedSide`).  ``upper`` is the exact side's
+    upper double less the shift's lower end, and ``lower`` its lower double
+    less the shift's upper end, each rounded outward, against the test.  So
+    E Y > upper implies that E V^k exceeds the exact value, and E Y < lower
+    that it falls below it.  The up test bets on z_i = Y_i - upper, against
+    H0: E Y <= upper; the down test on z_i = lower - Y_i, against
+    H0: E Y >= lower.
 
     Chunk j stakes lambda_j >= 0 on each of its samples, fixed by the chunks
     merged before it (Waudby-Smith & Ramdas, "Estimating means of bounded
@@ -980,10 +1069,11 @@ def certify_counterexample(lhs: MomentSpec, rhs: MomentSpec,
     triple estimated with ``config`` (the right side, when estimated, uses
     seed+1 so both sides are independent); ``config.n_samples`` is each
     estimated side's budget.  A fourth element, the exact E V^(2k), makes
-    the side sample the bounded control variate of :class:`EstimatedSide`:
-    the same draws, in a narrower range.  The sides draw chunk i in turn, in
-    the caller's thread, and the run stops at the first chunk index after
-    which the verdict certifies a strict inequality:
+    the side sample the bounded quadratic control variate of
+    :class:`EstimatedSide`, and a fifth, the exact E V^(4k), the quartic
+    one: the same draws, in a narrower range.  The sides draw chunk i in
+    turn, in the caller's thread, and the run stops at the first chunk index
+    after which the verdict certifies a strict inequality:
 
     * one side exact: when the estimated side's :class:`BettingTest` decides,
       in either direction; its two tests have alpha / 2 each, alpha =
@@ -1004,9 +1094,9 @@ def certify_counterexample(lhs: MomentSpec, rhs: MomentSpec,
         if isinstance(spec, PiPolynomial):
             sides.append(ExactSide(spec))
         else:
-            body, fixed, k, *second_moment = spec
+            body, fixed, k, *moments = spec
             side_config = replace(config, k=k, seed=(config.seed + offset) % 2**64)
-            sides.append(EstimatedSide(body, fixed, side_config, alpha, *second_moment))
+            sides.append(EstimatedSide(body, fixed, side_config, alpha, *moments))
     running = [side for side in sides if isinstance(side, EstimatedSide)]
     relation = INCONCLUSIVE if running else _RELATIONS[(lhs - rhs).sign()]
     if len(running) == 1:  # tested against the exact side

@@ -7,10 +7,12 @@ the exact implementations at tight tolerances.  The exceptions are exact
 oracles, compared structurally: :func:`ball_moments_by_kappa_omega`, the same
 Miles formula as the ball closed forms, built factor by factor from kappa and
 omega rather than telescoped, :func:`ratio_bound_by_kappas`, the ball
-ratio bound as four kappas rather than a quotient of ball moments, and
+ratio bound as four kappas rather than a quotient of ball moments,
 :func:`second_moment_by_bordered_det`, E V^2 from a body's centroid and
 covariance through a general determinant rather than each body's closed
-det Sigma.
+det Sigma, and :func:`volume_moment_by_permutations`, E V^4 (or E V^2) by
+expanding E det^4 over permutations, row by row, from each body's monomial
+moments alone.
 """
 
 from __future__ import annotations
@@ -165,6 +167,123 @@ def bareiss_det(rows):
     return sign * a[-1][-1]
 
 
+def det_moment_by_rows(rows, power=4):
+    """E det(A)^power for a (d+1)x(d+1) matrix A with independent rows z_i = (1, x_i).
+
+    ``rows`` holds, per row, a function from the exponents alpha = (a_1, ...,
+    a_d) to E x^alpha, as a dict p -> Fraction standing for sum c_p pi^-p.
+    det(A)^power is the sum over ``power``-tuples of permutations of
+    prod_j sgn s_j prod_i z_{i, s_j(i)}, and the rows are independent, so
+    the sum runs row by row (Nyquist, Rice & Riordan 1954): the state is the
+    ``power`` sets of columns used so far, as bitmasks.  Placing column c
+    after a set S multiplies by (-1)^|{s in S : s > c}| and adds one to the
+    exponent of column c (column 0 is the constant 1).  The row factor is
+    symmetric in the ``power`` permutations, so a state is kept sorted, with
+    the sum over the orderings it stands for.
+    """
+    from collections import defaultdict
+    from fractions import Fraction
+    from itertools import product
+
+    n = len(rows)
+    states = {(0,) * power: {0: Fraction(1)}}
+    for moment in rows:
+        cache = {}
+        following = defaultdict(lambda: defaultdict(Fraction))
+        for sets, value in states.items():
+            free = [[c for c in range(n) if not s >> c & 1] for s in sets]
+            for cols in product(*free):
+                alpha = tuple(cols.count(c) for c in range(1, n))
+                if alpha not in cache:
+                    cache[alpha] = moment(alpha)
+                factor = cache[alpha]
+                if not factor:
+                    continue
+                sign = (-1) ** sum(bin(s >> (c + 1)).count("1") for s, c in zip(sets, cols))
+                target = following[tuple(sorted(s | 1 << c for s, c in zip(sets, cols)))]
+                for p, a in value.items():
+                    for q, b in factor.items():
+                        target[p + q] += sign * a * b
+        states = following
+    (total,) = states.values()
+    return {p: c for p, c in total.items() if c}
+
+
+def _gamma_half_pi(two_n: int):
+    """Gamma(two_n/2) as (rational, power of sqrt(pi))."""
+    from fractions import Fraction
+
+    num, den, root = gamma_half_by_recurrence(two_n)
+    return Fraction(num, den), root
+
+
+def ball_monomial_moment(d: int, half: bool = False):
+    """E x^alpha for x uniform in the unit d-ball, or with ``half`` in the
+    half-ball {x_1 >= 0}, whose x_1 is |x_1| of a ball point.
+
+    A uniform point is r u with u uniform on the sphere and E r^m = d/(m+d),
+    and E |u|^alpha = Gamma(d/2) prod_i Gamma((a_i+1)/2) / (Gamma((|a|+d)/2)
+    pi^(d/2)); a monomial with an odd exponent of a signed coordinate has
+    mean 0.
+    """
+
+    def moment(alpha):
+        if any(a % 2 for a in alpha[1 if half else 0:]):
+            return {}
+        m = sum(alpha)
+        value, root = _gamma_half_pi(d)
+        for a in alpha:
+            g, r = _gamma_half_pi(a + 1)
+            value, root = value * g, root + r
+        g, r = _gamma_half_pi(m + d)
+        value, root = value / g * d / (m + d), root - r - d
+        assert root % 2 == 0 and root <= 0
+        return {-root // 2: value}
+
+    return moment
+
+
+def simplex_monomial_moment(d: int):
+    """E x^alpha in the reference simplex conv(0, e_1, ..., e_d), whose
+    barycentric coordinates are Dirichlet(1, ..., 1): d! prod a_i! / (d + |a|)!."""
+    from fractions import Fraction
+    from math import factorial, prod
+
+    def moment(alpha):
+        return {0: Fraction(factorial(d) * prod(map(factorial, alpha)),
+                            factorial(d + sum(alpha)))}
+
+    return moment
+
+
+def fixed_row(x):
+    """The deterministic row z = (1, x) of a fixed vertex: x^alpha."""
+    from fractions import Fraction
+    from math import prod
+
+    return lambda alpha: {0: prod((Fraction(c) ** a for c, a in zip(x, alpha)), start=Fraction(1))}
+
+
+def volume_moment_by_permutations(kind: str, d: int, fixed=None, power=4):
+    """E V^power of a random simplex, from :func:`det_moment_by_rows`, as a PiPolynomial.
+
+    ``kind`` is "ball", "halfball" or "simplex"; ``fixed`` the coordinates
+    of a fixed vertex, or None.  V = |det A| / d!, with an even ``power``.
+    A simplex is normalized to unit volume: the reference simplex has
+    volume 1/d!, so its E V^power at unit volume is E det(A)^power.
+    """
+    from fractions import Fraction
+    from math import factorial
+
+    from sylvester.exactnum import PiPolynomial
+
+    row = (simplex_monomial_moment(d) if kind == "simplex"
+           else ball_monomial_moment(d, half=kind == "halfball"))
+    rows = [row] * (d + 1) if fixed is None else [fixed_row(fixed)] + [row] * d
+    scale = 1 if kind == "simplex" else Fraction(1, factorial(d) ** power)
+    return PiPolynomial({-2 * p: c * scale for p, c in det_moment_by_rows(rows, power).items()})
+
+
 def second_moment_by_bordered_det(mu, cov, x=None):
     """E V^2 of a random simplex from the centroid ``mu`` and covariance ``cov``.
 
@@ -219,3 +338,4 @@ def reference_simplex_centroid_covariance(d: int):
     mean = Fraction(1, d + 1)
     second = [[Fraction(1 + (i == j), (d + 1) * (d + 2)) for j in range(d)] for i in range(d)]
     return [mean] * d, [[second[i][j] - mean * mean for j in range(d)] for i in range(d)]
+

@@ -250,16 +250,33 @@ def test_every_pair_is_exact_at_k2(capsys):
             assert record["exact_str"] == "19/12000"
 
 
-def test_exact_tetrahedron_has_closed_forms_at_k1_and_k2_only(capsys):
-    for k, value in (("1", "13/720 - 1/15015*pi^2"), ("2", "3/4000")):
+def test_exact_tetrahedron_has_closed_forms_at_k1_k2_and_k4_only(capsys):
+    for k, value in (("1", "13/720 - 1/15015*pi^2"), ("2", "3/4000"), ("4", "871/123480000")):
         code, out, _ = run_cli(capsys, "exact", "--body", "tetrahedron", "--k", k)
         assert code == EXIT_OK
         assert json_lines(out)[0]["exact_str"] == value
+    code, out, _ = run_cli(capsys, "exact", "--body", "tetrahedron", "--fixed", "facet_centroid",
+                           "--k", "4")
+    assert code == EXIT_OK and json_lines(out)[0]["exact_str"] == "43/27783000"
     code, out, err = run_cli(capsys, "exact", "--body", "tetrahedron", "--k", "3")
     assert code == EXIT_USAGE
     assert out == ""
-    assert "tetrahedron/none (d=3, exact k=1,2 only)" in err
-    assert "tetrahedron/facet_centroid (d=3, exact k=2 only)" in err
+    assert "tetrahedron/none (d=3, exact k=1,2,4 only)" in err
+    assert "tetrahedron/facet_centroid (d=3, exact k=2,4 only)" in err
+    assert "halfball/none (any d, exact k=2, and k=4 at d=3,4 only)" in err
+
+
+def test_exact_halfball_fourth_moment_only_at_d3_and_d4(capsys):
+    code, out, _ = run_cli(capsys, "exact", "--body", "halfball", "--d", "3", "--k", "4")
+    assert code == EXIT_OK and json_lines(out)[0]["exact_str"] == "9827/702464000"
+    code, out, _ = run_cli(capsys, "exact", "--body", "halfball", "--d", "4", "--k", "4")
+    assert code == EXIT_OK
+    assert json_lines(out)[0]["exact_str"] == (
+        "64/43758225*pi^-4 - 83/54867456*pi^-2 + 475/3057647616")
+    for d in ("2", "5"):
+        code, out, err = run_cli(capsys, "exact", "--body", "halfball", "--d", d, "--k", "4")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert f"d={d} k=4" in err
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +306,9 @@ def test_an_unused_budget_costs_nothing(capsys):
 # Samples drawn by the estimated side when each scenario stops, at seeds 0-9
 # and --n 2000000.  A change to the stopping rule shows up here by name.
 PINNED_STOPS = {
-    "halfball-d3": [39_936, 15_360, 15_360, 64_512, 23_552,
-                    56_320, 48_128, 23_552, 64_512, 48_128],
-    "tetra-d3": [3_072, 7_168, 3_072, 7_168, 7_168, 7_168, 3_072, 3_072, 3_072, 7_168],
+    "halfball-d3": [31_744, 15_360, 15_360, 39_936, 23_552,
+                    31_744, 23_552, 23_552, 48_128, 39_936],
+    "tetra-d3": [3_072, 3_072, 3_072, 3_072, 7_168, 7_168, 3_072, 3_072, 3_072, 7_168],
     "halfball-d4-k1": [3_072] * 10,
 }
 
@@ -327,16 +344,17 @@ def test_counterexample_writes_its_certification_trace_to_stderr(capsys):
     trace = trace["certification"]
     est = record["verdict"]["rhs"]["estimate"]
     assert "lhs" not in trace  # the exact side
-    # at this seed, the ramp's 1,024 + 2,048 + 4,096
-    assert est["n"] == 7_168
-    # the facet-centroid side has an exact E V^2, so it samples the bounded
-    # control variate, whose range is a quarter of the volume's; its test
-    # against the exact side decides at a log-wealth above log(2 / alpha)
+    # at this seed, the ramp's 1,024 + 2,048
+    assert est["n"] == 3_072
+    # the facet-centroid side has an exact E V^2 and E V^4, so it samples the
+    # quartic control variate, whose range is 0.1352 of the volume's; its
+    # test against the exact side decides at a log-wealth above log(2 / alpha)
     log_wealth = trace["rhs"]["log_wealth"]
-    assert trace["rhs"] == {"samples": est["n"], "chunks": 3,
+    assert trace["rhs"] == {"samples": est["n"], "chunks": 2,
                             "budget": 2_000_000, "alpha": pytest.approx(0.01),
-                            "range": pytest.approx(0.25), "stop": "decided",
-                            "sample": "V^k(1-beta*V^k)", "beta": pytest.approx(1.0),
+                            "range": pytest.approx(0.1352418), "stop": "decided",
+                            "sample": "V^k(1+t(a+b*t^2)),t=V^k/R^k",
+                            "a": -1.93029937, "b": 1.06554117,
                             "log_wealth": log_wealth,
                             "threshold": pytest.approx(math.log(200.0))}
     assert est["n"] < est["n_samples"] == 2_000_000

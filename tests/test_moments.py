@@ -44,6 +44,7 @@ from oracles import (
     ratio_bound_by_kappas,
     reference_simplex_centroid_covariance,
     second_moment_by_bordered_det,
+    volume_moment_by_permutations,
 )
 
 F = Fraction
@@ -463,11 +464,52 @@ def test_bordered_det_second_moment_equals_the_simplex_forms():
 
 def test_every_support_row_has_a_second_moment_from_its_covariance():
     for (body, fixed), row in SUPPORT.items():
-        assert row.exact_at(2)
         for d in ([row.d] if row.d is not None else range(1, 13)):
+            assert row.exact_at(d, 2)
             l = F(3, 7) if body == "interval" else None
             value = exact_moment(MomentQuery(d, 2, body, fixed, l))
             assert second_moment(d, row.covariance(d, l)) == value, (body, fixed, d)
+
+
+def test_the_permutation_expansion_equals_the_closed_forms_at_k4():
+    # E det^4 row by row, on each body's monomial moments, against every
+    # form that holds at k = 4 (the unit interval is the 1-simplex)
+    for d in (1, 2, 3, 4):
+        assert volume_moment_by_permutations("ball", d) == ball_moment(d, 4)
+        assert volume_moment_by_permutations("ball", d, [0] * d) == ball_fixed_moment(d, 4)
+        assert volume_moment_by_permutations("halfball", d, [0] * d) == halfball_fixed_moment(d, 4)
+    assert volume_moment_by_permutations("simplex", 1) == interval_moment(4, 1)
+    assert volume_moment_by_permutations("simplex", 2) == triangle_moment(4)
+    assert volume_moment_by_permutations("simplex", 2, [F(1, 2)] * 2) == triangle_midpoint_moment(4)
+    # and with two permutations, the k = 2 forms from the covariance
+    for d in (2, 3, 4):
+        assert volume_moment_by_permutations("halfball", d, power=2) == exact_moment(
+            MomentQuery(d, 2, "halfball"))
+    assert volume_moment_by_permutations("simplex", 3, [F(1, 3)] * 3, power=2) == exact_moment(
+        MomentQuery(3, 2, "tetrahedron", "facet_centroid"))
+
+
+def test_the_permutation_expansion_proves_the_fourth_moment_constants():
+    assert exact_moment(MomentQuery(3, 4, "halfball")) == volume_moment_by_permutations(
+        "halfball", 3) == _pi(F(9827, 702464000))
+    d4 = exact_moment(MomentQuery(4, 4, "halfball"))
+    assert d4 == volume_moment_by_permutations("halfball", 4)
+    assert d4 == _pi(F(475, 3057647616)) - PI ** -2 * F(83, 54867456) + PI ** -4 * F(64, 43758225)
+    assert d4.to_decimal(6) == "0.0000000170907"  # truncated: 1.709078e-8
+    assert exact_moment(MomentQuery(3, 4, "tetrahedron")) == volume_moment_by_permutations(
+        "simplex", 3) == _pi(F(871, 123480000))
+    assert exact_moment(MomentQuery(3, 4, "tetrahedron", "facet_centroid")) == (
+        volume_moment_by_permutations("simplex", 3, [F(1, 3)] * 3)) == _pi(F(43, 27783000))
+    # the half-ball's limit is per d: k = 4 at d = 3 and 4 only
+    row = SUPPORT["halfball", "none"]
+    assert [d for d in range(1, 9) if row.exact_at(d, 4)] == [3, 4]
+    assert row.describe() == "any d, exact k=2, and k=4 at d=3,4 only"
+    for d in (2, 5):
+        with pytest.raises(UnsupportedQueryError):
+            exact_moment(MomentQuery(d, 4, "halfball"))
+    # the half-ball's k = 4 ratio: the base-centre moment is below the free one
+    ratio = halfball_fixed_moment(3, 4) / exact_moment(MomentQuery(3, 4, "halfball"))
+    assert ratio == _pi(F(1, 154350) / F(9827, 702464000)) and ratio < exact_ratio_bound(3, 4)
 
 
 def test_new_exact_second_moments():

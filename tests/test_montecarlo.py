@@ -850,6 +850,194 @@ def test_control_variate_range_is_never_exceeded(body, k, fl_beta_r_is_one):
     assert np.all(y >= 0.0) and np.all(y <= c)
 
 
+# pairs whose E V, E V^2 and E V^4 are all exact
+QUARTIC_CASES = {
+    "ball-d3-origin k=1": (Ball(3), FixedPoint((0.0, 0.0, 0.0)), 1, ball_fixed_moment(3, 1),
+                           ball_fixed_moment(3, 2), ball_fixed_moment(3, 4)),
+    "ball-d3 k=1": (Ball(3), NO_FIXED_POINT, 1, ball_moment(3, 1), ball_moment(3, 2),
+                    ball_moment(3, 4)),
+    "triangle k=1": (unit_area_triangle(), NO_FIXED_POINT, 1, triangle_moment(1),
+                     triangle_moment(2), triangle_moment(4)),
+}
+
+
+def test_quartic_betting_test_coverage_audit():
+    """The boundary-null audit of the betting test for sides on the quartic
+    control variate, with the frozen seeds, budget, ramp and confidence 0.8
+    of the audits above: the two tests together may certify in at most a
+    fraction delta = 0.2 of runs, up to a binomial margin."""
+    from sylvester.montecarlo import _quartic_variate
+
+    runs, delta = 100, 0.2
+    report = []
+    for name, (body, fixed, k, value, second, fourth) in QUARTIC_CASES.items():
+        false = 0
+        for seed in range(runs):
+            cfg = make_config(k=k, n_samples=16 * 128, seed=seed, chunk_size=128,
+                              confidence=1 - delta)
+            verdict = certify_counterexample((body, fixed, k, second, fourth), value, cfg)
+            assert verdict.lhs.variate.func is _quartic_variate
+            false += verdict.relation != INCONCLUSIVE
+        report.append(f"{name}: quartic betting test {false}/{runs}")
+        assert false <= _binomial_upper(runs, delta), report
+    print("; ".join(report))
+
+
+def test_quartic_control_variate_coverage_audit():
+    """The sequence's coverage audit for sides on the quartic control variate."""
+    from sylvester.montecarlo import EstimatedSide, _chunk_stats
+
+    runs, delta = 100, 0.2
+    report = []
+    for name, (body, fixed, k, value, second, fourth) in QUARTIC_CASES.items():
+        exact = value.to_float()
+        misses = 0
+        for seed in range(runs):
+            cfg = make_config(k=k, n_samples=16 * 128, seed=seed, chunk_size=128,
+                              confidence=1 - delta)
+            sequence = EstimatedSide(body, fixed, cfg, delta, second, fourth)
+            assert sequence.value_range < sequence.moment_range * 0.1353
+            missed = False
+            for job in sequence.jobs:
+                sequence.add(_chunk_stats(*job))
+                lo, hi = sequence.bounds()
+                missed |= not lo <= exact <= hi
+            misses += missed
+        report.append(f"{name}: quartic control variate {misses}/{runs}")
+        assert misses <= _binomial_upper(runs, delta), report
+    print("; ".join(report))
+
+
+def _quartic_proof_bracket(a, b):
+    """A rational bracket [p, q] of the first root of f' = 1 + 2a t + 4b t^3,
+    by bisection from [1/4, 1/3]."""
+    def slope(t):
+        return 1 + 2 * a * t + 4 * b * t**3
+
+    p, q = F(1, 4), F(1, 3)
+    assert slope(p) > 0 > slope(q)
+    while q - p > F(1, 2**30):
+        mid = (p + q) / 2
+        p, q = (mid, q) if slope(mid) > 0 else (p, mid)
+    return p, q, slope
+
+
+def test_quartic_coefficients_bound_the_range_in_exact_arithmetic():
+    # the two facts the range proof of EstimatedSide rests on, for the doubles (a, b)
+    from sylvester.montecarlo import _QUARTIC_A, _QUARTIC_B, _QUARTIC_TOP
+
+    a, b = F(_QUARTIC_A), F(_QUARTIC_B)
+    top = 1 + a + b
+    assert F(_QUARTIC_TOP) == top and F(0.13524) < top < F(0.13525)
+    # near the minimax pair
+    assert abs(a + F(1.9303)) < F(1, 10**4) and abs(b - F(1.06554)) < F(1, 10**4)
+    # g(t) = 1 + a t + b t^3 >= 2^-40 for t >= 0: its minimum 1 + (2a/3) t*,
+    # at t*^2 = -a / (3b), is >= delta exactly when 4|a|^3 <= 27 b (1 - delta)^2
+    delta = F(1, 2**40)
+    assert 4 * (-a) ** 3 <= 27 * b * (1 - delta) ** 2
+    # f(t) = t g(t) <= 1 + a + b on [0, 1]: f' is decreasing on [0, q] (f'' =
+    # 2a + 12b t^2 < 0 at q, and f'' rises), positive at p and negative at q,
+    # so f rises on [0, p], stays below f(p) + (q - p) f'(p) on [p, q], and
+    # on [q, 1] has no interior maximum (f' is convex and has one more root)
+    p, q, slope = _quartic_proof_bracket(a, b)
+    assert 2 * a + 12 * b * q * q < 0 and slope(p) > 0 > slope(q)
+    f = lambda t: t + a * t**2 + b * t**4  # noqa: E731
+    assert f(p) + (q - p) * slope(p) <= top
+    assert top - f(p) < F(2, 10**9)  # the interior maximum is that close to f(1)
+
+
+@pytest.mark.parametrize("body, k", [
+    (Ball(2), 1), (Ball(3), 1), (HalfBall(3), 1), (HalfBall(4), 1),
+    (unit_volume_tetrahedron(), 1), (unit_area_triangle(), 1), (Ball(3), 2), (Interval(2.5), 3),
+])
+def test_quartic_range_is_never_exceeded(body, k):
+    from sylvester.montecarlo import (_QUARTIC_A, _QUARTIC_B, _QUARTIC_TOP, EstimatedSide,
+                                      _batched_abs_det, _quartic_variate, _sample_batch)
+
+    side = EstimatedSide(body, NO_FIXED_POINT, make_config(k=k, n_samples=1), 0.01,
+                         PiPolynomial.one(), PiPolynomial.one())
+    r, c = side.moment_range, side.value_range
+    assert side.beta is None and side.variate.keywords == {"r": r}
+    assert c == r * _QUARTIC_TOP * (1 + 2.0**-40)
+    a, b, fr = F(_QUARTIC_A), F(_QUARTIC_B), F(r)
+    # the computed sample against its exact value at t = 0, at the interior
+    # maximum and minimum, and at t = 1: each within a relative 2^-46 of
+    # R (1 + a + b), and in [0, c]
+    p, _, _ = _quartic_proof_bracket(a, b)
+    t_min = math.sqrt(-_QUARTIC_A / (3 * _QUARTIC_B))
+    for t in (0.0, float(p), t_min, 1.0):
+        x = r * t if t < 1.0 else r
+        y = _quartic_variate(np.array([x]), r)[0]
+        tx = F(x) / fr
+        exact = F(x) * (1 + a * tx + b * tx**3)
+        assert 0.0 <= y <= c
+        assert abs(F(y) - exact) <= fr * (1 + a + b) * F(1, 2**46)
+    assert _quartic_variate(np.array([0.0]), r)[0] == 0.0
+    # near the top at t = 1 and at the interior maximum, near 0 at t*
+    at_ends = _quartic_variate(np.array([r, r * float(p)]), r)
+    assert np.all(at_ends >= c * (1 - 2.0**-26))
+    assert 0.0 <= _quartic_variate(np.array([r * t_min]), r)[0] <= r * 1e-9
+    # and so does every sampled volume
+    d = body.dimension
+    pts = _sample_batch(body, _rng([37, 10 * d + k]), 20_000, d + 1)
+    x = (_batched_abs_det(pts[:, 1:] - pts[:, :1]) / math.factorial(d)) ** k
+    y = _quartic_variate(x, r)
+    assert np.all(y >= 0.0) and np.all(y <= c)
+
+
+def test_quartic_side_shift_bounds_estimate_and_trace():
+    from sylvester.montecarlo import (_QUARTIC_A, _QUARTIC_B, EstimatedSide, _chunk_stats,
+                                      _quartic_variate)
+
+    origin = FixedPoint((0.0,) * 3)
+    second, fourth = ball_fixed_moment(3, 2), ball_fixed_moment(3, 4)
+    cfg = make_config(k=1, n_samples=50_000, seed=6, chunk_size=4_096)
+    quadratic = EstimatedSide(Ball(3), origin, cfg, 0.01, second)
+    side = EstimatedSide(Ball(3), origin, cfg, 0.01, second, fourth)
+    assert side.value_range < quadratic.value_range * 0.55
+    # the shift encloses -(a E V^2 / R + b E V^4 / R^3) at every end of the enclosures
+    a, b, r = F(_QUARTIC_A), F(_QUARTIC_B), F(side.moment_range)
+    for s2 in second.evaluate_interval(30):
+        for s4 in fourth.evaluate_interval(30):
+            assert F(side.shift[0]) <= -(a * s2 / r + b * s4 / r**3) <= F(side.shift[1])
+    assert 0 < side.shift[1] - side.shift[0] < 1e-15
+    # the same keys and sizes, with the quartic appended
+    for q_job, job in zip(quadratic.jobs, side.jobs):
+        assert job == (*q_job[:6], side.variate) and side.variate.func is _quartic_variate
+        quadratic.add(_chunk_stats(*q_job))
+        side.add(_chunk_stats(*job))
+    assert side.stats[0] == 50_000
+    lo, hi = side.bounds()
+    assert lo < ball_fixed_moment(3, 1).to_float() < hi
+    # narrower than the quadratic's on the same draws
+    assert hi - lo < quadratic.bounds()[1] - quadratic.bounds()[0]
+    est = side.estimate
+    assert est.mean == side.stats[1] + (side.shift[0] + side.shift[1]) / 2
+    assert (est.ci_low, est.ci_high) == (lo, hi)
+    trace = side.trace_dict()
+    assert trace["sample"] == "V^k(1+t(a+b*t^2)),t=V^k/R^k" and "beta" not in trace
+    assert (trace["a"], trace["b"], trace["range"]) == (_QUARTIC_A, _QUARTIC_B, side.value_range)
+    with pytest.raises(ValueError, match="needs E V"):
+        EstimatedSide(Ball(3), origin, cfg, 0.01, fourth_moment=fourth)
+    # R^2 = 1e-310 is a subnormal double
+    with pytest.raises(ValueError, match="below the normal doubles"):
+        EstimatedSide(Interval(1e-155), NO_FIXED_POINT, make_config(k=2, n_samples=10), 0.01,
+                      PiPolynomial.one(), PiPolynomial.one())
+
+
+@pytest.mark.parametrize("d, body_kind, fixed_kind", [
+    (3, "halfball", "none"), (4, "halfball", "none"),
+    (3, "tetrahedron", "none"), (3, "tetrahedron", "facet_centroid"),
+])
+def test_new_fourth_moments_agree_with_a_frozen_estimate(d, body_kind, fixed_kind):
+    from sylvester.moments import MomentQuery, exact_moment
+
+    query = MomentQuery(d, 4, body_kind, fixed_kind)
+    body, fixed = query.support.body(d, None), query.support.fixed(d)
+    est = estimate_moment(body, fixed, make_config(k=4, n_samples=2_000_000, seed=2_718))
+    assert abs(est.mean - exact_moment(query).to_float()) <= 5 * est.std_error
+
+
 @pytest.mark.parametrize("d, body_kind, fixed_kind", [
     (3, "halfball", "none"), (4, "halfball", "none"),
     (3, "tetrahedron", "none"), (3, "tetrahedron", "facet_centroid"),
@@ -895,9 +1083,9 @@ def test_control_variate_side_bounds_and_estimate():
     plain = EstimatedSide(Ball(3), FixedPoint((0.0,) * 3), cfg, 0.01)
     side = EstimatedSide(Ball(3), FixedPoint((0.0,) * 3), cfg, 0.01, second)
     assert side.bounds() == plain.bounds() == (0.0, side.moment_range)
-    # the same keys and sizes, with beta appended for the control variate
+    # the same keys and sizes, with the control variate appended
     for job, cv_job in zip(plain.jobs, side.jobs):
-        assert cv_job == (*job, side.beta)
+        assert cv_job == (*job, side.variate)
         plain.add(_chunk_stats(*job))
         side.add(_chunk_stats(*cv_job))
     assert side.stats[0] == plain.stats[0] == 50_000
