@@ -1,10 +1,15 @@
 #!/usr/bin/env python3
 """Reproducible Monte Carlo estimation of simplex-volume moments.
 
-Sampling is exact and rejection-free in every body, each chunk draws from
-an SFC64 generator seeded by a Philox4x64 generator keyed [seed, chunk], and
-results are a deterministic function of the estimator config: rerunning with
-the same seed reproduces every digit, at any thread count.
+Sampling is exact in distribution in every body.  Balls in d = 3, 4 and
+triangles and tetrahedra are drawn from uniforms alone: sphere points from
+uniform points of the disk (Marsaglia 1972), drawn by rejection from the
+square, and the spacings of sorted uniforms as barycentric weights (Devroye
+1986, ch. V); other balls and simplices from normals and exponentials.  Each
+chunk draws from an SFC64 generator seeded by a Philox4x64 generator keyed
+[seed, chunk], and results are a deterministic function of the estimator
+config: rerunning with the same seed reproduces every digit, at any thread
+count.
 """
 
 import sylvester as sy

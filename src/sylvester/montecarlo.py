@@ -2,13 +2,26 @@
 
 Estimates E[V^k], where V is the volume of the simplex spanned by d+1
 independent uniform points in a body (or by d points plus one fixed vertex).
-Sampling is exact and rejection-free:
+Sampling is exact in distribution:
 
-* balls: isotropic direction (normalized standard normals) times U^(1/d);
+* balls in d = 3 and 4, from uniforms alone: a point of the sphere built
+  from one uniform point of the unit disk (d = 3) or two (d = 4) (Marsaglia,
+  Ann. Math. Statist. 43, 1972), the disk points drawn by rejection from the
+  square, times the radius U^(1/d);
+* balls in other d: isotropic direction (normalized standard normals) times
+  U^(1/d);
 * half-balls: a ball sample with the first coordinate replaced by |x_1| (the
   half-ball is the unit ball cut by {x_1 >= 0});
-* simplices: barycentric weights from normalized standard exponentials;
+* triangles and tetrahedra, from uniforms alone: the spacings of d sorted
+  uniforms as barycentric weights (Devroye, Non-Uniform Random Variate
+  Generation, 1986, ch. V);
+* simplices in other d: barycentric weights from normalized standard
+  exponentials;
 * intervals: an affine image of a unit uniform.
+
+A uniform costs a fraction of a normal or an exponential, and the
+uniform-only samplers fill a chunk in blocks of :data:`_BLOCK` points, whose
+temporaries fit in cache whatever the chunk size.
 
 Reproducibility: chunk i of a run is keyed by numpy's counter-based
 Philox4x64 with key = [seed, i].  128 bits drawn from it seed, through numpy's
@@ -60,7 +73,7 @@ from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from functools import cached_property, partial, reduce
 from itertools import chain, islice
-from math import factorial, inf, isfinite, log, nextafter, sqrt
+from math import factorial, inf, isfinite, isqrt, log, nextafter, sqrt
 from statistics import NormalDist
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
@@ -297,20 +310,127 @@ def _draw_generator(key_rng: np.random.Generator) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(seed))
 
 
+#: Points per block of the uniform-only samplers below.  A block's
+#: temporaries, a few arrays of this many doubles, fit in a 2 MB L2 cache
+#: whatever the chunk size.
+_BLOCK = 2**14
+
+#: Acceptance rate of a point of the square [-1, 1]^2 into the unit disk.
+_DISK_ACCEPT = np.pi / 4.0
+
+
+def _disk_candidates(need: int) -> int:
+    """Candidates drawn for ``need`` disk points: the expected count plus a
+    margin of about 5 standard deviations, so that a top-up round is rare."""
+    return int(need / _DISK_ACCEPT) + 3 * isqrt(need) + 8
+
+
+def _disk(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``count`` points uniform in the unit disk, as (a, b, s = a^2 + b^2).
+
+    Rejection from the square [-1, 1]^2: a round draws its candidates' two
+    coordinates as one (2, k) array of uniforms u, each mapped to 2u - 1,
+    and keeps, in order, the first that satisfy 0 < s < 1; a short round is
+    topped up by another.  Excluding s = 0 changes nothing in distribution
+    and lets a caller divide by s.
+    """
+    parts, need = [], count
+    while need > 0:
+        u = rng.random((2, _disk_candidates(need)))
+        u *= 2.0
+        u -= 1.0
+        r2 = u[0] * u[0]
+        r2 += u[1] * u[1]
+        parts.append(np.compress((r2 < 1.0) & (r2 > 0.0), u, axis=1)[:, :need])
+        need -= parts[-1].shape[1]
+    a, b = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+    s = a * a
+    s += b * b
+    return a, b, s
+
+
+def _fill_ball3(rng: np.random.Generator, out: np.ndarray) -> None:
+    """Uniform points in the unit 3-ball into the (m, 3, w) block ``out``.
+
+    A disk point (a, b), s = a^2 + b^2, gives the point
+    (2a sqrt(1 - s), 2b sqrt(1 - s), 1 - 2s) of the sphere (Marsaglia 1972),
+    scaled by the radius U^(1/3).  Draws: the m*w radii, then the disk.
+    """
+    m, _, w = out.shape
+    r = np.cbrt(rng.random((m, w)))
+    a, b, s = (v.reshape(m, w) for v in _disk(rng, m * w))
+    f = 1.0 - s
+    np.sqrt(f, out=f)
+    f *= 2.0
+    f *= r
+    np.multiply(a, f, out=out[:, 0])
+    np.multiply(b, f, out=out[:, 1])
+    s *= -2.0
+    s += 1.0
+    np.multiply(s, r, out=out[:, 2])
+
+
+def _fill_ball4(rng: np.random.Generator, out: np.ndarray) -> None:
+    """Uniform points in the unit 4-ball into the (m, 4, w) block ``out``.
+
+    Two disk points p and q, s = |p|^2 and t = |q|^2 > 0, give the point
+    (p, q sqrt((1 - s) / t)) of the sphere S^3 (Marsaglia 1972), scaled by
+    the radius U^(1/4).  Draws: the m*w radii, then p's disk, then q's.
+    """
+    m, _, w = out.shape
+    r = np.sqrt(np.sqrt(rng.random((m, w))))
+    a, b, s = (v.reshape(m, w) for v in _disk(rng, m * w))
+    c, e, t = (v.reshape(m, w) for v in _disk(rng, m * w))
+    np.multiply(a, r, out=out[:, 0])
+    np.multiply(b, r, out=out[:, 1])
+    f = 1.0 - s
+    f /= t
+    np.sqrt(f, out=f)
+    f *= r
+    np.multiply(c, f, out=out[:, 2])
+    np.multiply(e, f, out=out[:, 3])
+
+
+def _fill_simplex(verts: np.ndarray, rng: np.random.Generator, out: np.ndarray) -> None:
+    """Uniform points in a triangle or tetrahedron into the (m, d, w) block ``out``.
+
+    The spacings of d sorted uniforms s_1 <= ... <= s_d are uniform
+    barycentric weights (Devroye 1986, ch. V), so the point is
+    v_d + sum_j s_j (v_(j-1) - v_j).  The uniforms are sorted by a min/max
+    network.  Draws: one (m, d, w) array of uniforms.
+    """
+    m, d, w = out.shape
+    u = rng.random((m, d, w))
+    pairs = ((0, 1),) if d == 2 else ((0, 1), (1, 2), (0, 1))
+    for i, j in pairs:
+        lo = np.minimum(u[:, i], u[:, j])
+        np.maximum(u[:, i], u[:, j], out=u[:, j])
+        u[:, i] = lo
+    np.matmul((verts[:-1] - verts[1:]).T, u, out=out)
+    out += verts[-1][:, None]
+
+
 def _sample_batch(body: Body, rng: np.random.Generator, n: int, m: int) -> np.ndarray:
     """n independent m-tuples of uniform points in the body, shape (n, m, d).
 
     ``rng`` is the chunk's keyed Philox generator.  128 bits of it seed the
     SFC64 generator (:func:`_draw_generator`) that every draw here comes from.
     The array is the transposed view of a coordinate-major (m, d, n) buffer
-    (see the module docstring).
+    (see the module docstring).  Balls and half-balls in d = 3, 4 and
+    simplices in d = 2, 3 are drawn from uniforms alone, straight into the
+    buffer, one block of the columns i (all m points of each) at a time, so
+    that a block holds at most :data:`_BLOCK` points.
     """
     rng = _draw_generator(rng)
     if isinstance(body, Interval):
         x = rng.random((m, 1, n))
         x *= body.length
         return x.transpose(2, 0, 1)
-    if isinstance(body, Ball):
+    if isinstance(body, Ball) and body.d in (3, 4):
+        fill = _fill_ball3 if body.d == 3 else _fill_ball4
+    elif isinstance(body, Simplex) and body.dimension in (2, 3):
+        fill = partial(_fill_simplex, body.vertex_array())
+    elif isinstance(body, Ball):
         d = body.d
         x = rng.standard_normal((m, d, n))
         r = rng.random((m, n)) ** (1.0 / d)
@@ -319,12 +439,21 @@ def _sample_batch(body: Body, rng: np.random.Generator, n: int, m: int) -> np.nd
         if isinstance(body, HalfBall):
             np.abs(x[:, 0], out=x[:, 0])
         return x.transpose(2, 0, 1)
-    if isinstance(body, Simplex):
+    elif isinstance(body, Simplex):
         verts = body.vertex_array()
         e = rng.standard_exponential((m, len(verts), n))
         e /= e.sum(axis=1, keepdims=True)
         return (verts.T @ e).transpose(2, 0, 1)
-    raise TypeError(f"cannot sample in {body!r}")
+    else:
+        raise TypeError(f"cannot sample in {body!r}")
+    x = np.empty((m, body.dimension, n))
+    width = max(1, _BLOCK // m)
+    for i in range(0, n, width):
+        block = x[:, :, i:i + width]
+        fill(rng, block)
+        if isinstance(body, HalfBall):
+            np.abs(block[:, 0], out=block[:, 0])
+    return x.transpose(2, 0, 1)
 
 
 def _batched_abs_det(vecs: np.ndarray) -> np.ndarray:

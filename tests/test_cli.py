@@ -304,11 +304,12 @@ def test_an_unused_budget_costs_nothing(capsys):
 
 
 # Samples drawn by the estimated side when each scenario stops, at seeds 0-9
-# and --n 2000000.  A change to the stopping rule shows up here by name.
+# and --n 2000000.  A change to the stopping rule, or to the draws, shows up
+# here by name.
 PINNED_STOPS = {
-    "halfball-d3": [31_744, 15_360, 15_360, 39_936, 23_552,
-                    31_744, 23_552, 23_552, 48_128, 39_936],
-    "tetra-d3": [3_072, 3_072, 3_072, 3_072, 7_168, 7_168, 3_072, 3_072, 3_072, 7_168],
+    "halfball-d3": [31_744, 72_704, 15_360, 31_744, 23_552,
+                    15_360, 23_552, 23_552, 31_744, 15_360],
+    "tetra-d3": [3_072, 3_072, 3_072, 3_072, 3_072, 3_072, 7_168, 3_072, 3_072, 7_168],
     "halfball-d4-k1": [3_072] * 10,
 }
 

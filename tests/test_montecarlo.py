@@ -265,9 +265,9 @@ def test_ball_samples_inside_unit_ball():
     assert abs((r2**2).mean() - 0.5) < 0.005
 
 
-@pytest.mark.parametrize("body", [Ball(1), Ball(3), HalfBall(3), HalfBall(4), Ball(6)],
-                         ids=repr)
+@pytest.mark.parametrize("body", [Ball(1), HalfBall(2), Ball(6)], ids=repr)
 def test_ball_sampler_matches_normalized_gaussian_formula(body):
+    # balls in d != 3, 4 keep the normal draws
     from sylvester.montecarlo import _sample_batch
 
     n, m, d = 20_000, body.d + 1, body.d
@@ -287,6 +287,196 @@ def test_ball_sampler_matches_normalized_gaussian_formula(body):
     assert np.all((pts**2).sum(axis=-1) <= 1 + 1e-12)
     if isinstance(body, HalfBall):
         assert np.all(pts[..., 0] >= 0)
+
+
+# The uniform-only samplers, rebuilt from the same SFC64 draws by formulas
+# written apart from the module's: rejection by a boolean mask, the sphere
+# point and radius as plain expressions, the simplex point from the sorted
+# uniforms' spacings as barycentric weights.  Only the draw schedule is the
+# module's: blocks of _BLOCK // m columns, each drawing its radii first and
+# then its disk rounds of _disk_candidates(need) candidate pairs.
+
+
+def _disk_reference(rng, count):
+    from sylvester.montecarlo import _disk_candidates
+
+    pts = np.empty((0, 2))
+    while len(pts) < count:
+        need = count - len(pts)
+        cand = 2.0 * rng.random((2, _disk_candidates(need))).T - 1.0
+        r2 = (cand**2).sum(axis=1)
+        pts = np.concatenate([pts, cand[(0.0 < r2) & (r2 < 1.0)][:need]])
+    return pts[:, 0], pts[:, 1], (pts**2).sum(axis=1)
+
+
+def _ball_block_reference(d, rng, m, w):
+    u = rng.random(m * w)
+    a, b, s = _disk_reference(rng, m * w)
+    if d == 3:
+        x = np.stack([2 * a * np.sqrt(1 - s), 2 * b * np.sqrt(1 - s), 1 - 2 * s]) * u ** (1 / 3)
+    else:
+        c, e, t = _disk_reference(rng, m * w)
+        x = np.stack([a, b, c * np.sqrt((1 - s) / t), e * np.sqrt((1 - s) / t)]) * u ** 0.25
+    return x.reshape(d, m, w).transpose(1, 0, 2)
+
+
+def _simplex_block_reference(verts, rng, m, w):
+    d = verts.shape[1]
+    s = np.sort(rng.random((m, d, w)), axis=1)
+    weights = np.diff(s, axis=1, prepend=0.0, append=1.0)  # (m, d+1, w)
+    return np.einsum("mjw,jc->mcw", weights, verts)
+
+
+def _uniform_sampler_reference(body, rng, n, m):
+    from sylvester.montecarlo import _BLOCK
+
+    d = body.dimension
+    width = max(1, _BLOCK // m)
+    want = np.empty((m, d, n))
+    for i in range(0, n, width):
+        w = min(width, n - i)
+        if isinstance(body, Ball):
+            want[:, :, i:i + w] = _ball_block_reference(d, rng, m, w)
+        else:
+            want[:, :, i:i + w] = _simplex_block_reference(body.vertex_array(), rng, m, w)
+    if isinstance(body, HalfBall):
+        want[:, 0] = np.abs(want[:, 0])
+    return want.transpose(2, 0, 1)
+
+
+UNIFORM_SAMPLED = [Ball(3), HalfBall(3), Ball(4), HalfBall(4),
+                   unit_area_triangle(), unit_volume_tetrahedron()]
+
+
+def _sampled_id(body):
+    return repr(body) if isinstance(body, Ball) else f"simplex-d{body.dimension}"
+
+
+@pytest.mark.parametrize("body", UNIFORM_SAMPLED, ids=_sampled_id)
+@pytest.mark.parametrize("n", [1, 20_000])
+def test_uniform_samplers_match_a_reference_from_the_same_draws(body, n):
+    # n = 20,000 ends in a partial block for every m (the width is _BLOCK // m)
+    from sylvester.montecarlo import _BLOCK, _sample_batch
+
+    d = body.dimension
+    for m in (d, d + 1):
+        assert n == 1 or n % (_BLOCK // m) != 0
+        pts = _sample_batch(body, _rng([17, 3]), n, m)
+        want = _uniform_sampler_reference(body, _derived_rng([17, 3]), n, m)
+        assert pts.shape == (n, m, d)
+        assert pts.transpose(1, 2, 0).flags.c_contiguous
+        # the two sides round differently, by an ulp or two
+        assert np.max(np.abs(pts - want)) <= 1e-15
+        assert all(body.contains(p) for p in pts.reshape(-1, d)[:2_000])
+        if isinstance(body, Ball):
+            assert np.all((pts**2).sum(axis=-1) <= 1 + 1e-12)
+        if isinstance(body, HalfBall):
+            assert np.all(pts[..., 0] >= 0)
+
+
+class _CornerFirst:
+    """The derived generator, except that its first round of disk candidates
+    holds the centre (0, 0), which is refused, then (-1/2, 1/2), which is
+    kept, and corners of the square after it, which are refused: the round
+    yields one point, and a second round tops the block up."""
+
+    def __init__(self, key):
+        self.rng = _derived_rng(key)
+        self.calls = 0
+
+    def random(self, size):
+        u = self.rng.random(size)
+        self.calls += 1
+        if self.calls == 2:  # the block's radii come first
+            u[:, 0] = 0.5
+            u[:, 1] = (0.25, 0.75)
+            u[:, 2:] = 0.999
+        return u
+
+
+@pytest.mark.parametrize("body", [Ball(3), HalfBall(4)], ids=repr)
+def test_a_short_disk_round_is_topped_up(monkeypatch, body):
+    import sylvester.montecarlo as mc
+
+    d, n, m = body.d, 3_000, body.d + 1
+    stub = _CornerFirst([23, 1])
+    monkeypatch.setattr(mc, "_draw_generator", lambda rng: stub)
+    pts = mc._sample_batch(body, _rng([23, 1]), n, m)
+    # one block; d = 4 draws a second disk after the first is topped up
+    assert stub.calls == (3 if d == 3 else 4)
+    want = _uniform_sampler_reference(body, _CornerFirst([23, 1]), n, m)
+    assert np.max(np.abs(pts - want)) <= 1e-15
+    assert np.all((pts**2).sum(axis=-1) <= 1 + 1e-12)
+    # the first point is built from the one candidate kept, (-1/2, 1/2)
+    r = _CornerFirst([23, 1]).random((m, n))[0, 0] ** (1 / d)
+    if d == 3:
+        want_first = np.array([-np.sqrt(0.5), np.sqrt(0.5), 0.0]) * r
+    else:  # x_1 = |-1/2| r in the half-ball; (x_3, x_4) come from the second disk
+        want_first = np.array([0.5, 0.5]) * r
+    assert np.max(np.abs(pts[0, 0, :len(want_first)] - want_first)) <= 1e-15
+
+
+def _moment_z(samples, exact):
+    """Distance of the sample mean from the exact value, in standard errors."""
+    return abs(samples.mean() - exact) / (samples.std(ddof=1) / math.sqrt(len(samples)))
+
+
+@pytest.mark.parametrize("body", [Ball(3), HalfBall(3), Ball(4), HalfBall(4)], ids=repr)
+def test_uniform_ball_samplers_have_the_exact_moments(body):
+    from sylvester.montecarlo import _sample_batch
+
+    d, n = body.d, 200_000
+    pts = _sample_batch(body, _rng([29, d]), n, 2).reshape(-1, d)
+    r2 = (pts**2).sum(axis=1)
+    # r^d is uniform on [0, 1]
+    assert _moment_z(r2 ** (d / 2), 0.5) < 5
+    for i in range(d):
+        assert _moment_z(pts[:, i] ** 2, 1 / (d + 2)) < 5
+    first = 0.0
+    if isinstance(body, HalfBall):
+        first = {3: 3 / 8, 4: 16 / (15 * math.pi)}[d]
+        assert halfball_first_coordinate_mean(d) == pytest.approx(first, abs=1e-10)
+    assert _moment_z(pts[:, 0], first) < 5
+    for i in range(1, d):
+        assert _moment_z(pts[:, i], 0.0) < 5
+
+
+@pytest.mark.parametrize("body", [unit_area_triangle(), unit_volume_tetrahedron()],
+                         ids=_sampled_id)
+def test_uniform_simplex_samplers_have_the_exact_moments(body):
+    from oracles import reference_simplex_centroid_covariance
+    from sylvester.montecarlo import _sample_batch
+
+    d, n = body.dimension, 200_000
+    pts = _sample_batch(body, _rng([31, d]), n, 2).reshape(-1, d)
+    verts = body.vertex_array()
+    # the body is v_0 + A conv(0, e_1, ..., e_d), A's columns v_i - v_0
+    a = (verts[1:] - verts[0]).T
+    mean, cov = reference_simplex_centroid_covariance(d)
+    mu = verts[0] + a @ np.array(mean, dtype=float)
+    sigma = a @ np.array(cov, dtype=float) @ a.T
+    for i in range(d):
+        assert _moment_z(pts[:, i], mu[i]) < 5
+        for j in range(i, d):
+            assert _moment_z((pts[:, i] - mu[i]) * (pts[:, j] - mu[j]), sigma[i, j]) < 5
+
+
+def test_sampler_temporaries_scale_with_the_block_not_the_chunk():
+    import tracemalloc
+
+    from sylvester.montecarlo import _sample_batch
+
+    _sample_batch(HalfBall(4), _rng([3, 0]), 100, 5)  # numpy's one-time allocations
+    for n in (2**15, 2**17):
+        tracemalloc.start()
+        try:
+            pts = _sample_batch(HalfBall(4), _rng([3, 1]), n, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a block's temporaries are about 1.5 MB; the normal draws took an
+        # (m, n) array or more beside the points
+        assert peak - pts.nbytes <= 2 * 2**20
 
 
 def test_interval_sampling_range():
