@@ -2,10 +2,10 @@
 """Reproducible Monte Carlo estimation of simplex-volume moments.
 
 Sampling is exact in distribution in every body.  Balls in d = 3, 4 and
-triangles and tetrahedra are drawn from uniforms alone: sphere points from
-uniform points of the disk (Marsaglia 1972), drawn by rejection from the
-square, and the spacings of sorted uniforms as barycentric weights (Devroye
-1986, ch. V); other balls and simplices from normals and exponentials.  Each
+every simplex are drawn from uniforms alone: sphere points from uniform
+points of the disk (Marsaglia 1972), drawn by rejection from the square, and
+the spacings of sorted uniforms as barycentric weights (Devroye 1986,
+ch. V); other balls from normals.  Each
 chunk draws from an SFC64 generator seeded by a Philox4x64 generator keyed
 [seed, chunk], and results are a deterministic function of the estimator
 config: rerunning with the same seed reproduces every digit, at any thread

@@ -12,21 +12,19 @@ Sampling is exact in distribution:
   U^(1/d);
 * half-balls: a ball sample with the first coordinate replaced by |x_1| (the
   half-ball is the unit ball cut by {x_1 >= 0});
-* triangles and tetrahedra, from uniforms alone: the spacings of d sorted
-  uniforms as barycentric weights (Devroye, Non-Uniform Random Variate
-  Generation, 1986, ch. V);
-* simplices in other d: barycentric weights from normalized standard
-  exponentials;
+* simplices, from uniforms alone: the spacings of d sorted uniforms as
+  barycentric weights (Devroye, Non-Uniform Random Variate Generation, 1986,
+  ch. V);
 * intervals: an affine image of a unit uniform.
 
-A uniform costs a fraction of a normal or an exponential, and the
-uniform-only samplers fill a chunk in blocks of :data:`_BLOCK` points, whose
-temporaries fit in cache whatever the chunk size.
+A uniform costs a fraction of a normal, and the uniform-only samplers fill
+a chunk in blocks of :data:`_BLOCK` points, whose temporaries fit in cache
+whatever the chunk size.
 
 Reproducibility: chunk i of a run is keyed by numpy's counter-based
 Philox4x64 with key = [seed, i].  128 bits drawn from it seed, through numpy's
 SeedSequence, an SFC64 generator, and every draw of the chunk comes from that
-SFC64, which draws normals, uniforms and exponentials faster than Philox.
+SFC64, which draws normals and uniforms faster than Philox.
 Chunk accumulators are merged pairwise in index order with the standard
 two-sample mean/M2 combination, so a given :class:`EstimatorConfig` yields
 bit-identical results at any thread count.  ``estimate_moment`` runs its
@@ -312,7 +310,9 @@ def _draw_generator(key_rng: np.random.Generator) -> np.random.Generator:
 
 #: Points per block of the uniform-only samplers below.  A block's
 #: temporaries, a few arrays of this many doubles, fit in a 2 MB L2 cache
-#: whatever the chunk size.
+#: whatever the chunk size.  One fill of a whole 2^15-simplex chunk instead
+#: ran the benchmark's ``mc`` commands about 12% slower, in 19% more peak
+#: memory (BENCH_19.json).
 _BLOCK = 2**14
 
 #: Acceptance rate of a point of the square [-1, 1]^2 into the unit disk.
@@ -391,18 +391,25 @@ def _fill_ball4(rng: np.random.Generator, out: np.ndarray) -> None:
     np.multiply(e, f, out=out[:, 3])
 
 
+#: Min/max networks that sort d = 2 and 3 values; other d use np.sort.
+_SORTING_NETWORKS = {2: ((0, 1),), 3: ((0, 1), (1, 2), (0, 1))}
+
+
 def _fill_simplex(verts: np.ndarray, rng: np.random.Generator, out: np.ndarray) -> None:
-    """Uniform points in a triangle or tetrahedron into the (m, d, w) block ``out``.
+    """Uniform points in the simplex with vertices ``verts`` into the (m, d, w)
+    block ``out``.
 
     The spacings of d sorted uniforms s_1 <= ... <= s_d are uniform
     barycentric weights (Devroye 1986, ch. V), so the point is
     v_d + sum_j s_j (v_(j-1) - v_j).  The uniforms are sorted by a min/max
-    network.  Draws: one (m, d, w) array of uniforms.
+    network for d = 2, 3, else by np.sort.  Draws: one (m, d, w) array of
+    uniforms.
     """
     m, d, w = out.shape
     u = rng.random((m, d, w))
-    pairs = ((0, 1),) if d == 2 else ((0, 1), (1, 2), (0, 1))
-    for i, j in pairs:
+    if d not in _SORTING_NETWORKS:
+        u.sort(axis=1)
+    for i, j in _SORTING_NETWORKS.get(d, ()):
         lo = np.minimum(u[:, i], u[:, j])
         np.maximum(u[:, i], u[:, j], out=u[:, j])
         u[:, i] = lo
@@ -417,7 +424,7 @@ def _sample_batch(body: Body, rng: np.random.Generator, n: int, m: int) -> np.nd
     SFC64 generator (:func:`_draw_generator`) that every draw here comes from.
     The array is the transposed view of a coordinate-major (m, d, n) buffer
     (see the module docstring).  Balls and half-balls in d = 3, 4 and
-    simplices in d = 2, 3 are drawn from uniforms alone, straight into the
+    simplices are drawn from uniforms alone, straight into the
     buffer, one block of the columns i (all m points of each) at a time, so
     that a block holds at most :data:`_BLOCK` points.
     """
@@ -428,7 +435,7 @@ def _sample_batch(body: Body, rng: np.random.Generator, n: int, m: int) -> np.nd
         return x.transpose(2, 0, 1)
     if isinstance(body, Ball) and body.d in (3, 4):
         fill = _fill_ball3 if body.d == 3 else _fill_ball4
-    elif isinstance(body, Simplex) and body.dimension in (2, 3):
+    elif isinstance(body, Simplex):
         fill = partial(_fill_simplex, body.vertex_array())
     elif isinstance(body, Ball):
         d = body.d
@@ -439,11 +446,6 @@ def _sample_batch(body: Body, rng: np.random.Generator, n: int, m: int) -> np.nd
         if isinstance(body, HalfBall):
             np.abs(x[:, 0], out=x[:, 0])
         return x.transpose(2, 0, 1)
-    elif isinstance(body, Simplex):
-        verts = body.vertex_array()
-        e = rng.standard_exponential((m, len(verts), n))
-        e /= e.sum(axis=1, keepdims=True)
-        return (verts.T @ e).transpose(2, 0, 1)
     else:
         raise TypeError(f"cannot sample in {body!r}")
     x = np.empty((m, body.dimension, n))

@@ -374,8 +374,14 @@ def _uniform_sampler_reference(body, rng, n, m):
     return want.transpose(2, 0, 1)
 
 
+# a segment and a skewed 4-simplex: no CLI command samples either, and np.sort
+# orders their uniforms where the triangle and tetrahedron use a min/max network
+SEGMENT = Simplex(((0.5,), (2.0,)))
+SIMPLEX_D4 = Simplex(((0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0), (0.5, 2.0, 0.0, 0.0),
+                      (0.0, 1.0, 1.5, 0.0), (0.5, 0.5, 0.5, 1.0)))
+
 UNIFORM_SAMPLED = [Ball(3), HalfBall(3), Ball(4), HalfBall(4),
-                   unit_area_triangle(), unit_volume_tetrahedron()]
+                   SEGMENT, unit_area_triangle(), unit_volume_tetrahedron(), SIMPLEX_D4]
 
 
 def _sampled_id(body):
@@ -471,8 +477,8 @@ def test_uniform_ball_samplers_have_the_exact_moments(body):
         assert _moment_z(pts[:, i], 0.0) < 5
 
 
-@pytest.mark.parametrize("body", [unit_area_triangle(), unit_volume_tetrahedron()],
-                         ids=_sampled_id)
+@pytest.mark.parametrize("body", [SEGMENT, unit_area_triangle(), unit_volume_tetrahedron(),
+                                  SIMPLEX_D4], ids=_sampled_id)
 def test_uniform_simplex_samplers_have_the_exact_moments(body):
     from oracles import reference_simplex_centroid_covariance
     from sylvester.montecarlo import _sample_batch
