@@ -17,6 +17,7 @@ import sys
 from dataclasses import replace
 from datetime import datetime, timezone
 from fractions import Fraction
+from functools import cache
 
 from . import DEFAULT_CHUNK, __version__
 from .exactnum import PiPolynomial
@@ -105,15 +106,25 @@ def _digits(text: str) -> int:
     return digits
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, str]]]:
-    """The parser, and per command the config keys it takes (``k_max`` -> ``--k-max``)."""
+class _CommandAction(argparse._SubParsersAction):
+    """The command positional of the top-level parser: it records the command's
+    name and the tokens after it, and leaves them to the command's own parser."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        namespace.command, namespace.after_command = values[0], values[1:]
+
+
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser],
+                             dict[str, dict[str, str]]]:
+    """The top-level parser, each command's parser, and per command the config
+    keys it takes (``k_max`` -> ``--k-max``)."""
     parser = argparse.ArgumentParser(
         prog="sylvester",
         description="Exact and Monte Carlo moments of random simplex volumes in convex bodies.",
     )
     parser.add_argument("--config", help="key=value file, read as the command's own flags "
                                          "placed before the explicit ones")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, action=_CommandAction)
     keys: dict[str, dict[str, str]] = {name: {} for name in _COMMANDS}
 
     def opt(p, flag, **kw):
@@ -165,7 +176,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, str]]]
     opt(p, "--k-max", type=int, default=20)
     add_output_flags(p, digits=True)
 
-    return parser, keys
+    return parser, sub.choices, keys
 
 
 def _config_flags(path: str, command: str) -> list[str]:
@@ -195,15 +206,22 @@ def _config_flags(path: str, command: str) -> list[str]:
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """``argv`` parsed, with the --config file's flags placed right after the
-    command, so explicit flags, which come later, win."""
-    ns = PARSER.parse_args(argv)
-    if ns.config is None:
-        return ns
-    i = 0  # the command token: before it stand only --config options and their values
-    while argv[i].startswith("-"):
+    """``argv`` parsed, each token once.  ``PARSER`` takes the tokens before the
+    command token and the command's name; the command's own parser takes the
+    --config file's flags and then the tokens after the command, so explicit
+    flags, which come later, win."""
+    i = 0  # the command token, when only --config options and their values precede it
+    while i < len(argv) and argv[i].startswith("-"):
         i += 1 if "=" in argv[i] else 2
-    return PARSER.parse_args([*argv[:i + 1], *_config_flags(ns.config, ns.command), *argv[i + 1:]])
+    ns, extras = PARSER.parse_known_args(argv[:i + 1])
+    # the scan takes the token after an unknown option for its value, so PARSER
+    # may find the command before i: the tokens it saw after it go on too
+    after = [*vars(ns).pop("after_command"), *argv[i + 1:]]
+    flags = [] if ns.config is None else _config_flags(ns.config, ns.command)
+    ns, unknown = COMMAND_PARSERS[ns.command].parse_known_args([*flags, *after], ns)
+    if extras or unknown:
+        PARSER.error(f"unrecognized arguments: {' '.join([*extras, *unknown])}")
+    return ns
 
 
 def _query(ns) -> MomentQuery:
@@ -283,11 +301,13 @@ def cmd_mc(ns) -> int:
     return EXIT_OK
 
 
+@cache
 def _side(query: MomentQuery):
     """A certification side: the exact value where a closed form exists, else the
     (body, fixed vertex, k) to estimate, followed by the exact E V^(2k), and
     then E V^(4k), as far as they have closed forms (the side then samples a
-    bounded control variate, quadratic or quartic)."""
+    bounded control variate, quadratic or quartic).  A constant of the query,
+    so each is built once per process."""
     support = query.support
     if support.exact_at(query.d, query.k):
         return exact_moment(query)
@@ -366,7 +386,7 @@ _COMMANDS = {
     "qscan": cmd_qscan,
 }
 # built once: parsing leaves no state in a parser, so every call of main shares it
-PARSER, CONFIG_KEYS = _build_parser()
+PARSER, COMMAND_PARSERS, CONFIG_KEYS = _build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,3 +1,5 @@
+import argparse
+import hashlib
 import json
 import math
 import os
@@ -294,6 +296,26 @@ def test_counterexample_certifies_at_moderate_n(capsys, scenario):
     assert rec["verdict"]["relation"] == "lhs>rhs"
 
 
+def test_a_counterexample_side_is_built_once_per_query(capsys, monkeypatch):
+    # the free half-ball's exact E V^2 comes from its covariance, a constant of the query
+    from sylvester import cli, moments
+
+    calls = []
+    real = moments._halfball_covariance
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    cli._side.cache_clear()
+    monkeypatch.setattr(moments, "_halfball_covariance", counted)
+    argv = ("counterexample", "halfball-d4-k1", "--n", "200000", "--seed", "5")
+    first, second = run_cli(capsys, *argv), run_cli(capsys, *argv)
+    assert first[0] == second[0] == EXIT_OK
+    assert first[1] == second[1]
+    assert calls == [(4, False)]
+
+
 def test_an_unused_budget_costs_nothing(capsys):
     # 3 * 10^10 chunks of budget; the ramp's first two, 1,024 and 2,048
     # samples, decide
@@ -527,6 +549,82 @@ def test_config_negative_length_is_a_value_not_a_flag(tmp_path, capsys):
     assert code == EXIT_USAGE
     assert out == ""
     assert "usage error: interval length must be positive" in err
+
+
+# ---------------------------------------------------------------------------
+# parsing: each token once, with the same outcome as two full parses gave
+
+QUERY = ("exact", "--body", "ball", "--d", "3")
+
+# argv -> (exit code, first 16 hex digits of stdout's sha256, last stderr line
+# that is not the manifest), as the two full argparse passes gave them
+PARSE_CORPUS = [
+    (("--help",), 0, "0bb2d77b6d9fb1d9", ""),
+    (("table1", "--help"), 0, "a52002e9f873b212", ""),
+    (("exact", "--help"), 0, "188ee28ffeea945d", ""),
+    (("mc", "--help"), 0, "2264279aa3562d42", ""),
+    (("counterexample", "--help"), 0, "c046d941a804f54b", ""),
+    (("qscan", "--help"), 0, "ddccf73e6c9f4bdf", ""),
+    ((), 2, "e3b0c44298fc1c14",
+     "sylvester: error: the following arguments are required: command"),
+    (("--config",), 2, "e3b0c44298fc1c14",
+     "sylvester: error: argument --config: expected one argument"),
+    (("exact", "--bogus"), 2, "e3b0c44298fc1c14",
+     "sylvester: error: unrecognized arguments: --bogus"),
+    (("--bogus", "exact"), 2, "e3b0c44298fc1c14",
+     "sylvester: error: unrecognized arguments: --bogus"),
+    ((*QUERY, "extra"), 2, "e3b0c44298fc1c14",
+     "sylvester: error: unrecognized arguments: extra"),
+    (("-h", "exact"), 0, "0bb2d77b6d9fb1d9", ""),
+    (("exact", "--d"), 2, "e3b0c44298fc1c14",
+     "sylvester exact: error: argument --d: expected one argument"),
+    (("--config=k2.cfg", *QUERY), 0, "688fc535c7f24cfc", ""),
+    (("--conf", "k2.cfg", *QUERY), 0, "688fc535c7f24cfc", ""),
+    (("--config", "k2.cfg", "--config", "k3.cfg", *QUERY), 0, "617b33ace35772ac", ""),
+    # unknown tokens before the command: where the command's parser fails, it fails first
+    (("--bogus", "counterexample"), 2, "e3b0c44298fc1c14",
+     "sylvester counterexample: error: the following arguments are required: scenario"),
+    (("--bogus", "exact", "--d", "x"), 2, "e3b0c44298fc1c14",
+     "sylvester exact: error: argument --d: invalid int value: 'x'"),
+    (("-", "exact"), 2, "e3b0c44298fc1c14",
+     "sylvester: error: argument command: invalid choice: '-' (choose from 'table1', "
+     "'exact', 'mc', 'counterexample', 'qscan')"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest, last", PARSE_CORPUS,
+                         ids=[" ".join(argv) or "no-arguments" for argv, *_ in PARSE_CORPUS])
+def test_parse_outcomes_are_pinned(tmp_path, capsys, monkeypatch, argv, code, digest, last):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal's width
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "k2.cfg").write_text("k=2\n")
+    (tmp_path / "k3.cfg").write_text("k=3\n")
+    got, out, err = run_cli(capsys, *argv)
+    lines = [line for line in err.splitlines() if not line.startswith('{"manifest"')]
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+    assert (lines[-1] if lines else "") == last
+
+
+@pytest.mark.parametrize("config", [False, True])
+def test_each_token_after_the_command_is_parsed_once(tmp_path, monkeypatch, capsys, config):
+    cfg = tmp_path / "digits.cfg"
+    cfg.write_text("digits=20\n")
+    after = ["--body", "ball", "--d", "3", "--k", "2"]
+    calls = []
+    real = argparse.ArgumentParser.parse_known_args
+
+    def spy(self, args=None, namespace=None):
+        calls.append((self.prog, list(args)))
+        return real(self, args, namespace)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+    prefix = ["--config", str(cfg)] if config else []
+    code, _, err = run_cli(capsys, *prefix, "exact", *after)
+    assert code == EXIT_OK
+    assert json.loads(err)["manifest"]["parameters"]["digits"] == (20 if config else 12)
+    for token in after:
+        assert [prog for prog, args in calls if token in args] == ["sylvester exact"], token
 
 
 @pytest.mark.parametrize("argv", [
