@@ -306,8 +306,8 @@ def _side(query: MomentQuery):
     """A certification side: the exact value where a closed form exists, else the
     (body, fixed vertex, k) to estimate, followed by the exact E V^(2k), and
     then E V^(4k), as far as they have closed forms (the side then samples a
-    bounded control variate, quadratic or quartic).  A constant of the query,
-    so each is built once per process."""
+    bounded control variate, in its (-1, 0) or its quartic row).  A constant
+    of the query, so each is built once per process."""
     support = query.support
     if support.exact_at(query.d, query.k):
         return exact_moment(query)

@@ -54,12 +54,12 @@ a fraction of the configured size, so a run's samples, and its time, grow in
 small steps with the samples that decide it.  They run one after another in
 the caller's thread, so a decided run has drawn exactly the chunks it used:
 such runs stop after a few small chunks, where a thread pool costs more than
-it saves.  ``estimate_moment`` uses equal chunks.  A side whose E V^(2k) and
-E V^(4k) are known exactly is sampled as the bounded control variate
-V^k (1 + t (a + b t^2)), t = V^k / R^k, for fixed (a, b) near the minimax
-pair, instead of V^k, where R^k bounds V^k (:class:`EstimatedSide`): the same
-draws, in a range of 0.1352 R^k instead of R^k.  A side with only E V^(2k)
-exact samples V^k (1 - V^k / R^k), in a range of R^k / 4.
+it saves.  ``estimate_moment`` uses equal chunks.  A side whose E V^(2k) is
+known exactly is sampled as the bounded control variate
+V^k (1 + t (a + b t^2)), t = V^k / R^k, instead of V^k, where R^k bounds V^k
+(:class:`EstimatedSide`): the same draws, in a narrower range.  With E V^(4k)
+exact too, (a, b) is near the minimax pair and the range is 0.1352 R^k;
+else (a, b) = (-1, 0) and the range is R^k / 4.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
-from functools import cached_property, partial, reduce
+from functools import partial, reduce
 from itertools import chain, islice
 from math import factorial, inf, isfinite, isqrt, log, nextafter, sqrt
 from statistics import NormalDist
@@ -118,8 +118,8 @@ class Interval:
         return self.length
 
     def contains(self, point) -> bool:
-        (x,) = np.asarray(point, dtype=float)
-        return -_MEMBERSHIP_TOL <= x <= self.length + _MEMBERSHIP_TOL
+        p = np.asarray(point, dtype=float)
+        return p.shape == (1,) and -_MEMBERSHIP_TOL <= p[0] <= self.length + _MEMBERSHIP_TOL
 
     def to_json_dict(self) -> dict:
         return {"kind": "interval", "length": self.length}
@@ -205,6 +205,8 @@ class Simplex:
         d = len(verts) - 1
         if d < 1 or any(len(v) != d for v in verts):
             raise ValueError("a simplex in R^d needs d+1 vertices of length d")
+        if not all(isfinite(c) for v in verts for c in v):
+            raise ValueError(f"simplex vertices must be finite, got {verts}")
         if self.volume() <= 0.0:
             raise ValueError("simplex vertices are affinely dependent")
 
@@ -607,18 +609,6 @@ def _chunk_stats(body: Body, fixed: FixedPointSpec, k: int, seed: int, index: in
     return size, mean, m2
 
 
-def _control_variate(x: np.ndarray, beta: float) -> np.ndarray:
-    """x (1 - beta x), computed in place as fl(x fl(1 - fl(beta x))).
-
-    For 0 <= x <= 1/beta this lies in [0, 1/(4 beta)] up to a relative
-    2^-51 (see :class:`EstimatedSide`).
-    """
-    y = beta * x
-    np.subtract(1.0, y, out=y)
-    x *= y
-    return x
-
-
 #: The quartic control variate's (a, b), near the minimax pair
 #: (-1.930299, 1.065541): t (1 + a t + b t^3) then has the least range,
 #: [0, 1 + a + b], over t in [0, 1] (see EstimatedSide).
@@ -627,17 +617,18 @@ _QUARTIC_A, _QUARTIC_B = -1.93029937, 1.06554117
 _QUARTIC_TOP = 1.0 + _QUARTIC_A + _QUARTIC_B
 
 
-def _quartic_variate(x: np.ndarray, r: float) -> np.ndarray:
+def _quartic_variate(x: np.ndarray, r: float, a: float, b: float) -> np.ndarray:
     """x (1 + t (a + b t^2)) for t = x / r, computed in place as
     fl(x fl(1 + fl(t fl(a + fl(b fl(t t)))))), with t = fl(x / r).
 
-    For 0 <= x <= r this lies in [0, r (1 + a + b)] up to a relative 2^-46
-    (see :class:`EstimatedSide`).
+    For 0 <= x <= r and each row (a, b) of :class:`EstimatedSide` this lies
+    in [0, r top], top the maximum of t (1 + a t + b t^3) on [0, 1], up to a
+    relative 2^-46.
     """
     t = x / r
     g = t * t
-    g *= _QUARTIC_B
-    g += _QUARTIC_A
+    g *= b
+    g += a
     g *= t
     g += 1.0
     x *= g
@@ -805,11 +796,6 @@ class ExactSide:
 
     def bounds(self) -> tuple[float, float]:
         """Doubles enclosing the value: its certified enclosure, rounded outward."""
-        return self._enclosure
-
-    @cached_property
-    def _enclosure(self) -> tuple[float, float]:
-        # computed once: a certification reads the bounds after every chunk
         return _outward(*self.value.evaluate_interval(30))
 
     def to_json_dict(self) -> dict:
@@ -916,59 +902,53 @@ class EstimatedSide:
     chunks of ``jobs`` ramp up to a fraction of the chunk size (see
     :func:`_jobs`).
 
-    Without ``second_moment`` the samples are x = V^k, and c = R^k =
-    ``moment_range``, where R is the largest simplex volume in the body.
+    Without ``second_moment`` the samples are Y = x = V^k, c = R^k =
+    ``moment_range``, where R is the largest simplex volume in the body, and
+    ``shift`` is (0, 0).
 
     With ``second_moment``, the exact E V^(2k), the samples are the bounded
-    control variate Y = x (1 - beta x), x = V^k, with beta = 1/R^k rounded
-    down to a double, so that beta x <= beta R^k <= 1 exactly.  Y is computed
-    as fl(x fl(1 - fl(beta x))), and:
+    control variate Y = x (1 + t (a + b t^2)), t = x / R^k, for a fixed row
+    of doubles (a, b), and c is R^k top rounded up by a relative 2^-40, top
+    the maximum of f(t) = t (1 + a t + b t^3) on [0, 1].  The row is set by
+    whether ``fourth_moment``, the exact E V^(4k), is given too:
 
-    * Y >= 0: rounding is monotone and fl(1) = 1, so fl(beta x) <= 1, the
-      difference rounds to a value >= 0, and so does the product.
-    * Y <= c, which is 1/(4 beta) rounded up by a relative 2^-40: with
-      u = 2^-53, fl(beta x) >= beta' x for beta' = beta (1 - u), so the
-      computed Y is at most (1 + u)^2 x (1 - beta' x) <= (1 + u)^2 / (4 beta'),
-      and (1 + u)^2 / (1 - u) < 1 + 2^-51 is far inside the 2^-40.
-
-    E V^k = E Y + beta E V^(2k), and ``shift`` is the enclosure of beta
-    E V^(2k).  The range c is about R^k / 4.
-
-    With ``fourth_moment`` too, the exact E V^(4k), the samples are the
-    quartic Y = x (1 + t (a + b t^2)), t = x / R^k, for the fixed doubles
-    (a, b) = (``_QUARTIC_A``, ``_QUARTIC_B``), near the minimax pair: on
-    t in [0, 1], f(t) = t (1 + a t + b t^3) lies in [0, 1 + a + b], about
-    [0, 0.1352], with its maximum at t = 1 and, less than 2e-9 below it, at
-    t ~ 0.2844, and its minimum 0 at t = 0 and, about 5e-10 above it, at
-    t ~ 0.7771.
-    Two facts about the doubles, which the tests check in exact arithmetic:
-
-    * g(t) = 1 + a t + b t^3 >= delta = 2^-40 for t >= 0: g is convex there,
-      with its minimum 1 + (2a/3) t* at t* = sqrt(-a / (3b)), and
-      4 |a|^3 <= 27 b (1 - delta)^2.
-    * f(t) <= 1 + a + b on [0, 1]: f' = 1 + 2a t + 4b t^3 is convex for
-      t >= 0 and f'(0) = 1, so f rises to a maximum at the first root of f',
-      falls to a minimum at the second and rises again; f' is decreasing on
-      a rational bracket [p, q] of the first root, so f <= f(p) + (q - p)
-      f'(p) there, below 1 + a + b = f(1).
-
-    Y is computed by Horner's rule (:func:`_quartic_variate`), with
-    t = fl(x / R^k) in [0, 1], since x <= R^k and rounding is monotone, and
-    x <= R^k t / (1 - u).  For t in [0, 1], |a| < 2 and b < 1.1, the
-    roundings of t t and b t^2 move the computed g by less than 2.2u
-    together, those of a + b t^2 and t (a + b t^2) by less than 2u each, and
-    that of 1 + t (a + b t^2) by less than u, so it is within 8u of
-    g(t) >= 2^-40 > 8u; hence:
-
-    * Y >= 0, as the product of two numbers >= 0.
-    * Y <= c, which is R^k (1 + a + b) rounded up by a relative 2^-40: the
-      computed Y is at most (1 + u) x (g(t) + 8u) <= R^k (1 + u) / (1 - u)
-      (f(t) + 8u t), and 8u / (1 + a + b) < 60u, so Y is within a relative
-      2^-46 of R^k (1 + a + b).  c must be a normal double, else ValueError.
+    * without it, (a, b) = (-1, 0): f(t) = t (1 - t), and top = 1/4, at
+      t = 1/2;
+    * with it, (a, b) = (``_QUARTIC_A``, ``_QUARTIC_B``), near the minimax
+      pair: f lies in [0, 1 + a + b], about [0, 0.1352], with its maximum at
+      t = 1 and, less than 2e-9 below it, at t ~ 0.2844, and its minimum 0
+      at t = 0 and, about 5e-10 above it, at t ~ 0.7771; top = 1 + a + b.
 
     E V^k = E Y - (a E V^(2k) / R^k + b E V^(4k) / R^(3k)), and ``shift`` is
     the enclosure of that difference, one exact value, since a, b and R^k
-    are rationals.  The range c is about 0.135 R^k.
+    are rationals.  R^k top must be a normal double, else ValueError.
+
+    Y is computed by Horner's rule (:func:`_quartic_variate`) as fl(x g),
+    g = fl(1 + fl(t fl(a + fl(b fl(t t))))), with t = fl(x / R^k) in [0, 1],
+    since x <= R^k and rounding is monotone, and x <= R^k t / (1 - u),
+    u = 2^-53.  Then 0 <= Y <= c, by one argument per row:
+
+    * Row (-1, 0): b fl(t t) = 0, a + 0 = -1 and t (-1) = -t are exact, so
+      g = fl(1 - t), which is >= 0 for t in [0, 1], and Y >= 0.  With
+      g <= (1 + u) (1 - t), Y <= (1 + u)^2 x (1 - t)
+      <= (1 + u)^2 / (1 - u) R^k t (1 - t) <= (1 + u)^2 / (1 - u) R^k / 4,
+      and (1 + u)^2 / (1 - u) < 1 + 2^-51 is well inside the 2^-40.
+    * Row (a, b): two facts about the doubles, which the tests check in
+      exact arithmetic.  First, g(t) = 1 + a t + b t^3 >= delta = 2^-40 for
+      t >= 0: g is convex there, with its minimum 1 + (2a/3) t* at
+      t* = sqrt(-a / (3b)), and 4 |a|^3 <= 27 b (1 - delta)^2.  Second,
+      f(t) <= 1 + a + b on [0, 1]: f' = 1 + 2a t + 4b t^3 is convex for
+      t >= 0 and f'(0) = 1, so f rises to a maximum at the first root of f',
+      falls to a minimum at the second and rises again; f' is decreasing on
+      a rational bracket [p, q] of the first root, so f <= f(p) + (q - p)
+      f'(p) there, below 1 + a + b = f(1).  For t in [0, 1], |a| < 2 and
+      b < 1.1, the roundings of t t and b t^2 move the computed g by less
+      than 2.2u together, those of a + b t^2 and t (a + b t^2) by less than
+      2u each, and that of 1 + t (a + b t^2) by less than u, so it is within
+      8u of g(t) >= 2^-40 > 8u.  Hence Y >= 0, as the product of two numbers
+      >= 0, and Y is at most (1 + u) x (g(t) + 8u) <= R^k (1 + u) / (1 - u)
+      (f(t) + 8u t); 8u / (1 + a + b) < 60u, so Y is within a relative
+      2^-46 of R^k (1 + a + b).
 
     The sequence's bounds on E Y are moved by ``shift``, from
     ``evaluate_interval(30)`` with both ends rounded outward to doubles, and
@@ -993,33 +973,23 @@ class EstimatedSide:
         if not 0.0 < self.moment_range < inf:
             raise ValueError(f"the range R^{k} of V^{k} in this body, "
                              f"{self.moment_range}, is not a positive finite double")
-        self.value_range, self.shift = self.moment_range, (0.0, 0.0)
-        self.beta = self.variate = None
-        if fourth_moment is not None:
-            if second_moment is None:
-                raise ValueError("the quartic control variate needs E V^(2k) too")
-            top = self.moment_range * _QUARTIC_TOP
+        self.value_range, self.shift, self.variate = self.moment_range, (0.0, 0.0), None
+        if fourth_moment is not None and second_moment is None:
+            raise ValueError("the quartic control variate needs E V^(2k) too")
+        if second_moment is not None:
+            if fourth_moment is None:
+                a, b, top, fourth_moment = -1.0, 0.0, 0.25, PiPolynomial.zero()
+            else:
+                a, b, top = _QUARTIC_A, _QUARTIC_B, _QUARTIC_TOP
+            top *= self.moment_range
             if top < 2.0**-1022:
-                raise ValueError(f"the quartic control variate's range for R^{k} = "
+                raise ValueError(f"the control variate's range for R^{k} = "
                                  f"{self.moment_range} is below the normal doubles")
             self.value_range = top * (1.0 + 2.0**-40)
             r = Fraction(self.moment_range)
-            shift = -(second_moment * (Fraction(_QUARTIC_A) / r)
-                      + fourth_moment * (Fraction(_QUARTIC_B) / r**3))
+            shift = -(second_moment * (Fraction(a) / r) + fourth_moment * (Fraction(b) / r**3))
             self.shift = _outward(*shift.evaluate_interval(30))
-            self.variate = partial(_quartic_variate, r=self.moment_range)
-        elif second_moment is not None:
-            beta = 1.0 / self.moment_range
-            if beta == inf:
-                raise ValueError(f"1/R^{k} for the range R^{k} = {self.moment_range} "
-                                 f"of V^{k} in this body overflows a double")
-            if Fraction(beta) * Fraction(self.moment_range) > 1:
-                beta = nextafter(beta, 0.0)
-            lo, hi = second_moment.evaluate_interval(30)
-            self.beta, self.shift = beta, _outward(Fraction(beta) * lo, Fraction(beta) * hi)
-            self.value_range = 0.25 / beta * (1.0 + 2.0**-40)
-            self.variate = partial(_control_variate, beta=beta)
-        if self.variate is not None:
+            self.variate = partial(_quartic_variate, r=self.moment_range, a=a, b=b)
             self.jobs = (job + (self.variate,) for job in self.jobs)
         self.stats = _EMPTY
         self.chunks = 0
@@ -1042,8 +1012,6 @@ class EstimatedSide:
             return 0.0, self.moment_range
         half = _stitched_boundary(self.variance_process, self.value_range, self.alpha / 2) / n
         lo, hi = max(mean - half, 0.0), min(mean + half, self.value_range)
-        if self.variate is None:
-            return lo, hi
         return (max(nextafter(lo + self.shift[0], -inf), 0.0),
                 min(nextafter(hi + self.shift[1], inf), self.moment_range))
 
@@ -1053,8 +1021,7 @@ class EstimatedSide:
         n, mean, m2 = self.stats
         if n == 0:
             raise ValueError("no chunk has been added to this sequence yet")
-        if self.variate is not None:
-            mean += (self.shift[0] + self.shift[1]) / 2.0
+        mean += (self.shift[0] + self.shift[1]) / 2.0
         return _estimate((n, mean, m2), self.config, self.body, self.fixed, self.bounds())
 
     def to_json_dict(self) -> dict:
@@ -1068,10 +1035,9 @@ class EstimatedSide:
             "alpha": self.alpha,
             "range": self.value_range,
         }
-        if self.beta is not None:
-            record.update(sample="V^k(1-beta*V^k)", beta=self.beta)
-        elif self.variate is not None:
-            record.update(sample="V^k(1+t(a+b*t^2)),t=V^k/R^k", a=_QUARTIC_A, b=_QUARTIC_B)
+        if self.variate is not None:
+            record.update(sample="V^k(1+t(a+b*t^2)),t=V^k/R^k",
+                          a=self.variate.keywords["a"], b=self.variate.keywords["b"])
         if self.test is not None:
             record.update(log_wealth=max(self.test.log_wealth), threshold=self.test.threshold)
         return record
@@ -1200,11 +1166,11 @@ def certify_counterexample(lhs: MomentSpec, rhs: MomentSpec,
     triple estimated with ``config`` (the right side, when estimated, uses
     seed+1 so both sides are independent); ``config.n_samples`` is each
     estimated side's budget.  A fourth element, the exact E V^(2k), makes
-    the side sample the bounded quadratic control variate of
-    :class:`EstimatedSide`, and a fifth, the exact E V^(4k), the quartic
-    one: the same draws, in a narrower range.  The sides draw chunk i in
-    turn, in the caller's thread, and the run stops at the first chunk index
-    after which the verdict certifies a strict inequality:
+    the side sample the bounded control variate of :class:`EstimatedSide`,
+    and a fifth, the exact E V^(4k), selects its quartic row: the same
+    draws, in a narrower range.  The sides draw chunk i in turn, in the
+    caller's thread, and the run stops at the first chunk index after which
+    the verdict certifies a strict inequality:
 
     * one side exact: when the estimated side's :class:`BettingTest` decides,
       in either direction; its two tests have alpha / 2 each, alpha =

@@ -349,6 +349,36 @@ def test_certification_stops_are_pinned(capsys, scenario):
     assert stops == PINNED_STOPS[scenario]
 
 
+# sha256 of stdout and of the {"certification": ...} stderr line (with its
+# newline) of each scenario at --n 2000000, seeds 0 and 17.  A change to the
+# draws, the kernel, the stopping rule or the output format shows up here.
+PINNED_OUTPUT_DIGESTS = {
+    ("halfball-d3", 0): ("97f98c55cae7e9e9944a19599fdcfa9fd9889b9282edc3643d858ba277323787",
+                         "69731df0fe23b774eff4af666e357ba3672bfb023a29c3e0b7f701c6db3f6ccb"),
+    ("halfball-d3", 17): ("046530e1d4d861d092ed2cd790d942ad0a1ae781c5484359036ef81be92143e6",
+                          "ff093c153afab74addf930e2a8ca50936d4d132d317affdf05b52d8d9efb2c21"),
+    ("tetra-d3", 0): ("7cbe51d7bd44f823457311f99a0def09c8ef84a129a168f66540ae60a66fc32f",
+                      "d669394b537c9baf58d8fcdd8b82181f3b653d1d1666c613fc0086124804a6b5"),
+    ("tetra-d3", 17): ("18fbd7b62c401eee84a6ba79bb155c1bac102a655cee7d516d05aed3f2a364aa",
+                       "0203c8e2d22b0915a96d09c010f30bc3342d488b81f9cc2742263c29cd7c246d"),
+    ("halfball-d4-k1", 0): ("91d449766b718307399a98fc4d231ff296cec7c69dfc95ae503b06dad21cddc4",
+                            "eb63a8f057cc4c1dbeef3b210bc4181cf08a3ea94edc134c75286d22d5091dce"),
+    ("halfball-d4-k1", 17): ("586d651ec025c6867b0d1d655bf6483a770ed32cf36aabca75151285b3c40bea",
+                             "f78bf3d02ee0bd7d544e571ad918ac65fef1944cf804e3874078880f4a2f6616"),
+}
+
+
+@pytest.mark.parametrize("scenario, seed", PINNED_OUTPUT_DIGESTS)
+def test_counterexample_output_bytes_are_pinned(capsys, scenario, seed):
+    code, out, err = run_cli(capsys, "counterexample", scenario,
+                             "--n", "2000000", "--seed", str(seed))
+    assert code == EXIT_OK
+    (line,) = (line for line in err.splitlines(keepends=True)
+               if line.startswith('{"certification"'))
+    digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in (out, line))
+    assert digests == PINNED_OUTPUT_DIGESTS[scenario, seed]
+
+
 def test_counterexample_inconclusive_exit_code(capsys):
     code, out, _ = run_cli(capsys, "counterexample", "halfball-d3",
                            "--n", "2000", "--seed", "0")

@@ -158,6 +158,10 @@ def test_body_validation():
     assert HalfBall(3).to_json_dict()["kind"] != Ball(3).to_json_dict()["kind"]
     with pytest.raises(ValueError):
         Simplex(((0.0, 0.0), (1.0, 1.0), (2.0, 2.0)))
+    # a NaN vertex gives volume NaN, which no comparison with 0 rejects
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="simplex vertices must be finite"):
+            Simplex(((0.0, 0.0), (1.0, 0.0), (bad, 1.0)))
 
 
 def test_what_a_double_cannot_hold_is_rejected():
@@ -206,6 +210,12 @@ def test_membership():
     assert not tri.contains((2.0, 2.0))
     assert Interval(2.0).contains((1.5,))
     assert not Interval(2.0).contains((2.5,))
+    # a point of the wrong shape lies in no body: a scalar, or a vector of
+    # another length
+    for body, wrong in ((ball, (0.5, 0.0)), (half, (0.5, 0.0, 0.0, 0.0)), (tri, (0.5,)),
+                        (Interval(2.0), (1.0, 2.0))):
+        assert not body.contains(wrong)
+        assert not body.contains(0.5)
 
 
 def test_canonical_fixed_points_lie_in_bodies():
@@ -1046,36 +1056,6 @@ def test_betting_test_coverage_audit():
     print("; ".join(report))
 
 
-@pytest.mark.parametrize("body, k, fl_beta_r_is_one", [
-    (Ball(2), 1, True), (Ball(3), 1, False), (HalfBall(3), 1, False), (HalfBall(4), 1, True),
-    (unit_volume_tetrahedron(), 1, True), (unit_area_triangle(), 1, True),
-    (Ball(3), 2, False), (Interval(2.5), 3, False),
-])
-def test_control_variate_range_is_never_exceeded(body, k, fl_beta_r_is_one):
-    from sylvester.montecarlo import (EstimatedSide, _batched_abs_det, _control_variate,
-                                      _sample_batch)
-
-    side = EstimatedSide(body, NO_FIXED_POINT, make_config(k=k, n_samples=1), 0.01,
-                         PiPolynomial.one())
-    r, beta, c = side.moment_range, side.beta, side.value_range
-    # beta is 1/R^k rounded down: the largest double with beta R^k <= 1
-    assert F(beta) * F(r) <= 1 < F(math.nextafter(beta, math.inf)) * F(r)
-    assert c == 0.25 / beta * (1 + 2.0**-40)
-    # at x = R^k the sample is 0 when fl(beta R^k) = 1, else R^k 2^-53 or R^k 2^-52
-    at_r = _control_variate(np.array([r]), beta)[0]
-    assert (beta * r == 1.0) == fl_beta_r_is_one
-    assert at_r == 0.0 if fl_beta_r_is_one else at_r in (r * 2.0**-53, r * 2.0**-52)
-    # the maximum, at x = R^k / 2 = 1/(2 beta) up to rounding, stays in the range
-    at_half = _control_variate(np.array([r / 2, 0.5 / beta]), beta)
-    assert np.all(at_half <= c) and np.all(at_half >= c * (1 - 2.0**-39))
-    # and so does every sampled volume, which is >= 0
-    d = body.dimension
-    pts = _sample_batch(body, _rng([37, 10 * d + k]), 20_000, d + 1)
-    x = (_batched_abs_det(pts[:, 1:] - pts[:, :1]) / math.factorial(d)) ** k
-    y = _control_variate(x, beta)
-    assert np.all(y >= 0.0) and np.all(y <= c)
-
-
 # pairs whose E V, E V^2 and E V^4 are all exact
 QUARTIC_CASES = {
     "ball-d3-origin k=1": (Ball(3), FixedPoint((0.0, 0.0, 0.0)), 1, ball_fixed_moment(3, 1),
@@ -1172,42 +1152,60 @@ def test_quartic_coefficients_bound_the_range_in_exact_arithmetic():
     assert top - f(p) < F(2, 10**9)  # the interior maximum is that close to f(1)
 
 
-@pytest.mark.parametrize("body, k", [
+RANGE_BODIES = [
     (Ball(2), 1), (Ball(3), 1), (HalfBall(3), 1), (HalfBall(4), 1),
     (unit_volume_tetrahedron(), 1), (unit_area_triangle(), 1), (Ball(3), 2), (Interval(2.5), 3),
+]
+
+
+# each body on both rows (a, b) of the control variate: the quartic, given
+# E V^(2k) and E V^(4k), and (-1, 0), given E V^(2k) only
+@pytest.mark.parametrize("body, k, quartic", [
+    pytest.param(body, k, quartic, id=f"body{i}-{k}" + ("" if quartic else "-quadratic"))
+    for quartic in (True, False) for i, (body, k) in enumerate(RANGE_BODIES)
 ])
-def test_quartic_range_is_never_exceeded(body, k):
+def test_quartic_range_is_never_exceeded(body, k, quartic):
     from sylvester.montecarlo import (_QUARTIC_A, _QUARTIC_B, _QUARTIC_TOP, EstimatedSide,
                                       _batched_abs_det, _quartic_variate, _sample_batch)
 
     side = EstimatedSide(body, NO_FIXED_POINT, make_config(k=k, n_samples=1), 0.01,
-                         PiPolynomial.one(), PiPolynomial.one())
-    r, c = side.moment_range, side.value_range
-    assert side.beta is None and side.variate.keywords == {"r": r}
-    assert c == r * _QUARTIC_TOP * (1 + 2.0**-40)
-    a, b, fr = F(_QUARTIC_A), F(_QUARTIC_B), F(r)
-    # the computed sample against its exact value at t = 0, at the interior
-    # maximum and minimum, and at t = 1: each within a relative 2^-46 of
-    # R (1 + a + b), and in [0, c]
-    p, _, _ = _quartic_proof_bracket(a, b)
-    t_min = math.sqrt(-_QUARTIC_A / (3 * _QUARTIC_B))
-    for t in (0.0, float(p), t_min, 1.0):
+                         *(PiPolynomial.one(),) * (2 if quartic else 1))
+    a, b, top = (_QUARTIC_A, _QUARTIC_B, _QUARTIC_TOP) if quartic else (-1.0, 0.0, 0.25)
+    r, c, variate = side.moment_range, side.value_range, side.variate
+    assert variate.func is _quartic_variate and variate.keywords == {"r": r, "a": a, "b": b}
+    assert c == r * top * (1 + 2.0**-40)
+    fa, fb, fr = F(a), F(b), F(r)
+    # the computed sample against its exact value at t = 0, at each interior
+    # extremum and at t = 1: each within a relative 2^-46 of R top, and in [0, c]
+    ts = (0.0, 0.5, 1.0)
+    if quartic:
+        p = float(_quartic_proof_bracket(fa, fb)[0])
+        t_min = math.sqrt(-a / (3 * b))
+        ts = (0.0, p, t_min, 1.0)
+    for t in ts:
         x = r * t if t < 1.0 else r
-        y = _quartic_variate(np.array([x]), r)[0]
+        y = variate(np.array([x]))[0]
         tx = F(x) / fr
-        exact = F(x) * (1 + a * tx + b * tx**3)
+        exact = F(x) * (1 + fa * tx + fb * tx**3)
         assert 0.0 <= y <= c
-        assert abs(F(y) - exact) <= fr * (1 + a + b) * F(1, 2**46)
-    assert _quartic_variate(np.array([0.0]), r)[0] == 0.0
-    # near the top at t = 1 and at the interior maximum, near 0 at t*
-    at_ends = _quartic_variate(np.array([r, r * float(p)]), r)
-    assert np.all(at_ends >= c * (1 - 2.0**-26))
-    assert 0.0 <= _quartic_variate(np.array([r * t_min]), r)[0] <= r * 1e-9
+        assert abs(F(y) - exact) <= fr * F(top) * F(1, 2**46)
+    assert variate(np.array([0.0]))[0] == 0.0
+    if quartic:
+        # near the top at t = 1 and at the interior maximum, near 0 at t*
+        at_ends = variate(np.array([r, r * p]))
+        assert np.all(at_ends >= c * (1 - 2.0**-26))
+        assert 0.0 <= variate(np.array([r * t_min]))[0] <= r * 1e-9
+    else:
+        # 0 at t = 1, and near the top at t = 1/2 and its neighbours
+        assert variate(np.array([r]))[0] == 0.0
+        half = r / 2
+        at_half = variate(np.array([math.nextafter(half, 0.0), half, math.nextafter(half, r)]))
+        assert np.all(at_half <= c) and np.all(at_half >= c * (1 - 2.0**-39))
     # and so does every sampled volume
     d = body.dimension
     pts = _sample_batch(body, _rng([37, 10 * d + k]), 20_000, d + 1)
     x = (_batched_abs_det(pts[:, 1:] - pts[:, :1]) / math.factorial(d)) ** k
-    y = _quartic_variate(x, r)
+    y = variate(x)
     assert np.all(y >= 0.0) and np.all(y <= c)
 
 
@@ -1295,7 +1293,8 @@ def test_a_certification_encloses_each_exact_value_once(monkeypatch):
     verdict = certify_counterexample((HalfBall(3), NO_FIXED_POINT, 1, second),
                                      halfball_fixed_moment(3, 1), cfg)
     assert verdict.relation == LHS_GREATER and verdict.lhs.chunks > 3
-    assert calls == [second, halfball_fixed_moment(3, 1)]
+    # the shift -(a E V^2 / R) at (a, b) = (-1, 0), then the exact side
+    assert calls == [second / F(verdict.lhs.moment_range), halfball_fixed_moment(3, 1)]
     verdict.trace_dict()
     verdict.lhs.estimate
     assert len(calls) == 2
@@ -1315,9 +1314,12 @@ def test_control_variate_side_bounds_and_estimate():
         plain.add(_chunk_stats(*job))
         side.add(_chunk_stats(*cv_job))
     assert side.stats[0] == plain.stats[0] == 50_000
+    # the row (a, b) = (-1, 0): the shift encloses E V^2 / R
+    assert side.variate.keywords == {"r": side.moment_range, "a": -1.0, "b": 0.0}
+    assert side.value_range == side.moment_range * 0.25 * (1 + 2.0**-40)
     shift_lo, shift_hi = side.shift
-    assert F(shift_lo) <= F(side.beta) * second.evaluate_interval(30)[0]
-    assert F(side.beta) * second.evaluate_interval(30)[1] <= F(shift_hi)
+    assert F(shift_lo) <= second.evaluate_interval(30)[0] / F(side.moment_range)
+    assert second.evaluate_interval(30)[1] / F(side.moment_range) <= F(shift_hi)
     lo, hi = side.bounds()
     assert lo < ball_fixed_moment(3, 1).to_float() < hi
     # narrower than the plain sequence on the same draws
@@ -1327,8 +1329,8 @@ def test_control_variate_side_bounds_and_estimate():
     assert est.mean == side.stats[1] + (shift_lo + shift_hi) / 2
     assert (est.ci_low, est.ci_high) == (lo, hi)
     trace = side.trace_dict()
-    assert trace["sample"] == "V^k(1-beta*V^k)" and trace["beta"] == side.beta
-    assert trace["range"] == side.value_range
+    assert trace["sample"] == "V^k(1+t(a+b*t^2)),t=V^k/R^k" and "beta" not in trace
+    assert (trace["a"], trace["b"], trace["range"]) == (-1.0, 0.0, side.value_range)
     assert "sample" not in plain.trace_dict()
 
 
@@ -1341,8 +1343,8 @@ def test_control_variate_side_bounds_and_estimate():
 def test_log_growth_bounds_the_log_wealth_of_the_samples(body, fixed, k, control_variate):
     # for a chunk's samples, m on either side of their mean and stakes up to
     # the cap, the bound from (n, mean, M2) is at most sum log1p(stake z_i)
-    from sylvester.montecarlo import (_MAX_STAKE, EstimatedSide, _batched_abs_det,
-                                      _control_variate, _log_growth, _sample_batch)
+    from sylvester.montecarlo import (_MAX_STAKE, EstimatedSide, _batched_abs_det, _log_growth,
+                                      _sample_batch)
 
     side = EstimatedSide(body, fixed, make_config(k=k, n_samples=1), 0.01,
                          *((PiPolynomial.one(),) if control_variate else ()))
@@ -1354,7 +1356,7 @@ def test_log_growth_bounds_the_log_wealth_of_the_samples(body, fixed, k, control
         vecs = pts[:, 1:] - pts[:, :1]
     y = (_batched_abs_det(vecs) / math.factorial(d)) ** k
     if control_variate:
-        y = _control_variate(y, side.beta)
+        y = side.variate(y)
     mean = float(y.mean())
     chunk = (len(y), mean, float(((y - mean) ** 2).sum()))
     c = side.value_range
@@ -1387,9 +1389,10 @@ def test_betting_test_bounds_are_rounded_against_it():
         value_lo, value_hi = value.evaluate_interval(30)
         second_lo, second_hi = (second.evaluate_interval(30) if second is not None
                                 else (F(0), F(0)))
-        beta = F(side.beta or 0.0)
-        assert F(test.upper) >= value_hi - beta * second_lo
-        assert F(test.lower) <= value_lo - beta * second_hi
+        # the shift is E V^2 / R on the row (a, b) = (-1, 0), else 0
+        inverse_range = 1 / F(side.moment_range)
+        assert F(test.upper) >= value_hi - inverse_range * second_lo
+        assert F(test.lower) <= value_lo - inverse_range * second_hi
         # and each is its double difference rounded outward
         (lo, hi), (shift_lo, shift_hi) = ExactSide(value).bounds(), side.shift
         assert F(test.upper) >= F(hi) - F(shift_lo)
@@ -1410,11 +1413,15 @@ def test_betting_test_bounds_are_rounded_against_it():
 def test_control_variate_needs_a_finite_inverse_range():
     from sylvester.montecarlo import EstimatedSide
 
-    # R^2 = 1e-310 is a subnormal double, and 1/R^2 overflows
-    with pytest.raises(ValueError, match="overflows a double"):
+    # R^2 = 1e-310 is a subnormal double, and so is the range R^2 / 4
+    with pytest.raises(ValueError, match="below the normal doubles"):
         EstimatedSide(Interval(1e-155), NO_FIXED_POINT, make_config(k=2, n_samples=10), 0.01,
                       PiPolynomial.one())
     EstimatedSide(Interval(1e-155), NO_FIXED_POINT, make_config(k=2, n_samples=10), 0.01)
+    # R^2 = 2^-1020 gives the least normal double, 2^-1022, as R^2 / 4
+    side = EstimatedSide(Interval(2.0**-510), NO_FIXED_POINT, make_config(k=2, n_samples=10),
+                         0.01, PiPolynomial.one())
+    assert side.value_range == 2.0**-1022 * (1 + 2.0**-40)
 
 
 def test_chunk_stream_fold_equals_index_order_merge():
