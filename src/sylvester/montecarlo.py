@@ -45,7 +45,9 @@ Certification is sequential, and stops at the first chunk that decides the
 relation.  When one side is exact, as in every CLI scenario, the estimated
 side runs two mirrored one-sided tests by betting against the exact value
 (:class:`BettingTest`): a wealth that grows with each chunk that lies on one
-side of it, valid at any stopping time by Ville's inequality.  Two estimated
+side of it, valid at any stopping time by Ville's inequality.  Chunk 0 has
+no prior to stake by, so each test bets on it with a fixed mixture of
+stakes, and a run can be decided by its first chunk.  Two estimated
 sides compare time-uniform empirical-Bernstein confidence sequences
 (:class:`EstimatedSide`); two exact sides, their certified sign.  A chunk's
 job is computed only when the chunk is drawn, so the part of a budget a run
@@ -71,7 +73,7 @@ from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import chain, islice
-from math import factorial, inf, isfinite, isqrt, log, nextafter, sqrt
+from math import exp, factorial, inf, isfinite, isqrt, log, nextafter, sqrt
 from statistics import NormalDist
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
@@ -754,9 +756,13 @@ def estimate_moment(body: Body, fixed: FixedPointSpec, config: EstimatorConfig,
     stream = _chunk_stream(_jobs(body, fixed, config), _resolve_workers(workers))
     # merging into the empty accumulator is exact, so this is the index-order
     # fold of the chunk stats
-    _, mean, m2 = stats = reduce(_merge, stream, _EMPTY)
+    n, mean, m2 = stats = reduce(_merge, stream, _EMPTY)
     if not (isfinite(mean) and isfinite(m2)):  # then the CI and std error are finite too
         raise ValueError(f"E[V^{config.k}] overflows a double in this body")
+    # for k >= 1 the volume is continuous, so samples that all square to 0 underflowed
+    if config.k > 0 and n > 1 and m2 == 0.0:
+        raise ValueError(f"the squared deviations of V^{config.k} underflow a double in "
+                         f"this body, so its variance and interval cannot be estimated")
     return _estimate(stats, config, body, fixed)
 
 
@@ -1039,12 +1045,17 @@ class EstimatedSide:
             record.update(sample="V^k(1+t(a+b*t^2)),t=V^k/R^k",
                           a=self.variate.keywords["a"], b=self.variate.keywords["b"])
         if self.test is not None:
-            record.update(log_wealth=max(self.test.log_wealth), threshold=self.test.threshold)
+            record.update(log_wealth=max(self.test.log_wealth), threshold=self.test.threshold,
+                          chunk0_stakes=list(_CHUNK0_STAKES))
         return record
 
 
 #: A bet risks at most this fraction of the wealth on one sample (b in BettingTest).
 _MAX_STAKE = 0.5
+
+#: The chunk-0 stakes of BettingTest's mixture, as fractions f of the cap
+#: b / l: fixed by hand once, before any seed was run, and not tuned.
+_CHUNK0_STAKES = (0.0, 0.05, 0.1, 0.2, 0.4)
 
 
 def _psi(b: float) -> float:
@@ -1079,6 +1090,25 @@ def _log_growth(stake: float, sign: float, m: float, span: float,
     return stake * sign * n * gap - _psi(b) * stake * stake * (m2 + n * gap * gap)
 
 
+def _chunk0_log_growth(sign: float, m: float, span: float,
+                       chunk: tuple[int, float, float]) -> float:
+    """A lower bound on the log of the mean, over :data:`_CHUNK0_STAKES`, of
+    the wealths that staking f b / l on each of chunk 0's samples gives.
+
+    Each track's log-wealth L_f is bounded below by :func:`_log_growth`, so
+    log((1/K) sum_f exp(L_f)), the log-mean-exp of the bounds, bounds the
+    mixture's.  It is summed from the largest bound, which is >= 0 because
+    the track f = 0 adds exactly 0, so no term overflows and the result lies
+    in [max_f L_f - log K, max_f L_f], K = len(_CHUNK0_STAKES).  Without a cap
+    (span 0) every track stakes 0, and the bound is 0.
+    """
+    if span == 0.0:
+        return 0.0
+    bounds = [_log_growth(f * _MAX_STAKE / span, sign, m, span, chunk) for f in _CHUNK0_STAKES]
+    top = max(bounds)
+    return top + log(sum(exp(bound - top) for bound in bounds) / len(bounds))
+
+
 class BettingTest:
     """Two mirrored one-sided tests by betting of an estimated side's mean
     against an exact value, each at level alpha / 2 for the side's alpha.
@@ -1093,21 +1123,31 @@ class BettingTest:
     H0: E Y <= upper; the down test on z_i = lower - Y_i, against
     H0: E Y >= lower.
 
-    Chunk j stakes lambda_j >= 0 on each of its samples, fixed by the chunks
-    merged before it (Waudby-Smith & Ramdas, "Estimating means of bounded
-    random variables by betting", JRSSB 86, 2024): the Kelly-like
+    Chunk j >= 1 stakes lambda_j >= 0 on each of its samples, fixed by the
+    chunks merged before it (Waudby-Smith & Ramdas, "Estimating means of
+    bounded random variables by betting", JRSSB 86, 2024): the Kelly-like
     g / (s^2 + g^2), with g and s^2 the mean and variance of their z, clipped
     to [0, b / l], where -l is the least value z can take (upper, or
-    c - lower, rounded up) and b = 1/2; chunk 0 stakes nothing.  Under H0
-    each sample's factor 1 + lambda_j z_i has mean at most 1 and is >= 1 - b,
-    so the wealth W = prod (1 + lambda_j z_i) is a nonnegative
-    supermartingale, and by Ville's inequality it ever reaches 2 / alpha with
-    probability at most alpha / 2: the test is valid at any stopping time.
+    c - lower, rounded up) and b = 1/2.  Chunk 0 has no prior, so each test
+    bets on it with a mixture of K = 5 tracks: track f stakes f b / l on
+    chunk 0, for f in :data:`_CHUNK0_STAKES` = (0, 0.05, 0.1, 0.2, 0.4), and
+    every track stakes lambda_j on chunk j >= 1.  Under H0 each sample's
+    factor 1 + lambda z_i has mean at most 1 and is >= 1 - b, so each track's
+    wealth W_f = prod (1 + lambda z_i) is a nonnegative supermartingale that
+    starts at 1, and so is their mean W = (1/K) sum_f W_f.  By Ville's
+    inequality W ever reaches 2 / alpha with probability at most alpha / 2:
+    the test is valid at any stopping time.
 
-    ``log_wealth`` holds, per test, a lower bound on log W that needs only
-    each chunk's (n, mean, M2) (:func:`_log_growth`).  A test decides when
-    its bound reaches ``threshold`` = log(2 / alpha), and so no sooner than
-    the wealth itself.
+    The stakes from chunk 1 on depend only on the merged (n, mean, M2), which
+    every track shares, so W_f = W0_f W_rest, with W0_f track f's wealth
+    after chunk 0, and log W = log((1/K) sum_f W0_f) + log W_rest.  So no
+    track needs state of its own.  ``log_wealth`` holds, per test, a lower
+    bound on log W that needs only each chunk's (n, mean, M2): for chunk 0
+    the log-mean-exp of the tracks' lower bounds (:func:`_chunk0_log_growth`),
+    then :func:`_log_growth` per chunk.  The f = 0 track keeps the chunk-0
+    term >= -log K, which is all an uninformative chunk 0 costs.  A test
+    decides when its bound reaches ``threshold`` = log(2 / alpha), and so no
+    sooner than the mean wealth itself.
     """
 
     def __init__(self, side: EstimatedSide, exact: ExactSide):
@@ -1124,8 +1164,10 @@ class BettingTest:
     def add(self, prior: tuple[int, float, float], chunk: tuple[int, float, float]) -> None:
         """Bet on ``chunk``, staking by ``prior``, the merged chunks before it."""
         n_prior, mean_prior, m2_prior = prior
-        if n_prior == 0:
-            return  # chunk 0 stakes nothing
+        if n_prior == 0:  # chunk 0: the mixture of fixed stakes
+            for i, (sign, m, span) in enumerate(self.tests):
+                self.log_wealth[i] += _chunk0_log_growth(sign, m, span, chunk)
+            return
         variance = m2_prior / n_prior
         for i, (sign, m, span) in enumerate(self.tests):
             g = sign * (mean_prior - m)

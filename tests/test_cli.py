@@ -176,6 +176,16 @@ def test_mc_usage_errors(capsys):
     assert "usage error: interval length must be positive" in err
 
 
+def test_mc_whose_squares_underflow_exits_2(capsys):
+    # V^400 in the unit 3-ball is about 1e-204, so its squared deviations
+    # underflow, and a zero-width interval would be printed
+    code, out, err = run_cli(capsys, "mc", "--body", "ball", "--d", "3", "--k", "400",
+                             "--n", "1000")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "usage error: the squared deviations of V^400 underflow" in err
+
+
 def test_mc_default_chunk_is_reported(capsys):
     code, out, _ = run_cli(capsys, "mc", "--body", "ball", "--d", "2", "--n", "100000")
     assert code == EXIT_OK
@@ -329,10 +339,10 @@ def test_an_unused_budget_costs_nothing(capsys):
 # and --n 2000000.  A change to the stopping rule, or to the draws, shows up
 # here by name.
 PINNED_STOPS = {
-    "halfball-d3": [31_744, 72_704, 15_360, 31_744, 23_552,
-                    15_360, 23_552, 23_552, 31_744, 15_360],
-    "tetra-d3": [3_072, 3_072, 3_072, 3_072, 3_072, 3_072, 7_168, 3_072, 3_072, 7_168],
-    "halfball-d4-k1": [3_072] * 10,
+    "halfball-d3": [31_744, 48_128, 15_360, 31_744, 23_552,
+                    15_360, 23_552, 23_552, 31_744, 23_552],
+    "tetra-d3": [3_072, 3_072, 3_072, 3_072, 3_072, 3_072, 7_168, 3_072, 3_072, 3_072],
+    "halfball-d4-k1": [1_024] * 10,
 }
 
 
@@ -354,17 +364,17 @@ def test_certification_stops_are_pinned(capsys, scenario):
 # draws, the kernel, the stopping rule or the output format shows up here.
 PINNED_OUTPUT_DIGESTS = {
     ("halfball-d3", 0): ("97f98c55cae7e9e9944a19599fdcfa9fd9889b9282edc3643d858ba277323787",
-                         "69731df0fe23b774eff4af666e357ba3672bfb023a29c3e0b7f701c6db3f6ccb"),
+                         "5bb8bdcbc8832b5bba17333f22a7bb56f9c96e1c2e286ca11814a79c8ab8f373"),
     ("halfball-d3", 17): ("046530e1d4d861d092ed2cd790d942ad0a1ae781c5484359036ef81be92143e6",
-                          "ff093c153afab74addf930e2a8ca50936d4d132d317affdf05b52d8d9efb2c21"),
+                          "1d8a755a8abd82ab7d93f4e912780648b2384a901410225e81cf7712d22ff9a8"),
     ("tetra-d3", 0): ("7cbe51d7bd44f823457311f99a0def09c8ef84a129a168f66540ae60a66fc32f",
-                      "d669394b537c9baf58d8fcdd8b82181f3b653d1d1666c613fc0086124804a6b5"),
+                      "59adae1cdd48f81f4e19b5f50fc20f34369cf9c19e2bc0cb3bc412fe09775956"),
     ("tetra-d3", 17): ("18fbd7b62c401eee84a6ba79bb155c1bac102a655cee7d516d05aed3f2a364aa",
-                       "0203c8e2d22b0915a96d09c010f30bc3342d488b81f9cc2742263c29cd7c246d"),
-    ("halfball-d4-k1", 0): ("91d449766b718307399a98fc4d231ff296cec7c69dfc95ae503b06dad21cddc4",
-                            "eb63a8f057cc4c1dbeef3b210bc4181cf08a3ea94edc134c75286d22d5091dce"),
-    ("halfball-d4-k1", 17): ("586d651ec025c6867b0d1d655bf6483a770ed32cf36aabca75151285b3c40bea",
-                             "f78bf3d02ee0bd7d544e571ad918ac65fef1944cf804e3874078880f4a2f6616"),
+                       "ff3fd4d9807c85659b2e8481a18fb8aea71b7489e782ae97e0db81598fb231aa"),
+    ("halfball-d4-k1", 0): ("7061b6f1b6047d58bd860d5a90575027dae9316fddf3db006f3aeba99230e78d",
+                            "0a303eebc878008af6f5790a1ad5392bef75fdad4ac6093feb71419bb0050f24"),
+    ("halfball-d4-k1", 17): ("818ea742bb2692edb9d7a7b56a1dda3c8cf0213d9e8ca8f759239875d6e4f8fe",
+                             "a4378a853de2ed90982ae24aa0f7098e7fc7d5ce22544fa14a37d2543dfab58c"),
 }
 
 
@@ -409,7 +419,8 @@ def test_counterexample_writes_its_certification_trace_to_stderr(capsys):
                             "sample": "V^k(1+t(a+b*t^2)),t=V^k/R^k",
                             "a": -1.93029937, "b": 1.06554117,
                             "log_wealth": log_wealth,
-                            "threshold": pytest.approx(math.log(200.0))}
+                            "threshold": pytest.approx(math.log(200.0)),
+                            "chunk0_stakes": [0.0, 0.05, 0.1, 0.2, 0.4]}
     assert est["n"] < est["n_samples"] == 2_000_000
     assert trace["margin"] == log_wealth / trace["rhs"]["threshold"] > 1.0
     assert "certification" not in out

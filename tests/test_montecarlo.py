@@ -9,6 +9,7 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sylvester.exactnum import PI, PiPolynomial
 from sylvester.moments import (
@@ -192,6 +193,17 @@ def test_what_a_double_cannot_hold_is_rejected():
         with pytest.raises(ValueError, match="is not a positive finite double"):
             certify_counterexample((Interval(length), NO_FIXED_POINT, 2),
                                    PiPolynomial.from_rational(1), cfg)
+
+
+def test_an_estimate_whose_squares_underflow_is_rejected():
+    # V^400 in the unit 3-ball is about 1e-204: every squared deviation
+    # underflows, and M2 = 0 would give a zero-width interval
+    with pytest.raises(ValueError, match="squared deviations of V\\^400 underflow"):
+        estimate_moment(Ball(3), NO_FIXED_POINT, make_config(k=400, n_samples=1_000))
+    # one sample has M2 = 0 by definition, and V^0 = 1 has no deviation at all
+    assert estimate_moment(Ball(3), NO_FIXED_POINT, make_config(k=400, n_samples=1)).n == 1
+    assert estimate_moment(Ball(3), NO_FIXED_POINT,
+                           make_config(k=0, n_samples=1_000)).variance == 0.0
 
 
 def test_membership():
@@ -1089,6 +1101,55 @@ def test_quartic_betting_test_coverage_audit():
     print("; ".join(report))
 
 
+def test_chunk0_mixture_coverage_audit():
+    """The boundary-null audit of the chunk-0 stake mixture alone.
+
+    A budget of 4,096 samples in chunks of 4,096, so chunk 0 of the ramp has
+    128, 200 frozen seeds and confidence 0.8, for each pair of QUARTIC_CASES
+    sampled three ways: plainly as V^k, as the (-1, 0) control variate and as
+    the quartic one.  Every certified relation is false; those decided at
+    chunk 0, where only the mixture bets, may happen in at most a fraction
+    delta = 0.2 of runs, up to a binomial margin.
+    """
+    runs, delta = 200, 0.2
+    report = []
+    for name, (body, fixed, k, value, second, fourth) in QUARTIC_CASES.items():
+        for form, moments in (("plain", ()), ("(-1, 0)", (second,)),
+                              ("quartic", (second, fourth))):
+            false = 0
+            for seed in range(runs):
+                cfg = make_config(k=k, n_samples=4_096, seed=seed, chunk_size=4_096,
+                                  confidence=1 - delta)
+                verdict = certify_counterexample((body, fixed, k, *moments), value, cfg)
+                at_chunk0 = verdict.lhs.chunks == 1
+                assert verdict.lhs.estimate.n == 128 or not at_chunk0
+                false += verdict.relation != INCONCLUSIVE and at_chunk0
+            report.append(f"{name} {form}: chunk-0 decisions {false}/{runs}")
+            assert false <= _binomial_upper(runs, delta), report
+    print("; ".join(report))
+
+
+@settings(max_examples=300, deadline=None)
+@given(c=st.floats(2.0**-60, 2.0**60), m_frac=st.floats(2.0**-20, 1.0),
+       up=st.booleans(), n=st.integers(1, 2**15), gap_frac=st.floats(-1.0, 1.0),
+       m2_frac=st.floats(0.0, 1.0))
+def test_chunk0_mixture_term_is_finite_and_bracketed(c, m_frac, up, n, gap_frac, m2_frac):
+    # for any chunk stats, |gap| up to the range and M2 up to n c^2, the
+    # chunk-0 term is finite and in [-log 5, the largest track's bound]
+    from sylvester.montecarlo import _CHUNK0_STAKES, _MAX_STAKE, _chunk0_log_growth, _log_growth
+
+    m = c * m_frac
+    sign, span = (1.0, m) if up else (-1.0, c - m)
+    chunk = (n, m + gap_frac * c, m2_frac * n * c * c)
+    term = _chunk0_log_growth(sign, m, span, chunk)
+    if span == 0.0:
+        assert term == 0.0
+        return
+    bounds = [_log_growth(f * _MAX_STAKE / span, sign, m, span, chunk) for f in _CHUNK0_STAKES]
+    assert math.isfinite(term)
+    assert -math.log(5) * (1 + 2**-50) <= term <= max(bounds)
+
+
 def test_quartic_control_variate_coverage_audit():
     """The sequence's coverage audit for sides on the quartic control variate."""
     from sylvester.montecarlo import EstimatedSide, _chunk_stats
@@ -1534,10 +1595,10 @@ def test_a_decided_certification_waits_for_little_speculative_work(monkeypatch, 
     cfg = make_config(k=1, n_samples=1_000_000, seed=8, chunk_size=4_096)
     verdict = certify_counterexample((HalfBall(4), NO_FIXED_POINT, 1),
                                      ball_fixed_moment(4, 1), cfg)
-    # chunk 3 decides at this seed; see test_certification_stops_at_the_first_decided_chunk
+    # chunk 2 decides at this seed; see test_certification_stops_at_the_first_decided_chunk
     assert verdict.relation == LHS_GREATER
-    assert verdict.trace_dict()["lhs"]["chunks"] == 4
-    assert started == list(range(4))
+    assert verdict.trace_dict()["lhs"]["chunks"] == 3
+    assert started == list(range(3))
     assert threads == {threading.get_ident()}
 
 
@@ -1549,11 +1610,11 @@ def test_certification_stops_at_the_first_decided_chunk():
     verdict = certify_counterexample((HalfBall(4), NO_FIXED_POINT, 1), exact, cfg)
     assert verdict.relation == LHS_GREATER
     est = verdict.lhs.estimate
-    # at this seed, chunks 0 to 3: the ramp's 128 + 256 + 512, then 1,024
-    assert est.n == 1_920
+    # at this seed, chunks 0 to 2: the ramp's 128 + 256 + 512
+    assert est.n == 896
     assert est.config.n_samples == 1_000_000
     # the up test's wealth replayed by hand, on z = V - m for m the exact
-    # side's upper double, is below log(2 / alpha) after chunks 0 to 2
+    # side's upper double, is below log(2 / alpha) after chunks 0 and 1
     _, m = ExactSide(exact).bounds()
     sequence = EstimatedSide(HalfBall(4), NO_FIXED_POINT, cfg, verdict.lhs.alpha)
     # before its first chunk the sequence is the whole range, and has no estimate
@@ -1563,27 +1624,35 @@ def test_certification_stops_at_the_first_decided_chunk():
         with pytest.raises(ValueError, match="no chunk has been added"):
             read()
     threshold = math.log(2 / verdict.lhs.alpha)
+
+    def growth(stake, n, mean, m2):
+        b = stake * m
+        psi = (-math.log1p(-b) - b) / b**2 if b > 0 else 0.5
+        return stake * n * (mean - m) - psi * stake**2 * (m2 + n * (mean - m) ** 2)
+
     log_wealth = 0.0
-    for j, job in enumerate(islice(sequence.jobs, 4)):
+    for j, job in enumerate(islice(sequence.jobs, 3)):
         n, mean, m2 = chunk = _chunk_stats(*job)
-        if j > 0:  # chunk 0 stakes nothing
+        if j == 0:  # the mean wealth of five tracks that stake f / 2m on chunk 0
+            tracks = [growth(f * 0.5 / m, n, mean, m2) for f in (0.0, 0.05, 0.1, 0.2, 0.4)]
+            log_wealth = math.log(sum(math.exp(t) for t in tracks) / 5)
+        else:  # then one stake, from the merged chunks before it, for every track
             prior_n, prior_mean, prior_m2 = sequence.stats
             g = prior_mean - m
             assert g > 0  # at this seed; else the stake would be 0
             stake = min(g / (prior_m2 / prior_n + g * g), 0.5 / m)
-            b = stake * m
-            psi = (-math.log1p(-b) - b) / b**2
-            log_wealth += stake * n * (mean - m) - psi * stake**2 * (m2 + n * (mean - m) ** 2)
+            log_wealth += growth(stake, n, mean, m2)
         sequence.add(chunk)
         assert (log_wealth >= threshold) == (sequence.stats[0] == est.n)
     assert sequence.bounds() == verdict.lhs.bounds()
     # the same wealth, up to psi and b rounded up
     assert verdict.lhs.test.log_wealth[0] == pytest.approx(log_wealth, rel=1e-10)
     trace = verdict.trace_dict()
-    assert trace["lhs"] == {"samples": est.n, "chunks": 4, "budget": 1_000_000,
+    assert trace["lhs"] == {"samples": est.n, "chunks": 3, "budget": 1_000_000,
                             "alpha": verdict.lhs.alpha, "range": verdict.lhs.value_range,
                             "log_wealth": verdict.lhs.test.log_wealth[0],
-                            "threshold": threshold, "stop": "decided"}
+                            "threshold": threshold, "chunk0_stakes": [0.0, 0.05, 0.1, 0.2, 0.4],
+                            "stop": "decided"}
     assert trace["margin"] == trace["lhs"]["log_wealth"] / threshold > 1.0
     assert "rhs" not in trace
 
