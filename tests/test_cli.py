@@ -326,6 +326,48 @@ def test_a_counterexample_side_is_built_once_per_query(capsys, monkeypatch):
     assert calls == [(4, False)]
 
 
+def test_the_query_caches_hold_one_entry_per_query(capsys):
+    # the exact constants of a certification are cached per process: after 50
+    # seeds of each scenario, one entry per exact side (enclosure, decimal),
+    # one per estimated side (shift, betting bounds) and one per betting test
+    # (the chunk-0 stakes' psi values, keyed by span); a further seed adds none
+    from sylvester import cli, montecarlo
+
+    caches = {"_exact_bounds": 3, "_exact_decimal": 3, "_shift": 3, "_betting_tests": 3,
+              "_chunk0_bets": 6}
+    for name in caches:
+        getattr(montecarlo, name).cache_clear()
+    cli._side.cache_clear()
+    for seed in range(50):
+        for scenario in cli.SCENARIOS:
+            code, _, _ = run_cli(capsys, "counterexample", scenario,
+                                 "--n", "2000000", "--seed", str(seed))
+            assert code == EXIT_OK
+    sizes = {name: getattr(montecarlo, name).cache_info().currsize for name in caches}
+    assert all(sizes[name] <= bound for name, bound in caches.items()), sizes
+    assert cli._side.cache_info().currsize == 6
+    run_cli(capsys, "counterexample", "halfball-d3", "--n", "2000000", "--seed", "50")
+    assert sizes == {name: getattr(montecarlo, name).cache_info().currsize for name in caches}
+
+
+def test_a_mutated_verdict_record_leaves_the_next_run_as_it_was(capsys):
+    # every to_json_dict is a fresh dict, so what a caller does to one
+    # reaches no cache
+    from sylvester import cli
+    from sylvester.montecarlo import certify_counterexample, make_config
+
+    argv = ("counterexample", "tetra-d3", "--n", "2000000", "--seed", "4")
+    before = run_cli(capsys, *argv)
+    lhs, rhs = (cli._side(query) for query in cli.SCENARIOS["tetra-d3"])
+    record = certify_counterexample(lhs, rhs, make_config(k=1, n_samples=2_000_000,
+                                                          seed=4)).to_json_dict()
+    record["lhs"]["decimal"] = "0"
+    record["lhs"]["value"]["terms"].clear()
+    record["rhs"]["estimate"]["body"]["vertices"].clear()
+    record["rhs"]["estimate"].clear()
+    assert run_cli(capsys, *argv)[:2] == before[:2]
+
+
 def test_an_unused_budget_costs_nothing(capsys):
     # 3 * 10^10 chunks of budget; the ramp's first two, 1,024 and 2,048
     # samples, decide
@@ -339,8 +381,8 @@ def test_an_unused_budget_costs_nothing(capsys):
 # and --n 2000000.  A change to the stopping rule, or to the draws, shows up
 # here by name.
 PINNED_STOPS = {
-    "halfball-d3": [31_744, 48_128, 15_360, 31_744, 23_552,
-                    15_360, 23_552, 23_552, 31_744, 23_552],
+    "halfball-d3": [23_552, 23_552, 15_360, 31_744, 15_360,
+                    15_360, 7_168, 23_552, 23_552, 15_360],
     "tetra-d3": [3_072, 3_072, 3_072, 3_072, 3_072, 3_072, 7_168, 3_072, 3_072, 3_072],
     "halfball-d4-k1": [1_024] * 10,
 }
@@ -363,10 +405,10 @@ def test_certification_stops_are_pinned(capsys, scenario):
 # newline) of each scenario at --n 2000000, seeds 0 and 17.  A change to the
 # draws, the kernel, the stopping rule or the output format shows up here.
 PINNED_OUTPUT_DIGESTS = {
-    ("halfball-d3", 0): ("97f98c55cae7e9e9944a19599fdcfa9fd9889b9282edc3643d858ba277323787",
-                         "5bb8bdcbc8832b5bba17333f22a7bb56f9c96e1c2e286ca11814a79c8ab8f373"),
-    ("halfball-d3", 17): ("046530e1d4d861d092ed2cd790d942ad0a1ae781c5484359036ef81be92143e6",
-                          "1d8a755a8abd82ab7d93f4e912780648b2384a901410225e81cf7712d22ff9a8"),
+    ("halfball-d3", 0): ("ecf06c3de82c2db2cf089d75fcf097b76dc281e5b2804be2624073a2540bead0",
+                         "fc780d284f1a38d7e504f04071aefde42eff5026a08eabe0184d808f74f4b29d"),
+    ("halfball-d3", 17): ("e5a7ca969eb884e9f508e3ffbe5dcb087f7294d708e07191ca4295acf873fa28",
+                          "be0d2bedbc68ae143e5a123ad82f499ff45114b58962703d1a9baba4eb995309"),
     ("tetra-d3", 0): ("7cbe51d7bd44f823457311f99a0def09c8ef84a129a168f66540ae60a66fc32f",
                       "59adae1cdd48f81f4e19b5f50fc20f34369cf9c19e2bc0cb3bc412fe09775956"),
     ("tetra-d3", 17): ("18fbd7b62c401eee84a6ba79bb155c1bac102a655cee7d516d05aed3f2a364aa",

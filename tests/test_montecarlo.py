@@ -3,6 +3,7 @@ import math
 import os
 import threading
 from concurrent.futures import Future
+from dataclasses import replace
 from fractions import Fraction
 from itertools import islice
 from statistics import NormalDist
@@ -1129,6 +1130,37 @@ def test_chunk0_mixture_coverage_audit():
     print("; ".join(report))
 
 
+def test_paired_betting_test_coverage_audit():
+    """The boundary-null audit of the betting test for a paired side.
+
+    The free 3-half-ball at k = 2, whose draws are paired by the half-turn,
+    sampled plainly and on the (-1, 0) row with its exact E V^4, against its
+    exact E V^2: 200 frozen seeds at confidence 0.8, in chunks of 128 (a
+    budget of 2,048) and in chunks of 4,096 (a budget of 4,096, so chunk 0
+    has 128 samples).  Every certified relation is false; the two tests
+    together may certify in at most a fraction delta = 0.2 of runs, up to a
+    binomial margin.
+    """
+    from sylvester.moments import MomentQuery, exact_moment
+
+    value, fourth = (exact_moment(MomentQuery(3, k, "halfball")) for k in (2, 4))
+    runs, delta = 200, 0.2
+    report = []
+    for form, moments in (("plain", ()), ("(-1, 0)", (fourth,))):
+        for chunk, budget in ((128, 2_048), (4_096, 4_096)):
+            false = 0
+            for seed in range(runs):
+                cfg = make_config(k=2, n_samples=budget, seed=seed, chunk_size=chunk,
+                                  confidence=1 - delta)
+                verdict = certify_counterexample((HalfBall(3), NO_FIXED_POINT, 2, *moments),
+                                                 value, cfg)
+                assert verdict.lhs.partner is not None
+                false += verdict.relation != INCONCLUSIVE
+            report.append(f"{form} chunk {chunk}: paired betting test {false}/{runs}")
+            assert false <= _binomial_upper(runs, delta), report
+    print("; ".join(report))
+
+
 @settings(max_examples=300, deadline=None)
 @given(c=st.floats(2.0**-60, 2.0**60), m_frac=st.floats(2.0**-20, 1.0),
        up=st.booleans(), n=st.integers(1, 2**15), gap_frac=st.floats(-1.0, 1.0),
@@ -1336,11 +1368,20 @@ def test_new_second_moments_agree_with_a_frozen_estimate(d, body_kind, fixed_kin
     assert abs(est.mean - exact_moment(query).to_float()) <= 5 * est.std_error
 
 
+def _clear_query_caches():
+    from sylvester import montecarlo
+
+    for helper in (montecarlo._shift, montecarlo._exact_bounds, montecarlo._exact_decimal,
+                   montecarlo._betting_tests, montecarlo._chunk0_bets):
+        helper.cache_clear()
+
+
 def test_a_certification_encloses_each_exact_value_once(monkeypatch):
     # the exact side's enclosure and the control variate's shift are each
-    # computed once, not after every chunk
+    # computed once per process, not after every chunk, nor on every run
     from sylvester.moments import MomentQuery, exact_moment
 
+    _clear_query_caches()
     calls = []
     real = PiPolynomial.evaluate_interval
 
@@ -1359,6 +1400,15 @@ def test_a_certification_encloses_each_exact_value_once(monkeypatch):
     verdict.trace_dict()
     verdict.lhs.estimate
     assert len(calls) == 2
+    verdict.to_json_dict()  # the exact side's decimal, computed once too
+    first_run = len(calls)
+    # a second certification of the same query, at another seed, encloses nothing
+    again = certify_counterexample((HalfBall(3), NO_FIXED_POINT, 1, second),
+                                   halfball_fixed_moment(3, 1), replace(cfg, seed=4))
+    assert again.relation == LHS_GREATER
+    again.trace_dict()
+    again.to_json_dict()
+    assert len(calls) == first_run
 
 
 def test_control_variate_side_bounds_and_estimate():
@@ -1393,6 +1443,73 @@ def test_control_variate_side_bounds_and_estimate():
     assert trace["sample"] == "V^k(1+t(a+b*t^2)),t=V^k/R^k" and "beta" not in trace
     assert (trace["a"], trace["b"], trace["range"]) == (-1.0, 0.0, side.value_range)
     assert "sample" not in plain.trace_dict()
+
+
+def _turned(points):
+    """The partner of a free simplex in the 3-half-ball: points 1 and 2 negated
+    in coordinates 1 and 2."""
+    partner = [list(p) for p in points]
+    for i in (1, 2):
+        for j in (1, 2):
+            partner[i][j] = -partner[i][j]
+    return partner
+
+
+@pytest.mark.parametrize("moments", [0, 1, 2], ids=["plain", "(-1, 0)", "quartic"])
+def test_a_paired_chunk_is_the_mean_over_each_draw_and_its_half_turn(moments):
+    # the free 3-half-ball's side pairs every draw (p0, p1, p2, p3) with
+    # (p0, rho p1, rho p2, p3); the reference recomputes each sample by hand
+    # from the same points, one simplex_volume at a time
+    from sylvester.moments import MomentQuery, exact_moment
+    from sylvester.montecarlo import EstimatedSide, _chunk_stats, _sample_batch
+
+    exact = [exact_moment(MomentQuery(3, order, "halfball")) for order in (2, 4)][:moments]
+    cfg = make_config(k=1, n_samples=4_096, seed=29, chunk_size=4_096)
+    side = EstimatedSide(HalfBall(3), NO_FIXED_POINT, cfg, 0.01, *exact)
+    job = next(side.jobs)
+    assert job[6:] == (side.variate, side.partner) and side.partner is HalfBall(3).partner
+    assert side.trace_dict()["partner"] == "(p0,rho(p1),rho(p2),p3),rho=diag(1,-1,-1)"
+    n, mean, m2 = _chunk_stats(*job)
+    assert n == job[5] == 128
+
+    def sample(points):
+        x = simplex_volume(points)
+        if side.variate is None:
+            return x
+        r, a, b = (side.variate.keywords[key] for key in "rab")
+        t = x / r
+        return x * (1.0 + t * (a + b * (t * t)))
+
+    pts = _sample_batch(HalfBall(3), _rng([29, 0]), n, 4)
+    ys = [(sample(p) + sample(_turned(p))) / 2 for p in pts.tolist()]
+    ref_mean = math.fsum(ys) / n
+    ref_m2 = math.fsum((y - ref_mean) ** 2 for y in ys)
+    # within a few ulps: the sums run in another order
+    assert mean == pytest.approx(ref_mean, rel=2.0**-50, abs=0)
+    assert m2 == pytest.approx(ref_m2, rel=2.0**-50, abs=0)
+    # every sample is in the side's range; unpaired, the chunk is the first
+    # simplex's alone
+    assert 0.0 <= min(ys) and max(ys) <= side.value_range
+    single = _chunk_stats(*job[:6], side.variate)
+    assert single[1] != mean
+    assert single[1] == pytest.approx(math.fsum(map(sample, pts.tolist())) / n,
+                                      rel=2.0**-50, abs=0)
+
+
+@pytest.mark.parametrize("body, fixed", [
+    (HalfBall(4), NO_FIXED_POINT), (HalfBall(3), FixedPoint((0.0, 0.0, 0.0))),
+    (Ball(3), NO_FIXED_POINT), (unit_volume_tetrahedron(), tetrahedron_facet_centroid()),
+    (Interval(), NO_FIXED_POINT),
+])
+def test_only_the_free_3_half_ball_is_paired(body, fixed):
+    # its jobs keep their arguments, and its trace names no partner
+    from sylvester.montecarlo import EstimatedSide, _jobs
+
+    cfg = make_config(k=1, n_samples=5_000, seed=2)
+    side = EstimatedSide(body, fixed, cfg, 0.01)
+    assert side.partner is None
+    assert list(side.jobs) == list(_jobs(body, fixed, cfg, ramp=True))
+    assert "partner" not in side.trace_dict()
 
 
 @pytest.mark.parametrize("body, fixed, k, control_variate", [
