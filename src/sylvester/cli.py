@@ -18,6 +18,7 @@ from dataclasses import replace
 from datetime import datetime, timezone
 from fractions import Fraction
 from functools import cache
+from typing import NamedTuple
 
 from . import DEFAULT_CHUNK, __version__
 from .exactnum import PiPolynomial
@@ -114,10 +115,30 @@ class _CommandAction(argparse._SubParsersAction):
         namespace.command, namespace.after_command = values[0], values[1:]
 
 
+class _Table(NamedTuple):
+    """What settles a clean command line of one command without argparse."""
+
+    options: dict[str, argparse.Action]  # each exact option string -> its action
+    positionals: tuple[argparse.Action, ...]
+    defaults: dict[str, object]  # dest -> the default of its first action, as argparse keeps it
+    required: frozenset[argparse.Action]
+
+
+def _table(actions: list[argparse.Action]) -> _Table:
+    defaults: dict[str, object] = {}
+    for action in actions:
+        defaults.setdefault(action.dest, action.default)
+    return _Table({flag: action for action in actions for flag in action.option_strings},
+                  tuple(action for action in actions if not action.option_strings),
+                  defaults, frozenset(action for action in actions if action.required))
+
+
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser],
-                             dict[str, dict[str, str]]]:
-    """The top-level parser, each command's parser, and per command the config
-    keys it takes (``k_max`` -> ``--k-max``)."""
+                             dict[str, dict[str, str]], dict[str, _Table]]:
+    """The top-level parser, each command's parser, per command the config
+    keys it takes (``k_max`` -> ``--k-max``), and per command the table that
+    settles its clean command lines, built from the actions ``add_argument``
+    returns (the help flag is left to argparse)."""
     parser = argparse.ArgumentParser(
         prog="sylvester",
         description="Exact and Monte Carlo moments of random simplex volumes in convex bodies.",
@@ -126,18 +147,21 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
                                          "placed before the explicit ones")
     sub = parser.add_subparsers(dest="command", required=True, action=_CommandAction)
     keys: dict[str, dict[str, str]] = {name: {} for name in _COMMANDS}
+    actions: dict[str, list[argparse.Action]] = {name: [] for name in _COMMANDS}
+
+    def arg(p, *names, **kw):
+        name = p.prog.split()[-1]  # "sylvester exact" -> "exact"
+        actions[name].append(p.add_argument(*names, **kw))
 
     def opt(p, flag, **kw):
-        name = p.prog.split()[-1]  # "sylvester exact" -> "exact"
-        keys[name][flag.lstrip("-").replace("-", "_")] = flag
-        p.add_argument(flag, **kw)
+        keys[p.prog.split()[-1]][flag.lstrip("-").replace("-", "_")] = flag
+        arg(p, flag, **kw)
 
     def add_output_flags(p, digits=False):
         if digits:
             opt(p, "--digits", type=_digits, default=12, help="significant digits for decimals")
-        p.add_argument("--table", action="store_true", help="human-readable table output")
-        p.add_argument("--json", dest="table", action="store_false",
-                       help="JSON-lines output (default)")
+        arg(p, "--table", action="store_true", help="human-readable table output")
+        arg(p, "--json", dest="table", action="store_false", help="JSON-lines output (default)")
 
     def add_query_flags(p):
         opt(p, "--body", choices=BODY_KINDS)
@@ -163,7 +187,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     add_output_flags(p)
 
     p = sub.add_parser("counterexample", help="certify a named non-monotonicity scenario")
-    p.add_argument("scenario", choices=SCENARIOS)
+    arg(p, "scenario", choices=SCENARIOS)
     opt(p, "--n", type=int, default=10_000_000)
     opt(p, "--seed", type=int, default=0)
     opt(p, "--chunk", type=int, default=DEFAULT_CHUNK,
@@ -176,7 +200,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     opt(p, "--k-max", type=int, default=20)
     add_output_flags(p, digits=True)
 
-    return parser, sub.choices, keys
+    return parser, sub.choices, keys, {name: _table(a) for name, a in actions.items()}
 
 
 def _config_flags(path: str, command: str) -> list[str]:
@@ -205,11 +229,71 @@ def _config_flags(path: str, command: str) -> list[str]:
     return flags
 
 
+def _settle(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace of a clean command line, from the command's table in one
+    pass over its tokens, or None where argparse must decide.
+
+    Clean means: the first token names a command, and every later token is an
+    exact option string of it followed by its value, or written
+    ``--flag=value``, or a flag that takes no value, or the command's
+    positional; no value starts with ``-``; every value passes its action's
+    ``type`` and ``choices``; and every required argument is present.  The
+    namespace is the one argparse gives the same tokens."""
+    tokens = iter(argv)
+    command = next(tokens, None)
+    table = TABLES.get(command)
+    if table is None:
+        return None
+    values, seen, positionals = dict(table.defaults), set(), iter(table.positionals)
+    for token in tokens:
+        if token.startswith("-"):
+            flag, eq, value = token.partition("=")
+            action = table.options.get(flag)
+            if action is None:
+                return None
+            if action.nargs == 0:  # store_true or store_false
+                if eq:
+                    return None
+                values[action.dest] = action.const
+                seen.add(action)
+                continue
+            if not eq:
+                value = next(tokens, "-")  # a missing value reads as a flag
+            if value.startswith("-"):
+                return None
+        else:
+            action, value = next(positionals, None), token
+            if action is None:
+                return None
+        try:
+            value = value if action.type is None else action.type(value)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+        seen.add(action)
+    if not table.required <= seen:
+        return None
+    return argparse.Namespace(config=None, command=command, **values)
+
+
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """``argv`` parsed, each token once.  ``PARSER`` takes the tokens before the
-    command token and the command's name; the command's own parser takes the
-    --config file's flags and then the tokens after the command, so explicit
-    flags, which come later, win."""
+    """``argv`` parsed, each token once.
+
+    A clean command line (see :func:`_settle`) is settled by its command's
+    table and reaches no argparse parser.  Everything else falls through to
+    :func:`_argparse`, so help, error messages and exit codes stay argparse's
+    own: ``-h``/``--help``, ``--config``, abbreviated flags, values that start
+    with ``-``, bad or missing values, and unknown tokens."""
+    return _settle(argv) or _argparse(argv)
+
+
+def _argparse(argv: list[str]) -> argparse.Namespace:
+    """``argv`` parsed by argparse, each token once.  ``PARSER`` takes the
+    tokens before the command token and the command's name; the command's own
+    parser takes the --config file's flags and then the tokens after the
+    command, so explicit flags, which come later, win."""
     i = 0  # the command token, when only --config options and their values precede it
     while i < len(argv) and argv[i].startswith("-"):
         i += 1 if "=" in argv[i] else 2
@@ -386,7 +470,7 @@ _COMMANDS = {
     "qscan": cmd_qscan,
 }
 # built once: parsing leaves no state in a parser, so every call of main shares it
-PARSER, COMMAND_PARSERS, CONFIG_KEYS = _build_parser()
+PARSER, COMMAND_PARSERS, CONFIG_KEYS, TABLES = _build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:

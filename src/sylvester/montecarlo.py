@@ -71,9 +71,10 @@ never pairs.
 Every exact constant of a query (a shift, an exact side's enclosure and
 decimal, the betting tests' bounds and their chunk-0 psi values) is
 computed once per process, by ``functools.cache`` helpers keyed by the
-query's exact values and doubles.  The CLI builds each query's exact values
-once too, so each cache holds an entry per query (per test for the psi
-values, which are keyed by span).
+query's exact values and doubles; so are the check that a fixed vertex lies
+in its body and the body's range, keyed by the frozen body and vertex.  The
+CLI builds each query's exact values once too, so each cache holds an entry
+per query (per test for the psi values, which are keyed by span).
 """
 
 from __future__ import annotations
@@ -777,10 +778,7 @@ def _jobs(body: Body, fixed: FixedPointSpec, config: EstimatorConfig,
     """
     d = body.dimension
     if isinstance(fixed, FixedPoint):
-        if len(fixed.coords) != d:
-            raise ValueError("fixed point dimension does not match the body")
-        if not body.contains(fixed.array()):
-            raise ValueError(f"fixed point {fixed.coords} lies outside the body")
+        _check_inside(body, fixed)
     point_bytes = (d if isinstance(fixed, FixedPoint) else d + 1) * d * 8
     if config.chunk_size * point_bytes > MAX_CHUNK_BYTES:
         raise ValueError(
@@ -790,6 +788,22 @@ def _jobs(body: Body, fixed: FixedPointSpec, config: EstimatorConfig,
             f"{MAX_CHUNK_BYTES // point_bytes} (--chunk)")
     _factorial(d, "sampling")
     return _schedule(body, fixed, config, ramp)
+
+
+# A fixed vertex's membership and a body's range are constants of the frozen
+# (body, fixed) pair, so each is computed once per process.
+@cache
+def _check_inside(body: Body, fixed: FixedPoint) -> None:
+    """ValueError unless the fixed vertex is a point of the body."""
+    if len(fixed.coords) != body.dimension:
+        raise ValueError("fixed point dimension does not match the body")
+    if not body.contains(fixed.array()):
+        raise ValueError(f"fixed point {fixed.coords} lies outside the body")
+
+
+@cache
+def _max_simplex_volume(body: Body) -> float:
+    return body.max_simplex_volume()
 
 
 def _schedule(body: Body, fixed: FixedPointSpec, config: EstimatorConfig,
@@ -1071,7 +1085,7 @@ class EstimatedSide:
         self.body, self.fixed, self.config, self.alpha = body, fixed, config, alpha
         k = config.k
         try:
-            self.moment_range = body.max_simplex_volume() ** k
+            self.moment_range = _max_simplex_volume(body) ** k
         except OverflowError:
             self.moment_range = inf
         if not 0.0 < self.moment_range < inf:

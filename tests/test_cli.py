@@ -1,15 +1,21 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import bench_source
+from sylvester import cli
 from sylvester.cli import (
     CONFIG_KEYS,
     EXIT_INCONCLUSIVE,
@@ -329,12 +335,13 @@ def test_a_counterexample_side_is_built_once_per_query(capsys, monkeypatch):
 def test_the_query_caches_hold_one_entry_per_query(capsys):
     # the exact constants of a certification are cached per process: after 50
     # seeds of each scenario, one entry per exact side (enclosure, decimal),
-    # one per estimated side (shift, betting bounds) and one per betting test
-    # (the chunk-0 stakes' psi values, keyed by span); a further seed adds none
+    # one per estimated side (shift, betting bounds, the body's range), one per
+    # betting test (the chunk-0 stakes' psi values, keyed by span) and one per
+    # fixed vertex (its check that it lies in the body); a further seed adds none
     from sylvester import cli, montecarlo
 
     caches = {"_exact_bounds": 3, "_exact_decimal": 3, "_shift": 3, "_betting_tests": 3,
-              "_chunk0_bets": 6}
+              "_chunk0_bets": 6, "_max_simplex_volume": 3, "_check_inside": 1}
     for name in caches:
         getattr(montecarlo, name).cache_clear()
     cli._side.cache_clear()
@@ -689,8 +696,27 @@ def test_parse_outcomes_are_pinned(tmp_path, capsys, monkeypatch, argv, code, di
     assert (lines[-1] if lines else "") == last
 
 
+class _Tokens(list):
+    """A command line that records each token a pass over it reads, and
+    fails on a token read by index."""
+
+    def __init__(self, tokens):
+        super().__init__(tokens)
+        self.read = []
+
+    def __iter__(self):
+        for token in super().__iter__():
+            self.read.append(token)
+            yield token
+
+    def __getitem__(self, index):
+        raise AssertionError(f"token {index} read by index")
+
+
 @pytest.mark.parametrize("config", [False, True])
 def test_each_token_after_the_command_is_parsed_once(tmp_path, monkeypatch, capsys, config):
+    # a clean command line is settled by the command's table in one pass and
+    # reaches no argparse parser; with --config, argparse reads each token once
     cfg = tmp_path / "digits.cfg"
     cfg.write_text("digits=20\n")
     after = ["--body", "ball", "--d", "3", "--k", "2"]
@@ -706,8 +732,112 @@ def test_each_token_after_the_command_is_parsed_once(tmp_path, monkeypatch, caps
     code, _, err = run_cli(capsys, *prefix, "exact", *after)
     assert code == EXIT_OK
     assert json.loads(err)["manifest"]["parameters"]["digits"] == (20 if config else 12)
-    for token in after:
-        assert [prog for prog, args in calls if token in args] == ["sylvester exact"], token
+    if config:
+        for token in after:
+            assert [prog for prog, args in calls if token in args] == ["sylvester exact"], token
+        return
+    assert calls == []
+    tokens = _Tokens(["exact", *after])
+    ns = cli._parse(tokens)
+    assert tokens.read == ["exact", *after]
+    assert calls == []
+    assert ns == cli._argparse(["exact", *after])
+
+
+def _argparse_outcome(argv):
+    """argparse's namespace for ``argv``, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli._argparse(argv)
+        except SystemExit:
+            return None
+
+
+# each command's flags that take a value, and valid values of each flag
+COMMAND_FLAGS = {
+    "table1": [],
+    "exact": ["--body", "--fixed", "--d", "--k", "--l", "--digits"],
+    "mc": ["--body", "--fixed", "--d", "--k", "--l", "--n", "--seed", "--chunk", "--confidence"],
+    "counterexample": ["--n", "--seed", "--chunk", "--confidence"],
+    "qscan": ["--d", "--k-max", "--digits"],
+}
+FLAG_VALUES = {
+    "--body": ["ball", "halfball", "interval", "triangle", "tetrahedron"],
+    "--fixed": ["none", "origin", "edge_midpoint", "facet_centroid"],
+    "--d": ["2", "3", "12"], "--k": ["0", "1", "2"], "--l": ["1/2", "2", "0.5"],
+    "--digits": ["12", "30"], "--n": ["1000"], "--seed": ["0", "7"], "--chunk": ["1024"],
+    "--confidence": ["0.9", "0.99"], "--k-max": ["5", "20"],
+}
+STORE_FLAGS = ["--table", "--json"]
+# values no flag takes: bad types, bad choices, values that start with "-"
+BAD_VALUES = ["x", "1.5", "1/0", "cube", "", "5000", "-1", "-1/2", "-1e3", "-x", "--d", "nan"]
+# tokens the table leaves to argparse: abbreviations, help, --config, unknown tokens
+OTHER_TOKENS = ["--bo", "--di", "--k-m", "--tab", "--js", "--conf", "--config", "-h",
+                "--help", "--bogus", "--", "-", "-k", "extra", "halfball-d3", "--table=1"]
+# what may come before the command
+HEADS = [[], ["bogus"], ["-h"], ["--help"], ["--config", "x.cfg"], ["--conf=x.cfg"]]
+
+
+def _valued(flags):
+    """(flag, value) or ("flag=value",) for one of ``flags`` and a valid value of it."""
+    return st.sampled_from(flags).flatmap(lambda flag: st.sampled_from(FLAG_VALUES[flag]).flatmap(
+        lambda value: st.sampled_from([(flag, value), (f"{flag}={value}",)])))
+
+
+_noise = st.one_of(
+    st.sampled_from(OTHER_TOKENS).map(lambda token: (token,)),
+    st.tuples(st.sampled_from([*FLAG_VALUES, "--conf", "--bo"]),
+              st.sampled_from([*BAD_VALUES, "ball", "3"])),
+    st.builds(lambda flag, value: (f"{flag}={value}",),
+              st.sampled_from(sorted(FLAG_VALUES)), st.sampled_from(BAD_VALUES)),
+)
+
+
+@st.composite
+def _command_lines(draw):
+    """Mostly clean command lines, half of them with noise inserted."""
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    head = draw(st.sampled_from(HEADS)) if draw(st.integers(0, 3)) == 0 else []
+    store = st.sampled_from(STORE_FLAGS).map(lambda flag: (flag,))
+    clean = st.one_of(_valued(COMMAND_FLAGS[command]), store) if COMMAND_FLAGS[command] else store
+    groups = draw(st.lists(clean, max_size=6))
+    if command == "counterexample":  # the positional: once as a rule, else missing or twice
+        for _ in range(draw(st.sampled_from([1, 1, 1, 0, 2]))):
+            groups.insert(draw(st.integers(0, len(groups))),
+                          (draw(st.sampled_from(["halfball-d3", "tetra-d3", "cube"])),))
+    if draw(st.booleans()):
+        for group in draw(st.lists(_noise, min_size=1, max_size=2)):
+            groups.insert(draw(st.integers(0, len(groups))), group)
+    return [*head, command, *(token for group in groups for token in group)]
+
+
+# a value that starts with "-" is an option to argparse unless it looks
+# like a negative number ("-1", not "-1/2" or "-1e3")
+@example(["exact", "--body", "interval", "--l", "-1/2"])
+@example(["mc", "--body", "ball", "--confidence", "-1e3"])
+@settings(max_examples=400, deadline=None)
+@given(_command_lines())
+def test_table_settles_as_argparse_does(argv):
+    settled = cli._settle(argv)
+    expected = _argparse_outcome(argv)
+    if expected is None:
+        assert settled is None
+    elif settled is not None:
+        assert settled == expected
+
+
+def test_every_benchmark_command_line_is_settled_by_the_table():
+    # the exact grid, one mc round, one certify round and the warm-ups
+    workloads = bench_source.load("workloads")
+    rng = random.Random(0)
+    rounds = [*workloads.mc_round(rng), *workloads.certify_round(rng)]
+    argvs = [*workloads.exact_grid(), *(argv for op in rounds for argv in op["cmds"]),
+             *workloads.WARMUP.values()]
+    assert {argv[0] for argv in argvs} == set(cli.TABLES)
+    for argv in argvs:
+        settled = cli._settle(argv)
+        assert settled is not None, argv
+        assert settled == cli._argparse(argv), argv
 
 
 @pytest.mark.parametrize("argv", [
