@@ -191,7 +191,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     opt(p, "--n", type=int, default=10_000_000)
     opt(p, "--seed", type=int, default=0)
     opt(p, "--chunk", type=int, default=DEFAULT_CHUNK,
-        help="a certification's chunks ramp up to a fraction of it")
+        help="a certification's chunks ramp up to a sixteenth of it")
     opt(p, "--confidence", type=float, default=0.99)
     add_output_flags(p)
 

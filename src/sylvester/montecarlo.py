@@ -62,11 +62,11 @@ V^k (1 + t (a + b t^2)), t = V^k / R^k, instead of V^k, where R^k bounds V^k
 (:class:`EstimatedSide`): the same draws, in a narrower range.  With E V^(4k)
 exact too, (a, b) is near the minimax pair and the range is 0.1352 R^k;
 else (a, b) = (-1, 0) and the range is R^k / 4.  A side on the free
-3-half-ball pairs each draw (p0, p1, p2, p3) with its partner
-(p0, rho p1, rho p2, p3), rho the half-turn that negates coordinates 1 and 2,
-and samples the mean of the two values (an antithetic pair): one sample per
-draw still, in the same range, at 0.63x the variance.  ``estimate_moment``
-never pairs.
+3-half-ball turns each draw (p0, p1, p2, p3) into its orbit under the
+half-turn rho that negates coordinates 1 and 2, the eight simplices
+(p0, rho^s1 p1, rho^s2 p2, rho^s3 p3), and samples the tree mean of the
+eight values: one sample per draw still, in the same range, at 0.39x the
+variance.  ``estimate_moment`` never takes an orbit.
 
 Every exact constant of a query (a shift, an exact side's enclosure and
 decimal, the betting tests' bounds and their chunk-0 psi values) is
@@ -88,7 +88,7 @@ from functools import cache, partial, reduce
 from itertools import chain, islice
 from math import exp, factorial, inf, isfinite, isqrt, log, nextafter, sqrt
 from statistics import NormalDist
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -106,24 +106,12 @@ MAX_CHUNK_BYTES = 2**26
 # bodies
 
 
-class _Partner(NamedTuple):
-    """The partner map of a symmetry pair (see :class:`EstimatedSide`).
-
-    The partner of a free simplex (p_0, ..., p_d) has its points ``points``
-    (a slice of 1..d) negated in the coordinates ``coords`` (a slice), an
-    isometry that maps the body onto itself, and its other points as they
-    are.  ``name`` names the map in a certification's trace.
-    """
-
-    points: slice
-    coords: slice
-    name: str
-
-
-#: The free 3-half-ball's partner: (p0, rho p1, rho p2, p3), for rho the
-#: half-turn about the x_1 axis, which negates coordinates 1 and 2 (0-indexed;
-#: coordinate 0 is the |x| axis) and maps the half-ball onto itself.
-_HALF_TURN = _Partner(slice(1, 3), slice(1, 3), "(p0,rho(p1),rho(p2),p3),rho=diag(1,-1,-1)")
+#: The free 3-half-ball's orbit, as a certification's trace names it: a draw
+#: (p0, p1, p2, p3) stands for the eight simplices (p0, rho^s1 p1, rho^s2 p2,
+#: rho^s3 p3), s in {0, 1}^3, for rho the half-turn about the x_1 axis, which
+#: negates coordinates 1 and 2 (0-indexed; coordinate 0 is the |x| axis) and
+#: maps the half-ball onto itself (see EstimatedSide).
+_HALF_TURN_ORBIT = "(p0,rho^s1(p1),rho^s2(p2),rho^s3(p3)),s in {0,1}^3,rho=diag(1,-1,-1)"
 
 
 @dataclass(frozen=True)
@@ -131,7 +119,7 @@ class Interval:
     """The segment [0, length] in R^1; the length is stored as a double."""
 
     length: float = 1.0
-    partner = None  # no symmetry pair (see HalfBall.partner)
+    partner = None  # no orbit (see HalfBall.partner)
 
     def __post_init__(self):
         try:
@@ -190,7 +178,7 @@ class Ball:
     """The closed unit ball in R^d."""
 
     d: int
-    partner = None  # no symmetry pair (see HalfBall.partner)
+    partner = None  # no orbit (see HalfBall.partner)
 
     def __post_init__(self):
         if self.d < 1:
@@ -224,15 +212,15 @@ class HalfBall(Ball):
         return super().volume() / 2.0
 
     @property
-    def partner(self) -> _Partner | None:
-        """The map that pairs a free simplex's draws on a certification side:
-        the half-turn :data:`_HALF_TURN` for d = 3, else None.
+    def partner(self) -> str | None:
+        """The orbit that a certification side samples each free draw over:
+        the half-turn orbit :data:`_HALF_TURN_ORBIT` for d = 3, else None.
 
-        In d = 4 the same pair gives 0.635x the variance at 1.28-1.30x the
-        cost of a chunk, and the 4-half-ball's scenario stops at chunk 0, so
-        it is left out.
+        In d = 4 the half-turn pair alone gives 0.635x the variance at
+        1.28-1.30x the cost of a chunk, and the 4-half-ball's scenario stops
+        at chunk 0, so it is left out.
         """
-        return _HALF_TURN if self.d == 3 else None
+        return _HALF_TURN_ORBIT if self.d == 3 else None
 
     def contains(self, point) -> bool:
         return super().contains(point) and float(point[0]) >= -_MEMBERSHIP_TOL
@@ -246,7 +234,7 @@ class Simplex:
     """A nondegenerate simplex given by d+1 vertices in R^d."""
 
     vertices: tuple[tuple[float, ...], ...]
-    partner = None  # no symmetry pair (see HalfBall.partner)
+    partner = None  # no orbit (see HalfBall.partner)
 
     def __post_init__(self):
         verts = tuple(tuple(float(c) for c in v) for v in self.vertices)
@@ -631,11 +619,11 @@ class MomentEstimate:
 
 def _chunk_stats(body: Body, fixed: FixedPointSpec, k: int, seed: int, index: int, size: int,
                  variate: Callable[[np.ndarray], np.ndarray] | None = None,
-                 partner: _Partner | None = None) -> tuple[int, float, float]:
+                 partner: str | None = None) -> tuple[int, float, float]:
     """(size, mean, M2) of the chunk's samples x = V^k, or with ``variate`` of
     the bounded control-variate samples it maps x to in place.  With
-    ``partner`` (free simplices only) a draw's sample is the mean of its
-    sample and of its partner simplex's, fl(fl(y1 + y2) 0.5) (see
+    ``partner``, the free 3-half-ball's orbit (:attr:`HalfBall.partner`), a
+    draw's sample is the tree mean of its orbit's eight (see
     :class:`EstimatedSide`)."""
     # an explicit uint64 key: a list holding a seed >= 2^63 would pass through float64
     key = np.array([seed, index], dtype=np.uint64)
@@ -646,28 +634,72 @@ def _chunk_stats(body: Body, fixed: FixedPointSpec, k: int, seed: int, index: in
         vecs = pts - fixed.array()
     else:
         pts = _sample_batch(body, rng, size, d + 1)
-        vecs = pts[:, 1:, :] - pts[:, :1, :]
-        if partner is not None:  # the partner's differences in the turned rows and columns
-            turned = np.negative(pts[:, partner.points, partner.coords])
-            turned -= pts[:, :1, partner.coords]
+        vecs = pts[:, 1:, :] - pts[:, :1, :] if partner is None else _orbit_dets(pts)
     del pts
     # a moment beyond the double range gives inf or nan here, which the
     # estimate rejects from the merged stats
     with np.errstate(over="ignore", invalid="ignore"):
-        x = _samples(_batched_abs_det(vecs) / factorial(d), k, variate)
-        if partner is not None:
-            vecs[:, partner.points.start - 1:partner.points.stop - 1, partner.coords] = turned
-            x += _samples(_batched_abs_det(vecs) / factorial(d), k, variate)
-            x *= 0.5
+        if partner is None:
+            x = _samples(_batched_abs_det(vecs) / factorial(d), k, variate)
+        else:  # vecs holds the orbit's determinants, one row per simplex
+            x = _tree_mean(_samples(np.abs(vecs, out=vecs) / factorial(d), k, variate))
         mean = float(x.mean())
         m2 = float(((x - mean) ** 2).sum())
     return size, mean, m2
 
 
+def _pm(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(u + v, u - v), stacked on a new first axis."""
+    out = np.empty((2,) + np.broadcast_shapes(u.shape, v.shape))
+    np.add(u, v, out=out[0])
+    np.subtract(u, v, out=out[1])
+    return out
+
+
+def _orbit_dets(pts: np.ndarray) -> np.ndarray:
+    """The determinants, up to sign, of the 4x4 matrices with rows
+    (1, x_i, y_i, z_i) of the eight simplices (p0, rho^s1 p1, rho^s2 p2,
+    rho^s3 p3) of each free draw of the 3-half-ball (:data:`_HALF_TURN_ORBIT`),
+    for ``pts`` of shape (n, 4, 3): shape (8, n), one row per s.
+
+    A Laplace expansion along the columns (1, x) and (y, z) writes the
+    determinant as the sum of six products P_kl = +-(x_j - x_i)(y_k z_l - y_l z_k),
+    one per pair of rows {k, l} and its complement {i, j}, the expansion's
+    sign folded into the order of i and j.  rho negates y and z, so rho^s_k
+    on row k turns P_kl into (-1)^(s_k + s_l) P_kl and leaves x alone: with
+    e_k = (-1)^(s_k), e_0 = 1, D_s = sum e_k e_l P_kl.  Only |D_s| is used,
+    so each D_s may be computed as e1 D_s, which shares its partial sums as
+    C0 + e3 C1 for C0 = P01 + f (P02 + e1 P12) and C1 = (P13 + e1 P03) + f P23,
+    f = e1 e2: rows 4 s3 + 2 (s1 xor s2) + s1.
+    """
+    x, y, z = pts.transpose(2, 1, 0)  # each (4, n): row i is point i's coordinate
+
+    def product(i, j, k, l):
+        p = y[k] * z[l]
+        p -= y[l] * z[k]
+        p *= x[j] - x[i]
+        return p
+
+    p01, p02, p03 = product(2, 3, 0, 1), product(3, 1, 0, 2), product(1, 2, 0, 3)
+    p12, p13, p23 = product(0, 3, 1, 2), product(2, 0, 1, 3), product(0, 1, 2, 3)
+    c0 = _pm(p01, _pm(p02, p12))  # [f, e1]
+    c1 = _pm(_pm(p13, p03), p23)
+    return _pm(c0, c1).reshape(8, -1)
+
+
+def _tree_mean(y: np.ndarray) -> np.ndarray:
+    """0.125 (((y0 + y1) + (y2 + y3)) + ((y4 + y5) + (y6 + y7))) of the eight
+    rows of ``y``: the orbit's mean, in [0, c] when every y_i is (see
+    :class:`EstimatedSide`)."""
+    for _ in range(3):
+        y = y[0::2] + y[1::2]
+    return y[0] * 0.125
+
+
 def _samples(vols: np.ndarray, k: int,
              variate: Callable[[np.ndarray], np.ndarray] | None) -> np.ndarray:
     """V^k for the volumes ``vols``, or the control variate of it."""
-    x = np.ones(len(vols)) if k == 0 else vols**k
+    x = np.ones_like(vols) if k == 0 else vols**k
     return x if variate is None else variate(x)
 
 
@@ -757,8 +789,13 @@ def _chunk_stream(jobs: Iterable[tuple], workers: int):
 
 
 #: A certification's chunk i has chunk_size >> max(_RAMP_FIRST - i, _RAMP_LAST)
-#: simplices: chunk_size / 32 first, doubling up to chunk_size / 4 (see _jobs).
-_RAMP_FIRST, _RAMP_LAST = 5, 2
+#: simplices: chunk_size / 32 first, then chunk_size / 16 each (see _jobs).
+#: The steady size is the step in which a run's samples, and its time, grow:
+#: at the default chunk, 2,048-sample steps stop halfball-d3 at a median of
+#: 9,216 samples, where 8,192-sample steps stop it at 15,360 (seeds 0-39,
+#: --n 2000000), while each chunk's fixed cost (keying, merging, betting) is
+#: paid more often.
+_RAMP_FIRST, _RAMP_LAST = 5, 4
 
 
 def _jobs(body: Body, fixed: FixedPointSpec, config: EstimatorConfig,
@@ -1052,21 +1089,34 @@ class EstimatedSide:
       (f(t) + 8u t); 8u / (1 + a + b) < 60u, so Y is within a relative
       2^-46 of R^k (1 + a + b).
 
-    A free side whose body states a partner map (:attr:`HalfBall.partner`,
-    the half-turn rho of the 3-half-ball, which negates coordinates 1 and 2)
-    pairs each draw (p0, p1, p2, p3) with the simplex (p0, rho p1, rho p2,
-    p3), an antithetic pair (Hammersley & Morton, Proc. Cambridge Philos.
-    Soc. 52, 1956), and its sample is fl(fl(y1 + y2) 0.5) for y1 and y2 the
-    values above (Y, or V^k without ``second_moment``) of the two simplices.
-    rho maps the body onto itself and keeps the uniform measure, so the
-    partner has the draw's distribution and the sample the same mean; draws
-    are i.i.d., and so are the samples.  Range: y_i in [0, c], c a double,
-    gives 0 <= fl(y1 + y2) <= fl(2c) = 2c, since rounding is monotone and 2c
-    is a double (c <= R^k <= 1 in the 3-half-ball, R < 0.52), so
-    0 <= fl(fl(y1 + y2) 0.5) <= fl(c) = c.  The samples so lie in [0, c] as
-    before, and the sequence and :class:`BettingTest` hold as they are.  The
-    pair has 0.63x the variance of one value, at 1.1-1.2x the cost of a
-    chunk.  A side with a fixed vertex is not paired.
+    A free side whose body states an orbit (:attr:`HalfBall.partner`: the
+    3-half-ball's, under the half-turn rho that negates coordinates 1 and 2)
+    turns each draw (p0, p1, p2, p3) into the eight simplices (p0, rho^s1 p1,
+    rho^s2 p2, rho^s3 p3), s in {0, 1}^3, whose determinants come from one
+    Laplace expansion (:func:`_orbit_dets`), and its sample is the tree mean
+    fl(0.125 fl(fl(fl(y0 + y1) + fl(y2 + y3)) + fl(fl(y4 + y5) + fl(y6 + y7))))
+    of their eight values y_i (Y above, or V^k without ``second_moment``).
+    rho maps the body onto itself and keeps the uniform measure, so each of
+    the eight simplices has the draw's distribution and the sample has E Y
+    as its mean: the orbit is a set of antithetic variates (Hammersley &
+    Morton, Proc. Cambridge Philos. Soc. 52, 1956).  Draws are i.i.d., and
+    so are the samples.  Range: c is a double with c <= R^k <= 1 (R < 0.52
+    in the 3-half-ball), so 2c, 4c and 8c are exact doubles.  With each y_i
+    in [0, c] and rounding monotone, the pair sums lie in [0, fl(c + c)] =
+    [0, 2c], the sums of two pair sums in [0, 4c] and the whole sum in
+    [0, 8c]; 0.125 (8c) = c is exact, so the sample lies in [0, c] as
+    before, and eight values of c give exactly c.  The sequence and
+    :class:`BettingTest` so hold as they are.  The Laplace form computes
+    each volume from the raw coordinates, all in [-1, 1]: each of the six
+    products is at most 4 in size and within 16u of its value, u = 2^-53,
+    and the five sums behind each D_s, none above 24 in size, add at most
+    64u.  So the computed |D_s| is within 160u < 2^-45 of |det|, and
+    |D_s| / 6 within about 2^-47 of the volume: far under the relative
+    2^-40 by which R is rounded up (R 2^-40 > 2^-42), so no computed volume
+    exceeds R, as with the differences' determinant.  With the quartic
+    variate the orbit's sample has 0.39x the variance of one simplex's
+    (2^20 draws), at about 1.5x the cost of a 2,048-draw chunk of single
+    simplices.  A side with a fixed vertex has no orbit.
 
     The sequence's bounds on E Y are moved by ``shift``, from
     ``evaluate_interval(30)`` with both ends rounded outward to doubles, and
@@ -1159,7 +1209,7 @@ class EstimatedSide:
             record.update(sample="V^k(1+t(a+b*t^2)),t=V^k/R^k",
                           a=self.variate.keywords["a"], b=self.variate.keywords["b"])
         if self.partner is not None:
-            record["partner"] = self.partner.name
+            record["partner"] = self.partner
         if self.test is not None:
             record.update(log_wealth=max(self.test.log_wealth), threshold=self.test.threshold,
                           chunk0_stakes=list(_CHUNK0_STAKES))

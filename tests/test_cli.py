@@ -388,9 +388,9 @@ def test_an_unused_budget_costs_nothing(capsys):
 # and --n 2000000.  A change to the stopping rule, or to the draws, shows up
 # here by name.
 PINNED_STOPS = {
-    "halfball-d3": [23_552, 23_552, 15_360, 31_744, 15_360,
-                    15_360, 7_168, 23_552, 23_552, 15_360],
-    "tetra-d3": [3_072, 3_072, 3_072, 3_072, 3_072, 3_072, 7_168, 3_072, 3_072, 3_072],
+    "halfball-d3": [21_504, 13_312, 7_168, 3_072, 9_216,
+                    9_216, 9_216, 3_072, 11_264, 9_216],
+    "tetra-d3": [3_072, 3_072, 3_072, 3_072, 3_072, 3_072, 5_120, 3_072, 3_072, 3_072],
     "halfball-d4-k1": [1_024] * 10,
 }
 
@@ -412,10 +412,10 @@ def test_certification_stops_are_pinned(capsys, scenario):
 # newline) of each scenario at --n 2000000, seeds 0 and 17.  A change to the
 # draws, the kernel, the stopping rule or the output format shows up here.
 PINNED_OUTPUT_DIGESTS = {
-    ("halfball-d3", 0): ("ecf06c3de82c2db2cf089d75fcf097b76dc281e5b2804be2624073a2540bead0",
-                         "fc780d284f1a38d7e504f04071aefde42eff5026a08eabe0184d808f74f4b29d"),
-    ("halfball-d3", 17): ("e5a7ca969eb884e9f508e3ffbe5dcb087f7294d708e07191ca4295acf873fa28",
-                          "be0d2bedbc68ae143e5a123ad82f499ff45114b58962703d1a9baba4eb995309"),
+    ("halfball-d3", 0): ("ce6d14066b734bf077c10b1f8cd5e7b9428718c7b761175191268b34b880d5ba",
+                         "13a6741e6d0ab53fccbff28f49be86e0725847ef644c3d2f329eaa312eca62e8"),
+    ("halfball-d3", 17): ("88a1ca3e87b3e63ee7c783bc69785b4bb2ff7162f6d31b205ed1327bac8a574f",
+                          "8c49f68dff26721a8ff90381e99630b4bbd940cfc4157b95a3348979d9ef276b"),
     ("tetra-d3", 0): ("7cbe51d7bd44f823457311f99a0def09c8ef84a129a168f66540ae60a66fc32f",
                       "59adae1cdd48f81f4e19b5f50fc20f34369cf9c19e2bc0cb3bc412fe09775956"),
     ("tetra-d3", 17): ("18fbd7b62c401eee84a6ba79bb155c1bac102a655cee7d516d05aed3f2a364aa",
@@ -653,7 +653,7 @@ PARSE_CORPUS = [
     (("table1", "--help"), 0, "a52002e9f873b212", ""),
     (("exact", "--help"), 0, "188ee28ffeea945d", ""),
     (("mc", "--help"), 0, "2264279aa3562d42", ""),
-    (("counterexample", "--help"), 0, "c046d941a804f54b", ""),
+    (("counterexample", "--help"), 0, "72de762432986db3", ""),
     (("qscan", "--help"), 0, "ddccf73e6c9f4bdf", ""),
     ((), 2, "e3b0c44298fc1c14",
      "sylvester: error: the following arguments are required: command"),
@@ -1038,8 +1038,8 @@ def test_counterexample_stdout_byte_identical_across_thread_counts():
     assert code1 == code2 == EXIT_OK
     assert out1 == out2
     est = json.loads(out1)["verdict"]["lhs"]["estimate"]
-    # whole chunks: the ramp's 1,024 + 2,048 + 4,096 = 7,168 samples, then 2^13 each
-    assert (est["n"] + DEFAULT_CHUNK // 32) % (DEFAULT_CHUNK // 4) == 0
+    # whole chunks: the ramp's 1,024 samples, then 2^11 each
+    assert (est["n"] + DEFAULT_CHUNK // 32) % (DEFAULT_CHUNK // 16) == 0
     assert est["n"] < 2_000_000
 
 

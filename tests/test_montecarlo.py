@@ -1,11 +1,13 @@
 import json
 import math
 import os
+import re
 import threading
 from concurrent.futures import Future
 from dataclasses import replace
 from fractions import Fraction
 from itertools import islice
+from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
@@ -704,15 +706,17 @@ def test_a_budget_costs_nothing_until_its_chunks_are_drawn():
     tail = list(_jobs(Ball(3), NO_FIXED_POINT, make_config(k=2, n_samples=2_500,
                                                            seed=9, chunk_size=1_000)))
     assert [job[2:] for job in tail] == [(2, 9, 0, 1_000), (2, 9, 1, 1_000), (2, 9, 2, 500)]
-    # a certification's jobs double from chunk / 32 up to chunk / 4
+    # a certification's jobs take chunk / 32, then chunk / 16 each
     ramp = _jobs(Ball(3), NO_FIXED_POINT, make_config(k=1, n_samples=10**15), ramp=True)
-    assert [job[4:] for job in islice(ramp, 6)] == [
-        (0, 1_024), (1, 2_048), (2, 4_096), (3, DEFAULT_CHUNK // 4), (4, DEFAULT_CHUNK // 4),
-        (5, DEFAULT_CHUNK // 4)]
+    assert [job[4:] for job in islice(ramp, 4)] == [
+        (0, 1_024), (1, DEFAULT_CHUNK // 16), (2, DEFAULT_CHUNK // 16), (3, DEFAULT_CHUNK // 16)]
     # at least one simplex a chunk, and the budget caps the last
     short = _jobs(Ball(3), NO_FIXED_POINT, make_config(k=1, n_samples=10, chunk_size=10),
                   ramp=True)
-    assert [job[5] for job in short] == [1, 1, 1, 2, 2, 2, 1]
+    assert [job[5] for job in short] == [1] * 10
+    short = _jobs(Ball(3), NO_FIXED_POINT, make_config(k=1, n_samples=70, chunk_size=70),
+                  ramp=True)
+    assert [job[5] for job in short] == [2] + [4] * 17
 
 
 def test_estimate_moment_env_thread_cap(monkeypatch):
@@ -1447,21 +1451,25 @@ def test_control_variate_side_bounds_and_estimate():
     assert "sample" not in plain.trace_dict()
 
 
-def _turned(points):
-    """The partner of a free simplex in the 3-half-ball: points 1 and 2 negated
-    in coordinates 1 and 2."""
-    partner = [list(p) for p in points]
-    for i in (1, 2):
-        for j in (1, 2):
-            partner[i][j] = -partner[i][j]
-    return partner
+def _orbit(points):
+    """The eight simplices of a free draw's orbit in the 3-half-ball: points 1,
+    2 and 3 each turned or not by rho, which negates coordinates 1 and 2."""
+    orbit = []
+    for s in range(8):
+        turned = [list(p) for p in points]
+        for i in (1, 2, 3):
+            if s >> (i - 1) & 1:
+                turned[i][1], turned[i][2] = -turned[i][1], -turned[i][2]
+        orbit.append(turned)
+    return orbit
 
 
 @pytest.mark.parametrize("moments", [0, 1, 2], ids=["plain", "(-1, 0)", "quartic"])
-def test_a_paired_chunk_is_the_mean_over_each_draw_and_its_half_turn(moments):
-    # the free 3-half-ball's side pairs every draw (p0, p1, p2, p3) with
-    # (p0, rho p1, rho p2, p3); the reference recomputes each sample by hand
-    # from the same points, one simplex_volume at a time
+def test_an_orbit_chunk_is_the_mean_over_each_draws_eight_half_turns(moments):
+    # the free 3-half-ball's side turns every draw (p0, p1, p2, p3) into the
+    # eight simplices (p0, rho^s1 p1, rho^s2 p2, rho^s3 p3); the reference
+    # recomputes each sample by hand from the same points, one simplex_volume
+    # at a time
     from sylvester.moments import MomentQuery, exact_moment
     from sylvester.montecarlo import EstimatedSide, _chunk_stats, _sample_batch
 
@@ -1470,7 +1478,8 @@ def test_a_paired_chunk_is_the_mean_over_each_draw_and_its_half_turn(moments):
     side = EstimatedSide(HalfBall(3), NO_FIXED_POINT, cfg, 0.01, *exact)
     job = next(side.jobs)
     assert job[6:] == (side.variate, side.partner) and side.partner is HalfBall(3).partner
-    assert side.trace_dict()["partner"] == "(p0,rho(p1),rho(p2),p3),rho=diag(1,-1,-1)"
+    assert side.trace_dict()["partner"] == (
+        "(p0,rho^s1(p1),rho^s2(p2),rho^s3(p3)),s in {0,1}^3,rho=diag(1,-1,-1)")
     n, mean, m2 = _chunk_stats(*job)
     assert n == job[5] == 128
 
@@ -1483,19 +1492,33 @@ def test_a_paired_chunk_is_the_mean_over_each_draw_and_its_half_turn(moments):
         return x * (1.0 + t * (a + b * (t * t)))
 
     pts = _sample_batch(HalfBall(3), _rng([29, 0]), n, 4)
-    ys = [(sample(p) + sample(_turned(p))) / 2 for p in pts.tolist()]
+    ys = [math.fsum(map(sample, _orbit(p))) / 8 for p in pts.tolist()]
     ref_mean = math.fsum(ys) / n
     ref_m2 = math.fsum((y - ref_mean) ** 2 for y in ys)
-    # within a few ulps: the sums run in another order
+    # within a few ulps: the volumes come from another form, the sums run in
+    # another order
     assert mean == pytest.approx(ref_mean, rel=2.0**-50, abs=0)
     assert m2 == pytest.approx(ref_m2, rel=2.0**-50, abs=0)
-    # every sample is in the side's range; unpaired, the chunk is the first
-    # simplex's alone
+    # every sample is in the side's range; without the orbit, the chunk is
+    # the drawn simplex's alone
     assert 0.0 <= min(ys) and max(ys) <= side.value_range
     single = _chunk_stats(*job[:6], side.variate)
     assert single[1] != mean
     assert single[1] == pytest.approx(math.fsum(map(sample, pts.tolist())) / n,
                                       rel=2.0**-50, abs=0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(c=st.floats(2.0**-1000, 1.0), fracs=st.lists(st.floats(0.0, 1.0), min_size=8,
+                                                      max_size=8))
+def test_the_tree_mean_of_eight_values_in_the_range_stays_in_it(c, fracs):
+    # the orbit's sample, for any eight doubles in [0, c], lies in [0, c];
+    # eight values of c give exactly c
+    from sylvester.montecarlo import _tree_mean
+
+    y = np.array([[min(f * c, c)] for f in fracs])
+    assert 0.0 <= _tree_mean(y)[0] <= c
+    assert _tree_mean(np.full((8, 1), c))[0] == c
 
 
 @pytest.mark.parametrize("body, fixed", [
@@ -1512,6 +1535,28 @@ def test_only_the_free_3_half_ball_is_paired(body, fixed):
     assert side.partner is None
     assert list(side.jobs) == list(_jobs(body, fixed, cfg, ramp=True))
     assert "partner" not in side.trace_dict()
+
+
+_FRACTIONS = {4: "a quarter", 8: "an eighth", 16: "a sixteenth", 32: "a thirty-second"}
+
+
+def test_readme_states_the_ramp_and_the_orbit_the_code_runs():
+    # README's ramp sentences name the default chunk's sizes and the fraction
+    # of --chunk the ramp rises to, and its trace schema the orbit's name
+    from sylvester.montecarlo import EstimatedSide, _jobs
+
+    text = " ".join((Path(__file__).resolve().parent.parent / "README.md").read_text().split())
+    cfg = make_config(k=1, n_samples=10**9)
+    first, steady, third = (job[5] for job in
+                            islice(_jobs(HalfBall(3), NO_FIXED_POINT, cfg, ramp=True), 3))
+    assert third == steady and DEFAULT_CHUNK // steady in _FRACTIONS
+    size = r"(\d{1,3}(?:,\d{3})*)"
+    stated = re.findall(rf"at the default chunk {size},? (?:and )?then {size} each", text)
+    assert stated and set(stated) == {(f"{first:,}", f"{steady:,}")}
+    fractions = re.findall(r"ramps? (?:its chunks )?up to (an? [a-z-]+) of it", text)
+    assert fractions and set(fractions) == {_FRACTIONS[DEFAULT_CHUNK // steady]}
+    partner = EstimatedSide(HalfBall(3), NO_FIXED_POINT, cfg, 0.01).trace_dict()["partner"]
+    assert f'`"{partner}"`' in text
 
 
 @pytest.mark.parametrize("body, fixed, k, control_variate", [
@@ -1729,8 +1774,8 @@ def test_certification_stops_at_the_first_decided_chunk():
     verdict = certify_counterexample((HalfBall(4), NO_FIXED_POINT, 1), exact, cfg)
     assert verdict.relation == LHS_GREATER
     est = verdict.lhs.estimate
-    # at this seed, chunks 0 to 2: the ramp's 128 + 256 + 512
-    assert est.n == 896
+    # at this seed, chunks 0 to 2: the ramp's 128 + 256 + 256
+    assert est.n == 640
     assert est.config.n_samples == 1_000_000
     # the up test's wealth replayed by hand, on z = V - m for m the exact
     # side's upper double, is below log(2 / alpha) after chunks 0 and 1
@@ -1786,8 +1831,8 @@ def test_inconclusive_certification_spends_the_budget():
         side = getattr(verdict, name)
         assert side.estimate.n == 5_000
         assert trace[name]["stop"] == "budget"
-        # 31 + 62 + 125, then 250 nineteen times and a tail of 32
-        assert trace[name]["chunks"] == 23
+        # 31, then 62 eighty times and a tail of 9
+        assert trace[name]["chunks"] == 82
     assert trace["margin"] < 1.0
     assert verdict.lhs.estimate.config.seed == 2
     assert verdict.rhs.estimate.config.seed == 3
@@ -1814,8 +1859,8 @@ def test_verdict_n_is_whole_chunks_and_the_same_at_any_worker_count(monkeypatch)
     assert serial.relation == threaded.relation == LHS_GREATER
     assert serial.to_json_dict() == threaded.to_json_dict()
     n = serial.lhs.estimate.n
-    # whole chunks: the ramp's 1,024 + 2,048 + 4,096 = 7,168 samples, then 2^13 each
-    assert (n + DEFAULT_CHUNK // 32) % (DEFAULT_CHUNK // 4) == 0 and 0 < n < 600_000
+    # whole chunks: the ramp's 1,024 samples, then 2^11 each
+    assert (n + DEFAULT_CHUNK // 32) % (DEFAULT_CHUNK // 16) == 0 and 0 < n < 600_000
 
 
 def test_stitched_boundary_constants():
