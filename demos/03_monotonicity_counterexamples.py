@@ -8,8 +8,10 @@ therefore a counterexample.  Each certification below compares an exact closed
 form with Monte Carlo samples by a one-sided test by betting, tested after
 every chunk of samples: the verdict is only "certified" when the test's
 log-wealth reaches log(2/alpha), and the run stops at the first chunk where it
-does.  The printed interval is the side's confidence sequence at that stop,
-with coverage of its own; it may still contain the exact value.
+does.  The printed interval is the confidence sequence that the same bets give
+at that stop: the means that neither test rejects.  The decided end is the
+exact value's own enclosure end, so a certified interval excludes the exact
+value.
 
 Each estimated side is given its exact E V^2 and E V^4, as the CLI's
 `counterexample` does, and so samples the quartic control variate
@@ -53,7 +55,7 @@ for title, lhs, rhs in scenarios:
         else:
             e = side.estimate
             print(f"  {label} (estimate) : {e.mean:.8f}  "
-                  f"99% confidence sequence ({e.ci_low:.8f}, {e.ci_high:.8f})  "
+                  f"99% betting confidence sequence [{e.ci_low:.8f}, {e.ci_high:.8f}]  "
                   f"n={e.n} (budget {N})")
             trace = side.trace_dict()
             print(f"  sample {trace['sample']} (a={trace['a']}, b={trace['b']}), "

@@ -47,9 +47,12 @@ side runs two mirrored one-sided tests by betting against the exact value
 (:class:`BettingTest`): a wealth that grows with each chunk that lies on one
 side of it, valid at any stopping time by Ville's inequality.  Chunk 0 has
 no prior to stake by, so each test bets on it with a fixed mixture of
-stakes, and a run can be decided by its first chunk.  Two estimated
-sides compare time-uniform empirical-Bernstein confidence sequences
-(:class:`EstimatedSide`); two exact sides, their certified sign.  A chunk's
+stakes, and a run can be decided by its first chunk.  The same stakes
+test every mean beyond the exact value too, so the means that neither test
+rejects form a confidence sequence, which is the interval a side reports: a
+decided run's excludes the exact value.  Two estimated sides run the same
+tests with no exact value, staking by a plug-in rule, and compare their
+sequences; two exact sides, their certified sign.  A chunk's
 job is computed only when the chunk is drawn, so the part of a budget a run
 does not use costs nothing.  Its chunks ramp from a small first chunk up to
 a fraction of the configured size, so a run's samples, and its time, grow in
@@ -84,9 +87,9 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
-from functools import cache, partial, reduce
+from functools import cache, cached_property, partial, reduce
 from itertools import chain, islice
-from math import exp, factorial, inf, isfinite, isqrt, log, nextafter, sqrt
+from math import ceil, exp, factorial, inf, isfinite, isqrt, log, log1p, nextafter, sqrt
 from statistics import NormalDist
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
@@ -590,7 +593,8 @@ class MomentEstimate:
     """Streaming estimate of E[V^k] with a confidence interval.
 
     From :func:`estimate_moment` the interval is the normal approximation;
-    on a certification side it is the confidence sequence at the stop.
+    on a certification side it is the betting tests' confidence sequence at
+    the stop (:meth:`BettingTest.bounds`).
     """
 
     mean: float
@@ -969,14 +973,16 @@ class CounterexampleVerdict:
         threshold (see :class:`BettingTest`).  The margin says how decisive
         the run was, and exceeds 1 exactly when the relation is decided: the
         log-wealth over the threshold for a tested side, and for two
-        estimated sides the gap between the intervals' centres over the sum
-        of their half-widths.  Two exact sides are compared by a certified
+        estimated sides the gap between their confidence sequences' centres
+        over the sum of their half-widths.  A tested side's printed interval
+        is not a margin: once decided, one of its ends is the exact side's
+        double.  Two exact sides are compared by a certified
         sign, not a statistic, and have no margin (``None``).
         """
         estimated = [side for side in (self.lhs, self.rhs) if isinstance(side, EstimatedSide)]
         if not estimated:
             margin = None
-        elif estimated[0].test is not None:
+        elif estimated[0].test.exact is not None:
             margin = max(estimated[0].test.log_wealth) / estimated[0].test.threshold
         else:
             (lhs_lo, lhs_hi), (rhs_lo, rhs_hi) = self.lhs.bounds(), self.rhs.bounds()
@@ -992,27 +998,6 @@ class CounterexampleVerdict:
 
 MomentSpec = Union[PiPolynomial, tuple]
 
-# The polynomial stitched boundary of Howard, Ramdas, McAuliffe & Sekhon,
-# "Time-uniform, nonparametric, nonasymptotic confidence sequences",
-# Ann. Statist. 49 (2021), with eta = 2 and s = 1.4; _ZETA_S is zeta(1.4).
-_ETA = 2.0
-_S = 1.4
-_ZETA_S = 3.10554727797758
-_K1 = (_ETA**0.25 + _ETA**-0.25) / sqrt(2.0)
-_K2 = (sqrt(_ETA) + 1.0) / 2.0
-
-
-def _stitched_boundary(v: float, c: float, alpha: float) -> float:
-    """u(v) such that a sub-gamma process with scale ``c`` and variance
-    process V_t exceeds u(V_t) at some time with probability at most
-    ``alpha``; the boundary is flat below m = c^2."""
-    m = c * c
-    v = max(v, m)
-    ell = _S * log(log(_ETA * v / m)) + log(_ZETA_S / (alpha * log(_ETA) ** _S))
-    linear = _K2 * c * ell
-    return sqrt(_K1 * _K1 * v * ell + linear * linear) + linear
-
-
 @cache
 def _shift(second: PiPolynomial, fourth: PiPolynomial, moment_range: float,
            a: float, b: float) -> tuple[float, float]:
@@ -1025,21 +1010,16 @@ def _shift(second: PiPolynomial, fourth: PiPolynomial, moment_range: float,
 
 
 class EstimatedSide:
-    """A comparand backed by Monte Carlo samples: an empirical-Bernstein
-    confidence sequence, which errs at any time with probability at most
-    ``alpha``.  Against an exact side, a certification also gives it a
-    :class:`BettingTest` (``test``, else None), which the chunks feed too: the
-    test then decides, and the sequence gives the estimate's interval, which
-    has its own coverage and may still contain the exact value.
+    """A comparand backed by Monte Carlo samples: two betting tests
+    (:class:`BettingTest`, ``test``) that the chunks feed, whose confidence
+    sequence errs at any time with probability at most ``alpha``.  A side
+    starts with tests of its own, on its whole range; against an exact side
+    a certification gives it tests against the exact value instead, which
+    then both decide and give the estimate's interval.
 
-    The sequence runs on samples x_i in [0, c], c = ``value_range``.  Chunk j
-    is predicted by p_j, the mean of the chunks before it clipped to [0, c]
-    (0 for chunk 0).  Then sum(x_i - mu) is sub-exponential, hence
-    sub-gamma, with scale c and variance process V = sum (x_i - p_j)^2
-    (Howard et al. 2021), and V grows by M2_j + n_j (mean_j - p_j)^2, exactly
-    from the chunk's (n, mean, M2).  Each tail gets ``alpha / 2``.  The
-    chunks of ``jobs`` ramp up to a fraction of the chunk size (see
-    :func:`_jobs`).
+    The tests run on samples Y_i in [0, c], c = ``value_range``, from each
+    chunk's (n, mean, M2) alone, each tail at ``alpha / 2``.  The chunks of
+    ``jobs`` ramp up to a fraction of the chunk size (see :func:`_jobs`).
 
     Without ``second_moment`` the samples are Y = x = V^k, c = R^k =
     ``moment_range``, where R is the largest simplex volume in the body, and
@@ -1105,8 +1085,8 @@ class EstimatedSide:
     in [0, c] and rounding monotone, the pair sums lie in [0, fl(c + c)] =
     [0, 2c], the sums of two pair sums in [0, 4c] and the whole sum in
     [0, 8c]; 0.125 (8c) = c is exact, so the sample lies in [0, c] as
-    before, and eight values of c give exactly c.  The sequence and
-    :class:`BettingTest` so hold as they are.  The Laplace form computes
+    before, and eight values of c give exactly c.  The tests so hold as
+    they are.  The Laplace form computes
     each volume from the raw coordinates, all in [-1, 1]: each of the six
     products is at most 4 in size and within 16u of its value, u = 2^-53,
     and the five sums behind each D_s, none above 24 in size, add at most
@@ -1121,8 +1101,8 @@ class EstimatedSide:
     The sequence's bounds on E Y are moved by ``shift``, from
     ``evaluate_interval(30)`` with both ends rounded outward to doubles, and
     each sum is rounded outward by one ulp, so they bound E V^k with the same
-    coverage.  The boundary's width grows with the range, so a narrower
-    range decides on fewer samples.  The estimate's mean is then mean(Y)
+    coverage.  The tests' stakes grow as the samples' variance falls, so the
+    control variate decides on fewer samples.  The estimate's mean is then mean(Y)
     plus the shift's midpoint; its variance and standard error are Y's.  The
     control variate's identity holds for Y in exact arithmetic; like V^k's
     own, its computed values are off by a few units in the last place.
@@ -1163,27 +1143,22 @@ class EstimatedSide:
             self.jobs = (job + (self.variate,) for job in self.jobs)
         self.stats = _EMPTY
         self.chunks = 0
-        self.variance_process = 0.0
-        self.test: BettingTest | None = None
+
+    @cached_property
+    def test(self) -> BettingTest:
+        """The side's two betting tests: on its whole range, unless a
+        certification has set tests against an exact side."""
+        return BettingTest(self)
 
     def add(self, chunk: tuple[int, float, float]) -> None:
-        if self.test is not None:
-            self.test.add(self.stats, chunk)
-        n, mean, m2 = chunk
-        predicted = min(max(self.stats[1], 0.0), self.value_range)
-        self.variance_process += m2 + n * (mean - predicted) ** 2
+        self.test.add(self.stats, chunk)
         self.stats = _merge(self.stats, chunk)
         self.chunks += 1
 
     def bounds(self) -> tuple[float, float]:
-        """The interval on E V^k after the chunks added so far; [0, R^k] before the first."""
-        n, mean, _ = self.stats
-        if n == 0:
-            return 0.0, self.moment_range
-        half = _stitched_boundary(self.variance_process, self.value_range, self.alpha / 2) / n
-        lo, hi = max(mean - half, 0.0), min(mean + half, self.value_range)
-        return (max(nextafter(lo + self.shift[0], -inf), 0.0),
-                min(nextafter(hi + self.shift[1], inf), self.moment_range))
+        """The interval on E V^k after the chunks added so far, the betting
+        tests' confidence sequence; [0, R^k] before the first."""
+        return self.test.bounds()
 
     @property
     def estimate(self) -> MomentEstimate:
@@ -1210,7 +1185,7 @@ class EstimatedSide:
                           a=self.variate.keywords["a"], b=self.variate.keywords["b"])
         if self.partner is not None:
             record["partner"] = self.partner
-        if self.test is not None:
+        if self.test.exact is not None:
             record.update(log_wealth=max(self.test.log_wealth), threshold=self.test.threshold,
                           chunk0_stakes=list(_CHUNK0_STAKES))
         return record
@@ -1222,6 +1197,9 @@ _MAX_STAKE = 0.5
 #: The chunk-0 stakes of BettingTest's mixture, as fractions f of the cap
 #: b / l: fixed by hand once, before any seed was run, and not tuned.
 _CHUNK0_STAKES = (0.0, 0.05, 0.1, 0.2, 0.4)
+#: log K, K = len(_CHUNK0_STAKES): the mixture's log-wealth is at least its
+#: best track's less this.
+_LOG_TRACKS = log(len(_CHUNK0_STAKES))
 
 
 def _psi(b: float) -> float:
@@ -1241,6 +1219,14 @@ def _psi(b: float) -> float:
     return total * (1.0 + 2.0**-40)
 
 
+@cache
+def _psi_step(steps: int) -> float:
+    """psi(steps 2^-10), which bounds psi(b) for every b up to it, since psi
+    increases: a plug-in stake's b, rounded up to such a step, takes few
+    values, each computed once per process."""
+    return _psi(steps / 1024.0)
+
+
 def _log_growth(stake: float, sign: float, m: float, span: float,
                 chunk: tuple[int, float, float]) -> float:
     """A lower bound on sum log(1 + stake z_i) over a chunk's samples, for
@@ -1250,113 +1236,190 @@ def _log_growth(stake: float, sign: float, m: float, span: float,
     least y - psi(b) y^2 (:func:`_psi`); summed, with sum z = sign n (mean - m)
     and sum z^2 = M2 + n (mean - m)^2.
     """
-    return _growth(stake, _psi(nextafter(stake * span, inf)), sign, m, chunk)
+    return _growth(stake, _psi(nextafter(stake * span, inf)), sign, m, chunk)[0]
 
 
 def _growth(stake: float, psi: float, sign: float, m: float,
-            chunk: tuple[int, float, float]) -> float:
-    """:func:`_log_growth` given psi(b)."""
+            chunk: tuple[int, float, float]) -> tuple[float, float, float]:
+    """:func:`_log_growth` given psi(b), as the concave quadratic
+    A + B x - C x^2 that the same bound is at m - sign x: A is the bound at
+    m, B = n (stake - 2 psi stake^2 sign (mean - m)) and C = psi stake^2 n.
+    For x >= 0, sign (Y_i - (m - sign x)) = z_i + x >= -span still, so the
+    bound holds there with the same psi(b)."""
     n, mean, m2 = chunk
     gap = mean - m
-    return stake * sign * n * gap - psi * stake * stake * (m2 + n * gap * gap)
+    curve = psi * stake * stake
+    return (stake * sign * n * gap - curve * (m2 + n * gap * gap),
+            n * (stake - 2.0 * curve * sign * gap), curve * n)
 
 
 @cache
 def _chunk0_bets(span: float) -> tuple[tuple[float, float], ...]:
     """(stake, psi(b)) of each chunk-0 track for the span l: a constant of the
-    query, so computed once per process, and the only psi values that are.
-    From chunk 1 on, b depends on the data."""
+    query, so computed once per process.  From chunk 1 on, b depends on the
+    data (but see :func:`_psi_step`)."""
     stakes = (f * _MAX_STAKE / span for f in _CHUNK0_STAKES)
     return tuple((stake, _psi(nextafter(stake * span, inf))) for stake in stakes)
 
 
-def _chunk0_log_growth(sign: float, m: float, span: float,
-                       chunk: tuple[int, float, float]) -> float:
+def _chunk0_growth(sign: float, m: float, span: float, chunk: tuple[int, float, float],
+                   ) -> tuple[float, tuple[tuple[float, float, float], ...]]:
     """A lower bound on the log of the mean, over :data:`_CHUNK0_STAKES`, of
-    the wealths that staking f b / l on each of chunk 0's samples gives.
+    the wealths that staking f b / l on each of chunk 0's samples gives, and
+    the :func:`_growth` form of each track's bound.
 
-    Each track's log-wealth L_f is bounded below by :func:`_log_growth`, so
-    log((1/K) sum_f exp(L_f)), the log-mean-exp of the bounds, bounds the
+    Each track's log-wealth L_f is bounded below by its form's A, so
+    log((1/K) sum_f exp(A_f)), the log-mean-exp of the bounds, bounds the
     mixture's.  It is summed from the largest bound, which is >= 0 because
     the track f = 0 adds exactly 0, so no term overflows and the result lies
-    in [max_f L_f - log K, max_f L_f], K = len(_CHUNK0_STAKES).  Without a cap
-    (span 0) every track stakes 0, and the bound is 0.
+    in [max_f A_f - log K, max_f A_f], K = len(_CHUNK0_STAKES).  Without a cap
+    (span 0) every track stakes 0, and every form is 0.
     """
-    if span == 0.0:
-        return 0.0
-    bounds = [_growth(stake, psi, sign, m, chunk) for stake, psi in _chunk0_bets(span)]
+    forms = (((0.0, 0.0, 0.0),) * len(_CHUNK0_STAKES) if span == 0.0 else
+             tuple(_growth(stake, psi, sign, m, chunk) for stake, psi in _chunk0_bets(span)))
+    bounds = [form[0] for form in forms]
     top = max(bounds)
-    return top + log(sum(exp(bound - top) for bound in bounds) / len(bounds))
+    return top + log(sum(exp(bound - top) for bound in bounds) / len(bounds)), forms
+
+
+def _chunk0_log_growth(sign: float, m: float, span: float,
+                       chunk: tuple[int, float, float]) -> float:
+    """The bound of :func:`_chunk0_growth` alone."""
+    return _chunk0_growth(sign, m, span, chunk)[0]
 
 
 class BettingTest:
-    """Two mirrored one-sided tests by betting of an estimated side's mean
-    against an exact value, each at level alpha / 2 for the side's alpha.
+    """Two mirrored one-sided tests by betting of an estimated side's mean,
+    each at level alpha / 2 for the side's alpha, and the confidence
+    sequence on E V^k that their stakes give (:meth:`bounds`).
 
     The side's samples Y_i lie in [0, c], c = ``side.value_range``, and
     E V^k is E Y plus a value in ``side.shift`` ([0, 0] without a control
-    variate; see :class:`EstimatedSide`).  ``upper`` is the exact side's
-    upper double less the shift's lower end, and ``lower`` its lower double
-    less the shift's upper end, each rounded outward, against the test.  So
-    E Y > upper implies that E V^k exceeds the exact value, and E Y < lower
-    that it falls below it.  The up test bets on z_i = Y_i - upper, against
-    H0: E Y <= upper; the down test on z_i = lower - Y_i, against
-    H0: E Y >= lower.
+    variate; see :class:`EstimatedSide`).  Against an ``exact`` side,
+    ``upper`` is its upper double less the shift's lower end, and ``lower``
+    its lower double less the shift's upper end, each rounded outward,
+    against the test.  So E Y > upper implies that E V^k exceeds the exact
+    value, and E Y < lower that it falls below it.  Without one (two
+    estimated sides, or a sequence alone), upper = c and lower = 0.  The up
+    test bets on z_i = Y_i - upper, against H0: E Y <= upper; the down test
+    on z_i = lower - Y_i, against H0: E Y >= lower.
 
     Chunk j >= 1 stakes lambda_j >= 0 on each of its samples, fixed by the
     chunks merged before it (Waudby-Smith & Ramdas, "Estimating means of
-    bounded random variables by betting", JRSSB 86, 2024): the Kelly-like
-    g / (s^2 + g^2), with g and s^2 the mean and variance of their z, clipped
-    to [0, b / l], where -l is the least value z can take (upper, or
-    c - lower, rounded up) and b = 1/2.  Chunk 0 has no prior, so each test
-    bets on it with a mixture of K = 5 tracks: track f stakes f b / l on
-    chunk 0, for f in :data:`_CHUNK0_STAKES` = (0, 0.05, 0.1, 0.2, 0.4), and
-    every track stakes lambda_j on chunk j >= 1.  Under H0 each sample's
-    factor 1 + lambda z_i has mean at most 1 and is >= 1 - b, so each track's
-    wealth W_f = prod (1 + lambda z_i) is a nonnegative supermartingale that
-    starts at 1, and so is their mean W = (1/K) sum_f W_f.  By Ville's
-    inequality W ever reaches 2 / alpha with probability at most alpha / 2:
-    the test is valid at any stopping time.
+    bounded random variables by betting", JRSSB 86, 2024), and clipped to
+    [0, b / l], where -l is the least value z can take (upper, or c - lower,
+    rounded up) and b = 1/2.  Against an exact side it is the Kelly-like
+    g / (s^2 + g^2), with g and s^2 the mean and variance of their z;
+    without one, their predictable plug-in sqrt(2 log(2 / alpha) /
+    (s^2 t log(1 + t))), t the sample count after chunk j, the same for both
+    tests, with psi(b) taken at b rounded up to a multiple of 2^-10
+    (:func:`_psi_step`).  Chunk 0 has no prior, so each test bets on it with a mixture of
+    K = 5 tracks: track f stakes f b / l on chunk 0, for f in
+    :data:`_CHUNK0_STAKES` = (0, 0.05, 0.1, 0.2, 0.4), and every track stakes
+    lambda_j on chunk j >= 1.  Under H0 each sample's factor 1 + lambda z_i
+    has mean at most 1 and is >= 1 - b, so each track's wealth
+    W_f = prod (1 + lambda z_i) is a nonnegative supermartingale that starts
+    at 1, and so is their mean W = (1/K) sum_f W_f.  By Ville's inequality W
+    ever reaches 2 / alpha with probability at most alpha / 2: the test is
+    valid at any stopping time.
 
     The stakes from chunk 1 on depend only on the merged (n, mean, M2), which
     every track shares, so W_f = W0_f W_rest, with W0_f track f's wealth
-    after chunk 0, and log W = log((1/K) sum_f W0_f) + log W_rest.  So no
-    track needs state of its own.  ``log_wealth`` holds, per test, a lower
-    bound on log W that needs only each chunk's (n, mean, M2): for chunk 0
-    the log-mean-exp of the tracks' lower bounds (:func:`_chunk0_log_growth`),
-    then :func:`_log_growth` per chunk.  The f = 0 track keeps the chunk-0
-    term >= -log K, which is all an uninformative chunk 0 costs.  A test
-    decides when its bound reaches ``threshold`` = log(2 / alpha), and so no
-    sooner than the mean wealth itself.
+    after chunk 0, and log W = log((1/K) sum_f W0_f) + log W_rest.
+    ``log_wealth`` holds, per test, a lower bound on log W that needs only
+    each chunk's (n, mean, M2): for chunk 0 the log-mean-exp of the tracks'
+    lower bounds (:func:`_chunk0_growth`), then :func:`_growth`'s bound per
+    chunk.  The f = 0 track keeps the chunk-0 term >= -log K, which is all
+    an uninformative chunk 0 costs.  A test against an exact side decides
+    when its bound reaches ``threshold`` = log(2 / alpha), and so no sooner
+    than the mean wealth itself.
+
+    Every stake of the up test is at most b / l, so for every m <= upper the
+    same stakes, with the same psi(b), test H0: E Y <= m (:func:`_growth`).
+    On that range the wealth prod (1 + lambda (Y_i - m)) does not increase
+    as m grows, so a bound that reaches the threshold at m rejects every
+    mean up to m.  The down test mirrors it for m >= lower.  Each test's
+    bound at m = upper - x, or lower + x, is at least the largest of its
+    tracks' less log K, and each track's is one concave quadratic in x, its
+    chunk-0 form plus the sum ``rest`` of the later chunks' forms: three
+    running sums per test, and closed-form roots.
     """
 
-    def __init__(self, side: EstimatedSide, exact: ExactSide):
-        self.lower, self.upper, self.tests = _betting_tests(exact.bounds(), side.shift,
-                                                            side.value_range)
+    def __init__(self, side: EstimatedSide, exact: ExactSide | None = None):
+        c = side.value_range
+        self.lower, self.upper, self.tests = (
+            (0.0, c, ((1.0, c, c), (-1.0, 0.0, c))) if exact is None
+            else _betting_tests(exact.bounds(), side.shift, c))
+        self.exact, self.shift, self.moment_range = exact, side.shift, side.moment_range
         self.threshold = log(2.0 / side.alpha)
         self.log_wealth = [0.0, 0.0]  # the up test's, then the down test's
+        self.tracks = [(), ()]  # per test, each chunk-0 track's form
+        self.rest = [(0.0, 0.0, 0.0)] * 2  # per test, the sum of the later chunks' forms
 
     def add(self, prior: tuple[int, float, float], chunk: tuple[int, float, float]) -> None:
         """Bet on ``chunk``, staking by ``prior``, the merged chunks before it."""
-        n_prior, mean_prior, m2_prior = prior
-        if n_prior == 0:  # chunk 0: the mixture of fixed stakes
-            for i, (sign, m, span) in enumerate(self.tests):
-                self.log_wealth[i] += _chunk0_log_growth(sign, m, span, chunk)
-            return
-        variance = m2_prior / n_prior
         for i, (sign, m, span) in enumerate(self.tests):
-            g = sign * (mean_prior - m)
-            if g > 0.0:  # else the stake is 0
-                stake = 1.0 / (variance / g + g)  # g / (variance + g^2)
-                if span > 0.0:
-                    stake = min(stake, _MAX_STAKE / span)
-                self.log_wealth[i] += _log_growth(stake, sign, m, span, chunk)
+            if prior[0] == 0:  # chunk 0: the mixture of fixed stakes
+                bound, self.tracks[i] = _chunk0_growth(sign, m, span, chunk)
+                self.log_wealth[i] += bound
+            elif (bet := self._bet(sign, m, span, prior, chunk[0])) is not None:
+                (a, b, c), (rest_a, rest_b, rest_c) = _growth(*bet, sign, m, chunk), self.rest[i]
+                self.log_wealth[i] += a
+                self.rest[i] = (rest_a + a, rest_b + b, rest_c + c)
+
+    def _bet(self, sign: float, m: float, span: float, prior: tuple[int, float, float],
+             n: int) -> tuple[float, float] | None:
+        """(lambda_j, psi(b)) for a chunk of ``n`` samples after ``prior``,
+        or None for a stake of 0."""
+        n_prior, mean_prior, m2_prior = prior
+        cap = _MAX_STAKE / span if span > 0.0 else inf
+        if self.exact is None:  # the plug-in; psi at b rounded up to a step
+            scale = m2_prior / n_prior * (n_prior + n) * log1p(n_prior + n)
+            stake = min(sqrt(2.0 * self.threshold / scale), cap) if scale > 0.0 else cap
+            return stake, _psi_step(ceil(nextafter(stake * span, inf) * 1024.0))
+        g = sign * (mean_prior - m)
+        if g <= 0.0:
+            return None
+        stake = min(1.0 / (m2_prior / n_prior / g + g), cap)  # g / (variance + g^2), capped
+        return stake, _psi(nextafter(stake * span, inf))
 
     def decision(self) -> int:
         """1 when the up test has decided (E V^k above the exact value), -1
         when the down test has, else 0."""
         up, down = self.log_wealth
         return 1 if up >= self.threshold else -1 if down >= self.threshold else 0
+
+    def bounds(self) -> tuple[float, float]:
+        """The confidence sequence on E V^k: the means that neither test has
+        rejected, each end moved by its end of the shift and rounded outward.
+
+        An end is the range edge (0 or R^k) where its test rejects no mean.
+        A test that has decided against the exact side rejects every mean
+        up to ``upper`` (down to ``lower``), and E V^k then lies beyond the
+        exact side's upper (lower) double, since upper + the shift's lower end
+        is at least that double: that double is the end.
+        """
+        ends = []
+        for i, (sign, m, _) in enumerate(self.tests):
+            if self.exact is not None and self.log_wealth[i] >= self.threshold:
+                ends.append(self.exact.bounds()[1 - i])
+                continue
+            # x, the least distance beyond m at which a track's bound, less log K,
+            # reaches the threshold: where its form A + B x - C x^2 rises through
+            # it, the nearer root 2 gap / (B + sqrt(disc)); x = inf (no track's
+            # does) gives the range edge
+            (rest_a, rest_b, rest_c), x = self.rest[i], inf
+            target = self.threshold + _LOG_TRACKS - rest_a
+            for a, b, c in self.tracks[i]:
+                gap, b = target - a, b + rest_b
+                disc = b * b - 4.0 * (c + rest_c) * gap
+                if gap <= 0.0:
+                    x = 0.0
+                elif b > 0.0 and disc >= 0.0:
+                    x = min(x, 2.0 * gap / (b + sqrt(disc)))
+            end = nextafter(m - sign * x + self.shift[i], -sign * inf)
+            ends.append(max(end, 0.0) if sign > 0 else min(end, self.moment_range))
+        return ends[0], ends[1]
 
 
 @cache
@@ -1375,7 +1438,7 @@ def _relation(lhs, rhs) -> str:
     """The relation decided so far: by a tested side's :class:`BettingTest`,
     else by whether one side's bounds clear the other's."""
     for sign, side in ((1, lhs), (-1, rhs)):
-        if isinstance(side, EstimatedSide) and side.test is not None:
+        if isinstance(side, EstimatedSide) and side.test.exact is not None:
             return _RELATIONS[sign * side.test.decision()]
     lhs_lo, lhs_hi = lhs.bounds()
     rhs_lo, rhs_hi = rhs.bounds()
@@ -1403,9 +1466,11 @@ def certify_counterexample(lhs: MomentSpec, rhs: MomentSpec,
 
     * one side exact: when the estimated side's :class:`BettingTest` decides,
       in either direction; its two tests have alpha / 2 each, alpha =
-      1 - confidence;
-    * both estimated: when one side's confidence sequence clears the
-      other's; each errs with probability at most alpha / 2.
+      1 - confidence.  The side's interval is the tests' confidence
+      sequence, so a decided run's excludes the exact value;
+    * both estimated: when one side's confidence sequence, from betting tests
+      of its own, clears the other's; each errs with probability at most
+      alpha / 2.
 
     So a certified relation holds with probability at least
     ``config.confidence``, wherever the run stops.  If the budget runs out

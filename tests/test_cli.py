@@ -412,17 +412,17 @@ def test_certification_stops_are_pinned(capsys, scenario):
 # newline) of each scenario at --n 2000000, seeds 0 and 17.  A change to the
 # draws, the kernel, the stopping rule or the output format shows up here.
 PINNED_OUTPUT_DIGESTS = {
-    ("halfball-d3", 0): ("ce6d14066b734bf077c10b1f8cd5e7b9428718c7b761175191268b34b880d5ba",
+    ("halfball-d3", 0): ("f4928eedbf2e5d47c2b810f71a76b098afb99d8e541829b660df36d6468d9d51",
                          "13a6741e6d0ab53fccbff28f49be86e0725847ef644c3d2f329eaa312eca62e8"),
-    ("halfball-d3", 17): ("88a1ca3e87b3e63ee7c783bc69785b4bb2ff7162f6d31b205ed1327bac8a574f",
+    ("halfball-d3", 17): ("fc8fd0fe6faa38452b405d9bb9fa93a0ce0f8784571dadfae987dbf7249b6936",
                           "8c49f68dff26721a8ff90381e99630b4bbd940cfc4157b95a3348979d9ef276b"),
-    ("tetra-d3", 0): ("7cbe51d7bd44f823457311f99a0def09c8ef84a129a168f66540ae60a66fc32f",
+    ("tetra-d3", 0): ("2237b6da1a09288ef4787994223570e951139f778b49c05f00818e91cd7aac8f",
                       "59adae1cdd48f81f4e19b5f50fc20f34369cf9c19e2bc0cb3bc412fe09775956"),
-    ("tetra-d3", 17): ("18fbd7b62c401eee84a6ba79bb155c1bac102a655cee7d516d05aed3f2a364aa",
+    ("tetra-d3", 17): ("916e28754fa36295fb7b1cd0c1f647f16fd3afcfdfb42d42c42705edd29f920f",
                        "ff3fd4d9807c85659b2e8481a18fb8aea71b7489e782ae97e0db81598fb231aa"),
-    ("halfball-d4-k1", 0): ("7061b6f1b6047d58bd860d5a90575027dae9316fddf3db006f3aeba99230e78d",
+    ("halfball-d4-k1", 0): ("754c4f6f3417ca29519482ae6468fda2b815fbb2f25aef8b87bd2c32a7576dd2",
                             "0a303eebc878008af6f5790a1ad5392bef75fdad4ac6093feb71419bb0050f24"),
-    ("halfball-d4-k1", 17): ("818ea742bb2692edb9d7a7b56a1dda3c8cf0213d9e8ca8f759239875d6e4f8fe",
+    ("halfball-d4-k1", 17): ("6010486b44bf10bf480d77e3606d412166451b7e342a4b24b0e704c764147054",
                              "a4378a853de2ed90982ae24aa0f7098e7fc7d5ce22544fa14a37d2543dfab58c"),
 }
 
@@ -436,6 +436,40 @@ def test_counterexample_output_bytes_are_pinned(capsys, scenario, seed):
                if line.startswith('{"certification"'))
     digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in (out, line))
     assert digests == PINNED_OUTPUT_DIGESTS[scenario, seed]
+
+
+def _interval_and_exact(out):
+    """The estimated side's printed (ci_low, ci_high) and the exact side's value."""
+    from sylvester.exactnum import PiPolynomial
+
+    verdict = json_lines(out)[0]["verdict"]
+    sides = {side["type"]: side for side in (verdict["lhs"], verdict["rhs"])}
+    est = sides["estimate"]["estimate"]
+    return est["ci_low"], est["ci_high"], PiPolynomial.from_json_dict(sides["exact"]["value"])
+
+
+def _contains(lo, hi, exact):
+    # exactly: each double as a Fraction, against the PiPolynomial's certified sign
+    return not exact < F(lo) and not F(hi) < exact
+
+
+@pytest.mark.parametrize("scenario", PINNED_STOPS)
+def test_a_certified_interval_excludes_the_exact_value(capsys, scenario):
+    # the printed interval is the betting tests' confidence sequence, whose
+    # decided end is the exact side's own double: no certified run's
+    # interval contains the exact value it clears
+    for seed in range(40):
+        code, out, _ = run_cli(capsys, "counterexample", scenario,
+                               "--n", "2000000", "--seed", str(seed))
+        assert code == EXIT_OK
+        lo, hi, exact = _interval_and_exact(out)
+        assert lo <= hi and not _contains(lo, hi, exact), (seed, lo, hi)
+
+
+def test_an_inconclusive_interval_contains_the_exact_value(capsys):
+    code, out, _ = run_cli(capsys, "counterexample", "halfball-d3", "--n", "2000", "--seed", "0")
+    assert code == EXIT_INCONCLUSIVE
+    assert _contains(*_interval_and_exact(out))
 
 
 def test_counterexample_inconclusive_exit_code(capsys):

@@ -966,8 +966,8 @@ def test_confidence_sequence_coverage_audit():
     """Time-uniform coverage of the sequence on bodies with known moments.
 
     100 frozen seeds per case, a budget of 16 x 128 samples in the ramp of a
-    certification (chunks of 4, 8 and 16, then sixty-three of 32 and a tail
-    of 4), checked after every chunk at confidence 0.8 (so a miss is common
+    certification (a chunk of 4, then 255 of 8, then a tail of 4: 257
+    chunks), checked after every chunk at confidence 0.8 (so a miss is common
     enough to count): a run
     misses when any checked interval excludes the exact value, and that may
     happen in at most a fraction delta = 0.2 of runs, up to a binomial margin.
@@ -1186,6 +1186,87 @@ def test_chunk0_mixture_term_is_finite_and_bracketed(c, m_frac, up, n, gap_frac,
     bounds = [_log_growth(f * _MAX_STAKE / span, sign, m, span, chunk) for f in _CHUNK0_STAKES]
     assert math.isfinite(term)
     assert -math.log(5) * (1 + 2**-50) <= term <= max(bounds)
+
+
+def _exact_growth(stake, psi, sign, m, chunk):
+    """_growth's bound at m, in exact arithmetic on the doubles it is given,
+    and the sum of its terms' sizes."""
+    n, mean, m2 = chunk
+    stake, psi, gap = F(stake), F(psi), F(mean) - F(m)
+    gain, loss = stake * int(sign) * n * gap, psi * stake * stake * (F(m2) + n * gap * gap)
+    return gain - loss, abs(gain) + loss
+
+
+@settings(max_examples=300, deadline=None)
+@given(c=st.floats(2.0**-30, 1.0), m_frac=st.floats(0.0, 1.0), up=st.booleans(),
+       n=st.integers(1, 2**15), mean_frac=st.floats(0.0, 1.0), m2_frac=st.floats(0.0, 1.0),
+       stake_frac=st.floats(0.0, 1.0), x_frac=st.floats(0.0, 1.0))
+def test_the_growth_form_is_the_bound_on_the_valid_side(c, m_frac, up, n, mean_frac, m2_frac,
+                                                        stake_frac, x_frac):
+    # A + B x - C x^2 is the bound at m - sign x: at the target (x = 0) and at
+    # any x >= 0 up to the range, within a relative 1e-9 of its terms (and
+    # 2^-1000, for what underflows)
+    from sylvester.montecarlo import _MAX_STAKE, _growth, _psi
+
+    m, mean, sign = c * m_frac, c * mean_frac, 1.0 if up else -1.0
+    chunk = (n, mean, m2_frac * n * mean * (c - mean))
+    stake = stake_frac * _MAX_STAKE / c
+    psi = _psi(stake * c)
+    a, b, curve = _growth(stake, psi, sign, m, chunk)
+    _, size = _exact_growth(stake, psi, sign, m, chunk)
+    x = F(x_frac * c)
+    for at, value in ((0, a), (x, a + b * float(x) - curve * float(x) ** 2)):
+        exact, _ = _exact_growth(stake, psi, sign, F(m) - int(sign) * at, chunk)
+        scale = size + abs(F(b)) * at + F(curve) * at * at
+        assert abs(F(value) - exact) <= F(1, 10**9) * scale + F(1, 2**1000)
+
+
+@settings(max_examples=200, deadline=None)
+@given(target=st.one_of(st.none(), st.floats(0.02, 0.98)),
+       stats=st.lists(st.tuples(st.integers(1, 4_096), st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                      min_size=1, max_size=6))
+def test_each_end_of_the_sequence_is_the_edge_or_where_a_track_reaches_the_threshold(target,
+                                                                                   stats):
+    # recomputed directly from the bets each test placed, per chunk-0 track:
+    # at each end that is not the range edge the best track's bound, less
+    # log K, reaches the threshold, and at no mean between the test's target
+    # and the end does any track's (so the end is the near root, not the far
+    # one); a decided test's end is the exact side's double
+    from sylvester import montecarlo
+    from sylvester.montecarlo import _LOG_TRACKS, BettingTest, EstimatedSide, _growth
+
+    side = EstimatedSide(Interval(), NO_FIXED_POINT, make_config(k=1, n_samples=1), 0.01)
+    exact = None if target is None else ExactSide(PiPolynomial.from_rational(F(target)))
+    if exact is not None:
+        side.test = BettingTest(side, exact)
+    test = side.test
+    chunks = [(n, mean, m2_frac * n * mean * (1.0 - mean)) for n, mean, m2_frac in stats]
+    calls = []  # the (stake, psi, sign, m, chunk) of every bet placed
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(montecarlo, "_growth", lambda *bet: calls.append(bet) or _growth(*bet))
+        side.add(chunks[0])
+        tracks = len(calls)  # chunk 0's, per track
+        for chunk in chunks[1:]:
+            side.add(chunk)
+    tolerance = 1e-9
+
+    def best(sign, m):
+        bounds = [_growth(stake, psi, sign, m, chunk)[0] for stake, psi, s, _, chunk in calls]
+        signs = [s for _, _, s, _, _ in calls]
+        first = [b for b, s in zip(bounds[:tracks], signs) if s == sign]
+        rest = sum(b for b, s in zip(bounds[tracks:], signs[tracks:]) if s == sign)
+        return max(first) + rest - _LOG_TRACKS
+
+    for i, ((sign, m, _), end, edge) in enumerate(zip(test.tests, side.bounds(),
+                                                      (0.0, side.moment_range))):
+        if exact is not None and test.log_wealth[i] >= test.threshold:
+            assert end == exact.bounds()[1 - i]
+            continue
+        if end != edge:
+            assert best(sign, end) >= test.threshold - tolerance
+        # walking out from the target, no mean short of the end is rejected
+        short = [m + (end - m) * step / 32 for step in range(32)] + [end + (m - end) * 1e-6]
+        assert all(best(sign, point) < test.threshold + tolerance for point in short)
 
 
 def test_quartic_control_variate_coverage_audit():
@@ -1808,7 +1889,7 @@ def test_certification_stops_at_the_first_decided_chunk():
             log_wealth += growth(stake, n, mean, m2)
         sequence.add(chunk)
         assert (log_wealth >= threshold) == (sequence.stats[0] == est.n)
-    assert sequence.bounds() == verdict.lhs.bounds()
+    assert est.ci_low == m  # the decided up test's end: the exact side's upper double
     # the same wealth, up to psi and b rounded up
     assert verdict.lhs.test.log_wealth[0] == pytest.approx(log_wealth, rel=1e-10)
     trace = verdict.trace_dict()
@@ -1861,18 +1942,6 @@ def test_verdict_n_is_whole_chunks_and_the_same_at_any_worker_count(monkeypatch)
     n = serial.lhs.estimate.n
     # whole chunks: the ramp's 1,024 samples, then 2^11 each
     assert (n + DEFAULT_CHUNK // 32) % (DEFAULT_CHUNK // 16) == 0 and 0 < n < 600_000
-
-
-def test_stitched_boundary_constants():
-    import mpmath
-
-    from sylvester.montecarlo import _ZETA_S, _S, _stitched_boundary
-
-    assert _ZETA_S == pytest.approx(float(mpmath.zeta(_S)), rel=1e-14)
-    # flat below m = c^2, then increasing, and wider for a smaller alpha
-    assert _stitched_boundary(0.0, 0.5, 0.01) == _stitched_boundary(0.25, 0.5, 0.01)
-    assert _stitched_boundary(10.0, 0.5, 0.01) < _stitched_boundary(20.0, 0.5, 0.01)
-    assert _stitched_boundary(10.0, 0.5, 0.01) < _stitched_boundary(10.0, 0.5, 0.001)
 
 
 # ---------------------------------------------------------------------------
