@@ -134,11 +134,10 @@ def _table(actions: list[argparse.Action]) -> _Table:
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser],
-                             dict[str, dict[str, str]], dict[str, _Table]]:
-    """The top-level parser, each command's parser, per command the config
-    keys it takes (``k_max`` -> ``--k-max``), and per command the table that
-    settles its clean command lines, built from the actions ``add_argument``
-    returns (the help flag is left to argparse)."""
+                             dict[str, _Table]]:
+    """The top-level parser, each command's parser, and per command the table
+    that settles its clean command lines, built from the actions
+    ``add_argument`` returns (the help flag is left to argparse)."""
     parser = argparse.ArgumentParser(
         prog="sylvester",
         description="Exact and Monte Carlo moments of random simplex volumes in convex bodies.",
@@ -146,29 +145,24 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     parser.add_argument("--config", help="key=value file, read as the command's own flags "
                                          "placed before the explicit ones")
     sub = parser.add_subparsers(dest="command", required=True, action=_CommandAction)
-    keys: dict[str, dict[str, str]] = {name: {} for name in _COMMANDS}
     actions: dict[str, list[argparse.Action]] = {name: [] for name in _COMMANDS}
 
     def arg(p, *names, **kw):
         name = p.prog.split()[-1]  # "sylvester exact" -> "exact"
         actions[name].append(p.add_argument(*names, **kw))
 
-    def opt(p, flag, **kw):
-        keys[p.prog.split()[-1]][flag.lstrip("-").replace("-", "_")] = flag
-        arg(p, flag, **kw)
-
     def add_output_flags(p, digits=False):
         if digits:
-            opt(p, "--digits", type=_digits, default=12, help="significant digits for decimals")
+            arg(p, "--digits", type=_digits, default=12, help="significant digits for decimals")
         arg(p, "--table", action="store_true", help="human-readable table output")
         arg(p, "--json", dest="table", action="store_false", help="JSON-lines output (default)")
 
     def add_query_flags(p):
-        opt(p, "--body", choices=BODY_KINDS)
-        opt(p, "--fixed", default="none", choices=FIXED_KINDS)
-        opt(p, "--d", type=int)
-        opt(p, "--k", type=int, default=1)
-        opt(p, "--l", type=_fraction, default=None,
+        arg(p, "--body", choices=BODY_KINDS)
+        arg(p, "--fixed", default="none", choices=FIXED_KINDS)
+        arg(p, "--d", type=int)
+        arg(p, "--k", type=int, default=1)
+        arg(p, "--l", type=_fraction, default=None,
             help="interval length (fraction or decimal), for --body interval only")
 
     p = sub.add_parser("table1", help="triangle moment table for k=3..10, checked against frozen values")
@@ -180,27 +174,27 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     p = sub.add_parser("mc", help="Monte Carlo estimate of a moment")
     add_query_flags(p)
-    opt(p, "--n", type=int, default=1_000_000)
-    opt(p, "--seed", type=int, default=0)
-    opt(p, "--chunk", type=int, default=DEFAULT_CHUNK)
-    opt(p, "--confidence", type=float, default=0.99)
+    arg(p, "--n", type=int, default=1_000_000)
+    arg(p, "--seed", type=int, default=0)
+    arg(p, "--chunk", type=int, default=DEFAULT_CHUNK)
+    arg(p, "--confidence", type=float, default=0.99)
     add_output_flags(p)
 
     p = sub.add_parser("counterexample", help="certify a named non-monotonicity scenario")
     arg(p, "scenario", choices=SCENARIOS)
-    opt(p, "--n", type=int, default=10_000_000)
-    opt(p, "--seed", type=int, default=0)
-    opt(p, "--chunk", type=int, default=DEFAULT_CHUNK,
+    arg(p, "--n", type=int, default=10_000_000)
+    arg(p, "--seed", type=int, default=0)
+    arg(p, "--chunk", type=int, default=DEFAULT_CHUNK,
         help="a certification's chunks ramp up to a sixteenth of it")
-    opt(p, "--confidence", type=float, default=0.99)
+    arg(p, "--confidence", type=float, default=0.99)
     add_output_flags(p)
 
     p = sub.add_parser("qscan", help="scan the q(d,k) bound series")
-    opt(p, "--d", type=int, choices=[2, 3], default=2)
-    opt(p, "--k-max", type=int, default=20)
+    arg(p, "--d", type=int, choices=[2, 3], default=2)
+    arg(p, "--k-max", type=int, default=20)
     add_output_flags(p, digits=True)
 
-    return parser, sub.choices, keys, {name: _table(a) for name, a in actions.items()}
+    return parser, sub.choices, {name: _table(a) for name, a in actions.items()}
 
 
 def _config_flags(path: str, command: str) -> list[str]:
@@ -470,7 +464,11 @@ _COMMANDS = {
     "qscan": cmd_qscan,
 }
 # built once: parsing leaves no state in a parser, so every call of main shares it
-PARSER, COMMAND_PARSERS, CONFIG_KEYS, TABLES = _build_parser()
+PARSER, COMMAND_PARSERS, TABLES = _build_parser()
+# per command, the config keys it takes (``k_max`` -> ``--k-max``): its flags that take a value
+CONFIG_KEYS = {command: {flag.lstrip("-").replace("-", "_"): flag
+                         for flag, action in table.options.items() if action.nargs != 0}
+               for command, table in TABLES.items()}
 
 
 def main(argv: list[str] | None = None) -> int:

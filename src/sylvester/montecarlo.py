@@ -87,7 +87,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
-from functools import cache, cached_property, partial, reduce
+from functools import cache, partial, reduce
 from itertools import chain, islice
 from math import ceil, exp, factorial, inf, isfinite, isqrt, log, log1p, nextafter, sqrt
 from statistics import NormalDist
@@ -122,7 +122,6 @@ class Interval:
     """The segment [0, length] in R^1; the length is stored as a double."""
 
     length: float = 1.0
-    partner = None  # no orbit (see HalfBall.partner)
 
     def __post_init__(self):
         try:
@@ -181,7 +180,6 @@ class Ball:
     """The closed unit ball in R^d."""
 
     d: int
-    partner = None  # no orbit (see HalfBall.partner)
 
     def __post_init__(self):
         if self.d < 1:
@@ -214,17 +212,6 @@ class HalfBall(Ball):
     def volume(self) -> float:
         return super().volume() / 2.0
 
-    @property
-    def partner(self) -> str | None:
-        """The orbit that a certification side samples each free draw over:
-        the half-turn orbit :data:`_HALF_TURN_ORBIT` for d = 3, else None.
-
-        In d = 4 the half-turn pair alone gives 0.635x the variance at
-        1.28-1.30x the cost of a chunk, and the 4-half-ball's scenario stops
-        at chunk 0, so it is left out.
-        """
-        return _HALF_TURN_ORBIT if self.d == 3 else None
-
     def contains(self, point) -> bool:
         return super().contains(point) and float(point[0]) >= -_MEMBERSHIP_TOL
 
@@ -237,7 +224,6 @@ class Simplex:
     """A nondegenerate simplex given by d+1 vertices in R^d."""
 
     vertices: tuple[tuple[float, ...], ...]
-    partner = None  # no orbit (see HalfBall.partner)
 
     def __post_init__(self):
         verts = tuple(tuple(float(c) for c in v) for v in self.vertices)
@@ -626,9 +612,8 @@ def _chunk_stats(body: Body, fixed: FixedPointSpec, k: int, seed: int, index: in
                  partner: str | None = None) -> tuple[int, float, float]:
     """(size, mean, M2) of the chunk's samples x = V^k, or with ``variate`` of
     the bounded control-variate samples it maps x to in place.  With
-    ``partner``, the free 3-half-ball's orbit (:attr:`HalfBall.partner`), a
-    draw's sample is the tree mean of its orbit's eight (see
-    :class:`EstimatedSide`)."""
+    ``partner``, the orbit an :class:`EstimatedSide` picks for the free
+    3-half-ball, a draw's sample is the tree mean of its orbit's eight."""
     # an explicit uint64 key: a list holding a seed >= 2^63 would pass through float64
     key = np.array([seed, index], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
@@ -1012,10 +997,10 @@ def _shift(second: PiPolynomial, fourth: PiPolynomial, moment_range: float,
 class EstimatedSide:
     """A comparand backed by Monte Carlo samples: two betting tests
     (:class:`BettingTest`, ``test``) that the chunks feed, whose confidence
-    sequence errs at any time with probability at most ``alpha``.  A side
-    starts with tests of its own, on its whole range; against an exact side
-    a certification gives it tests against the exact value instead, which
-    then both decide and give the estimate's interval.
+    sequence errs at any time with probability at most ``alpha``.  Given
+    ``exact``, the exact side a certification compares it with, the tests
+    run against the exact value, and both decide and give the estimate's
+    interval; without one, they run on the side's whole range.
 
     The tests run on samples Y_i in [0, c], c = ``value_range``, from each
     chunk's (n, mean, M2) alone, each tail at ``alpha / 2``.  The chunks of
@@ -1069,10 +1054,10 @@ class EstimatedSide:
       (f(t) + 8u t); 8u / (1 + a + b) < 60u, so Y is within a relative
       2^-46 of R^k (1 + a + b).
 
-    A free side whose body states an orbit (:attr:`HalfBall.partner`: the
-    3-half-ball's, under the half-turn rho that negates coordinates 1 and 2)
-    turns each draw (p0, p1, p2, p3) into the eight simplices (p0, rho^s1 p1,
-    rho^s2 p2, rho^s3 p3), s in {0, 1}^3, whose determinants come from one
+    A side on the free 3-half-ball picks its orbit (``partner``) under the
+    half-turn rho that negates coordinates 1 and 2: it turns each draw
+    (p0, p1, p2, p3) into the eight simplices (p0, rho^s1 p1, rho^s2 p2,
+    rho^s3 p3), s in {0, 1}^3, whose determinants come from one
     Laplace expansion (:func:`_orbit_dets`), and its sample is the tree mean
     fl(0.125 fl(fl(fl(y0 + y1) + fl(y2 + y3)) + fl(fl(y4 + y5) + fl(y6 + y7))))
     of their eight values y_i (Y above, or V^k without ``second_moment``).
@@ -1110,7 +1095,7 @@ class EstimatedSide:
 
     def __init__(self, body: Body, fixed: FixedPointSpec, config: EstimatorConfig, alpha: float,
                  second_moment: PiPolynomial | None = None,
-                 fourth_moment: PiPolynomial | None = None):
+                 fourth_moment: PiPolynomial | None = None, exact: ExactSide | None = None):
         self.jobs = _jobs(body, fixed, config, ramp=True)  # checks d before R is computed
         self.body, self.fixed, self.config, self.alpha = body, fixed, config, alpha
         k = config.k
@@ -1136,19 +1121,18 @@ class EstimatedSide:
             self.value_range = top * (1.0 + 2.0**-40)
             self.shift = _shift(second_moment, fourth_moment, self.moment_range, a, b)
             self.variate = partial(_quartic_variate, r=self.moment_range, a=a, b=b)
-        self.partner = None if isinstance(fixed, FixedPoint) else body.partner
+        # the free 3-half-ball's orbit, and no other: in d = 4 the half-turn
+        # pair alone gives 0.635x the variance at 1.28-1.30x the cost of a
+        # chunk, and the 4-half-ball's scenario stops at chunk 0, so it is left out
+        self.partner = (_HALF_TURN_ORBIT if isinstance(body, HalfBall) and body.d == 3
+                        and not isinstance(fixed, FixedPoint) else None)
         if self.partner is not None:
             self.jobs = (job + (self.variate, self.partner) for job in self.jobs)
         elif self.variate is not None:
             self.jobs = (job + (self.variate,) for job in self.jobs)
         self.stats = _EMPTY
         self.chunks = 0
-
-    @cached_property
-    def test(self) -> BettingTest:
-        """The side's two betting tests: on its whole range, unless a
-        certification has set tests against an exact side."""
-        return BettingTest(self)
+        self.test = BettingTest(self, exact)
 
     def add(self, chunk: tuple[int, float, float]) -> None:
         self.test.add(self.stats, chunk)
@@ -1227,25 +1211,19 @@ def _psi_step(steps: int) -> float:
     return _psi(steps / 1024.0)
 
 
-def _log_growth(stake: float, sign: float, m: float, span: float,
-                chunk: tuple[int, float, float]) -> float:
-    """A lower bound on sum log(1 + stake z_i) over a chunk's samples, for
-    z_i = sign (Y_i - m) >= -span, from the chunk's (n, mean, M2) alone.
-
-    y = stake z_i >= -b for b = stake span rounded up, so each term is at
-    least y - psi(b) y^2 (:func:`_psi`); summed, with sum z = sign n (mean - m)
-    and sum z^2 = M2 + n (mean - m)^2.
-    """
-    return _growth(stake, _psi(nextafter(stake * span, inf)), sign, m, chunk)[0]
-
-
 def _growth(stake: float, psi: float, sign: float, m: float,
             chunk: tuple[int, float, float]) -> tuple[float, float, float]:
-    """:func:`_log_growth` given psi(b), as the concave quadratic
-    A + B x - C x^2 that the same bound is at m - sign x: A is the bound at
-    m, B = n (stake - 2 psi stake^2 sign (mean - m)) and C = psi stake^2 n.
-    For x >= 0, sign (Y_i - (m - sign x)) = z_i + x >= -span still, so the
-    bound holds there with the same psi(b)."""
+    """A lower bound on sum log(1 + stake z_i) over a chunk's samples, for
+    z_i = sign (Y_i - m) >= -l, from the chunk's (n, mean, M2) alone, as the
+    concave quadratic A + B x - C x^2 that the same bound is at m - sign x.
+
+    y = stake z_i >= -b for b = stake l rounded up, and ``psi`` >= psi(b)
+    (:func:`_psi`), so each term is at least y - psi y^2; summed, with
+    sum z = sign n (mean - m) and sum z^2 = M2 + n (mean - m)^2, that is A,
+    the bound at m.  B = n (stake - 2 psi stake^2 sign (mean - m)) and
+    C = psi stake^2 n.  For x >= 0, sign (Y_i - (m - sign x)) = z_i + x >= -l
+    still, so the bound holds there with the same psi.
+    """
     n, mean, m2 = chunk
     gap = mean - m
     curve = psi * stake * stake
@@ -1280,12 +1258,6 @@ def _chunk0_growth(sign: float, m: float, span: float, chunk: tuple[int, float, 
     bounds = [form[0] for form in forms]
     top = max(bounds)
     return top + log(sum(exp(bound - top) for bound in bounds) / len(bounds)), forms
-
-
-def _chunk0_log_growth(sign: float, m: float, span: float,
-                       chunk: tuple[int, float, float]) -> float:
-    """The bound of :func:`_chunk0_growth` alone."""
-    return _chunk0_growth(sign, m, span, chunk)[0]
 
 
 class BettingTest:
@@ -1480,19 +1452,15 @@ def certify_counterexample(lhs: MomentSpec, rhs: MomentSpec,
     specs = (lhs, rhs)
     n_estimated = sum(not isinstance(spec, PiPolynomial) for spec in specs)
     alpha = (1.0 - config.confidence) / max(n_estimated, 1)
-    sides = []
+    sides = [ExactSide(spec) if isinstance(spec, PiPolynomial) else spec for spec in specs]
+    exact = next((side for side in sides if isinstance(side, ExactSide)), None)
     for offset, spec in enumerate(specs):
-        if isinstance(spec, PiPolynomial):
-            sides.append(ExactSide(spec))
-        else:
+        if not isinstance(spec, PiPolynomial):  # tested against the exact side, if any
             body, fixed, k, *moments = spec
             side_config = replace(config, k=k, seed=(config.seed + offset) % 2**64)
-            sides.append(EstimatedSide(body, fixed, side_config, alpha, *moments))
+            sides[offset] = EstimatedSide(body, fixed, side_config, alpha, *moments, exact=exact)
     running = [side for side in sides if isinstance(side, EstimatedSide)]
     relation = INCONCLUSIVE if running else _RELATIONS[(lhs - rhs).sign()]
-    if len(running) == 1:  # tested against the exact side
-        (side,) = running
-        side.test = BettingTest(side, sides[1] if side is sides[0] else sides[0])
     # chunk i of each estimated side per index
     for jobs in zip(*(side.jobs for side in running)):
         for side, job in zip(running, jobs):

@@ -1139,13 +1139,13 @@ def test_chunk0_mixture_coverage_audit():
 def test_paired_betting_test_coverage_audit():
     """The boundary-null audit of the betting test for a paired side.
 
-    The free 3-half-ball at k = 2, whose draws are paired by the half-turn,
-    sampled plainly and on the (-1, 0) row with its exact E V^4, against its
-    exact E V^2: 200 frozen seeds at confidence 0.8, in chunks of 128 (a
-    budget of 2,048) and in chunks of 4,096 (a budget of 4,096, so chunk 0
-    has 128 samples).  Every certified relation is false; the two tests
-    together may certify in at most a fraction delta = 0.2 of runs, up to a
-    binomial margin.
+    The free 3-half-ball at k = 2, whose draws each stand for their
+    eight-simplex orbit under the half-turn, sampled plainly and on the
+    (-1, 0) row with its exact E V^4, against its exact E V^2: 200 frozen
+    seeds at confidence 0.8, in chunks of 128 (a budget of 2,048) and in
+    chunks of 4,096 (a budget of 4,096, so chunk 0 has 128 samples).  Every
+    certified relation is false; the two tests together may certify in at
+    most a fraction delta = 0.2 of runs, up to a binomial margin.
     """
     from sylvester.moments import MomentQuery, exact_moment
 
@@ -1174,16 +1174,18 @@ def test_paired_betting_test_coverage_audit():
 def test_chunk0_mixture_term_is_finite_and_bracketed(c, m_frac, up, n, gap_frac, m2_frac):
     # for any chunk stats, |gap| up to the range and M2 up to n c^2, the
     # chunk-0 term is finite and in [-log 5, the largest track's bound]
-    from sylvester.montecarlo import _CHUNK0_STAKES, _MAX_STAKE, _chunk0_log_growth, _log_growth
+    from sylvester.montecarlo import _CHUNK0_STAKES, _MAX_STAKE, _chunk0_growth, _growth, _psi
 
     m = c * m_frac
     sign, span = (1.0, m) if up else (-1.0, c - m)
     chunk = (n, m + gap_frac * c, m2_frac * n * c * c)
-    term = _chunk0_log_growth(sign, m, span, chunk)
+    term = _chunk0_growth(sign, m, span, chunk)[0]
     if span == 0.0:
         assert term == 0.0
         return
-    bounds = [_log_growth(f * _MAX_STAKE / span, sign, m, span, chunk) for f in _CHUNK0_STAKES]
+    stakes = [f * _MAX_STAKE / span for f in _CHUNK0_STAKES]
+    bounds = [_growth(stake, _psi(math.nextafter(stake * span, math.inf)), sign, m, chunk)[0]
+              for stake in stakes]
     assert math.isfinite(term)
     assert -math.log(5) * (1 + 2**-50) <= term <= max(bounds)
 
@@ -1233,12 +1235,11 @@ def test_each_end_of_the_sequence_is_the_edge_or_where_a_track_reaches_the_thres
     # and the end does any track's (so the end is the near root, not the far
     # one); a decided test's end is the exact side's double
     from sylvester import montecarlo
-    from sylvester.montecarlo import _LOG_TRACKS, BettingTest, EstimatedSide, _growth
+    from sylvester.montecarlo import _LOG_TRACKS, EstimatedSide, _growth
 
-    side = EstimatedSide(Interval(), NO_FIXED_POINT, make_config(k=1, n_samples=1), 0.01)
     exact = None if target is None else ExactSide(PiPolynomial.from_rational(F(target)))
-    if exact is not None:
-        side.test = BettingTest(side, exact)
+    side = EstimatedSide(Interval(), NO_FIXED_POINT, make_config(k=1, n_samples=1), 0.01,
+                         exact=exact)
     test = side.test
     chunks = [(n, mean, m2_frac * n * mean * (1.0 - mean)) for n, mean, m2_frac in stats]
     calls = []  # the (stake, psi, sign, m, chunk) of every bet placed
@@ -1558,7 +1559,7 @@ def test_an_orbit_chunk_is_the_mean_over_each_draws_eight_half_turns(moments):
     cfg = make_config(k=1, n_samples=4_096, seed=29, chunk_size=4_096)
     side = EstimatedSide(HalfBall(3), NO_FIXED_POINT, cfg, 0.01, *exact)
     job = next(side.jobs)
-    assert job[6:] == (side.variate, side.partner) and side.partner is HalfBall(3).partner
+    assert job[6:] == (side.variate, side.partner) and side.partner is not None
     assert side.trace_dict()["partner"] == (
         "(p0,rho^s1(p1),rho^s2(p2),rho^s3(p3)),s in {0,1}^3,rho=diag(1,-1,-1)")
     n, mean, m2 = _chunk_stats(*job)
@@ -1618,6 +1619,50 @@ def test_only_the_free_3_half_ball_is_paired(body, fixed):
     assert "partner" not in side.trace_dict()
 
 
+def test_a_side_picks_an_orbit_only_on_the_free_3_half_ball():
+    # over every supported (body, fixed vertex) pair, free and fixed, at each
+    # d it takes up to 6
+    from sylvester.moments import SUPPORT
+    from sylvester.montecarlo import EstimatedSide
+
+    cfg = make_config(k=1, n_samples=5_000, seed=2)
+    picked = []
+    for (body, fixed), row in SUPPORT.items():
+        for d in ([row.d] if row.d is not None else range(1, 7)):
+            side = EstimatedSide(row.body(d, None), row.fixed(d), cfg, 0.01)
+            if side.partner is not None:
+                picked.append((body, fixed, d, side.partner))
+    assert picked == [("halfball", "none", 3, (
+        "(p0,rho^s1(p1),rho^s2(p2),rho^s3(p3)),s in {0,1}^3,rho=diag(1,-1,-1)"))]
+
+
+def test_a_certification_builds_one_betting_test_per_estimated_side(monkeypatch):
+    # against the exact side when there is one, on either side of the
+    # relation; on its own range when both sides are estimated
+    from sylvester import montecarlo
+
+    built = []
+
+    class CountingTest(montecarlo.BettingTest):
+        def __init__(self, side, exact=None):
+            super().__init__(side, exact)
+            built.append(self)
+
+    monkeypatch.setattr(montecarlo, "BettingTest", CountingTest)
+    free, fixed = (HalfBall(3), NO_FIXED_POINT, 1), (HalfBall(3), FixedPoint((0.0,) * 3), 1)
+    value = halfball_fixed_moment(3, 1)
+    cfg = make_config(k=1, n_samples=20_000, seed=0)
+    for lhs, rhs in ((free, value), (value, free), (free, fixed)):
+        built.clear()
+        verdict = certify_counterexample(lhs, rhs, cfg)
+        sides = (verdict.lhs, verdict.rhs)
+        estimated = [side for side in sides if isinstance(side, montecarlo.EstimatedSide)]
+        exact = next((side for side in sides if isinstance(side, ExactSide)), None)
+        assert len(built) == len(estimated)
+        assert all(test is side.test and test.exact is exact
+                   for test, side in zip(built, estimated))
+
+
 _FRACTIONS = {4: "a quarter", 8: "an eighth", 16: "a sixteenth", 32: "a thirty-second"}
 
 
@@ -1649,7 +1694,7 @@ def test_readme_states_the_ramp_and_the_orbit_the_code_runs():
 def test_log_growth_bounds_the_log_wealth_of_the_samples(body, fixed, k, control_variate):
     # for a chunk's samples, m on either side of their mean and stakes up to
     # the cap, the bound from (n, mean, M2) is at most sum log1p(stake z_i)
-    from sylvester.montecarlo import (_MAX_STAKE, EstimatedSide, _batched_abs_det, _log_growth,
+    from sylvester.montecarlo import (_MAX_STAKE, EstimatedSide, _batched_abs_det, _growth, _psi,
                                       _sample_batch)
 
     side = EstimatedSide(body, fixed, make_config(k=k, n_samples=1), 0.01,
@@ -1671,7 +1716,8 @@ def test_log_growth_bounds_the_log_wealth_of_the_samples(body, fixed, k, control
             z = sign * (y - m)
             assert z.min() >= -span
             for stake in (_MAX_STAKE / span / 8, _MAX_STAKE / span / 2, _MAX_STAKE / span):
-                assert _log_growth(stake, sign, m, span, chunk) <= float(np.log1p(stake * z).sum())
+                psi = _psi(math.nextafter(stake * span, math.inf))
+                assert _growth(stake, psi, sign, m, chunk)[0] <= float(np.log1p(stake * z).sum())
 
 
 def test_betting_test_bounds_are_rounded_against_it():

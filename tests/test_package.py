@@ -1,7 +1,9 @@
 """The package namespace: every name, and every submodule, loads on first use."""
 
+import ast
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -48,3 +50,27 @@ def test_an_unknown_name_raises_attribute_error():
 
 def test_default_chunk_is_one_value_in_both_homes():
     assert mc.DEFAULT_CHUNK is sylvester.DEFAULT_CHUNK == 2**15
+
+
+def test_every_private_module_level_name_is_used_by_the_package():
+    # a private name defined at a module's top level (a def, a class or an
+    # assignment) must be read somewhere in the package, as a name or an
+    # attribute: one that only tests use is dead code
+    trees = [ast.parse(path.read_text()) for path in Path(sylvester.__file__).parent.glob("*.py")]
+    defined = set()
+    for stmt in (stmt for tree in trees for stmt in tree.body):
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(stmt.name)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            defined.update(node.id for target in targets for node in ast.walk(target)
+                           if isinstance(node, ast.Name))
+    used = set()
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
+    unused = sorted(private - used)
+    assert private and unused == []
