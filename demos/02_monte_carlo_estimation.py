@@ -8,7 +8,7 @@ the spacings of sorted uniforms as barycentric weights (Devroye 1986,
 ch. V); other balls from normals.  Each
 chunk draws from an SFC64 generator seeded by a Philox4x64 generator keyed
 [seed, chunk], and results are a deterministic function of the estimator
-config: rerunning with the same seed reproduces every digit, at any thread
+config: rerunning with the same seed reproduces every digit, at any worker
 count.
 """
 

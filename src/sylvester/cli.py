@@ -37,6 +37,7 @@ from .moments import (
 )
 
 EXIT_OK = 0
+EXIT_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_MISMATCH = 4
@@ -483,6 +484,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ChildProcessError as exc:  # an mc worker process died
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAILED
 
 
 def entrypoint() -> None:

@@ -27,16 +27,23 @@ SeedSequence, an SFC64 generator, and every draw of the chunk comes from that
 SFC64, which draws normals and uniforms faster than Philox.
 Chunk accumulators are merged pairwise in index order with the standard
 two-sample mean/M2 combination, so a given :class:`EstimatorConfig` yields
-bit-identical results at any thread count.  ``estimate_moment`` runs its
-chunks on ``os.cpu_count()`` threads, or on fewer when SYLVESTER_THREADS or
-the ``workers`` argument asks for fewer.
+bit-identical results at any worker count.  ``estimate_moment`` runs its
+chunks on ``os.cpu_count()`` worker processes, or on fewer when
+SYLVESTER_THREADS (a process count, under its old name) or the ``workers``
+argument asks for fewer.  The pool is forked at the first run that has two
+workers and two chunks, and kept for the process (:func:`_pool`): a second
+run pays no fork, and the workers share the parent's pages copy-on-write.
+A process forked from the host builds a pool of its own; the threads of one
+process share its pool.  Processes, not threads: two threads scaled at 0.61
+on the benchmark's ``mc`` cases, as the GIL changes hands between numpy
+calls on 2^14-point blocks, and two processes at 0.75 (BENCH_25.json).
 
 Layout: a chunk's points are drawn coordinate-major, into one (m, d, n)
 buffer for n simplices of m points, and handed on as its (n, m, d) transposed
 view.  Each coordinate of each point is so one contiguous vector of n values,
 and numpy keeps that layout through the vertex differences, the closed-form
 determinants (d <= 4), the power and the reduction.  The points array,
-chunk_size x m x d doubles, is held on every thread at once, with the vertex
+chunk_size x m x d doubles, is held in every worker at once, with the vertex
 differences nearly as large; a config whose points array exceeds
 :data:`MAX_CHUNK_BYTES` (2^26 bytes) is rejected with ValueError.  The
 default chunk of 2^15 simplices fits for d <= 15.
@@ -58,8 +65,8 @@ does not use costs nothing.  Its chunks ramp from a small first chunk up to
 a fraction of the configured size, so a run's samples, and its time, grow in
 small steps with the samples that decide it.  They run one after another in
 the caller's thread, so a decided run has drawn exactly the chunks it used:
-such runs stop after a few small chunks, where a thread pool costs more than
-it saves.  ``estimate_moment`` uses equal chunks.  A side whose E V^(2k) is
+such runs stop after a few small chunks, where a pool costs more than it
+saves.  ``estimate_moment`` uses equal chunks.  A side whose E V^(2k) is
 known exactly is sampled as the bounded control variate
 V^k (1 + t (a + b t^2)), t = V^k / R^k, instead of V^k, where R^k bounds V^k
 (:class:`EstimatedSide`): the same draws, in a narrower range.  With E V^(4k)
@@ -83,8 +90,8 @@ per query (per test for the psi values, which are keyed by span).
 from __future__ import annotations
 
 import os
+import threading
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from functools import cache, partial, reduce
@@ -101,7 +108,7 @@ from .exactnum import PiPolynomial, kappa
 _MEMBERSHIP_TOL = 1e-9
 
 #: Largest points array of one chunk, in bytes (chunk x m x d doubles).  Every
-#: worker thread holds one at a time, with its vertex differences beside it.
+#: worker process holds one at a time, with its vertex differences beside it.
 MAX_CHUNK_BYTES = 2**26
 
 
@@ -329,6 +336,28 @@ def tetrahedron_facet_centroid() -> FixedPoint:
 
 # ---------------------------------------------------------------------------
 # sampling
+
+#: Each thread's chunk-keying generator (see _keyed).
+_KEYING = threading.local()
+_PHILOX_ZEROS = np.zeros(4, dtype=np.uint64)
+
+
+def _keyed(seed: int, index: int) -> np.random.Generator:
+    """A Philox4x64 generator at counter 0 with key [seed, index]: the bits of
+    ``Philox(key=...)``, which builds, and discards, a SeedSequence from OS
+    entropy on every call.  This resets one generator per thread in place
+    instead (about 2.4 against 12 us a chunk)."""
+    rng = getattr(_KEYING, "rng", None)
+    if rng is None:
+        rng = _KEYING.rng = np.random.Generator(np.random.Philox(0))
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        # an explicit uint64 key: a list holding a seed >= 2^63 would pass through float64
+        "state": {"counter": _PHILOX_ZEROS, "key": np.array([seed, index], dtype=np.uint64)},
+        "buffer": _PHILOX_ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    return rng
+
 
 def _draw_generator(key_rng: np.random.Generator) -> np.random.Generator:
     """The SFC64 generator seeded, through SeedSequence, by 128 bits of ``key_rng``."""
@@ -614,9 +643,7 @@ def _chunk_stats(body: Body, fixed: FixedPointSpec, k: int, seed: int, index: in
     the bounded control-variate samples it maps x to in place.  With
     ``partner``, the orbit an :class:`EstimatedSide` picks for the free
     3-half-ball, a draw's sample is the tree mean of its orbit's eight."""
-    # an explicit uint64 key: a list holding a seed >= 2^63 would pass through float64
-    key = np.array([seed, index], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
+    rng = _keyed(seed, index)
     d = body.dimension
     if isinstance(fixed, FixedPoint):
         pts = _sample_batch(body, rng, size, d)
@@ -745,15 +772,18 @@ def _resolve_workers(workers: int | None) -> int:
 def _chunk_stream(jobs: Iterable[tuple], workers: int):
     """``_chunk_stats(*job)`` for each job, yielded in job order.
 
-    The pool has at most ``workers`` threads, one per core and one per job:
-    numpy-bound chunks gain nothing from more threads than cores, and each
-    thread holds a chunk's arrays.  The first ``min(workers, cores)`` jobs
-    are drawn to size it, the others only as their chunks are submitted; a
-    pool of one thread is not started, and the chunks run in the caller's
-    thread.  At most twice as many chunks as threads are in flight, and one
-    more is submitted as each result is taken, so equal chunks keep every
-    thread busy from the start.  Closing the generator cancels the chunks
-    not yet started and waits for those running.
+    The chunks run on at most ``workers`` processes of the kept fork pool
+    (:func:`_pool`), one per core and one per job: numpy-bound chunks gain
+    nothing from more processes than cores, and each holds a chunk's arrays.
+    The first ``min(workers, cores)`` jobs are drawn to size it, the others
+    only as their chunks are submitted; with one worker no pool is used, and
+    the chunks run in the caller's thread.  At most twice as many chunks as
+    workers are in flight, and one more is submitted as each result is
+    taken, so equal chunks keep every worker busy from the start.  Closing
+    the generator cancels the chunks not yet started and waits for those
+    running, so a closed stream leaves the pool idle.  A worker that dies
+    breaks the pool: it is dropped, the stream raises ChildProcessError, and
+    the next stream forks a new one.
     """
     jobs = iter(jobs)
     first = list(islice(jobs, min(workers, os.cpu_count() or 1)))
@@ -763,18 +793,86 @@ def _chunk_stream(jobs: Iterable[tuple], workers: int):
         for job in todo:
             yield _chunk_stats(*job)
         return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = deque()  # futures, in job order
-        try:
-            for job in todo:
-                pending.append(pool.submit(_chunk_stats, *job))
-                if len(pending) == 2 * workers:
-                    yield pending.popleft().result()
-            while pending:
+    from concurrent.futures import BrokenExecutor, wait
+
+    pool = _pool(workers)
+    pending = deque()  # futures, in job order
+    try:
+        for job in todo:
+            pending.append(pool.submit(_chunk_stats, *job))
+            if len(pending) == 2 * workers:
                 yield pending.popleft().result()
-        finally:
-            for future in pending:
-                future.cancel()
+        while pending:
+            yield pending.popleft().result()
+    except BrokenExecutor:
+        _drop_pool()
+        raise ChildProcessError("a Monte Carlo worker process died, so the run was "
+                                "stopped; the next run starts new workers") from None
+    finally:
+        for future in pending:
+            future.cancel()
+        wait(pending)
+
+
+#: The kept worker pool, as (pid of the process that built it, workers,
+#: executor), or None before the first; guarded by _POOL_LOCK.
+_POOL = None
+_POOL_LOCK = threading.RLock()
+
+
+def _pool(workers: int):
+    """The process's pool of ``workers`` forked processes, built on first use
+    and kept.
+
+    The fork copies the parent's pages copy-on-write, once; the pool then
+    serves every later run at that worker count.  A run at another count
+    shuts the old pool down before forking its own, so at most one is alive.
+    The pool is keyed by pid: a process forked from the host inherits the
+    object but none of its workers, and builds its own.  The threads of one
+    process share its pool.  It is shut down at exit, while the modules its
+    clean-up uses are still loaded.
+    """
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is not None and _POOL[:2] == (os.getpid(), workers):
+            return _POOL[2]
+        _drop_pool()
+        import atexit
+        import multiprocessing
+        from concurrent.futures.process import ProcessPoolExecutor
+
+        executor = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                                       initializer=_worker_init)
+        _POOL = (os.getpid(), workers, executor)
+        atexit.unregister(_drop_pool)
+        atexit.register(_drop_pool)
+        return executor
+
+
+def _drop_pool() -> None:
+    """Shut the kept pool down, if this process built it, and forget it."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is not None and _POOL[0] == os.getpid():
+            _POOL[2].shutdown()
+        _POOL = None
+
+
+def _worker_init() -> None:
+    """Run in each pool worker as it starts: Ctrl-C is left to the parent,
+    which stops the run and the pool, and a thread exits the worker as soon
+    as the parent is gone, killed by a signal too, so that no worker
+    outlives it."""
+    import multiprocessing
+    import signal
+    from multiprocessing.connection import wait
+
+    def exit_with_parent():
+        wait([multiprocessing.parent_process().sentinel])
+        os._exit(1)
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    threading.Thread(target=exit_with_parent, daemon=True).start()
 
 
 #: A certification's chunk i has chunk_size >> max(_RAMP_FIRST - i, _RAMP_LAST)
@@ -848,9 +946,11 @@ def estimate_moment(body: Body, fixed: FixedPointSpec, config: EstimatorConfig,
                     workers: int | None = None) -> MomentEstimate:
     """Estimate E[V^k] over ``config.n_samples`` i.i.d. random simplices.
 
-    Deterministic in ``config`` alone: worker count (``workers`` argument,
+    Deterministic in ``config`` alone: the worker count (``workers`` argument,
     else the SYLVESTER_THREADS environment variable, else ``os.cpu_count()``)
-    only changes wall time.
+    only changes wall time.  With two or more workers and chunks, the chunks
+    run on the process's kept fork pool (:func:`_chunk_stream`); a worker
+    that dies fails the run with ChildProcessError.
     """
     stream = _chunk_stream(_jobs(body, fixed, config), _resolve_workers(workers))
     # merging into the empty accumulator is exact, so this is the index-order

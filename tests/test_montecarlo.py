@@ -2,8 +2,12 @@ import json
 import math
 import os
 import re
+import signal
+import subprocess
+import sys
 import threading
-from concurrent.futures import Future
+import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
 from itertools import islice
@@ -45,6 +49,8 @@ from sylvester.montecarlo import (
     unit_area_triangle,
     unit_volume_tetrahedron,
 )
+
+from sylvester.montecarlo import _chunk_stats as _real_chunk_stats
 
 from oracles import halfball_first_coordinate_mean, uniform_interval_abs_moment
 
@@ -605,6 +611,29 @@ def test_seeds_above_2_63_key_distinct_chunks():
     assert len(stats) == len(seeds)
 
 
+def test_a_reset_keying_generator_gives_the_words_of_a_fresh_philox():
+    # _keyed resets one generator per thread in place; whatever it drew
+    # before, its first raw words are those of Philox(key=[seed, index])
+    from sylvester.montecarlo import _keyed
+
+    for seed in (0, 1, 2**63 + 5, 2**64 - 1):
+        for index in (0, 1, 2, 31, 2**40, 2**64 - 1):
+            rng = _keyed(seed, index)
+            assert np.array_equal(rng.bit_generator.random_raw(6),
+                                  _rng([seed, index]).bit_generator.random_raw(6))
+            rng.integers(0, 2**32, dtype=np.uint32)  # leaves a half-used word behind
+            rng.random(3)
+    assert _keyed(5, 3) is _keyed(6, 4)  # one generator, reset in place
+    # another thread has its own
+    other = []
+    thread = threading.Thread(target=lambda: other.append(_keyed(5, 3)))
+    thread.start()
+    thread.join(timeout=60)
+    assert other and other[0] is not _keyed(5, 3)
+    assert np.array_equal(other[0].bit_generator.random_raw(4),
+                          _rng([5, 3]).bit_generator.random_raw(4))
+
+
 def test_derived_sfc64_seeds_are_distinct():
     from sylvester.montecarlo import _draw_generator
 
@@ -751,32 +780,28 @@ def test_bad_thread_count_is_a_value_error(monkeypatch):
     assert verdict.relation == RHS_GREATER
 
 
-def test_pool_is_capped_at_chunk_count(monkeypatch):
+@pytest.fixture
+def thread_pool(monkeypatch):
+    """The kept fork pool replaced by a thread pool of the size asked for, so
+    that chunks can be gated by thread events (and a pool of four starts no
+    process); yields the sizes asked for."""
     import sylvester.montecarlo as mc
 
-    seen = []
+    sizes, pools = [], []
 
-    class RecordingExecutor:
-        """Stands in for ThreadPoolExecutor: records max_workers, runs serially."""
+    def make(workers):
+        sizes.append(workers)
+        pools.append(ThreadPoolExecutor(workers))
+        return pools[-1]
 
-        def __init__(self, max_workers):
-            seen.append(max_workers)
+    monkeypatch.setattr(mc, "_pool", make)
+    yield sizes
+    for pool in pools:
+        pool.shutdown()
 
-        def __enter__(self):
-            return self
 
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-        def submit(self, fn, *args):
-            future = Future()
-            future.set_result(fn(*args))
-            return future
-
-    monkeypatch.setattr(mc, "ThreadPoolExecutor", RecordingExecutor)
+def test_pool_is_capped_at_chunk_count(monkeypatch, thread_pool):
+    seen = thread_pool
     monkeypatch.setenv("SYLVESTER_THREADS", "100000")
     cfg = make_config(k=1, n_samples=3_000, seed=3, chunk_size=1_000)
     capped = estimate_moment(Ball(2), NO_FIXED_POINT, cfg)
@@ -787,7 +812,7 @@ def test_pool_is_capped_at_chunk_count(monkeypatch):
     estimate_moment(Ball(2), NO_FIXED_POINT, make_config(k=1, n_samples=1_000, seed=3))
     assert seen == pools
     assert capped.mean == estimate_moment(Ball(2), NO_FIXED_POINT, cfg, workers=1).mean
-    # more chunks than cores: one thread per core
+    # more chunks than cores: one process per core
     many = make_config(k=1, n_samples=(cores + 2) * 100, seed=3, chunk_size=100)
     estimate_moment(Ball(2), NO_FIXED_POINT, many)
     assert seen == pools + ([cores] if cores > 1 else [])
@@ -1603,27 +1628,12 @@ def test_the_tree_mean_of_eight_values_in_the_range_stays_in_it(c, fracs):
     assert _tree_mean(np.full((8, 1), c))[0] == c
 
 
-@pytest.mark.parametrize("body, fixed", [
-    (HalfBall(4), NO_FIXED_POINT), (HalfBall(3), FixedPoint((0.0, 0.0, 0.0))),
-    (Ball(3), NO_FIXED_POINT), (unit_volume_tetrahedron(), tetrahedron_facet_centroid()),
-    (Interval(), NO_FIXED_POINT),
-])
-def test_only_the_free_3_half_ball_is_paired(body, fixed):
-    # its jobs keep their arguments, and its trace names no partner
-    from sylvester.montecarlo import EstimatedSide, _jobs
-
-    cfg = make_config(k=1, n_samples=5_000, seed=2)
-    side = EstimatedSide(body, fixed, cfg, 0.01)
-    assert side.partner is None
-    assert list(side.jobs) == list(_jobs(body, fixed, cfg, ramp=True))
-    assert "partner" not in side.trace_dict()
-
-
 def test_a_side_picks_an_orbit_only_on_the_free_3_half_ball():
     # over every supported (body, fixed vertex) pair, free and fixed, at each
-    # d it takes up to 6
+    # d it takes up to 6; a side without an orbit keeps its jobs' arguments,
+    # and its trace names no partner
     from sylvester.moments import SUPPORT
-    from sylvester.montecarlo import EstimatedSide
+    from sylvester.montecarlo import EstimatedSide, _jobs
 
     cfg = make_config(k=1, n_samples=5_000, seed=2)
     picked = []
@@ -1632,6 +1642,9 @@ def test_a_side_picks_an_orbit_only_on_the_free_3_half_ball():
             side = EstimatedSide(row.body(d, None), row.fixed(d), cfg, 0.01)
             if side.partner is not None:
                 picked.append((body, fixed, d, side.partner))
+                continue
+            assert list(side.jobs) == list(_jobs(side.body, side.fixed, cfg, ramp=True))
+            assert "partner" not in side.trace_dict()
     assert picked == [("halfball", "none", 3, (
         "(p0,rho^s1(p1),rho^s2(p2),rho^s3(p3)),s in {0,1}^3,rho=diag(1,-1,-1)"))]
 
@@ -1796,10 +1809,10 @@ def test_chunk_stream_fold_equals_index_order_merge():
     assert (est.n, est.mean, est.variance) == (n, mean, m2 / (n - 1))
 
 
-def test_closing_the_chunk_stream_cancels_what_has_not_started(monkeypatch):
+def test_closing_the_chunk_stream_cancels_what_has_not_started(monkeypatch, thread_pool):
     import sylvester.montecarlo as mc
 
-    started = []
+    started, finished = [], []
     gate = threading.Event()
     real = mc._chunk_stats
 
@@ -1807,7 +1820,9 @@ def test_closing_the_chunk_stream_cancels_what_has_not_started(monkeypatch):
         started.append(job[4])
         if job[4] >= 4:
             gate.wait(timeout=10)
-        return real(*job)
+        stats = real(*job)
+        finished.append(job[4])
+        return stats
 
     monkeypatch.setattr(mc, "_chunk_stats", gated)
     jobs = list(mc._jobs(Ball(2), NO_FIXED_POINT, make_config(k=1, n_samples=20_000,
@@ -1819,22 +1834,27 @@ def test_closing_the_chunk_stream_cancels_what_has_not_started(monkeypatch):
     # at most 2 x workers chunks are submitted before the first is taken
     assert sorted(started) == list(range(len(started)))
     assert 1 <= len(started) <= 2 * workers
+    # and the close waited for those running: the pool is idle
+    assert sorted(finished) == sorted(started)
 
     started.clear()
+    finished.clear()
     stream = mc._chunk_stream(jobs, workers)
     assert [next(stream) for _ in range(4)] == [real(*job) for job in jobs[:4]]
     # each result taken submits one more chunk, so chunks 4 to 6 are now in
-    # flight; the gate holds both threads on chunks 4 and 5, so chunk 6 has
+    # flight; the gate holds both workers on chunks 4 and 5, so chunk 6 has
     # not started when the stream is closed, and must never start
     opener = threading.Timer(0.5, gate.set)
     opener.start()
     stream.close()
+    assert sorted(finished) == sorted(started)
     opener.join()
     assert sorted(started) == list(range(len(started)))
     assert 4 <= len(started) <= 6
+    assert thread_pool == [workers, workers]
 
 
-def test_equal_chunks_keep_every_thread_busy_from_the_start(monkeypatch):
+def test_equal_chunks_keep_every_thread_busy_from_the_start(monkeypatch, thread_pool):
     import sylvester.montecarlo as mc
 
     workers = 4
@@ -1848,7 +1868,7 @@ def test_equal_chunks_keep_every_thread_busy_from_the_start(monkeypatch):
             all_started.set()
         if job[4] == 0:
             # the first result is taken only once chunk 0 returns, so this
-            # holds only if a chunk per thread was submitted before it
+            # holds only if a chunk per worker was submitted before it
             assert all_started.wait(timeout=10)
         return real(*job)
 
@@ -1860,6 +1880,7 @@ def test_equal_chunks_keep_every_thread_busy_from_the_start(monkeypatch):
     assert next(stream) == real(*jobs[0])
     stream.close()
     assert sorted(started)[:workers] == list(range(workers))
+    assert thread_pool == [workers]
 
 
 @pytest.mark.parametrize("workers", [2, 4])
@@ -1875,12 +1896,11 @@ def test_a_decided_certification_waits_for_little_speculative_work(monkeypatch, 
         threads.add(threading.get_ident())
         return real(*job)
 
-    class NoPool:
-        def __init__(self, *args, **kwargs):
-            raise AssertionError("a certification started a thread pool")
+    def no_pool(workers):
+        raise AssertionError("a certification asked for a pool")
 
     monkeypatch.setattr(mc, "_chunk_stats", recording)
-    monkeypatch.setattr(mc, "ThreadPoolExecutor", NoPool)
+    monkeypatch.setattr(mc, "_pool", no_pool)
     monkeypatch.setattr(os, "cpu_count", lambda: workers)  # a pool of `workers`, were one started
     monkeypatch.setenv("SYLVESTER_THREADS", str(workers))
     cfg = make_config(k=1, n_samples=1_000_000, seed=8, chunk_size=4_096)
@@ -1891,6 +1911,217 @@ def test_a_decided_certification_waits_for_little_speculative_work(monkeypatch, 
     assert verdict.trace_dict()["lhs"]["chunks"] == 3
     assert started == list(range(3))
     assert threads == {threading.get_ident()}
+
+
+# ---------------------------------------------------------------------------
+# the kept worker pool: no test here runs more pool workers than cores
+
+needs_two_cores = pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                                     reason="a pool needs two cores to run on")
+needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+
+_POOL_CFG = make_config(k=1, n_samples=4_000, seed=3, chunk_size=1_000)
+_POOL_MC = ["mc", "--body", "ball", "--d", "3", "--n", "4000", "--chunk", "1000", "--seed", "3"]
+
+
+def _alive(pid):
+    """Whether ``pid`` runs: a zombie, whose parent is gone and which is
+    left for init to reap, does not."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] not in "ZX"
+    except FileNotFoundError:
+        return False
+
+
+def _workers():
+    """The pids of this process's pool workers."""
+    import multiprocessing
+
+    return sorted(p.pid for p in multiprocessing.active_children())
+
+
+def _chunk_stats_dying_at_chunk_1(*job):
+    """_chunk_stats, but the worker that draws chunk 1 dies instead; defined
+    here, so that a pool worker can unpickle it by name."""
+    if job[4] == 1:
+        os._exit(9)
+    return _real_chunk_stats(*job)
+
+
+@needs_two_cores
+def test_the_pool_is_kept_for_the_process_and_replaced_at_another_count():
+    import sylvester.montecarlo as mc
+
+    serial = estimate_moment(Ball(3), NO_FIXED_POINT, _POOL_CFG, workers=1)
+    mc._drop_pool()
+    assert _workers() == []
+    assert estimate_moment(Ball(3), NO_FIXED_POINT, _POOL_CFG, workers=2) == serial
+    pool, workers = mc._POOL[2], _workers()
+    assert len(workers) == 2
+    # a second run forks nothing
+    assert estimate_moment(Ball(3), NO_FIXED_POINT, _POOL_CFG, workers=2) == serial
+    assert mc._POOL[2] is pool and _workers() == workers
+    # another count shuts the old pool down first; its workers start on first use
+    assert mc._pool(1) is not pool and _workers() == []
+    mc._drop_pool()
+    assert mc._POOL is None
+
+
+@needs_two_cores
+def test_a_dead_worker_fails_the_run_in_one_line_and_the_next_run_forks_anew(
+        monkeypatch, capsys):
+    import sylvester.montecarlo as mc
+    from sylvester.cli import main
+
+    serial = estimate_moment(Ball(3), NO_FIXED_POINT, _POOL_CFG, workers=1)
+    monkeypatch.setenv("SYLVESTER_THREADS", "2")
+    monkeypatch.setattr(mc, "_chunk_stats", _chunk_stats_dying_at_chunk_1)
+    capsys.readouterr()
+    assert main(_POOL_MC) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[1:] == [
+        "error: a Monte Carlo worker process died, so the run was stopped; "
+        "the next run starts new workers"]
+    assert mc._POOL is None and _workers() == []
+    monkeypatch.setattr(mc, "_chunk_stats", _real_chunk_stats)
+    assert estimate_moment(Ball(3), NO_FIXED_POINT, _POOL_CFG) == serial
+    assert len(_workers()) == 2
+
+
+@needs_two_cores
+def test_threads_that_run_at_once_share_one_pool_and_get_the_same_bits():
+    # four threads, none of them the main thread, race to fork the pool
+    import sylvester.montecarlo as mc
+
+    serial = estimate_moment(Ball(3), NO_FIXED_POINT, _POOL_CFG, workers=1)
+    mc._drop_pool()
+    results = []
+    threads = [threading.Thread(target=lambda: results.append(
+        estimate_moment(Ball(3), NO_FIXED_POINT, _POOL_CFG, workers=2))) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [serial] * 4
+    # one pool was forked, and the main thread shares it
+    assert mc._POOL[:2] == (os.getpid(), 2) and len(_workers()) == 2
+    pool = mc._POOL[2]
+    assert estimate_moment(Ball(3), NO_FIXED_POINT, _POOL_CFG, workers=2) == serial
+    assert mc._POOL[2] is pool
+
+
+_POOL_RUN = """\
+import contextlib, io, multiprocessing, sys, time
+from sylvester.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[2:])
+print(code, *sorted(p.pid for p in multiprocessing.active_children()), flush=True)
+if sys.argv[1] == "wait":
+    time.sleep(60)
+"""
+
+
+def _pool_run(how):
+    env = dict(os.environ, SYLVESTER_THREADS="2")
+    return subprocess.Popen([sys.executable, "-c", _POOL_RUN, how, *_POOL_MC],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True)
+
+
+def _gone(pids, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while any(_alive(pid) for pid in pids) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return not any(_alive(pid) for pid in pids)
+
+
+@needs_two_cores
+@needs_proc
+def test_a_process_that_exits_leaves_no_worker_behind():
+    proc = _pool_run("exit")
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0, err
+    code, *workers = map(int, out.split())
+    assert code == 0 and len(workers) == 2
+    assert not any(_alive(pid) for pid in workers)
+
+
+@needs_two_cores
+@needs_proc
+def test_a_killed_process_leaves_no_worker_behind():
+    proc = _pool_run("wait")
+    code, *workers = map(int, proc.stdout.readline().split())
+    assert code == 0 and len(workers) == 2
+    assert all(_alive(pid) for pid in workers)
+    proc.kill()  # no clean-up runs in it
+    proc.wait(timeout=60)
+    try:
+        assert _gone(workers)
+    finally:
+        for pid in filter(_alive, workers):
+            os.kill(pid, signal.SIGKILL)
+        proc.stdout.close()
+        proc.stderr.close()
+
+
+_FORKED_HOST = """\
+import os
+import sylvester.montecarlo as mc
+from sylvester.montecarlo import NO_FIXED_POINT, Ball, _chunk_stats, _jobs, make_config
+job = next(_jobs(Ball(3), NO_FIXED_POINT, make_config(k=1, n_samples=1_000, seed=3)))
+want = _chunk_stats(*job)
+pool = mc._pool(1)
+assert pool.submit(_chunk_stats, *job).result() == want
+child = os.fork()
+if child == 0:  # the pool object is inherited, its worker is not
+    own = mc._pool(1)
+    ok = own is not pool and own.submit(_chunk_stats, *job).result() == want
+    mc._drop_pool()
+    os._exit(0 if ok else 1)
+assert os.waitstatus_to_exitcode(os.waitpid(child, 0)[1]) == 0
+assert mc._pool(1) is pool and pool.submit(_chunk_stats, *job).result() == want
+print("ok")
+"""
+
+
+@needs_two_cores
+def test_a_forked_host_builds_a_pool_of_its_own():
+    # two pools of one worker each: the parent's, and the forked child's
+    proc = subprocess.run([sys.executable, "-c", _FORKED_HOST], capture_output=True,
+                          text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "ok\n"), proc.stderr
+
+
+def test_only_a_sampling_run_with_two_workers_loads_the_pool():
+    # exact loads no montecarlo; a certification neither builds a pool nor
+    # imports the process-pool module
+    script = """\
+import contextlib, io, sys
+from sylvester.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    main(["exact", "--body", "ball", "--d", "3", "--k", "2"])
+    print("sylvester.montecarlo" in sys.modules, file=sys.stderr)
+    main(["counterexample", "tetra-d3", "--n", "100000"])
+    import sylvester.montecarlo as mc
+    print("concurrent.futures.process" in sys.modules, mc._POOL, file=sys.stderr)
+    main(sys.argv[1:])
+print("concurrent.futures.process" in sys.modules, mc._POOL is not None)
+"""
+    env = dict(os.environ, SYLVESTER_THREADS="2")
+    proc = subprocess.run([sys.executable, "-c", script, *_POOL_MC], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines = [line for line in proc.stderr.splitlines() if not line.startswith("{")]
+    assert lines == ["False", "False None"]
+    pooled = (os.cpu_count() or 1) > 1
+    assert proc.stdout == f"{pooled} {pooled}\n"
 
 
 def test_certification_stops_at_the_first_decided_chunk():
