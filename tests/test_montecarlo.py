@@ -1628,12 +1628,27 @@ def test_the_tree_mean_of_eight_values_in_the_range_stays_in_it(c, fracs):
     assert _tree_mean(np.full((8, 1), c))[0] == c
 
 
+@pytest.mark.parametrize("body, fixed", [
+    (HalfBall(4), NO_FIXED_POINT), (HalfBall(3), FixedPoint((0.0, 0.0, 0.0))),
+    (Ball(3), NO_FIXED_POINT), (unit_volume_tetrahedron(), tetrahedron_facet_centroid()),
+    (Interval(), NO_FIXED_POINT),
+])
+def test_only_the_free_3_half_ball_is_paired(body, fixed):
+    # its jobs keep their arguments, and its trace names no partner
+    from sylvester.montecarlo import EstimatedSide, _jobs
+
+    cfg = make_config(k=1, n_samples=5_000, seed=2)
+    side = EstimatedSide(body, fixed, cfg, 0.01)
+    assert side.partner is None
+    assert list(side.jobs) == list(_jobs(body, fixed, cfg, ramp=True))
+    assert "partner" not in side.trace_dict()
+
+
 def test_a_side_picks_an_orbit_only_on_the_free_3_half_ball():
     # over every supported (body, fixed vertex) pair, free and fixed, at each
-    # d it takes up to 6; a side without an orbit keeps its jobs' arguments,
-    # and its trace names no partner
+    # d it takes up to 6
     from sylvester.moments import SUPPORT
-    from sylvester.montecarlo import EstimatedSide, _jobs
+    from sylvester.montecarlo import EstimatedSide
 
     cfg = make_config(k=1, n_samples=5_000, seed=2)
     picked = []
@@ -1642,9 +1657,6 @@ def test_a_side_picks_an_orbit_only_on_the_free_3_half_ball():
             side = EstimatedSide(row.body(d, None), row.fixed(d), cfg, 0.01)
             if side.partner is not None:
                 picked.append((body, fixed, d, side.partner))
-                continue
-            assert list(side.jobs) == list(_jobs(side.body, side.fixed, cfg, ramp=True))
-            assert "partner" not in side.trace_dict()
     assert picked == [("halfball", "none", 3, (
         "(p0,rho^s1(p1),rho^s2(p2),rho^s3(p3)),s in {0,1}^3,rho=diag(1,-1,-1)"))]
 
