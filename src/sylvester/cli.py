@@ -72,8 +72,8 @@ SCENARIOS = {
 }
 
 
-def _emit(record: dict, table: bool = False, renderer=None) -> None:
-    if table and renderer is not None:
+def _emit(record: dict, table: bool, renderer) -> None:
+    if table:
         print(renderer(record))
     else:
         print(json.dumps(record, sort_keys=True))

@@ -9,17 +9,18 @@ Sampling is exact in distribution:
   Ann. Math. Statist. 43, 1972), the disk points drawn by rejection from the
   square, times the radius U^(1/d);
 * balls in other d: isotropic direction (normalized standard normals) times
-  U^(1/d);
+  U^(1/d), the normals drawn before the radii;
 * half-balls: a ball sample with the first coordinate replaced by |x_1| (the
   half-ball is the unit ball cut by {x_1 >= 0});
 * simplices, from uniforms alone: the spacings of d sorted uniforms as
   barycentric weights (Devroye, Non-Uniform Random Variate Generation, 1986,
   ch. V);
-* intervals: an affine image of a unit uniform.
+* intervals: as the simplex with vertices length and 0, so a point is the
+  length times a uniform.
 
-A uniform costs a fraction of a normal, and the uniform-only samplers fill
-a chunk in blocks of :data:`_BLOCK` points, whose temporaries fit in cache
-whatever the chunk size.
+Every sampler fills a chunk in blocks of :data:`_BLOCK` points, whose
+temporaries fit in cache whatever the chunk size; a uniform costs a
+fraction of a normal.
 
 Reproducibility: chunk i of a run is keyed by numpy's counter-based
 Philox4x64 with key = [seed, i].  128 bits drawn from it seed, through numpy's
@@ -149,6 +150,10 @@ class Interval:
     def max_simplex_volume(self) -> float:
         """Largest volume of a simplex with vertices in the body: its length."""
         return self.length
+
+    def vertex_array(self) -> np.ndarray:
+        """The segment as the 1-simplex with vertices length and 0."""
+        return np.array([[self.length], [0.0]])
 
     def contains(self, point) -> bool:
         p = np.asarray(point, dtype=float)
@@ -365,11 +370,11 @@ def _draw_generator(key_rng: np.random.Generator) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(seed))
 
 
-#: Points per block of the uniform-only samplers below.  A block's
-#: temporaries, a few arrays of this many doubles, fit in a 2 MB L2 cache
-#: whatever the chunk size.  One fill of a whole 2^15-simplex chunk instead
-#: ran the benchmark's ``mc`` commands about 12% slower, in 19% more peak
-#: memory (BENCH_19.json).
+#: Points per block of the samplers below.  A block's temporaries, a few
+#: arrays of this many doubles (and d times as many normals in a d-ball
+#: drawn from normals), fit in a 2 MB L2 cache whatever the chunk size.  One
+#: fill of a whole 2^15-simplex chunk instead ran the benchmark's ``mc``
+#: commands about 12% slower, in 19% more peak memory (BENCH_19.json).
 _BLOCK = 2**14
 
 #: Acceptance rate of a point of the square [-1, 1]^2 into the unit disk.
@@ -448,6 +453,18 @@ def _fill_ball4(rng: np.random.Generator, out: np.ndarray) -> None:
     np.multiply(e, f, out=out[:, 3])
 
 
+def _fill_ball(rng: np.random.Generator, out: np.ndarray) -> None:
+    """Uniform points in the unit d-ball, for any d, into the (m, d, w) block
+    ``out``: an isotropic direction, normalized standard normals, scaled by
+    the radius U^(1/d).  Draws: the m*d*w normals, then the m*w radii.
+    """
+    m, d, w = out.shape
+    x = rng.standard_normal((m, d, w))
+    r = rng.random((m, w)) ** (1.0 / d)
+    r /= np.sqrt(np.einsum("mdn,mdn->mn", x, x))
+    np.multiply(x, r[:, None, :], out=out)
+
+
 #: Min/max networks that sort d = 2 and 3 values; other d use np.sort.
 _SORTING_NETWORKS = {2: ((0, 1),), 3: ((0, 1), (1, 2), (0, 1))}
 
@@ -480,31 +497,16 @@ def _sample_batch(body: Body, rng: np.random.Generator, n: int, m: int) -> np.nd
     ``rng`` is the chunk's keyed Philox generator.  128 bits of it seed the
     SFC64 generator (:func:`_draw_generator`) that every draw here comes from.
     The array is the transposed view of a coordinate-major (m, d, n) buffer
-    (see the module docstring).  Balls and half-balls in d = 3, 4 and
-    simplices are drawn from uniforms alone, straight into the
-    buffer, one block of the columns i (all m points of each) at a time, so
-    that a block holds at most :data:`_BLOCK` points.
+    (see the module docstring), filled by the body's sampler straight into
+    the buffer, one block of the columns i (all m points of each) at a time,
+    so that a block holds at most :data:`_BLOCK` points.  A half-ball's block
+    is its ball's, with the first coordinate folded to |x_1|.
     """
     rng = _draw_generator(rng)
-    if isinstance(body, Interval):
-        x = rng.random((m, 1, n))
-        x *= body.length
-        return x.transpose(2, 0, 1)
-    if isinstance(body, Ball) and body.d in (3, 4):
-        fill = _fill_ball3 if body.d == 3 else _fill_ball4
-    elif isinstance(body, Simplex):
+    if isinstance(body, Ball):
+        fill = {3: _fill_ball3, 4: _fill_ball4}.get(body.d, _fill_ball)
+    else:  # a simplex, or an interval as the segment [0, length]
         fill = partial(_fill_simplex, body.vertex_array())
-    elif isinstance(body, Ball):
-        d = body.d
-        x = rng.standard_normal((m, d, n))
-        r = rng.random((m, n)) ** (1.0 / d)
-        r /= np.sqrt(np.einsum("mdn,mdn->mn", x, x))
-        x *= r[:, None, :]
-        if isinstance(body, HalfBall):
-            np.abs(x[:, 0], out=x[:, 0])
-        return x.transpose(2, 0, 1)
-    else:
-        raise TypeError(f"cannot sample in {body!r}")
     x = np.empty((m, body.dimension, n))
     width = max(1, _BLOCK // m)
     for i in range(0, n, width):
@@ -715,7 +717,7 @@ def _tree_mean(y: np.ndarray) -> np.ndarray:
 def _samples(vols: np.ndarray, k: int,
              variate: Callable[[np.ndarray], np.ndarray] | None) -> np.ndarray:
     """V^k for the volumes ``vols``, or the control variate of it."""
-    x = np.ones_like(vols) if k == 0 else vols**k
+    x = vols**k
     return x if variate is None else variate(x)
 
 

@@ -297,11 +297,19 @@ def test_ball_samples_inside_unit_ball():
 
 
 def _normalized_gaussian_points(rng, n, m, d, half):
-    """Points x / |x| * u^(1/d) from normals x and uniforms u, in (n, m, d)."""
-    x = rng.standard_normal((m, d, n))
-    u = rng.random((m, n))
-    pts = x / np.linalg.norm(x, axis=1, keepdims=True) * u[:, None, :] ** (1.0 / d)
-    pts = pts.transpose(2, 0, 1)
+    """Points x / |x| * u^(1/d) from normals x and uniforms u, in (n, m, d),
+    drawn per block of _BLOCK // m columns: the block's (m, d, w) normals,
+    then its (m, w) uniforms."""
+    from sylvester.montecarlo import _BLOCK
+
+    width = max(1, _BLOCK // m)
+    blocks = []
+    for i in range(0, n, width):
+        w = min(width, n - i)
+        x = rng.standard_normal((m, d, w))
+        u = rng.random((m, w))
+        blocks.append(x / np.linalg.norm(x, axis=1, keepdims=True) * u[:, None, :] ** (1.0 / d))
+    pts = np.concatenate(blocks, axis=2).transpose(2, 0, 1)
     if half:
         pts[..., 0] = np.abs(pts[..., 0])
     return pts
@@ -325,9 +333,9 @@ def test_ball_sampler_matches_normalized_gaussian_formula(body):
     half = isinstance(body, HalfBall)
     pts = _sample_batch(body, _rng([17, 3]), n, m)
     if d not in (3, 4):
-        # balls in d != 3, 4 keep the normal draws: the reference is the same
-        # draws, from the SFC64 seeded by the first 128 bits of the same
-        # Philox key, in the same (m, d, n) order
+        # balls in d != 3, 4 draw normals: the reference is the same draws,
+        # from the SFC64 seeded by the first 128 bits of the same Philox key,
+        # in the same blocks (n = 20,000 ends in a partial one for every m)
         want = _normalized_gaussian_points(_derived_rng([17, 3]), n, m, d, half)
         assert np.max(np.abs(pts - want)) <= 1e-15
     else:
@@ -406,17 +414,18 @@ def _uniform_sampler_reference(body, rng, n, m):
 
 
 # a segment and a skewed 4-simplex: no CLI command samples either, and np.sort
-# orders their uniforms where the triangle and tetrahedron use a min/max network
+# orders their uniforms where the triangle and tetrahedron use a min/max network;
+# an interval is drawn as the segment between its length and 0
 SEGMENT = Simplex(((0.5,), (2.0,)))
 SIMPLEX_D4 = Simplex(((0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0), (0.5, 2.0, 0.0, 0.0),
                       (0.0, 1.0, 1.5, 0.0), (0.5, 0.5, 0.5, 1.0)))
 
-UNIFORM_SAMPLED = [Ball(3), HalfBall(3), Ball(4), HalfBall(4),
+UNIFORM_SAMPLED = [Ball(3), HalfBall(3), Ball(4), HalfBall(4), Interval(2.0),
                    SEGMENT, unit_area_triangle(), unit_volume_tetrahedron(), SIMPLEX_D4]
 
 
 def _sampled_id(body):
-    return repr(body) if isinstance(body, Ball) else f"simplex-d{body.dimension}"
+    return repr(body) if isinstance(body, (Ball, Interval)) else f"simplex-d{body.dimension}"
 
 
 @pytest.mark.parametrize("body", UNIFORM_SAMPLED, ids=_sampled_id)
@@ -533,17 +542,22 @@ def test_sampler_temporaries_scale_with_the_block_not_the_chunk():
 
     from sylvester.montecarlo import _sample_batch
 
-    _sample_batch(HalfBall(4), _rng([3, 0]), 100, 5)  # numpy's one-time allocations
-    for n in (2**15, 2**17):
-        tracemalloc.start()
-        try:
-            pts = _sample_batch(HalfBall(4), _rng([3, 1]), n, 5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # a block's temporaries are about 1.5 MB; the normal draws took an
-        # (m, n) array or more beside the points
-        assert peak - pts.nbytes <= 2 * 2**20
+    # one body per fill: the simplex's (the interval's too), the normal draws
+    # (d = 1, 2, 6) and the 3- and 4-ball's disks
+    for body in (Interval(2.0), Ball(1), HalfBall(2), Ball(6), unit_volume_tetrahedron(),
+                 HalfBall(4)):
+        m = body.dimension + 1
+        _sample_batch(body, _rng([3, 0]), 100, m)  # numpy's one-time allocations
+        for n in (2**15, 2**17):
+            tracemalloc.start()
+            try:
+                pts = _sample_batch(body, _rng([3, 1]), n, m)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # a block's temporaries are at most about 1.5 MB (HalfBall(4)); a
+            # fill of the whole chunk took an (m, n) array or more beside the points
+            assert peak - pts.nbytes <= 2 * 2**20, (body, n)
 
 
 def test_interval_sampling_range():
@@ -1693,7 +1707,9 @@ _FRACTIONS = {4: "a quarter", 8: "an eighth", 16: "a sixteenth", 32: "a thirty-s
 
 def test_readme_states_the_ramp_and_the_orbit_the_code_runs():
     # README's ramp sentences name the default chunk's sizes and the fraction
-    # of --chunk the ramp rises to, and its trace schema the orbit's name
+    # of --chunk the ramp rises to, as does counterexample's --chunk help, and
+    # README's trace schema the orbit's name
+    from sylvester.cli import COMMAND_PARSERS
     from sylvester.montecarlo import EstimatedSide, _jobs
 
     text = " ".join((Path(__file__).resolve().parent.parent / "README.md").read_text().split())
@@ -1704,8 +1720,11 @@ def test_readme_states_the_ramp_and_the_orbit_the_code_runs():
     size = r"(\d{1,3}(?:,\d{3})*)"
     stated = re.findall(rf"at the default chunk {size},? (?:and )?then {size} each", text)
     assert stated and set(stated) == {(f"{first:,}", f"{steady:,}")}
-    fractions = re.findall(r"ramps? (?:its chunks )?up to (an? [a-z-]+) of it", text)
+    ramp = r"ramps? (?:its chunks )?up to (an? [a-z-]+) of it"
+    fractions = re.findall(ramp, text)
     assert fractions and set(fractions) == {_FRACTIONS[DEFAULT_CHUNK // steady]}
+    helped = " ".join(COMMAND_PARSERS["counterexample"].format_help().split())
+    assert re.findall(ramp, helped) == [_FRACTIONS[DEFAULT_CHUNK // steady]]
     partner = EstimatedSide(HalfBall(3), NO_FIXED_POINT, cfg, 0.01).trace_dict()["partner"]
     assert f'`"{partner}"`' in text
 
