@@ -28,23 +28,26 @@ SeedSequence, an SFC64 generator, and every draw of the chunk comes from that
 SFC64, which draws normals and uniforms faster than Philox.
 Chunk accumulators are merged pairwise in index order with the standard
 two-sample mean/M2 combination, so a given :class:`EstimatorConfig` yields
-bit-identical results at any worker count.  ``estimate_moment`` runs its
-chunks on ``os.cpu_count()`` worker processes, or on fewer when
-SYLVESTER_THREADS (a process count, under its old name) or the ``workers``
-argument asks for fewer.  The pool is forked at the first run that has two
-workers and two chunks, and kept for the process (:func:`_pool`): a second
-run pays no fork, and the workers share the parent's pages copy-on-write.
-A process forked from the host builds a pool of its own; the threads of one
-process share its pool.  Processes, not threads: two threads scaled at 0.61
-on the benchmark's ``mc`` cases, as the GIL changes hands between numpy
-calls on 2^14-point blocks, and two processes at 0.75 (BENCH_25.json).
+bit-identical results at any worker count.  ``estimate_moment`` computes
+its chunks in ``os.cpu_count()`` helper processes forked beside the caller,
+or in fewer when SYLVESTER_THREADS (a process count, under its old name) or
+the ``workers`` argument asks for fewer, or in the caller alone when that
+is one.  Each helper takes the next chunk index from one shared counter,
+and the caller merges their results (:class:`_Team`).  The helpers are
+forked at the first run that needs them, and kept for the process
+(:func:`_run`): a second run pays no fork, and the helpers share the
+parent's pages copy-on-write.  A process forked from the host forks helpers
+of its own; the threads of one process take turns on its helpers.
+Processes, not threads: two threads scaled at 0.61 on the benchmark's
+``mc`` cases, as the GIL changes hands between numpy calls on 2^14-point
+blocks, and two processes at 0.75 (BENCH_25.json).
 
 Layout: a chunk's points are drawn coordinate-major, into one (m, d, n)
 buffer for n simplices of m points, and handed on as its (n, m, d) transposed
 view.  Each coordinate of each point is so one contiguous vector of n values,
 and numpy keeps that layout through the vertex differences, the closed-form
 determinants (d <= 4), the power and the reduction.  The points array,
-chunk_size x m x d doubles, is held in every worker at once, with the vertex
+chunk_size x m x d doubles, is held in every process at once, with the vertex
 differences nearly as large; a config whose points array exceeds
 :data:`MAX_CHUNK_BYTES` (2^26 bytes) is rejected with ValueError.  The
 default chunk of 2^15 simplices fits for d <= 15.
@@ -66,8 +69,8 @@ does not use costs nothing.  Its chunks ramp from a small first chunk up to
 a fraction of the configured size, so a run's samples, and its time, grow in
 small steps with the samples that decide it.  They run one after another in
 the caller's thread, so a decided run has drawn exactly the chunks it used:
-such runs stop after a few small chunks, where a pool costs more than it
-saves.  ``estimate_moment`` uses equal chunks.  A side whose E V^(2k) is
+such runs stop after a few small chunks, where helpers cost more than they
+save.  ``estimate_moment`` uses equal chunks.  A side whose E V^(2k) is
 known exactly is sampled as the bounded control variate
 V^k (1 + t (a + b t^2)), t = V^k / R^k, instead of V^k, where R^k bounds V^k
 (:class:`EstimatedSide`): the same draws, in a narrower range.  With E V^(4k)
@@ -92,14 +95,12 @@ from __future__ import annotations
 
 import os
 import threading
-from collections import deque
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
-from functools import cache, partial, reduce
-from itertools import chain, islice
+from functools import cache, partial
 from math import ceil, exp, factorial, inf, isfinite, isqrt, log, log1p, nextafter, sqrt
 from statistics import NormalDist
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -109,7 +110,8 @@ from .exactnum import PiPolynomial, kappa
 _MEMBERSHIP_TOL = 1e-9
 
 #: Largest points array of one chunk, in bytes (chunk x m x d doubles).  Every
-#: worker process holds one at a time, with its vertex differences beside it.
+#: process working on a run holds one at a time, with its vertex differences
+#: beside it.
 MAX_CHUNK_BYTES = 2**26
 
 
@@ -465,8 +467,8 @@ def _fill_ball(rng: np.random.Generator, out: np.ndarray) -> None:
     np.multiply(x, r[:, None, :], out=out)
 
 
-#: Min/max networks that sort d = 2 and 3 values; other d use np.sort.
-_SORTING_NETWORKS = {2: ((0, 1),), 3: ((0, 1), (1, 2), (0, 1))}
+#: Min/max networks that sort d = 1, 2 and 3 values; other d use np.sort.
+_SORTING_NETWORKS = {1: (), 2: ((0, 1),), 3: ((0, 1), (1, 2), (0, 1))}
 
 
 def _fill_simplex(verts: np.ndarray, rng: np.random.Generator, out: np.ndarray) -> None:
@@ -476,8 +478,10 @@ def _fill_simplex(verts: np.ndarray, rng: np.random.Generator, out: np.ndarray) 
     The spacings of d sorted uniforms s_1 <= ... <= s_d are uniform
     barycentric weights (Devroye 1986, ch. V), so the point is
     v_d + sum_j s_j (v_(j-1) - v_j).  The uniforms are sorted by a min/max
-    network for d = 2, 3, else by np.sort.  Draws: one (m, d, w) array of
-    uniforms.
+    network for d = 2, 3, else by np.sort.  A segment (d = 1) has one edge,
+    so its point is the product of that edge and its uniform, the double the
+    1 x 1 matmul gives at a fraction of its cost.  Draws: one (m, d, w) array
+    of uniforms.
     """
     m, d, w = out.shape
     u = rng.random((m, d, w))
@@ -487,7 +491,10 @@ def _fill_simplex(verts: np.ndarray, rng: np.random.Generator, out: np.ndarray) 
         lo = np.minimum(u[:, i], u[:, j])
         np.maximum(u[:, i], u[:, j], out=u[:, j])
         u[:, i] = lo
-    np.matmul((verts[:-1] - verts[1:]).T, u, out=out)
+    if d == 1:
+        np.multiply(u, verts[0] - verts[1], out=out)
+    else:
+        np.matmul((verts[:-1] - verts[1:]).T, u, out=out)
     out += verts[-1][:, None]
 
 
@@ -761,7 +768,8 @@ def _merge(a: tuple[int, float, float], b: tuple[int, float, float]) -> tuple[in
 
 
 def _resolve_workers(workers: int | None) -> int:
-    """``workers``, else SYLVESTER_THREADS, else the core count; at least 1."""
+    """``workers``, else SYLVESTER_THREADS, else the core count; at least 1:
+    the number of processes that compute a run's chunks."""
     if workers is None:
         raw = os.environ.get("SYLVESTER_THREADS")
         try:
@@ -771,100 +779,177 @@ def _resolve_workers(workers: int | None) -> int:
     return max(1, workers)
 
 
-def _chunk_stream(jobs: Iterable[tuple], workers: int):
-    """``_chunk_stats(*job)`` for each job, yielded in job order.
+#: A helper takes a chunk only while fewer than this many chunks per helper
+#: are taken and not yet merged (see _Team).
+_WINDOW = 2
 
-    The chunks run on at most ``workers`` processes of the kept fork pool
-    (:func:`_pool`), one per core and one per job: numpy-bound chunks gain
-    nothing from more processes than cores, and each holds a chunk's arrays.
-    The first ``min(workers, cores)`` jobs are drawn to size it, the others
-    only as their chunks are submitted; with one worker no pool is used, and
-    the chunks run in the caller's thread.  At most twice as many chunks as
-    workers are in flight, and one more is submitted as each result is
-    taken, so equal chunks keep every worker busy from the start.  Closing
-    the generator cancels the chunks not yet started and waits for those
-    running, so a closed stream leaves the pool idle.  A worker that dies
-    breaks the pool: it is dropped, the stream raises ChildProcessError, and
-    the next stream forks a new one.
+_DIED = ("a Monte Carlo worker process died, so the run was stopped; "
+         "the next run starts new workers")
+
+
+class _Team:
+    """``helpers`` forked helper processes, which compute the chunks of one
+    run at a time while the caller merges them; with none, the caller
+    computes every chunk itself, in the same loop.
+
+    Every helper takes the next chunk index from one shared counter (a
+    RawValue under a lock) and computes chunk i from i alone (:func:`_job`),
+    so no job list is built.  It sends (i, stats) back on its pipe after each
+    chunk, and None once the counter has passed the last chunk; the caller
+    waits on the pipes and merges every chunk in index order.  A helper takes
+    a chunk only with a slot of a semaphore of _WINDOW slots per helper,
+    which the caller frees as it merges, so at most _WINDOW chunks per helper
+    are taken and not yet merged, however long the run and however slow a
+    helper.  The caller waits on the helpers' sentinels too, so a helper that
+    dies, even holding the counter's lock, fails the run with
+    ChildProcessError.
     """
-    jobs = iter(jobs)
-    first = list(islice(jobs, min(workers, os.cpu_count() or 1)))
-    todo = chain(first, jobs)
-    workers = len(first)
-    if workers <= 1:
-        for job in todo:
-            yield _chunk_stats(*job)
-        return
-    from concurrent.futures import BrokenExecutor, wait
 
-    pool = _pool(workers)
-    pending = deque()  # futures, in job order
-    try:
-        for job in todo:
-            pending.append(pool.submit(_chunk_stats, *job))
-            if len(pending) == 2 * workers:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-    except BrokenExecutor:
-        _drop_pool()
-        raise ChildProcessError("a Monte Carlo worker process died, so the run was "
-                                "stopped; the next run starts new workers") from None
-    finally:
-        for future in pending:
-            future.cancel()
-        wait(pending)
-
-
-#: The kept worker pool, as (pid of the process that built it, workers,
-#: executor), or None before the first; guarded by _POOL_LOCK.
-_POOL = None
-_POOL_LOCK = threading.RLock()
-
-
-def _pool(workers: int):
-    """The process's pool of ``workers`` forked processes, built on first use
-    and kept.
-
-    The fork copies the parent's pages copy-on-write, once; the pool then
-    serves every later run at that worker count.  A run at another count
-    shuts the old pool down before forking its own, so at most one is alive.
-    The pool is keyed by pid: a process forked from the host inherits the
-    object but none of its workers, and builds its own.  The threads of one
-    process share its pool.  It is shut down at exit, while the modules its
-    clean-up uses are still loaded.
-    """
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is not None and _POOL[:2] == (os.getpid(), workers):
-            return _POOL[2]
-        _drop_pool()
-        import atexit
+    def __init__(self, helpers: int):
+        self.pid, self.links, self.helpers = os.getpid(), [], []
+        if not helpers:
+            return
         import multiprocessing
-        from concurrent.futures.process import ProcessPoolExecutor
 
-        executor = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                                       initializer=_worker_init)
-        _POOL = (os.getpid(), workers, executor)
-        atexit.unregister(_drop_pool)
-        atexit.register(_drop_pool)
-        return executor
+        context = multiprocessing.get_context("fork")
+        self.counter, self.lock = context.RawValue("q", 0), context.Lock()
+        self.slots = context.Semaphore(_WINDOW * helpers)
+        for _ in range(helpers):
+            link, end = context.Pipe()
+            helper = context.Process(target=_help, daemon=True,
+                                     args=(end, self.counter, self.lock, self.slots))
+            helper.start()
+            end.close()
+            self.links.append(link)
+            self.helpers.append(helper)
+
+    def run(self, body: Body, fixed: FixedPointSpec, config: EstimatorConfig,
+            chunks: int) -> tuple[int, float, float]:
+        """The index-order fold of the ``chunks`` chunk stats of the run."""
+        if self.links:
+            self.counter.value = 0
+            try:
+                for link in self.links:
+                    link.send((body, fixed, config, chunks))
+            except OSError:  # a helper that died since the last run
+                raise ChildProcessError(_DIED) from None
+        held, stats, merged, busy = {}, _EMPTY, 0, len(self.links)
+        while merged < chunks or busy:
+            if self.links:
+                busy -= self.gather(held)
+            else:
+                held[merged] = _chunk_stats(*_job(body, fixed, config, merged))
+            while merged in held:
+                stats = _merge(stats, held.pop(merged))
+                merged += 1
+                if self.links:
+                    self.slots.release()
+        return stats
+
+    def gather(self, held: dict) -> int:
+        """Wait for the helpers, and move their results into ``held``; the
+        number of helpers that finished the run."""
+        from multiprocessing.connection import wait
+
+        finished = 0
+        for ready in wait(self.links + [helper.sentinel for helper in self.helpers]):
+            if isinstance(ready, int):
+                raise ChildProcessError(_DIED)
+            while ready.poll():
+                try:
+                    result = ready.recv()
+                except EOFError:
+                    raise ChildProcessError(_DIED) from None
+                if result is None:
+                    finished += 1
+                else:
+                    held[result[0]] = result[1]
+        return finished
 
 
-def _drop_pool() -> None:
-    """Shut the kept pool down, if this process built it, and forget it."""
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is not None and _POOL[0] == os.getpid():
-            _POOL[2].shutdown()
-        _POOL = None
+def _help(link, counter, lock, slots) -> None:
+    """A helper's life: :func:`_worker_init`, then, for each run the caller
+    sends, chunks taken from the shared counter until it passes the last."""
+    _worker_init()
+    while True:
+        try:
+            body, fixed, config, chunks = link.recv()
+        except EOFError:  # the caller closed the team
+            return
+        while True:
+            slots.acquire()
+            with lock:
+                i = counter.value
+                counter.value = i + 1
+            if i >= chunks:
+                slots.release()
+                break
+            link.send((i, _chunk_stats(*_job(body, fixed, config, i))))
+        link.send(None)
+
+
+#: The kept team, or None before the first run with a helper; guarded by
+#: _TEAM_LOCK, which a run holds throughout, so the runs of a process's
+#: threads take turns.
+_TEAM = None
+_TEAM_LOCK = threading.RLock()
+
+
+def _run(body: Body, fixed: FixedPointSpec, config: EstimatorConfig,
+         workers: int) -> tuple[int, float, float]:
+    """The index-order fold of the run's chunk stats, computed by
+    ``min(workers, cores, chunks)`` helpers (:class:`_Team`), or by the
+    caller alone where that is 1: numpy-bound chunks gain nothing from more
+    processes than cores, and each holds a chunk's arrays.
+
+    The caller computes no chunk beside helpers.  On a 2-vCPU host that was
+    as fast (637 against 648 ms for the five benchmark cases in process),
+    and it leaves the caller's own numpy work as it was: after computing
+    chunks beside one helper, the caller ran the benchmark's numpy
+    calibration kernel about 20% faster, which inflated every ``mc`` time
+    the benchmark reported by as much (BENCH_30.json).
+
+    The helpers are forked at the first run that needs them and kept for the
+    process: a second run pays no fork, and the helpers share the parent's
+    pages copy-on-write.  A run at another count stops them and forks its
+    own, so at most one team is alive; a run of the caller alone keeps it.
+    The team is keyed by pid: a process forked from the host inherits the
+    object but none of its helpers, and forks its own.  Any exception in the
+    run, an interrupt or a dead helper, stops the helpers, so no stale result
+    reaches the next run, which forks anew.
+    """
+    global _TEAM
+    chunks = -(-config.n_samples // config.chunk_size)
+    helpers = min(workers, os.cpu_count() or 1, chunks)
+    if helpers == 1:
+        return _Team(0).run(body, fixed, config, chunks)
+    with _TEAM_LOCK:
+        try:
+            if _TEAM is None or (_TEAM.pid, len(_TEAM.helpers)) != (os.getpid(), helpers):
+                _drop_team()
+                _TEAM = _Team(helpers)
+            return _TEAM.run(body, fixed, config, chunks)
+        except BaseException:
+            _drop_team()
+            raise
+
+
+def _drop_team() -> None:
+    """Stop the kept team's helpers, if this process forked them, and forget it."""
+    global _TEAM
+    with _TEAM_LOCK:
+        if _TEAM is not None and _TEAM.pid == os.getpid():
+            for link, helper in zip(_TEAM.links, _TEAM.helpers):
+                link.close()
+                helper.terminate()
+                helper.join()
+        _TEAM = None
 
 
 def _worker_init() -> None:
-    """Run in each pool worker as it starts: Ctrl-C is left to the parent,
-    which stops the run and the pool, and a thread exits the worker as soon
-    as the parent is gone, killed by a signal too, so that no worker
-    outlives it."""
+    """Run in each helper as it starts: Ctrl-C is left to the parent, which
+    stops the run and the team, and a thread exits the helper as soon as the
+    parent is gone, killed by a signal too, so that no helper outlives it."""
     import multiprocessing
     import signal
     from multiprocessing.connection import wait
@@ -916,6 +1001,13 @@ def _jobs(body: Body, fixed: FixedPointSpec, config: EstimatorConfig,
     return _schedule(body, fixed, config, ramp)
 
 
+def _job(body: Body, fixed: FixedPointSpec, config: EstimatorConfig, i: int) -> tuple:
+    """The ``_chunk_stats`` arguments of chunk i of an estimate: ``min(chunk_size,
+    n - i * chunk_size)`` simplices, keyed [seed, i]."""
+    size = min(config.chunk_size, config.n_samples - i * config.chunk_size)
+    return body, fixed, config.k, config.seed, i, size
+
+
 # A fixed vertex's membership and a body's range are constants of the frozen
 # (body, fixed) pair, so each is computed once per process.
 @cache
@@ -950,14 +1042,12 @@ def estimate_moment(body: Body, fixed: FixedPointSpec, config: EstimatorConfig,
 
     Deterministic in ``config`` alone: the worker count (``workers`` argument,
     else the SYLVESTER_THREADS environment variable, else ``os.cpu_count()``)
-    only changes wall time.  With two or more workers and chunks, the chunks
-    run on the process's kept fork pool (:func:`_chunk_stream`); a worker
-    that dies fails the run with ChildProcessError.
+    only changes wall time: it is the number of processes that compute the
+    chunks, the helpers of the process's kept team, or the caller alone at 1
+    (:func:`_run`).  A helper that dies fails the run with ChildProcessError.
     """
-    stream = _chunk_stream(_jobs(body, fixed, config), _resolve_workers(workers))
-    # merging into the empty accumulator is exact, so this is the index-order
-    # fold of the chunk stats
-    n, mean, m2 = stats = reduce(_merge, stream, _EMPTY)
+    _jobs(body, fixed, config)  # for its checks: the team computes each job from its index
+    n, mean, m2 = stats = _run(body, fixed, config, _resolve_workers(workers))
     if not (isfinite(mean) and isfinite(m2)):  # then the CI and std error are finite too
         raise ValueError(f"E[V^{config.k}] overflows a double in this body")
     # for k >= 1 the volume is continuous, so samples that all square to 0 underflowed

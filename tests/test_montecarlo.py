@@ -7,9 +7,9 @@ import subprocess
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 from itertools import islice
 from pathlib import Path
 from statistics import NormalDist
@@ -450,6 +450,23 @@ def test_uniform_samplers_match_a_reference_from_the_same_draws(body, n):
             assert np.all(pts[..., 0] >= 0)
 
 
+@pytest.mark.parametrize("body", [Interval(2.0), Interval(3.7e-5), SEGMENT], ids=repr)
+def test_a_segment_block_has_the_bits_of_the_1x1_matmul(body):
+    # a segment's point is its one edge times its uniform, plus the last
+    # vertex: bit for bit the stacked 1 x 1 matmul of the other simplices, at
+    # every block shape _sample_batch fills (whole and partial, m = 1 and 2)
+    from sylvester.montecarlo import _BLOCK, _fill_simplex
+
+    verts = body.vertex_array()
+    for m in (1, 2):
+        for w in (_BLOCK // m, 20_000 % (_BLOCK // m), 1):
+            block = np.empty((m, 1, w))
+            _fill_simplex(verts, _derived_rng([5, m]), block)
+            want = np.matmul((verts[:-1] - verts[1:]).T, _derived_rng([5, m]).random((m, 1, w)))
+            want += verts[-1][:, None]
+            assert block.tobytes() == want.tobytes()
+
+
 class _CornerFirst:
     """The derived generator, except that its first round of disk candidates
     holds the centre (0, 0), which is refused, then (-1/2, 1/2), which is
@@ -741,7 +758,7 @@ def test_chunk_bytes_are_bounded_by_the_config_and_body():
 
 
 def test_a_budget_costs_nothing_until_its_chunks_are_drawn():
-    from sylvester.montecarlo import _jobs
+    from sylvester.montecarlo import _job, _jobs
 
     # 3 * 10^10 chunks: a list of them would not fit in memory
     jobs = _jobs(Ball(3), NO_FIXED_POINT, make_config(k=1, n_samples=10**15))
@@ -749,6 +766,10 @@ def test_a_budget_costs_nothing_until_its_chunks_are_drawn():
     tail = list(_jobs(Ball(3), NO_FIXED_POINT, make_config(k=2, n_samples=2_500,
                                                            seed=9, chunk_size=1_000)))
     assert [job[2:] for job in tail] == [(2, 9, 0, 1_000), (2, 9, 1, 1_000), (2, 9, 2, 500)]
+    # an estimate's helpers compute each of those jobs from its index alone
+    assert [_job(Ball(3), NO_FIXED_POINT, make_config(k=2, n_samples=2_500, seed=9,
+                                                      chunk_size=1_000), i)
+            for i in range(3)] == tail
     # a certification's jobs take chunk / 32, then chunk / 16 each
     ramp = _jobs(Ball(3), NO_FIXED_POINT, make_config(k=1, n_samples=10**15), ramp=True)
     assert [job[4:] for job in islice(ramp, 4)] == [
@@ -794,42 +815,31 @@ def test_bad_thread_count_is_a_value_error(monkeypatch):
     assert verdict.relation == RHS_GREATER
 
 
-@pytest.fixture
-def thread_pool(monkeypatch):
-    """The kept fork pool replaced by a thread pool of the size asked for, so
-    that chunks can be gated by thread events (and a pool of four starts no
-    process); yields the sizes asked for."""
+def test_pool_is_capped_at_chunk_count(monkeypatch):
+    # a run has min(workers, cores, chunks) helpers, or none where that is 1;
+    # a run of the caller alone keeps the team, which another count replaces
     import sylvester.montecarlo as mc
 
-    sizes, pools = [], []
-
-    def make(workers):
-        sizes.append(workers)
-        pools.append(ThreadPoolExecutor(workers))
-        return pools[-1]
-
-    monkeypatch.setattr(mc, "_pool", make)
-    yield sizes
-    for pool in pools:
-        pool.shutdown()
-
-
-def test_pool_is_capped_at_chunk_count(monkeypatch, thread_pool):
-    seen = thread_pool
+    built, real = [], mc._Team
+    monkeypatch.setattr(mc, "_Team", lambda helpers: built.append(helpers) or real(helpers))
+    mc._drop_team()
     monkeypatch.setenv("SYLVESTER_THREADS", "100000")
     cfg = make_config(k=1, n_samples=3_000, seed=3, chunk_size=1_000)
     capped = estimate_moment(Ball(2), NO_FIXED_POINT, cfg)
     cores = os.cpu_count() or 1
-    pools = [min(3, cores)] if cores > 1 else []
-    assert seen == pools
-    # one chunk needs no pool at all
+    helpers = min(3, cores) if cores > 1 else 0
+    assert built == [helpers]
+    team = mc._TEAM
+    assert (team is None) == (cores == 1)
+    # one chunk needs no helper, nor does one worker; neither touches the team
     estimate_moment(Ball(2), NO_FIXED_POINT, make_config(k=1, n_samples=1_000, seed=3))
-    assert seen == pools
-    assert capped.mean == estimate_moment(Ball(2), NO_FIXED_POINT, cfg, workers=1).mean
-    # more chunks than cores: one process per core
+    assert capped == estimate_moment(Ball(2), NO_FIXED_POINT, cfg, workers=1)
+    assert built == [helpers, 0, 0] and mc._TEAM is team
+    # more chunks than cores: one helper per core
     many = make_config(k=1, n_samples=(cores + 2) * 100, seed=3, chunk_size=100)
     estimate_moment(Ball(2), NO_FIXED_POINT, many)
-    assert seen == pools + ([cores] if cores > 1 else [])
+    assert built[3:] == ([cores] if cores > 3 else [])
+    assert mc._TEAM is None or len(mc._TEAM.helpers) == cores
 
 
 def test_default_chunk_is_two_to_the_fifteenth():
@@ -1820,103 +1830,29 @@ def test_control_variate_needs_a_finite_inverse_range():
     assert side.value_range == 2.0**-1022 * (1 + 2.0**-40)
 
 
-def test_chunk_stream_fold_equals_index_order_merge():
-    from sylvester.montecarlo import _EMPTY, _chunk_stats, _chunk_stream, _jobs, _merge
+def test_a_run_is_the_index_order_merge_of_its_chunks(monkeypatch):
+    # at 1, 2 and 3 workers: three cores are claimed so that three helpers
+    # run on any host, for these few small chunks
+    import sylvester.montecarlo as mc
+    from sylvester.montecarlo import _EMPTY, _chunk_stats, _job, _merge
 
     cfg = make_config(k=2, n_samples=23_000, seed=41, chunk_size=1_000)
-    jobs = list(_jobs(HalfBall(3), NO_FIXED_POINT, cfg))
-    want = _chunk_stats(*jobs[0])
-    for job in jobs[1:]:
-        want = _merge(want, _chunk_stats(*job))
+    want = _EMPTY
+    for i in range(23):
+        want = _merge(want, _chunk_stats(*_job(HalfBall(3), NO_FIXED_POINT, cfg, i)))
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
     for workers in (1, 2, 3):
-        stream = list(_chunk_stream(jobs, workers))
-        assert stream == [_chunk_stats(*job) for job in jobs]
-        folded = _EMPTY
-        for part in stream:
-            folded = _merge(folded, part)
-        assert folded == want
+        assert mc._run(HalfBall(3), NO_FIXED_POINT, cfg, workers) == want
+        if workers > 1:
+            assert len(mc._TEAM.helpers) == workers
     est = estimate_moment(HalfBall(3), NO_FIXED_POINT, cfg, workers=2)
     n, mean, m2 = want
     assert (est.n, est.mean, est.variance) == (n, mean, m2 / (n - 1))
 
 
-def test_closing_the_chunk_stream_cancels_what_has_not_started(monkeypatch, thread_pool):
-    import sylvester.montecarlo as mc
-
-    started, finished = [], []
-    gate = threading.Event()
-    real = mc._chunk_stats
-
-    def gated(*job):
-        started.append(job[4])
-        if job[4] >= 4:
-            gate.wait(timeout=10)
-        stats = real(*job)
-        finished.append(job[4])
-        return stats
-
-    monkeypatch.setattr(mc, "_chunk_stats", gated)
-    jobs = list(mc._jobs(Ball(2), NO_FIXED_POINT, make_config(k=1, n_samples=20_000,
-                                                                seed=5, chunk_size=1_000)))
-    workers = 2
-    stream = mc._chunk_stream(jobs, workers)
-    assert next(stream) == real(*jobs[0])
-    stream.close()
-    # at most 2 x workers chunks are submitted before the first is taken
-    assert sorted(started) == list(range(len(started)))
-    assert 1 <= len(started) <= 2 * workers
-    # and the close waited for those running: the pool is idle
-    assert sorted(finished) == sorted(started)
-
-    started.clear()
-    finished.clear()
-    stream = mc._chunk_stream(jobs, workers)
-    assert [next(stream) for _ in range(4)] == [real(*job) for job in jobs[:4]]
-    # each result taken submits one more chunk, so chunks 4 to 6 are now in
-    # flight; the gate holds both workers on chunks 4 and 5, so chunk 6 has
-    # not started when the stream is closed, and must never start
-    opener = threading.Timer(0.5, gate.set)
-    opener.start()
-    stream.close()
-    assert sorted(finished) == sorted(started)
-    opener.join()
-    assert sorted(started) == list(range(len(started)))
-    assert 4 <= len(started) <= 6
-    assert thread_pool == [workers, workers]
-
-
-def test_equal_chunks_keep_every_thread_busy_from_the_start(monkeypatch, thread_pool):
-    import sylvester.montecarlo as mc
-
-    workers = 4
-    started = []
-    all_started = threading.Event()
-    real = mc._chunk_stats
-
-    def gated(*job):
-        started.append(job[4])
-        if len(started) >= workers:
-            all_started.set()
-        if job[4] == 0:
-            # the first result is taken only once chunk 0 returns, so this
-            # holds only if a chunk per worker was submitted before it
-            assert all_started.wait(timeout=10)
-        return real(*job)
-
-    monkeypatch.setattr(mc, "_chunk_stats", gated)
-    monkeypatch.setattr(os, "cpu_count", lambda: workers)  # a pool of four on any host
-    jobs = list(mc._jobs(Ball(2), NO_FIXED_POINT, make_config(k=1, n_samples=20_000,
-                                                                seed=5, chunk_size=1_000)))
-    stream = mc._chunk_stream(jobs, workers)
-    assert next(stream) == real(*jobs[0])
-    stream.close()
-    assert sorted(started)[:workers] == list(range(workers))
-    assert thread_pool == [workers]
-
-
 @pytest.mark.parametrize("workers", [2, 4])
 def test_a_decided_certification_waits_for_little_speculative_work(monkeypatch, workers):
-    # a certification starts no pool and no chunk past the deciding one
+    # a certification forks no helper and starts no chunk past the deciding one
     import sylvester.montecarlo as mc
 
     started, threads = [], set()
@@ -1927,12 +1863,12 @@ def test_a_decided_certification_waits_for_little_speculative_work(monkeypatch, 
         threads.add(threading.get_ident())
         return real(*job)
 
-    def no_pool(workers):
-        raise AssertionError("a certification asked for a pool")
+    def no_team(helpers):
+        raise AssertionError("a certification built a team")
 
     monkeypatch.setattr(mc, "_chunk_stats", recording)
-    monkeypatch.setattr(mc, "_pool", no_pool)
-    monkeypatch.setattr(os, "cpu_count", lambda: workers)  # a pool of `workers`, were one started
+    monkeypatch.setattr(mc, "_Team", no_team)
+    monkeypatch.setattr(os, "cpu_count", lambda: workers)  # a team of `workers`, were one built
     monkeypatch.setenv("SYLVESTER_THREADS", str(workers))
     cfg = make_config(k=1, n_samples=1_000_000, seed=8, chunk_size=4_096)
     verdict = certify_counterexample((HalfBall(4), NO_FIXED_POINT, 1),
@@ -1945,14 +1881,16 @@ def test_a_decided_certification_waits_for_little_speculative_work(monkeypatch, 
 
 
 # ---------------------------------------------------------------------------
-# the kept worker pool: no test here runs more pool workers than cores
+# the kept team: no test here runs more processes than cores, except where
+# it says so
 
 needs_two_cores = pytest.mark.skipif((os.cpu_count() or 1) < 2,
-                                     reason="a pool needs two cores to run on")
+                                     reason="a helper needs a second core to run on")
 needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
 
 _POOL_CFG = make_config(k=1, n_samples=4_000, seed=3, chunk_size=1_000)
 _POOL_MC = ["mc", "--body", "ball", "--d", "3", "--n", "4000", "--chunk", "1000", "--seed", "3"]
+_DIED = "a Monte Carlo worker process died, so the run was stopped; the next run starts new workers"
 
 
 def _alive(pid):
@@ -1966,37 +1904,34 @@ def _alive(pid):
 
 
 def _workers():
-    """The pids of this process's pool workers."""
+    """The pids of this process's helpers."""
     import multiprocessing
 
     return sorted(p.pid for p in multiprocessing.active_children())
 
 
-def _chunk_stats_dying_at_chunk_1(*job):
-    """_chunk_stats, but the worker that draws chunk 1 dies instead; defined
-    here, so that a pool worker can unpickle it by name."""
-    if job[4] == 1:
-        os._exit(9)
-    return _real_chunk_stats(*job)
-
-
 @needs_two_cores
-def test_the_pool_is_kept_for_the_process_and_replaced_at_another_count():
+def test_the_pool_is_kept_for_the_process_and_replaced_at_another_count(monkeypatch):
     import sylvester.montecarlo as mc
 
     serial = estimate_moment(Ball(3), NO_FIXED_POINT, _POOL_CFG, workers=1)
-    mc._drop_pool()
+    mc._drop_team()
     assert _workers() == []
     assert estimate_moment(Ball(3), NO_FIXED_POINT, _POOL_CFG, workers=2) == serial
-    pool, workers = mc._POOL[2], _workers()
-    assert len(workers) == 2
-    # a second run forks nothing
+    team, helpers = mc._TEAM, _workers()
+    assert len(helpers) == 2 and team.pid == os.getpid()
+    # a second run forks nothing, nor does a run of the caller alone
     assert estimate_moment(Ball(3), NO_FIXED_POINT, _POOL_CFG, workers=2) == serial
-    assert mc._POOL[2] is pool and _workers() == workers
-    # another count shuts the old pool down first; its workers start on first use
-    assert mc._pool(1) is not pool and _workers() == []
-    mc._drop_pool()
-    assert mc._POOL is None
+    assert estimate_moment(Ball(3), NO_FIXED_POINT, _POOL_CFG, workers=1) == serial
+    assert mc._TEAM is team and _workers() == helpers
+    # another count stops the old helpers before forking its own (three
+    # cores claimed: three helpers for a few small chunks)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert estimate_moment(Ball(3), NO_FIXED_POINT, _POOL_CFG, workers=3) == serial
+    assert mc._TEAM is not team and len(mc._TEAM.helpers) == 3
+    assert len(_workers()) == 3 and not set(helpers) & set(_workers())
+    mc._drop_team()
+    assert mc._TEAM is None and _workers() == []
 
 
 @needs_two_cores
@@ -2006,47 +1941,176 @@ def test_a_dead_worker_fails_the_run_in_one_line_and_the_next_run_forks_anew(
     from sylvester.cli import main
 
     serial = estimate_moment(Ball(3), NO_FIXED_POINT, _POOL_CFG, workers=1)
+    caller = os.getpid()
+
+    def dying(*job):  # a helper dies at the first chunk it takes
+        if os.getpid() != caller:
+            os._exit(9)
+        return _real_chunk_stats(*job)
+
+    mc._drop_team()  # so that the helpers forked next run `dying`
     monkeypatch.setenv("SYLVESTER_THREADS", "2")
-    monkeypatch.setattr(mc, "_chunk_stats", _chunk_stats_dying_at_chunk_1)
+    monkeypatch.setattr(mc, "_chunk_stats", dying)
     capsys.readouterr()
     assert main(_POOL_MC) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.splitlines()[1:] == [
-        "error: a Monte Carlo worker process died, so the run was stopped; "
-        "the next run starts new workers"]
-    assert mc._POOL is None and _workers() == []
+    assert err.splitlines()[1:] == [f"error: {_DIED}"]
+    assert mc._TEAM is None and _workers() == []
     monkeypatch.setattr(mc, "_chunk_stats", _real_chunk_stats)
     assert estimate_moment(Ball(3), NO_FIXED_POINT, _POOL_CFG) == serial
     assert len(_workers()) == 2
 
 
 @needs_two_cores
-def test_threads_that_run_at_once_share_one_pool_and_get_the_same_bits():
-    # four threads, none of them the main thread, race to fork the pool
+def test_a_helper_that_dies_holding_the_counter_lock_fails_the_run(monkeypatch):
+    import sylvester.montecarlo as mc
+
+    def dies_holding_the_lock(link, counter, lock, slots):
+        # the first helper to get the lock dies with it; the other waits for it
+        link.recv()
+        lock.acquire()
+        time.sleep(0.5)
+        os._exit(9)
+
+    mc._drop_team()
+    monkeypatch.setattr(mc, "_help", dies_holding_the_lock)
+    failures = []
+
+    def run():
+        try:
+            estimate_moment(Ball(3), NO_FIXED_POINT,
+                            make_config(k=1, n_samples=2_000_000, seed=3, chunk_size=1_000),
+                            workers=2)
+        except ChildProcessError as exc:
+            failures.append(str(exc))
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert failures == [_DIED]
+    assert mc._TEAM is None and _workers() == []
+
+
+@needs_two_cores
+@needs_proc
+def test_an_interrupted_run_leaves_no_helper_computing(monkeypatch):
     import sylvester.montecarlo as mc
 
     serial = estimate_moment(Ball(3), NO_FIXED_POINT, _POOL_CFG, workers=1)
-    mc._drop_pool()
-    results = []
-    threads = [threading.Thread(target=lambda: results.append(
-        estimate_moment(Ball(3), NO_FIXED_POINT, _POOL_CFG, workers=2))) for _ in range(4)]
+    seen, real = {}, mc._merge
+
+    def interrupted(a, b):
+        # Ctrl-C in the caller as it merges chunk 2, while its helpers compute
+        if a[0] == 2_000:
+            seen.update(pids=[helper.pid for helper in mc._TEAM.helpers],
+                        taken=mc._TEAM.counter.value)
+            raise KeyboardInterrupt
+        return real(a, b)
+
+    mc._drop_team()
+    monkeypatch.setattr(mc, "_merge", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        estimate_moment(Ball(3), NO_FIXED_POINT,
+                        make_config(k=1, n_samples=400_000, seed=3, chunk_size=1_000),
+                        workers=2)
+    assert len(seen["pids"]) == 2 and seen["taken"] < 400
+    assert mc._TEAM is None and _workers() == []
+    assert not any(_alive(pid) for pid in seen["pids"])
+    monkeypatch.setattr(mc, "_merge", real)
+    assert estimate_moment(Ball(3), NO_FIXED_POINT, _POOL_CFG, workers=2) == serial
+    assert len(_workers()) == 2
+
+
+@needs_two_cores
+def test_unmerged_chunks_stay_few_when_a_helper_is_slow(monkeypatch):
+    # a helper takes a chunk only while fewer than _WINDOW per helper are
+    # taken and not yet merged, so one slow chunk holds the others back and
+    # the caller holds a bounded number of results, however long the run
+    import sylvester.montecarlo as mc
+
+    cfg = make_config(k=1, n_samples=40_000, seed=5, chunk_size=500)
+    serial = estimate_moment(Ball(2), NO_FIXED_POINT, cfg, workers=1)
+    caller, real, ahead = os.getpid(), mc._merge, []
+
+    def slow(*job):  # every tenth chunk is slow
+        if os.getpid() != caller and job[4] % 10 == 0:
+            time.sleep(0.05)
+        return _real_chunk_stats(*job)
+
+    def merge(a, b):  # chunks taken past those merged, as each is merged
+        ahead.append(min(mc._TEAM.counter.value, 80) - a[0] // 500)
+        return real(a, b)
+
+    mc._drop_team()  # so that the helpers forked next run `slow`
+    monkeypatch.setattr(mc, "_chunk_stats", slow)
+    monkeypatch.setattr(mc, "_merge", merge)
+    assert estimate_moment(Ball(2), NO_FIXED_POINT, cfg, workers=2) == serial
+    assert len(ahead) == 80
+    # every helper took a chunk before the first merge, and none ran ahead
+    assert len(mc._TEAM.helpers) <= ahead[0]
+    assert max(ahead) <= mc._WINDOW * len(mc._TEAM.helpers)
+    mc._drop_team()
+
+
+def _race(runs, timeout=60.0):
+    """Each of ``runs`` in a thread of its own, all at once, with the switch
+    interval shortened; their results and exceptions, all within ``timeout``
+    seconds."""
+    results, errors = [], []
+
+    def target(run):
+        try:
+            results.append(run())
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=target, args=(run,), daemon=True) for run in runs]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
+    deadline = time.monotonic() + timeout
     try:
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join(timeout=60)
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert results == [serial] * 4
-    # one pool was forked, and the main thread shares it
-    assert mc._POOL[:2] == (os.getpid(), 2) and len(_workers()) == 2
-    pool = mc._POOL[2]
+    return results, errors
+
+
+@needs_two_cores
+def test_threads_that_run_at_once_share_one_pool_and_get_the_same_bits():
+    # four threads, none of them the main thread, race to fork the team
+    import sylvester.montecarlo as mc
+
+    serial = estimate_moment(Ball(3), NO_FIXED_POINT, _POOL_CFG, workers=1)
+    mc._drop_team()
+    results, errors = _race([lambda: estimate_moment(Ball(3), NO_FIXED_POINT, _POOL_CFG,
+                                                     workers=2)] * 4)
+    assert errors == [] and results == [serial] * 4
+    # one team was forked, and the main thread shares it
+    assert mc._TEAM.pid == os.getpid() and len(_workers()) == 2
+    team = mc._TEAM
     assert estimate_moment(Ball(3), NO_FIXED_POINT, _POOL_CFG, workers=2) == serial
-    assert mc._POOL[2] is pool
+    assert mc._TEAM is team
+
+
+def test_threads_at_two_worker_counts_get_the_serial_bits(monkeypatch):
+    # each run takes the team in turn, and forks its own count's if the
+    # last run's differs; three cores are claimed so that 2 and 3 workers
+    # differ on any host
+    import sylvester.montecarlo as mc
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    serial = estimate_moment(Ball(3), NO_FIXED_POINT, _POOL_CFG, workers=1)
+    runs = [partial(estimate_moment, Ball(3), NO_FIXED_POINT, _POOL_CFG, workers=2 + i % 2)
+            for i in range(6)]
+    results, errors = _race(runs)
+    assert errors == [] and results == [serial] * 6
+    mc._drop_team()
 
 
 _POOL_RUN = """\
@@ -2105,34 +2169,35 @@ def test_a_killed_process_leaves_no_worker_behind():
 _FORKED_HOST = """\
 import os
 import sylvester.montecarlo as mc
-from sylvester.montecarlo import NO_FIXED_POINT, Ball, _chunk_stats, _jobs, make_config
-job = next(_jobs(Ball(3), NO_FIXED_POINT, make_config(k=1, n_samples=1_000, seed=3)))
-want = _chunk_stats(*job)
-pool = mc._pool(1)
-assert pool.submit(_chunk_stats, *job).result() == want
+from sylvester.montecarlo import NO_FIXED_POINT, Ball, estimate_moment, make_config
+cfg = make_config(k=1, n_samples=4_000, seed=3, chunk_size=1_000)
+want = estimate_moment(Ball(3), NO_FIXED_POINT, cfg, workers=1)
+assert estimate_moment(Ball(3), NO_FIXED_POINT, cfg, workers=2) == want
+team = mc._TEAM
 child = os.fork()
-if child == 0:  # the pool object is inherited, its worker is not
-    own = mc._pool(1)
-    ok = own is not pool and own.submit(_chunk_stats, *job).result() == want
-    mc._drop_pool()
+if child == 0:  # the team object is inherited, its helper is not
+    ok = estimate_moment(Ball(3), NO_FIXED_POINT, cfg, workers=2) == want
+    ok = ok and mc._TEAM is not team and len(mc._TEAM.helpers) == 2
+    mc._drop_team()
     os._exit(0 if ok else 1)
 assert os.waitstatus_to_exitcode(os.waitpid(child, 0)[1]) == 0
-assert mc._pool(1) is pool and pool.submit(_chunk_stats, *job).result() == want
+assert estimate_moment(Ball(3), NO_FIXED_POINT, cfg, workers=2) == want
+assert mc._TEAM is team and all(helper.is_alive() for helper in team.helpers)
 print("ok")
 """
 
 
 @needs_two_cores
 def test_a_forked_host_builds_a_pool_of_its_own():
-    # two pools of one worker each: the parent's, and the forked child's
+    # two teams of two helpers each: the parent's, and the forked child's
     proc = subprocess.run([sys.executable, "-c", _FORKED_HOST], capture_output=True,
                           text=True, timeout=60)
     assert (proc.returncode, proc.stdout) == (0, "ok\n"), proc.stderr
 
 
 def test_only_a_sampling_run_with_two_workers_loads_the_pool():
-    # exact loads no montecarlo; a certification neither builds a pool nor
-    # imports the process-pool module
+    # exact loads no montecarlo; a certification neither forks a helper nor
+    # imports multiprocessing
     script = """\
 import contextlib, io, sys
 from sylvester.cli import main
@@ -2141,9 +2206,9 @@ with contextlib.redirect_stdout(io.StringIO()):
     print("sylvester.montecarlo" in sys.modules, file=sys.stderr)
     main(["counterexample", "tetra-d3", "--n", "100000"])
     import sylvester.montecarlo as mc
-    print("concurrent.futures.process" in sys.modules, mc._POOL, file=sys.stderr)
+    print("multiprocessing" in sys.modules, mc._TEAM, file=sys.stderr)
     main(sys.argv[1:])
-print("concurrent.futures.process" in sys.modules, mc._POOL is not None)
+print("multiprocessing" in sys.modules, mc._TEAM is not None)
 """
     env = dict(os.environ, SYLVESTER_THREADS="2")
     proc = subprocess.run([sys.executable, "-c", script, *_POOL_MC], capture_output=True,
@@ -2153,6 +2218,25 @@ print("concurrent.futures.process" in sys.modules, mc._POOL is not None)
     assert lines == ["False", "False None"]
     pooled = (os.cpu_count() or 1) > 1
     assert proc.stdout == f"{pooled} {pooled}\n"
+
+
+@needs_two_cores
+def test_an_mc_run_leaves_no_thread_behind():
+    # the caller starts no thread and imports no executor; its two helpers
+    # are processes
+    script = """\
+import contextlib, io, multiprocessing, sys, threading
+from sylvester.cli import main
+before = threading.active_count()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, threading.active_count() - before, len(multiprocessing.active_children()),
+      "concurrent.futures" in sys.modules)
+"""
+    env = dict(os.environ, SYLVESTER_THREADS="2")
+    proc = subprocess.run([sys.executable, "-c", script, *_POOL_MC], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "0 0 2 False\n"), proc.stderr
 
 
 def test_certification_stops_at_the_first_decided_chunk():
