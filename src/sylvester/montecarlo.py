@@ -32,12 +32,13 @@ bit-identical results at any worker count.  ``estimate_moment`` computes
 its chunks in ``os.cpu_count()`` helper processes forked beside the caller,
 or in fewer when SYLVESTER_THREADS (a process count, under its old name) or
 the ``workers`` argument asks for fewer, or in the caller alone when that
-is one.  Each helper takes the next chunk index from one shared counter,
-and the caller merges their results (:class:`_Team`).  The helpers are
-forked at the first run that needs them, and kept for the process
-(:func:`_run`): a second run pays no fork, and the helpers share the
-parent's pages copy-on-write.  A process forked from the host forks helpers
-of its own; the threads of one process take turns on its helpers.
+is one.  The caller sends each helper chunk indices down its pipe, the
+next one for each result it gets back, and merges the results
+(:class:`_Team`).  The helpers are forked at the first run that needs
+them, and kept for the process (:func:`_run`): a second run pays no fork,
+and the helpers share the parent's pages copy-on-write.  A process forked
+from the host forks helpers of its own; the threads of one process take
+turns on its helpers.
 Processes, not threads: two threads scaled at 0.61 on the benchmark's
 ``mc`` cases, as the GIL changes hands between numpy calls on 2^14-point
 blocks, and two processes at 0.75 (BENCH_25.json).
@@ -779,8 +780,9 @@ def _resolve_workers(workers: int | None) -> int:
     return max(1, workers)
 
 
-#: A helper takes a chunk only while fewer than this many chunks per helper
-#: are taken and not yet merged (see _Team).
+#: A helper is sent at most this many chunk indices ahead of its answers,
+#: and the helpers at most this many each ahead of the caller's merge (see
+#: _Team).
 _WINDOW = 2
 
 _DIED = ("a Monte Carlo worker process died, so the run was stopped; "
@@ -789,35 +791,30 @@ _DIED = ("a Monte Carlo worker process died, so the run was stopped; "
 
 class _Team:
     """``helpers`` forked helper processes, which compute the chunks of one
-    run at a time while the caller merges them; with none, the caller
-    computes every chunk itself, in the same loop.
+    run at a time while the caller hands out their indices and merges them.
 
-    Every helper takes the next chunk index from one shared counter (a
-    RawValue under a lock) and computes chunk i from i alone (:func:`_job`),
-    so no job list is built.  It sends (i, stats) back on its pipe after each
-    chunk, and None once the counter has passed the last chunk; the caller
-    waits on the pipes and merges every chunk in index order.  A helper takes
-    a chunk only with a slot of a semaphore of _WINDOW slots per helper,
-    which the caller frees as it merges, so at most _WINDOW chunks per helper
-    are taken and not yet merged, however long the run and however slow a
-    helper.  The caller waits on the helpers' sentinels too, so a helper that
-    dies, even holding the counter's lock, fails the run with
+    The caller is the only scheduler.  It sends each helper the run, then
+    chunk indices down the helper's pipe; a helper computes chunk i from i
+    alone (:func:`_job`), so no job list is built, and answers (i, stats).
+    For each answer the caller sends that helper the next index not yet
+    sent, so a helper has its next chunk waiting as it finishes one, and
+    merges every chunk in index order.  A helper is sent an index only
+    while it has fewer than _WINDOW unanswered and fewer than _WINDOW per
+    helper are sent and not yet merged, so the caller holds a bounded
+    number of results, however long the run and however slow a helper.  A run ends when every
+    chunk is merged, so no helper computes between runs.  The caller waits
+    on the helpers' sentinels too, so a helper that dies fails the run with
     ChildProcessError.
     """
 
     def __init__(self, helpers: int):
         self.pid, self.links, self.helpers = os.getpid(), [], []
-        if not helpers:
-            return
         import multiprocessing
 
         context = multiprocessing.get_context("fork")
-        self.counter, self.lock = context.RawValue("q", 0), context.Lock()
-        self.slots = context.Semaphore(_WINDOW * helpers)
         for _ in range(helpers):
             link, end = context.Pipe()
-            helper = context.Process(target=_help, daemon=True,
-                                     args=(end, self.counter, self.lock, self.slots))
+            helper = context.Process(target=_help, args=(end,), daemon=True)
             helper.start()
             end.close()
             self.links.append(link)
@@ -826,66 +823,47 @@ class _Team:
     def run(self, body: Body, fixed: FixedPointSpec, config: EstimatorConfig,
             chunks: int) -> tuple[int, float, float]:
         """The index-order fold of the ``chunks`` chunk stats of the run."""
-        if self.links:
-            self.counter.value = 0
-            try:
-                for link in self.links:
-                    link.send((body, fixed, config, chunks))
-            except OSError:  # a helper that died since the last run
-                raise ChildProcessError(_DIED) from None
-        held, stats, merged, busy = {}, _EMPTY, 0, len(self.links)
-        while merged < chunks or busy:
-            if self.links:
-                busy -= self.gather(held)
-            else:
-                held[merged] = _chunk_stats(*_job(body, fixed, config, merged))
-            while merged in held:
-                stats = _merge(stats, held.pop(merged))
-                merged += 1
-                if self.links:
-                    self.slots.release()
-        return stats
-
-    def gather(self, held: dict) -> int:
-        """Wait for the helpers, and move their results into ``held``; the
-        number of helpers that finished the run."""
         from multiprocessing.connection import wait
 
-        finished = 0
-        for ready in wait(self.links + [helper.sentinel for helper in self.helpers]):
-            if isinstance(ready, int):
-                raise ChildProcessError(_DIED)
-            while ready.poll():
-                try:
-                    result = ready.recv()
-                except EOFError:
-                    raise ChildProcessError(_DIED) from None
-                if result is None:
-                    finished += 1
-                else:
-                    held[result[0]] = result[1]
-        return finished
+        sentinels = [helper.sentinel for helper in self.helpers]
+        # a helper's link once per index it may be sent now, longest waiting first
+        idle = self.links * _WINDOW
+        held, stats, merged, sent = {}, _EMPTY, 0, 0
+        try:
+            for link in self.links:
+                link.send((body, fixed, config))
+            while merged < chunks:
+                while idle and sent < min(chunks, merged + len(self.links) * _WINDOW):
+                    idle.pop(0).send(sent)
+                    sent += 1
+                for ready in wait(self.links + sentinels):
+                    if isinstance(ready, int):
+                        raise ChildProcessError(_DIED)
+                    i, result = ready.recv()
+                    held[i] = result
+                    idle.append(ready)
+                while merged in held:
+                    stats = _merge(stats, held.pop(merged))
+                    merged += 1
+        except (EOFError, OSError):  # a helper that died, in this run or before it
+            raise ChildProcessError(_DIED) from None
+        return stats
 
 
-def _help(link, counter, lock, slots) -> None:
-    """A helper's life: :func:`_worker_init`, then, for each run the caller
-    sends, chunks taken from the shared counter until it passes the last."""
+def _help(link) -> None:
+    """A helper's life: :func:`_worker_init`, then the caller's messages until
+    it closes the team: a tuple sets the run, and an index i is answered with
+    (i, the stats of chunk i)."""
     _worker_init()
     while True:
         try:
-            body, fixed, config, chunks = link.recv()
+            message = link.recv()
         except EOFError:  # the caller closed the team
             return
-        while True:
-            slots.acquire()
-            with lock:
-                i = counter.value
-                counter.value = i + 1
-            if i >= chunks:
-                slots.release()
-                break
-            link.send((i, _chunk_stats(*_job(body, fixed, config, i))))
-        link.send(None)
+        if isinstance(message, tuple):
+            run = message
+        else:
+            link.send((message, _chunk_stats(*_job(*run, message))))
 
 
 #: The kept team, or None before the first run with a helper; guarded by
@@ -898,9 +876,10 @@ _TEAM_LOCK = threading.RLock()
 def _run(body: Body, fixed: FixedPointSpec, config: EstimatorConfig,
          workers: int) -> tuple[int, float, float]:
     """The index-order fold of the run's chunk stats, computed by
-    ``min(workers, cores, chunks)`` helpers (:class:`_Team`), or by the
-    caller alone where that is 1: numpy-bound chunks gain nothing from more
-    processes than cores, and each holds a chunk's arrays.
+    ``min(workers, cores, chunks)`` helpers (:class:`_Team`), or, where that
+    is 1, by the caller alone, which computes and folds the chunks in index
+    order itself and builds no team: numpy-bound chunks gain nothing from
+    more processes than cores, and each holds a chunk's arrays.
 
     The caller computes no chunk beside helpers.  On a 2-vCPU host that was
     as fast (637 against 648 ms for the five benchmark cases in process),
@@ -922,7 +901,10 @@ def _run(body: Body, fixed: FixedPointSpec, config: EstimatorConfig,
     chunks = -(-config.n_samples // config.chunk_size)
     helpers = min(workers, os.cpu_count() or 1, chunks)
     if helpers == 1:
-        return _Team(0).run(body, fixed, config, chunks)
+        stats = _EMPTY
+        for i in range(chunks):
+            stats = _merge(stats, _chunk_stats(*_job(body, fixed, config, i)))
+        return stats
     with _TEAM_LOCK:
         try:
             if _TEAM is None or (_TEAM.pid, len(_TEAM.helpers)) != (os.getpid(), helpers):

@@ -817,7 +817,8 @@ def test_bad_thread_count_is_a_value_error(monkeypatch):
 
 def test_pool_is_capped_at_chunk_count(monkeypatch):
     # a run has min(workers, cores, chunks) helpers, or none where that is 1;
-    # a run of the caller alone keeps the team, which another count replaces
+    # a run of the caller alone builds no team and keeps the kept one, which
+    # another count replaces
     import sylvester.montecarlo as mc
 
     built, real = [], mc._Team
@@ -827,18 +828,18 @@ def test_pool_is_capped_at_chunk_count(monkeypatch):
     cfg = make_config(k=1, n_samples=3_000, seed=3, chunk_size=1_000)
     capped = estimate_moment(Ball(2), NO_FIXED_POINT, cfg)
     cores = os.cpu_count() or 1
-    helpers = min(3, cores) if cores > 1 else 0
-    assert built == [helpers]
+    helpers = [min(3, cores)] if cores > 1 else []
+    assert built == helpers
     team = mc._TEAM
     assert (team is None) == (cores == 1)
     # one chunk needs no helper, nor does one worker; neither touches the team
     estimate_moment(Ball(2), NO_FIXED_POINT, make_config(k=1, n_samples=1_000, seed=3))
     assert capped == estimate_moment(Ball(2), NO_FIXED_POINT, cfg, workers=1)
-    assert built == [helpers, 0, 0] and mc._TEAM is team
+    assert built == helpers and mc._TEAM is team
     # more chunks than cores: one helper per core
     many = make_config(k=1, n_samples=(cores + 2) * 100, seed=3, chunk_size=100)
     estimate_moment(Ball(2), NO_FIXED_POINT, many)
-    assert built[3:] == ([cores] if cores > 3 else [])
+    assert built[len(helpers):] == ([cores] if cores > 3 else [])
     assert mc._TEAM is None or len(mc._TEAM.helpers) == cores
 
 
@@ -1962,25 +1963,44 @@ def test_a_dead_worker_fails_the_run_in_one_line_and_the_next_run_forks_anew(
     assert len(_workers()) == 2
 
 
+def _sent_indices(monkeypatch):
+    """The chunk indices this process sends its helpers, as it sends them."""
+    from multiprocessing.connection import Connection
+
+    sent, caller, real = [], os.getpid(), Connection.send
+
+    def send(link, message):
+        if os.getpid() == caller and isinstance(message, int):
+            sent.append(message)
+        return real(link, message)
+
+    monkeypatch.setattr(Connection, "send", send)
+    return sent
+
+
 @needs_two_cores
-def test_a_helper_that_dies_holding_the_counter_lock_fails_the_run(monkeypatch):
+def test_a_helper_that_dies_mid_run_fails_the_run(monkeypatch):
+    # the helper sent chunk 0 exits as it starts its fifth of the forty
+    # chunks, having answered four: the run fails and leaves no helper
     import sylvester.montecarlo as mc
 
-    def dies_holding_the_lock(link, counter, lock, slots):
-        # the first helper to get the lock dies with it; the other waits for it
-        link.recv()
-        lock.acquire()
-        time.sleep(0.5)
-        os._exit(9)
+    caller, taken = os.getpid(), []
 
-    mc._drop_team()
-    monkeypatch.setattr(mc, "_help", dies_holding_the_lock)
-    failures = []
+    def dies_at_its_fifth_chunk(*job):
+        if os.getpid() != caller:
+            taken.append(job[4])  # in the helper's own copy of the list
+            if taken[0] == 0 and len(taken) == 5:
+                os._exit(9)
+        return _real_chunk_stats(*job)
+
+    mc._drop_team()  # so that the helpers forked next run `dies_at_its_fifth_chunk`
+    monkeypatch.setattr(mc, "_chunk_stats", dies_at_its_fifth_chunk)
+    sent, failures = _sent_indices(monkeypatch), []
 
     def run():
         try:
             estimate_moment(Ball(3), NO_FIXED_POINT,
-                            make_config(k=1, n_samples=2_000_000, seed=3, chunk_size=1_000),
+                            make_config(k=1, n_samples=40_000, seed=3, chunk_size=1_000),
                             workers=2)
         except ChildProcessError as exc:
             failures.append(str(exc))
@@ -1990,6 +2010,7 @@ def test_a_helper_that_dies_holding_the_counter_lock_fails_the_run(monkeypatch):
     thread.join(timeout=60)
     assert not thread.is_alive()
     assert failures == [_DIED]
+    assert 5 < len(sent) < 40
     assert mc._TEAM is None and _workers() == []
 
 
@@ -2000,12 +2021,12 @@ def test_an_interrupted_run_leaves_no_helper_computing(monkeypatch):
 
     serial = estimate_moment(Ball(3), NO_FIXED_POINT, _POOL_CFG, workers=1)
     seen, real = {}, mc._merge
+    sent = _sent_indices(monkeypatch)
 
     def interrupted(a, b):
         # Ctrl-C in the caller as it merges chunk 2, while its helpers compute
         if a[0] == 2_000:
-            seen.update(pids=[helper.pid for helper in mc._TEAM.helpers],
-                        taken=mc._TEAM.counter.value)
+            seen.update(pids=[helper.pid for helper in mc._TEAM.helpers], sent=len(sent))
             raise KeyboardInterrupt
         return real(a, b)
 
@@ -2015,7 +2036,7 @@ def test_an_interrupted_run_leaves_no_helper_computing(monkeypatch):
         estimate_moment(Ball(3), NO_FIXED_POINT,
                         make_config(k=1, n_samples=400_000, seed=3, chunk_size=1_000),
                         workers=2)
-    assert len(seen["pids"]) == 2 and seen["taken"] < 400
+    assert len(seen["pids"]) == 2 and seen["sent"] < 400
     assert mc._TEAM is None and _workers() == []
     assert not any(_alive(pid) for pid in seen["pids"])
     monkeypatch.setattr(mc, "_merge", real)
@@ -2025,8 +2046,8 @@ def test_an_interrupted_run_leaves_no_helper_computing(monkeypatch):
 
 @needs_two_cores
 def test_unmerged_chunks_stay_few_when_a_helper_is_slow(monkeypatch):
-    # a helper takes a chunk only while fewer than _WINDOW per helper are
-    # taken and not yet merged, so one slow chunk holds the others back and
+    # the caller sends an index only while fewer than _WINDOW per helper are
+    # sent and not yet merged, so one slow chunk holds the others back and
     # the caller holds a bounded number of results, however long the run
     import sylvester.montecarlo as mc
 
@@ -2039,18 +2060,21 @@ def test_unmerged_chunks_stay_few_when_a_helper_is_slow(monkeypatch):
             time.sleep(0.05)
         return _real_chunk_stats(*job)
 
-    def merge(a, b):  # chunks taken past those merged, as each is merged
-        ahead.append(min(mc._TEAM.counter.value, 80) - a[0] // 500)
+    def merge(a, b):  # indices sent past those merged, as each is merged
+        ahead.append(len(sent) - a[0] // 500)
         return real(a, b)
 
     mc._drop_team()  # so that the helpers forked next run `slow`
     monkeypatch.setattr(mc, "_chunk_stats", slow)
     monkeypatch.setattr(mc, "_merge", merge)
+    sent = _sent_indices(monkeypatch)
     assert estimate_moment(Ball(2), NO_FIXED_POINT, cfg, workers=2) == serial
-    assert len(ahead) == 80
-    # every helper took a chunk before the first merge, and none ran ahead
+    assert len(ahead) == 80 and sorted(sent) == list(range(80))
+    # every helper was sent a chunk before the first merge, and none ran ahead
     assert len(mc._TEAM.helpers) <= ahead[0]
     assert max(ahead) <= mc._WINDOW * len(mc._TEAM.helpers)
+    # the run ended with every answer read: no helper computes between runs
+    assert not any(link.poll(0.1) for link in mc._TEAM.links)
     mc._drop_team()
 
 
