@@ -313,11 +313,6 @@ def _query(ns) -> MomentQuery:
     return MomentQuery(d=d, k=ns.k, body_kind=ns.body, fixed_kind=ns.fixed, l=ns.l)
 
 
-def _sampler(query: MomentQuery) -> tuple:
-    """(body, fixed vertex) for estimating ``query`` by Monte Carlo."""
-    return query.support.body(query.d, query.l), query.support.fixed(query.d)
-
-
 def cmd_table1(ns) -> int:
     mismatches = []
     for row in table1_rows():
@@ -369,7 +364,7 @@ def cmd_mc(ns) -> int:
     # imported here: montecarlo loads numpy, which only mc and counterexample need
     from .montecarlo import estimate_moment, make_config
 
-    body, fixed = _sampler(_query(ns))
+    body, fixed = _query(ns).sampler()
     config = make_config(k=ns.k, n_samples=ns.n, seed=ns.seed,
                          chunk_size=ns.chunk, confidence=ns.confidence)
     estimate = estimate_moment(body, fixed, config)
@@ -395,7 +390,7 @@ def _side(query: MomentQuery):
         if not support.exact_at(query.d, order):
             break
         moments.append(exact_moment(replace(query, k=order)))
-    return (*_sampler(query), query.k, *moments)
+    return (*query.sampler(), query.k, *moments)
 
 
 def cmd_counterexample(ns) -> int:

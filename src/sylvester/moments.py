@@ -432,8 +432,6 @@ class Support:
     """What is implemented for one (body, fixed-vertex) pair."""
 
     d: int | None  # the body's dimension; None: any d >= 1, set by the query
-    body: Callable[[int, Fraction | None], mc.Body]  # sampler body for (d, interval length)
-    fixed: Callable[[int], mc.FixedPointSpec]  # the fixed vertex in dimension d
     covariance: Callable[[int, Fraction | None], Covariance]  # (d, l), for the k = 2 form
     closed_form: Callable[[int, int, Fraction | None], PiPolynomial] | None = None  # (d, k, l)
     exact_k: frozenset[int] | None = None  # the orders with a form at every d; None: every k
@@ -481,12 +479,21 @@ def _mc():
     return montecarlo
 
 
-def _no_fixed(d: int) -> mc.FixedPointSpec:
-    return _mc().NO_FIXED_POINT
-
-
-def _origin(d: int) -> mc.FixedPoint:
-    return _mc().FixedPoint((0.0,) * d)
+#: body kind -> its sampler body for (d, interval length), and fixed kind ->
+#: the fixed vertex in dimension d: the samplers of every :data:`SUPPORT` pair.
+_BODIES = {
+    "interval": lambda d, l: _mc().Interval(_length(l)),
+    "ball": lambda d, l: _mc().Ball(d),
+    "halfball": lambda d, l: _mc().HalfBall(d),
+    "triangle": lambda d, l: _mc().unit_area_triangle(),
+    "tetrahedron": lambda d, l: _mc().unit_volume_tetrahedron(),
+}
+_FIXED = {
+    "none": lambda d: _mc().NO_FIXED_POINT,
+    "origin": lambda d: _mc().FixedPoint((0.0,) * d),
+    "edge_midpoint": lambda d: _mc().triangle_edge_midpoint(),
+    "facet_centroid": lambda d: _mc().tetrahedron_facet_centroid(),
+}
 
 
 #: E V^4 of the pairs without a closed form at every k, from the expansion of
@@ -504,36 +511,25 @@ _FACET_CENTROID_FOURTH = PiPolynomial.from_rational(Fraction(43, 27783000))
 #: (body kind, fixed kind) -> :class:`Support`; looking up any other pair
 #: raises :class:`UnsupportedQueryError` listing the supported ones.
 SUPPORT = _SupportTable({
-    ("interval", "none"): Support(1, lambda d, l: _mc().Interval(_length(l)), _no_fixed,
-                                  lambda d, l: Covariance(
+    ("interval", "none"): Support(1, lambda d, l: Covariance(
                                       PiPolynomial.from_rational(_length(l) ** 2 / 12)),
                                   lambda d, k, l: interval_moment(k, _length(l))),
-    ("ball", "none"): Support(None, lambda d, l: _mc().Ball(d), _no_fixed,
-                              lambda d, l: _ball_covariance(d, False),
+    ("ball", "none"): Support(None, lambda d, l: _ball_covariance(d, False),
                               lambda d, k, l: ball_moment(d, k)),
-    ("ball", "origin"): Support(None, lambda d, l: _mc().Ball(d), _origin,
-                                lambda d, l: _ball_covariance(d, True),
+    ("ball", "origin"): Support(None, lambda d, l: _ball_covariance(d, True),
                                 lambda d, k, l: ball_fixed_moment(d, k)),
-    ("halfball", "none"): Support(None, lambda d, l: _mc().HalfBall(d), _no_fixed,
-                                  lambda d, l: _halfball_covariance(d, False),
+    ("halfball", "none"): Support(None, lambda d, l: _halfball_covariance(d, False),
                                   exact_k=frozenset({2}), fourth=_HALFBALL_FOURTH),
-    ("halfball", "origin"): Support(None, lambda d, l: _mc().HalfBall(d), _origin,
-                                    lambda d, l: _halfball_covariance(d, True),
+    ("halfball", "origin"): Support(None, lambda d, l: _halfball_covariance(d, True),
                                     lambda d, k, l: halfball_fixed_moment(d, k)),
-    ("triangle", "none"): Support(2, lambda d, l: _mc().unit_area_triangle(), _no_fixed,
-                                  lambda d, l: _simplex_covariance(2, False),
+    ("triangle", "none"): Support(2, lambda d, l: _simplex_covariance(2, False),
                                   lambda d, k, l: triangle_moment(k)),
-    ("triangle", "edge_midpoint"): Support(2, lambda d, l: _mc().unit_area_triangle(),
-                                           lambda d: _mc().triangle_edge_midpoint(),
-                                           lambda d, l: _simplex_covariance(2, True),
+    ("triangle", "edge_midpoint"): Support(2, lambda d, l: _simplex_covariance(2, True),
                                            lambda d, k, l: triangle_midpoint_moment(k)),
-    ("tetrahedron", "none"): Support(3, lambda d, l: _mc().unit_volume_tetrahedron(), _no_fixed,
-                                     lambda d, l: _simplex_covariance(3, False),
+    ("tetrahedron", "none"): Support(3, lambda d, l: _simplex_covariance(3, False),
                                      lambda d, k, l: tetrahedron_moment_k1(),
                                      exact_k=frozenset({1, 2}), fourth={3: _TETRAHEDRON_FOURTH}),
-    ("tetrahedron", "facet_centroid"): Support(3, lambda d, l: _mc().unit_volume_tetrahedron(),
-                                               lambda d: _mc().tetrahedron_facet_centroid(),
-                                               lambda d, l: _simplex_covariance(3, True),
+    ("tetrahedron", "facet_centroid"): Support(3, lambda d, l: _simplex_covariance(3, True),
                                                exact_k=frozenset({2}),
                                                fourth={3: _FACET_CENTROID_FOURTH}),
 })
@@ -568,6 +564,10 @@ class MomentQuery:
     @property
     def support(self) -> Support:
         return SUPPORT[self.body_kind, self.fixed_kind]
+
+    def sampler(self) -> tuple[mc.Body, mc.FixedPointSpec]:
+        """(body, fixed vertex) for estimating the moment by Monte Carlo."""
+        return _BODIES[self.body_kind](self.d, self.l), _FIXED[self.fixed_kind](self.d)
 
     def to_json_dict(self) -> dict:
         return {

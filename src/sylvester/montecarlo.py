@@ -314,7 +314,8 @@ NO_FIXED_POINT = NoFixedPoint()
 
 
 # ---------------------------------------------------------------------------
-# canonical bodies used by the support table (moments.SUPPORT) and the tests
+# canonical bodies, the samplers of moments' body and fixed-vertex kinds
+# (moments._BODIES, moments._FIXED) and of the tests
 
 _SQRT2 = sqrt(2.0)
 _CBRT6 = 6.0 ** (1.0 / 3.0)
@@ -945,7 +946,7 @@ def _worker_init() -> None:
 
 
 #: A certification's chunk i has chunk_size >> max(_RAMP_FIRST - i, _RAMP_LAST)
-#: simplices: chunk_size / 32 first, then chunk_size / 16 each (see _jobs).
+#: simplices: chunk_size / 32 first, then chunk_size / 16 each (see _ramp).
 #: The steady size is the step in which a run's samples, and its time, grow:
 #: at the default chunk, 2,048-sample steps stop halfball-d3 at a median of
 #: 9,216 samples, where 8,192-sample steps stop it at 15,360 (seeds 0-39,
@@ -954,21 +955,9 @@ def _worker_init() -> None:
 _RAMP_FIRST, _RAMP_LAST = 5, 4
 
 
-def _jobs(body: Body, fixed: FixedPointSpec, config: EstimatorConfig,
-          ramp: bool = False) -> Iterator[tuple]:
-    """The ``_chunk_stats`` arguments of a run's chunks, in index order.
-
-    The fixed vertex, the chunk's bytes and the dimension are checked now,
-    with ValueError.  The jobs are computed as they are drawn, so a budget
-    costs nothing until its chunks are drawn.  Job i has
-    ``min(chunk_size, remaining)`` simplices, or with ``ramp`` (a
-    certification) ``min(chunk_size >> max(_RAMP_FIRST - i, _RAMP_LAST),
-    remaining)``, at least 1: the chunks double from ``chunk_size >>
-    _RAMP_FIRST`` up to ``chunk_size >> _RAMP_LAST``.  A certification is
-    decided only at the end of a chunk, so the steady size sets the step in
-    which its samples, and its time, grow with the samples that decide it.
-    Chunk i is keyed [seed, i] either way.
-    """
+def _check_run(body: Body, fixed: FixedPointSpec, config: EstimatorConfig) -> None:
+    """ValueError unless the fixed vertex lies in the body, a chunk's points
+    fit in :data:`MAX_CHUNK_BYTES` and d! is a double."""
     d = body.dimension
     if isinstance(fixed, FixedPoint):
         _check_inside(body, fixed)
@@ -980,7 +969,6 @@ def _jobs(body: Body, fixed: FixedPointSpec, config: EstimatorConfig,
             f"{MAX_CHUNK_BYTES} bytes; the largest chunk that fits is "
             f"{MAX_CHUNK_BYTES // point_bytes} (--chunk)")
     _factorial(d, "sampling")
-    return _schedule(body, fixed, config, ramp)
 
 
 def _job(body: Body, fixed: FixedPointSpec, config: EstimatorConfig, i: int) -> tuple:
@@ -988,6 +976,29 @@ def _job(body: Body, fixed: FixedPointSpec, config: EstimatorConfig, i: int) -> 
     n - i * chunk_size)`` simplices, keyed [seed, i]."""
     size = min(config.chunk_size, config.n_samples - i * config.chunk_size)
     return body, fixed, config.k, config.seed, i, size
+
+
+def _ramp(body: Body, fixed: FixedPointSpec, config: EstimatorConfig,
+          variate: Callable[[np.ndarray], np.ndarray] | None,
+          partner: str | None) -> Iterator[tuple]:
+    """The ``_chunk_stats`` arguments of a certification side's chunks, in
+    index order.
+
+    They are computed as they are drawn, so a budget costs nothing until its
+    chunks are drawn.  Chunk i has ``min(chunk_size >> max(_RAMP_FIRST - i,
+    _RAMP_LAST), remaining)`` simplices, at least 1, keyed [seed, i]: the
+    chunks double from ``chunk_size >> _RAMP_FIRST`` up to ``chunk_size >>
+    _RAMP_LAST``.  A certification is decided only at the end of a chunk, so
+    the steady size sets the step in which its samples, and its time, grow
+    with the samples that decide it.
+    """
+    drawn = i = 0
+    while drawn < config.n_samples:
+        size = min(max(config.chunk_size >> max(_RAMP_FIRST - i, _RAMP_LAST), 1),
+                   config.n_samples - drawn)
+        yield body, fixed, config.k, config.seed, i, size, variate, partner
+        drawn += size
+        i += 1
 
 
 # A fixed vertex's membership and a body's range are constants of the frozen
@@ -1006,18 +1017,6 @@ def _max_simplex_volume(body: Body) -> float:
     return body.max_simplex_volume()
 
 
-def _schedule(body: Body, fixed: FixedPointSpec, config: EstimatorConfig,
-              ramp: bool) -> Iterator[tuple]:
-    drawn = i = 0
-    while drawn < config.n_samples:
-        size = (max(config.chunk_size >> max(_RAMP_FIRST - i, _RAMP_LAST), 1) if ramp
-                else config.chunk_size)
-        size = min(size, config.n_samples - drawn)
-        yield body, fixed, config.k, config.seed, i, size
-        drawn += size
-        i += 1
-
-
 def estimate_moment(body: Body, fixed: FixedPointSpec, config: EstimatorConfig,
                     workers: int | None = None) -> MomentEstimate:
     """Estimate E[V^k] over ``config.n_samples`` i.i.d. random simplices.
@@ -1028,7 +1027,7 @@ def estimate_moment(body: Body, fixed: FixedPointSpec, config: EstimatorConfig,
     chunks, the helpers of the process's kept team, or the caller alone at 1
     (:func:`_run`).  A helper that dies fails the run with ChildProcessError.
     """
-    _jobs(body, fixed, config)  # for its checks: the team computes each job from its index
+    _check_run(body, fixed, config)
     n, mean, m2 = stats = _run(body, fixed, config, _resolve_workers(workers))
     if not (isfinite(mean) and isfinite(m2)):  # then the CI and std error are finite too
         raise ValueError(f"E[V^{config.k}] overflows a double in this body")
@@ -1178,7 +1177,7 @@ class EstimatedSide:
 
     The tests run on samples Y_i in [0, c], c = ``value_range``, from each
     chunk's (n, mean, M2) alone, each tail at ``alpha / 2``.  The chunks of
-    ``jobs`` ramp up to a fraction of the chunk size (see :func:`_jobs`).
+    ``jobs`` ramp up to a fraction of the chunk size (see :func:`_ramp`).
 
     Without ``second_moment`` the samples are Y = x = V^k, c = R^k =
     ``moment_range``, where R is the largest simplex volume in the body, and
@@ -1204,7 +1203,14 @@ class EstimatedSide:
     Y is computed by Horner's rule (:func:`_quartic_variate`) as fl(x g),
     g = fl(1 + fl(t fl(a + fl(b fl(t t))))), with t = fl(x / R^k) in [0, 1],
     since x <= R^k and rounding is monotone, and x <= R^k t / (1 - u),
-    u = 2^-53.  Then 0 <= Y <= c, by one argument per row:
+    u = 2^-53.  In a ball or half-ball x <= R^k holds because R is rounded
+    up by a relative 2^-40 (:func:`_hadamard_bound`).  In a simplex R is its
+    volume from ``np.linalg.det``, not rounded up, and the computed volume of
+    the body's own vertices can exceed it by an ulp (``simplex_volume`` of
+    :func:`unit_area_triangle`'s vertices is 1.0000000000000002, R = 1.0):
+    there x <= R^k rests on the condition that no sampled simplex lies
+    within about a relative 2^-52 of the whole body.  Then 0 <= Y <= c, by
+    one argument per row:
 
     * Row (-1, 0): b fl(t t) = 0, a + 0 = -1 and t (-1) = -t are exact, so
       g = fl(1 - t), which is >= 0 for t in [0, 1], and Y >= 0.  With
@@ -1270,7 +1276,7 @@ class EstimatedSide:
     def __init__(self, body: Body, fixed: FixedPointSpec, config: EstimatorConfig, alpha: float,
                  second_moment: PiPolynomial | None = None,
                  fourth_moment: PiPolynomial | None = None, exact: ExactSide | None = None):
-        self.jobs = _jobs(body, fixed, config, ramp=True)  # checks d before R is computed
+        _check_run(body, fixed, config)  # before R is computed
         self.body, self.fixed, self.config, self.alpha = body, fixed, config, alpha
         k = config.k
         try:
@@ -1300,10 +1306,7 @@ class EstimatedSide:
         # chunk, and the 4-half-ball's scenario stops at chunk 0, so it is left out
         self.partner = (_HALF_TURN_ORBIT if isinstance(body, HalfBall) and body.d == 3
                         and not isinstance(fixed, FixedPoint) else None)
-        if self.partner is not None:
-            self.jobs = (job + (self.variate, self.partner) for job in self.jobs)
-        elif self.variate is not None:
-            self.jobs = (job + (self.variate,) for job in self.jobs)
+        self.jobs = _ramp(body, fixed, config, self.variate, self.partner)
         self.stats = _EMPTY
         self.chunks = 0
         self.test = BettingTest(self, exact)

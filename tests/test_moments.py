@@ -471,6 +471,22 @@ def test_every_support_row_has_a_second_moment_from_its_covariance():
             assert second_moment(d, row.covariance(d, l)) == value, (body, fixed, d)
 
 
+def test_each_body_and_fixed_kind_has_one_sampler():
+    # every kind the support table names has a sampler, and no other; every
+    # supported pair's query builds a body in its own dimension, with the
+    # fixed vertex in it
+    from sylvester.moments import _BODIES, _FIXED, BODY_KINDS, FIXED_KINDS
+
+    assert set(_BODIES) == set(BODY_KINDS) and set(_FIXED) == set(FIXED_KINDS)
+    for (body_kind, fixed_kind), row in SUPPORT.items():
+        for d in ([row.d] if row.d is not None else range(1, 7)):
+            body, fixed = MomentQuery(d, 1, body_kind, fixed_kind).sampler()
+            assert body.dimension == d, (body_kind, fixed_kind, d)
+            if fixed_kind != "none":
+                assert len(fixed.coords) == d and body.contains(fixed.array())
+    assert MomentQuery(1, 1, "interval", l=F(3, 7)).sampler()[0].length == 3 / 7
+
+
 def test_the_permutation_expansion_equals_the_closed_forms_at_k4():
     # E det^4 row by row, on each body's monomial moments, against every
     # form that holds at k = 4 (the unit interval is the 1-simplex)

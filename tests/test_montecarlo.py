@@ -738,11 +738,14 @@ def test_estimate_moment_determinism_across_workers_beyond_balls(body, fixed, k)
 
 
 def test_chunk_bytes_are_bounded_by_the_config_and_body():
-    from sylvester.montecarlo import MAX_CHUNK_BYTES, _jobs
+    from sylvester.montecarlo import MAX_CHUNK_BYTES, _check_run, _job
 
     cfg = make_config(k=1, n_samples=10**6)
     assert cfg.chunk_size == DEFAULT_CHUNK
-    assert len(list(_jobs(Ball(15), NO_FIXED_POINT, cfg))) == -(-10**6 // DEFAULT_CHUNK)
+    _check_run(Ball(15), NO_FIXED_POINT, cfg)
+    chunks = -(-10**6 // DEFAULT_CHUNK)
+    sizes = [_job(Ball(15), NO_FIXED_POINT, cfg, i)[5] for i in range(chunks)]
+    assert sum(sizes) == 10**6 and min(sizes) > 0
     # 2^26 // (17*16*8) and 2^26 // (50*50*8)
     for body, fixed, largest in [(Ball(16), NO_FIXED_POINT, 30_840),
                                  (Ball(50), FixedPoint((0.0,) * 50), 3_355)]:
@@ -752,34 +755,33 @@ def test_chunk_bytes_are_bounded_by_the_config_and_body():
                 estimate_moment(body, fixed, cfg, workers=workers)
         with pytest.raises(ValueError, match=message):
             certify_counterexample((body, fixed, 1), PiPolynomial.from_rational(1), cfg)
-        _jobs(body, fixed, make_config(k=1, n_samples=10**6, chunk_size=largest))
+        _check_run(body, fixed, make_config(k=1, n_samples=10**6, chunk_size=largest))
         with pytest.raises(ValueError, match=message):
-            _jobs(body, fixed, make_config(k=1, n_samples=10**6, chunk_size=largest + 1))
+            _check_run(body, fixed, make_config(k=1, n_samples=10**6, chunk_size=largest + 1))
 
 
 def test_a_budget_costs_nothing_until_its_chunks_are_drawn():
-    from sylvester.montecarlo import _job, _jobs
+    from sylvester.montecarlo import _job, _ramp
 
-    # 3 * 10^10 chunks: a list of them would not fit in memory
-    jobs = _jobs(Ball(3), NO_FIXED_POINT, make_config(k=1, n_samples=10**15))
-    assert next(jobs) == (Ball(3), NO_FIXED_POINT, 1, 0, 0, DEFAULT_CHUNK)
-    tail = list(_jobs(Ball(3), NO_FIXED_POINT, make_config(k=2, n_samples=2_500,
-                                                           seed=9, chunk_size=1_000)))
+    # about 5 * 10^11 chunks: a list of them would not fit in memory
+    variate = object()
+    jobs = _ramp(Ball(3), NO_FIXED_POINT, make_config(k=1, n_samples=10**15), variate, None)
+    assert next(jobs) == (Ball(3), NO_FIXED_POINT, 1, 0, 0, 1_024, variate, None)
+    # an estimate's equal chunks, each computed from its index alone; the
+    # budget caps the last
+    cfg = make_config(k=2, n_samples=2_500, seed=9, chunk_size=1_000)
+    tail = [_job(Ball(3), NO_FIXED_POINT, cfg, i) for i in range(3)]
+    assert [job[:2] for job in tail] == [(Ball(3), NO_FIXED_POINT)] * 3
     assert [job[2:] for job in tail] == [(2, 9, 0, 1_000), (2, 9, 1, 1_000), (2, 9, 2, 500)]
-    # an estimate's helpers compute each of those jobs from its index alone
-    assert [_job(Ball(3), NO_FIXED_POINT, make_config(k=2, n_samples=2_500, seed=9,
-                                                      chunk_size=1_000), i)
-            for i in range(3)] == tail
     # a certification's jobs take chunk / 32, then chunk / 16 each
-    ramp = _jobs(Ball(3), NO_FIXED_POINT, make_config(k=1, n_samples=10**15), ramp=True)
-    assert [job[4:] for job in islice(ramp, 4)] == [
-        (0, 1_024), (1, DEFAULT_CHUNK // 16), (2, DEFAULT_CHUNK // 16), (3, DEFAULT_CHUNK // 16)]
+    assert [job[4:6] for job in islice(jobs, 3)] == [
+        (1, DEFAULT_CHUNK // 16), (2, DEFAULT_CHUNK // 16), (3, DEFAULT_CHUNK // 16)]
     # at least one simplex a chunk, and the budget caps the last
-    short = _jobs(Ball(3), NO_FIXED_POINT, make_config(k=1, n_samples=10, chunk_size=10),
-                  ramp=True)
+    short = _ramp(Ball(3), NO_FIXED_POINT, make_config(k=1, n_samples=10, chunk_size=10),
+                  None, None)
     assert [job[5] for job in short] == [1] * 10
-    short = _jobs(Ball(3), NO_FIXED_POINT, make_config(k=1, n_samples=70, chunk_size=70),
-                  ramp=True)
+    short = _ramp(Ball(3), NO_FIXED_POINT, make_config(k=1, n_samples=70, chunk_size=70),
+                  None, None)
     assert [job[5] for job in short] == [2] + [4] * 17
 
 
@@ -1456,9 +1458,10 @@ def test_quartic_side_shift_bounds_estimate_and_trace():
         for s4 in fourth.evaluate_interval(30):
             assert F(side.shift[0]) <= -(a * s2 / r + b * s4 / r**3) <= F(side.shift[1])
     assert 0 < side.shift[1] - side.shift[0] < 1e-15
-    # the same keys and sizes, with the quartic appended
+    # the same keys and sizes, with the quartic in place of the quadratic
     for q_job, job in zip(quadratic.jobs, side.jobs):
-        assert job == (*q_job[:6], side.variate) and side.variate.func is _quartic_variate
+        assert job[:6] == q_job[:6] and job[6:] == (side.variate, None)
+        assert side.variate.func is _quartic_variate
         quadratic.add(_chunk_stats(*q_job))
         side.add(_chunk_stats(*job))
     assert side.stats[0] == 50_000
@@ -1488,7 +1491,7 @@ def test_new_fourth_moments_agree_with_a_frozen_estimate(d, body_kind, fixed_kin
     from sylvester.moments import MomentQuery, exact_moment
 
     query = MomentQuery(d, 4, body_kind, fixed_kind)
-    body, fixed = query.support.body(d, None), query.support.fixed(d)
+    body, fixed = query.sampler()
     est = estimate_moment(body, fixed, make_config(k=4, n_samples=2_000_000, seed=2_718))
     assert abs(est.mean - exact_moment(query).to_float()) <= 5 * est.std_error
 
@@ -1501,7 +1504,7 @@ def test_new_second_moments_agree_with_a_frozen_estimate(d, body_kind, fixed_kin
     from sylvester.moments import MomentQuery, exact_moment
 
     query = MomentQuery(d, 2, body_kind, fixed_kind)
-    body, fixed = query.support.body(d, None), query.support.fixed(d)
+    body, fixed = query.sampler()
     est = estimate_moment(body, fixed, make_config(k=2, n_samples=400_000, seed=2_718))
     assert abs(est.mean - exact_moment(query).to_float()) <= 5 * est.std_error
 
@@ -1557,9 +1560,10 @@ def test_control_variate_side_bounds_and_estimate():
     plain = EstimatedSide(Ball(3), FixedPoint((0.0,) * 3), cfg, 0.01)
     side = EstimatedSide(Ball(3), FixedPoint((0.0,) * 3), cfg, 0.01, second)
     assert side.bounds() == plain.bounds() == (0.0, side.moment_range)
-    # the same keys and sizes, with the control variate appended
+    # the same keys and sizes, with the control variate
     for job, cv_job in zip(plain.jobs, side.jobs):
-        assert cv_job == (*job, side.variate)
+        assert cv_job[:6] == job[:6] and cv_job[6:] == (side.variate, None)
+        assert job[6:] == (None, None)
         plain.add(_chunk_stats(*job))
         side.add(_chunk_stats(*cv_job))
     assert side.stats[0] == plain.stats[0] == 50_000
@@ -1660,26 +1664,26 @@ def test_the_tree_mean_of_eight_values_in_the_range_stays_in_it(c, fracs):
 ])
 def test_only_the_free_3_half_ball_is_paired(body, fixed):
     # its jobs keep their arguments, and its trace names no partner
-    from sylvester.montecarlo import EstimatedSide, _jobs
+    from sylvester.montecarlo import EstimatedSide, _ramp
 
     cfg = make_config(k=1, n_samples=5_000, seed=2)
     side = EstimatedSide(body, fixed, cfg, 0.01)
     assert side.partner is None
-    assert list(side.jobs) == list(_jobs(body, fixed, cfg, ramp=True))
+    assert list(side.jobs) == list(_ramp(body, fixed, cfg, None, None))
     assert "partner" not in side.trace_dict()
 
 
 def test_a_side_picks_an_orbit_only_on_the_free_3_half_ball():
     # over every supported (body, fixed vertex) pair, free and fixed, at each
     # d it takes up to 6
-    from sylvester.moments import SUPPORT
+    from sylvester.moments import SUPPORT, MomentQuery
     from sylvester.montecarlo import EstimatedSide
 
     cfg = make_config(k=1, n_samples=5_000, seed=2)
     picked = []
     for (body, fixed), row in SUPPORT.items():
         for d in ([row.d] if row.d is not None else range(1, 7)):
-            side = EstimatedSide(row.body(d, None), row.fixed(d), cfg, 0.01)
+            side = EstimatedSide(*MomentQuery(d, 1, body, fixed).sampler(), cfg, 0.01)
             if side.partner is not None:
                 picked.append((body, fixed, d, side.partner))
     assert picked == [("halfball", "none", 3, (
@@ -1721,12 +1725,12 @@ def test_readme_states_the_ramp_and_the_orbit_the_code_runs():
     # of --chunk the ramp rises to, as does counterexample's --chunk help, and
     # README's trace schema the orbit's name
     from sylvester.cli import COMMAND_PARSERS
-    from sylvester.montecarlo import EstimatedSide, _jobs
+    from sylvester.montecarlo import EstimatedSide, _ramp
 
     text = " ".join((Path(__file__).resolve().parent.parent / "README.md").read_text().split())
     cfg = make_config(k=1, n_samples=10**9)
     first, steady, third = (job[5] for job in
-                            islice(_jobs(HalfBall(3), NO_FIXED_POINT, cfg, ramp=True), 3))
+                            islice(_ramp(HalfBall(3), NO_FIXED_POINT, cfg, None, None), 3))
     assert third == steady and DEFAULT_CHUNK // steady in _FRACTIONS
     size = r"(\d{1,3}(?:,\d{3})*)"
     stated = re.findall(rf"at the default chunk {size},? (?:and )?then {size} each", text)
