@@ -50,6 +50,7 @@ _EXPORTS = {
         "interval_moment",
         "plane_counterexample_report",
         "q_ratio",
+        "q_ratios",
         "scale_to_volume",
         "second_moment",
         "table1_rows",

@@ -32,7 +32,7 @@ from .moments import (
     exact_moment,
     exact_ratio_bound,
     plane_counterexample_report,
-    q_ratio,
+    q_ratios,
     table1_rows,
 )
 
@@ -72,15 +72,20 @@ SCENARIOS = {
 }
 
 
+# json.dumps(obj, sort_keys=True), with the encoder built once, not per call
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
 def _emit(record: dict, table: bool, renderer) -> None:
     if table:
         print(renderer(record))
     else:
-        print(json.dumps(record, sort_keys=True))
+        print(_encode(record))
 
 
 def _manifest(ns: argparse.Namespace) -> None:
-    parameters = {key: str(value) if isinstance(value, Fraction) else value
+    # a type test: isinstance on Fraction goes through the numbers ABCs
+    parameters = {key: str(value) if type(value) is Fraction else value
                   for key, value in vars(ns).items() if key != "command"}
     manifest = {
         "manifest": {
@@ -90,7 +95,7 @@ def _manifest(ns: argparse.Namespace) -> None:
             "version": __version__,
         }
     }
-    print(json.dumps(manifest, sort_keys=True), file=sys.stderr)
+    print(_encode(manifest), file=sys.stderr)
 
 
 def _fraction(text: str) -> Fraction:
@@ -400,7 +405,7 @@ def cmd_counterexample(ns) -> int:
     config = make_config(k=1, n_samples=ns.n, seed=ns.seed,
                          chunk_size=ns.chunk, confidence=ns.confidence)
     verdict = certify_counterexample(_side(lhs), _side(rhs), config)
-    print(json.dumps({"certification": verdict.trace_dict()}, sort_keys=True), file=sys.stderr)
+    print(_encode({"certification": verdict.trace_dict()}), file=sys.stderr)
     certified = verdict.relation == LHS_GREATER
     record = {
         "scenario": ns.scenario,
@@ -423,7 +428,7 @@ def cmd_qscan(ns) -> int:
     if ns.k_max < 2:
         raise ValueError("--k-max must be >= 2")
     check_closed_form_size(ns.d, ns.k_max)
-    qs = [q_ratio(ns.d, k) for k in range(1, ns.k_max + 1)]  # qs[k - 1] = q(d, k)
+    qs = q_ratios(ns.d, ns.k_max)  # qs[k - 1] = q(d, k)
     rows = [{"k": k, "q": str(q),
              "q_decimal": PiPolynomial.from_rational(q).to_decimal(ns.digits),
              "below_one": q < 1}
@@ -448,7 +453,7 @@ def cmd_qscan(ns) -> int:
         summary["ratio_bound_k2"] = bound_k2.to_json_dict()
         summary["ratio_bound_k2_is_one"] = bound_k2 == 1
         summary["ratio_bound_k3_decimal"] = exact_ratio_bound(3, 3).to_decimal(6)
-    _emit(summary, ns.table, lambda r: f"summary: {json.dumps(r, sort_keys=True)}")
+    _emit(summary, ns.table, lambda r: f"summary: {_encode(r)}")
     return EXIT_OK
 
 

@@ -112,20 +112,23 @@ class PiPolynomial:
     ints and Fractions mix freely as operands.
     """
 
-    __slots__ = ("_terms",)
+    # _hash and _texts are set once, on first use (see __hash__ and _coefficient_texts)
+    __slots__ = ("_terms", "_hash", "_texts")
 
     def __init__(self, terms: Mapping[int, Fraction | int] | None = None):
         canon: dict[int, Fraction] = {}
         if terms:
             for h, c in terms.items():
-                c = Fraction(c)
+                if type(c) is not Fraction:
+                    c = Fraction(c)
                 if c:
                     h = int(h)
-                    acc = canon.get(h, _ZERO) + c
-                    if acc:
+                    if h not in canon:
+                        canon[h] = c
+                    elif acc := canon[h] + c:
                         canon[h] = acc
                     else:
-                        canon.pop(h, None)
+                        del canon[h]
         object.__setattr__(self, "_terms", canon)
 
     def __setattr__(self, name, value):
@@ -255,9 +258,16 @@ class PiPolynomial:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            pass
         if self.is_rational:
-            return hash(self.to_rational())
-        return hash(tuple(sorted(self._terms.items())))
+            value = hash(self.to_rational())
+        else:
+            value = hash(tuple(sorted(self._terms.items())))
+        object.__setattr__(self, "_hash", value)
+        return value
 
     def sign(self) -> int:
         """Certified sign: -1, 0 or +1.
@@ -350,18 +360,24 @@ class PiPolynomial:
 
     # -- serialization ---------------------------------------------------------
 
+    def _coefficient_texts(self) -> tuple[tuple[int, str, str], ...]:
+        """(h, numerator, denominator) per term, h ascending, the integers as
+        decimal strings, which :meth:`to_json_dict` and ``str`` share: each is
+        converted once per value, as int-to-str costs time quadratic in the
+        digits."""
+        try:
+            return self._texts
+        except AttributeError:
+            pass
+        texts = tuple((h, str(c.numerator), str(c.denominator))
+                      for h, c in sorted(self._terms.items()))
+        object.__setattr__(self, "_texts", texts)
+        return texts
+
     def to_json_dict(self) -> dict:
         """JSON form: {"terms": [{"h": int, "num": str, "den": str}]}, h ascending."""
-        return {
-            "terms": [
-                {
-                    "h": h,
-                    "num": str(self._terms[h].numerator),
-                    "den": str(self._terms[h].denominator),
-                }
-                for h in sorted(self._terms)
-            ]
-        }
+        return {"terms": [{"h": h, "num": num, "den": den}
+                          for h, num, den in self._coefficient_texts()]}
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "PiPolynomial":
@@ -377,13 +393,13 @@ class PiPolynomial:
         if not self._terms:
             return "0"
         parts = []
-        for h in sorted(self._terms):
-            c = self._terms[h]
-            mag = _format_term(abs(c), h)
+        for h, num, den in self._coefficient_texts():
+            negative = num.startswith("-")
+            mag = _format_term(num[1:] if negative else num, den, h)
             if not parts:
-                parts.append(mag if c > 0 else f"-{mag}")
+                parts.append(f"-{mag}" if negative else mag)
             else:
-                parts.append(f"+ {mag}" if c > 0 else f"- {mag}")
+                parts.append(f"- {mag}" if negative else f"+ {mag}")
         return " ".join(parts)
 
     def __repr__(self) -> str:
@@ -393,38 +409,44 @@ class PiPolynomial:
         return iter(sorted(self._terms.items()))
 
 
-def _format_term(coef: Fraction, h: int) -> str:
+def _format_term(num: str, den: str, h: int) -> str:
+    """A term of magnitude num/den (decimal strings, num without a sign) times pi^(h/2)."""
+    coef = num if den == "1" else f"{num}/{den}"
     if h == 0:
-        return str(coef)
+        return coef
     if h == 2:
         p = "pi"
     elif h % 2 == 0:
         p = f"pi^{h // 2}"
     else:
         p = f"pi^({h}/2)"
-    if coef == 1:
+    if coef == "1":
         return p
     return f"{coef}*{p}"
 
 
 def _truncate_rational(q: Fraction, digits: int) -> str:
     """First ``digits`` significant digits of q, truncated toward zero."""
-    if q == 0:
+    p, d = q.numerator, q.denominator
+    if not p:
         return "0." + "0" * digits
-    sign = "-" if q < 0 else ""
-    p, d = abs(q).numerator, abs(q).denominator
-    # decimal exponent e with 10^e <= p/d < 10^(e+1), from an estimate by
-    # bit lengths (log10(2) ~ 0.30103) that the loops below correct
+    sign = ""
+    if p < 0:
+        sign, p = "-", -p
+    # mant = floor(p/d * 10^(digits - 1 - e)) has ``digits`` digits exactly
+    # when 10^e <= p/d < 10^(e+1); e starts from an estimate by bit lengths
+    # (log10(2) ~ 0.30103), off by at most one, which the loop corrects
     e = (p.bit_length() - d.bit_length()) * 30103 // 100000
-    while p * 10 ** max(0, -e) < d * 10 ** max(0, e):
+    low, high = 10 ** (digits - 1), 10**digits
+    while True:
+        shift = digits - 1 - e
+        mant = p * 10**shift // d if shift >= 0 else p // (d * 10**-shift)
+        while mant >= high:  # e too low: floor(floor(x) / 10) = floor(x / 10)
+            e += 1
+            mant //= 10
+        if mant >= low:
+            break
         e -= 1
-    while p * 10 ** max(0, -(e + 1)) >= d * 10 ** max(0, e + 1):
-        e += 1
-    shift = digits - 1 - e
-    if shift >= 0:
-        mant = p * 10**shift // d
-    else:
-        mant = p // (d * 10**-shift)
     s = str(mant)
     if e < 0:
         return f"{sign}0." + "0" * (-e - 1) + s
@@ -450,6 +472,7 @@ def pi_power(h: int) -> PiPolynomial:
     return PiPolynomial({h: 1})
 
 
+@cache
 def gamma_half_parts(two_n: int) -> tuple[int, int, int]:
     """Gamma(two_n / 2) as integers (num, den, h): num / den * pi^(h/2).
 
@@ -457,6 +480,8 @@ def gamma_half_parts(two_n: int) -> tuple[int, int, int]:
     Gamma(m + 1/2) = (2m)! / (4^m m!) * sqrt(pi) = (2m - 1)!! / 2^m * sqrt(pi)
     with m = (two_n - 1)/2 and h = 1.  den is a power of two and the fraction
     is not reduced: products of these parts are normalised once, by the caller.
+    Cached: a ball form multiplies about 2d + 4 of them, and its neighbours in
+    d and k share most; the closed-form size limit bounds the arguments.
     """
     if two_n <= 0:
         raise ValueError(f"gamma_half requires a positive argument, got {two_n}")

@@ -189,6 +189,26 @@ def q_ratio(d: int, k: int) -> Fraction:
     return Fraction(4) ** k * Fraction(num, den)
 
 
+def q_ratios(d: int, k_max: int) -> list[Fraction]:
+    """[q(d, 1), ..., q(d, k_max)], each from the one before (see :func:`q_ratio`).
+
+    With B = d(d+k), the factor from q(d, k-1) to q(d, k) is
+    4 (d+k+1) (B+1)...(B+d) / ((B+k)...(B+k+d)): the numerator gains the
+    factor d+k+1, and the denominator's run of k factors moves from
+    B+1...B+k-1 to B+d+1...B+d+k.  Every step multiplies 2d + 2 small
+    factors, where :func:`q_ratio` multiplies out 2k; both give the same
+    reduced Fractions.
+    """
+    if d < 2:
+        raise ValueError("q_ratios requires d >= 2")
+    qs, q = [], Fraction(1)  # q(d, 0)
+    for k in range(1, k_max + 1):
+        b = d * (d + k)
+        q *= Fraction(4 * (d + k + 1) * perm(b + d, d), perm(b + k + d, d + 1))
+        qs.append(q)
+    return qs
+
+
 def exact_ratio_bound(d: int, k: int) -> PiPolynomial:
     """Exact upper bound for the fixed-vertex/free moment ratio in the d-half-ball.
 
@@ -586,9 +606,10 @@ class MomentQuery:
 #: is multiplied by the 64-bit words of l's numerator or denominator,
 #: whichever is longer.  A ball form is one product of about 2d + 4 gammas,
 #: reduced once, and takes milliseconds even at the limit.  What bounds the
-#: time is the triangle sums and qscan's q(d, k) for every k up to --k-max,
-#: whose cost grows about as the square of k or faster: at the limit they
-#: take well under a second, far beyond it minutes.
+#: time is the triangle sums, whose cost grows about as the square of k or
+#: faster, and qscan's q(d, k) for every k up to --k-max (each from the one
+#: before, :func:`q_ratios`): at the limit they take well under a second, far
+#: beyond it minutes.
 MAX_CLOSED_FORM_SIZE = 2000
 
 

@@ -96,7 +96,7 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, partial
 from math import ceil, exp, factorial, inf, isfinite, isqrt, log, log1p, nextafter, sqrt
@@ -599,7 +599,9 @@ class EstimatorConfig:
             raise ValueError("confidence must lie in (0, 1)")
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        # dataclasses.asdict's record, built directly: asdict deep-copies each field
+        return {"k": self.k, "n_samples": self.n_samples, "seed": self.seed,
+                "chunk_size": self.chunk_size, "confidence": self.confidence}
 
 
 def make_config(k: int, n_samples: int, seed: int = 0, chunk_size: int = DEFAULT_CHUNK,

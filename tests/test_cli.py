@@ -1126,3 +1126,27 @@ def test_commands_run_without_mpmath(capsys):
     for argv, (code, out) in zip(EXACT_COMMANDS, result["runs"]):
         assert (code, out) == run_cli(capsys, *argv)[:2], argv
         assert code == EXIT_OK and out, argv
+
+
+def _json_values():
+    scalars = st.one_of(st.none(), st.booleans(), st.integers(),
+                        st.floats(allow_nan=True, allow_infinity=True), st.text())
+    return st.recursive(scalars, lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(st.text(), inner, max_size=4)),
+        max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.text(), _json_values(), max_size=6))
+def test_kept_encoder_writes_what_json_dumps_writes(record):
+    # nan encodes as NaN on both sides; compare the texts, not the objects
+    assert cli._encode(record) == json.dumps(record, sort_keys=True)
+
+
+def test_kept_encoder_on_the_commands_records(capsys):
+    for argv in (["exact", "--body", "ball", "--d", "5", "--k", "3"], ["table1"],
+                 ["qscan", "--d", "3", "--k-max", "6"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        for line in [*out.splitlines(), *err.splitlines()]:
+            assert line == json.dumps(json.loads(line), sort_keys=True)

@@ -1,3 +1,4 @@
+import decimal
 import functools
 import json
 import operator
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from sylvester.exactnum import (
     _atan_inv,
     _sqrt_pi,
+    _truncate_rational,
     PI,
     SQRT_PI,
     PiPolynomial,
@@ -407,3 +409,135 @@ def test_to_decimal_of_rationals_longer_than_the_string_limit():
     q = F(7 * 10**4999 + 1, 3)
     assert PiPolynomial.from_rational(q).to_decimal(12) == "233333333333" + "0" * 4988
     assert PiPolynomial.from_rational(1 / q).to_decimal(12) == "0." + "0" * 4999 + "428571428571"
+
+
+# ---------------------------------------------------------------------------
+# decimal truncation, coefficient texts and the cached hash
+
+
+def _truncated_by_decimal(q: F, digits: int) -> str:
+    """The first ``digits`` significant digits of q, truncated toward zero, by
+    the decimal module: its quotient is q rounded down to ``digits`` digits."""
+    if q == 0:
+        return "0." + "0" * digits
+    ctx = decimal.Context(prec=digits, rounding=decimal.ROUND_DOWN,
+                          Emin=-10**6, Emax=10**6)
+    quotient = ctx.divide(decimal.Decimal(q.numerator), decimal.Decimal(q.denominator))
+    last = decimal.Decimal((0, (1,), quotient.adjusted() - digits + 1))
+    return format(quotient.quantize(last, context=ctx), "f")
+
+
+def _big_integers(max_digits=3000):
+    # zero, small values, exact powers of ten and their neighbours, and
+    # integers of up to thousands of digits
+    powers = st.integers(min_value=0, max_value=max_digits).map(lambda e: 10**e)
+    return st.one_of(
+        st.integers(min_value=-1000, max_value=1000),
+        powers,
+        powers.map(lambda p: p - 1),
+        powers.map(lambda p: p + 1),
+        st.integers(min_value=1, max_value=max_digits).flatmap(
+            lambda n: st.integers(min_value=-(10**n), max_value=10**n)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_big_integers(), _big_integers().filter(lambda d: d != 0),
+       st.one_of(st.integers(min_value=1, max_value=40), st.sampled_from([100, 500])))
+def test_truncate_rational_matches_the_decimal_module(num, den, digits):
+    q = F(num, den)
+    assert _truncate_rational(q, digits) == _truncated_by_decimal(q, digits)
+
+
+def test_truncate_rational_at_powers_of_ten_and_their_neighbours():
+    for e in (-40, -3, -1, 0, 1, 2, 11, 12, 13, 40, 2500):
+        for q in (F(10) ** e, F(10) ** e - F(1, 10**50), F(10) ** e + F(1, 10**50)):
+            for digits in (1, 2, 12, 30):
+                for signed in (q, -q):
+                    assert (_truncate_rational(signed, digits)
+                            == _truncated_by_decimal(signed, digits))
+
+
+def _str_by_fractions(value: PiPolynomial) -> str:
+    """str() as it reads from the Fractions themselves."""
+    parts = []
+    for h, c in value:
+        coef = abs(c)
+        if h == 0:
+            mag = str(coef)
+        else:
+            p = "pi" if h == 2 else f"pi^{h // 2}" if h % 2 == 0 else f"pi^({h}/2)"
+            mag = p if coef == 1 else f"{coef}*{p}"
+        if not parts:
+            parts.append(mag if c > 0 else f"-{mag}")
+        else:
+            parts.append(f"+ {mag}" if c > 0 else f"- {mag}")
+    return " ".join(parts) or "0"
+
+
+def _json_by_fractions(value: PiPolynomial) -> dict:
+    return {"terms": [{"h": h, "num": str(c.numerator), "den": str(c.denominator)}
+                      for h, c in value]}
+
+
+@pytest.mark.parametrize("value", [
+    PiPolynomial.zero(),
+    PiPolynomial.one(),
+    PiPolynomial.from_rational(-1),
+    PiPolynomial({2: -1}),
+    PiPolynomial({0: F(-7, 3), 1: 1, 2: -1, 3: F(5, 2), -4: F(-1, 9), 6: 12}),
+    tetrahedron_moment_k1(),
+    ball_moment(7, 9),
+    -ball_fixed_moment(4, 3),
+])
+def test_json_and_str_share_one_text_per_coefficient(value):
+    exact = value.to_json_dict()
+    texts = value._coefficient_texts()
+    assert value._coefficient_texts() is texts  # kept on the value
+    assert exact == _json_by_fractions(value)
+    assert str(value) == _str_by_fractions(value)
+    assert value._coefficient_texts() is texts
+    # every call still returns a fresh dict
+    exact["terms"].append({"h": 99, "num": "1", "den": "1"})
+    assert value.to_json_dict() == _json_by_fractions(value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pi_polynomials())
+def test_json_and_str_match_the_fractions(value):
+    # str first here, so each order of first use is covered
+    assert str(value) == _str_by_fractions(value)
+    assert value.to_json_dict() == _json_by_fractions(value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pi_polynomials())
+def test_cached_hash_is_the_formula(value):
+    if value.is_rational:
+        expected = hash(value.to_rational())
+    else:
+        expected = hash(tuple(sorted(value.terms.items())))
+    assert hash(value) == expected
+    assert hash(value) == expected  # served from the slot the first call set
+
+
+def test_hash_of_equal_values_built_different_ways():
+    assert hash(PiPolynomial.from_rational(F(3, 4))) == hash(F(3, 4))
+    assert hash(PiPolynomial.from_rational(5)) == hash(5)
+    assert hash(PiPolynomial.zero()) == hash(0)
+    assert hash(SQRT_PI * SQRT_PI) == hash(PI) == hash(PiPolynomial({2: F(2, 2)}))
+    built = PiPolynomial({0: F(1, 2), 4: 3}) - PiPolynomial({0: F(1, 2)})
+    assert built == pi_power(4) * 3 and hash(built) == hash(pi_power(4) * 3)
+    assert hash(gamma_half(7)) == hash(PiPolynomial({1: F(15, 8)}))
+
+
+def test_cached_slots_keep_the_value_immutable():
+    value = PiPolynomial({0: F(1, 3), 1: 2})
+    hash(value), str(value)
+    for name in ("_terms", "_hash", "_texts"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(value, name, None)
+
+
+def test_gamma_half_parts_are_cached():
+    assert gamma_half_parts(301) is gamma_half_parts(301)

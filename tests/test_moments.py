@@ -22,6 +22,7 @@ from sylvester.moments import (
     interval_moment,
     plane_counterexample_report,
     q_ratio,
+    q_ratios,
     scale_to_volume,
     second_moment,
     table1_rows,
@@ -265,6 +266,19 @@ def test_q_ratio_values():
 def test_q_ratio_matches_the_loop_product(d):
     for k in range(1, 998):
         assert q_ratio(d, k) == q_ratio_by_loop(d, k)
+
+
+@pytest.mark.parametrize("d", range(2, 13))
+def test_q_ratios_built_one_from_the_next_equal_q_ratio(d):
+    qs = q_ratios(d, 250)
+    assert len(qs) == 250
+    assert all(q == q_ratio(d, k) for k, q in enumerate(qs, 1))
+
+
+def test_q_ratios_domain():
+    assert q_ratios(2, 0) == []
+    with pytest.raises(ValueError):
+        q_ratios(1, 5)
 
 
 def test_q_ratio_recursion_identity():

@@ -7,7 +7,7 @@ import subprocess
 import sys
 import threading
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from fractions import Fraction
 from functools import partial
 from itertools import islice
@@ -695,6 +695,32 @@ def test_config_validation():
         EstimatorConfig(k=1, n_samples=10, chunk_size=5, seed=-1)
     cfg = make_config(k=1, n_samples=10, chunk_size=1_000_000)
     assert cfg.chunk_size == 10
+
+
+@pytest.mark.parametrize("config", [
+    EstimatorConfig(k=1, n_samples=10, chunk_size=10),
+    make_config(k=3, n_samples=2_000_000, seed=2**64 - 1, chunk_size=4096, confidence=0.9),
+])
+def test_config_record_is_asdicts(config):
+    record = config.to_json_dict()
+    assert record == asdict(config)
+    assert list(record) == list(asdict(config))
+    assert [type(v) for v in record.values()] == [type(v) for v in asdict(config).values()]
+
+
+def test_exact_side_record_is_built_once_and_cannot_be_changed_by_a_caller():
+    value = PiPolynomial({0: Fraction(13, 720), 4: Fraction(-1, 15015)})
+    side = ExactSide(value)
+    expected = {"type": "exact",
+                "value": {"terms": [{"h": 0, "num": "13", "den": "720"},
+                                    {"h": 4, "num": "-1", "den": "15015"}]},
+                "decimal": value.to_decimal(12)}
+    record = side.to_json_dict()
+    assert record == expected
+    record["decimal"] = "0"
+    record["value"]["terms"][0]["num"] = "0"
+    record["value"]["terms"].clear()
+    assert side.to_json_dict() == ExactSide(value).to_json_dict() == expected
 
 
 def test_estimate_moment_zeroth_moment_is_exact():
