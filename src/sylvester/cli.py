@@ -72,8 +72,21 @@ SCENARIOS = {
 }
 
 
-# json.dumps(obj, sort_keys=True), with the encoder built once, not per call
-_encode = json.JSONEncoder(sort_keys=True).encode
+def _encoder():
+    """json.dumps(obj, sort_keys=True) as one function, with its C encoder built
+    once: ``JSONEncoder.encode`` builds a new one, a markers dict and a closure
+    on every call.  Markers are None, so there is no circular-reference check:
+    every record is a tree built here, and a kept markers dict would be shared
+    by every thread that calls :func:`main`."""
+    make = json.encoder.c_make_encoder
+    if make is None:
+        return json.JSONEncoder(sort_keys=True).encode
+    encoder = make(None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
+                   None, ": ", ", ", True, False, True)
+    return lambda o: "".join(encoder(o, 0))
+
+
+_encode = _encoder()
 
 
 def _emit(record: dict, table: bool, renderer) -> None:

@@ -283,9 +283,9 @@ class PiPolynomial:
         digits = DEFAULT_COMPARISON_DIGITS
         while True:
             lo, hi = self.evaluate_interval(digits)
-            if lo > 0:
+            if lo.numerator > 0:
                 return 1
-            if hi < 0:
+            if hi.numerator < 0:
                 return -1
             if digits >= MAX_COMPARISON_DIGITS:
                 raise PrecisionError(
@@ -316,14 +316,17 @@ class PiPolynomial:
         lows, highs = [], []
         for h, c in self._terms.items():
             # c * x^h is increasing in x > 0 exactly when c and h share a sign
-            rising = (c > 0) == (h > 0)
+            rising = (c.numerator > 0) == (h > 0)
             lows.append(_term(c, h, s_lo if rising else s_hi, bits))
             highs.append(_term(c, h, s_hi if rising else s_lo, bits))
         # round every end outward to one scale, ``work`` bits below the largest term
         shift = work - max(n.bit_length() - d.bit_length() for n, d in lows)
-        unit = Fraction(2) ** -shift
-        return (sum(_scaled(n, d, shift, False) for n, d in lows) * unit,
-                sum(_scaled(n, d, shift, True) for n, d in highs) * unit)
+        lo = sum(_scaled(n, d, shift, False) for n, d in lows)
+        hi = sum(_scaled(n, d, shift, True) for n, d in highs)
+        # the ends are lo and hi times 2^-shift
+        if shift < 0:
+            return Fraction(lo << -shift), Fraction(hi << -shift)
+        return Fraction(lo, 1 << shift), Fraction(hi, 1 << shift)
 
     def to_decimal(self, digits: int) -> str:
         """Decimal string with the first ``digits`` significant digits certified.
@@ -341,7 +344,8 @@ class PiPolynomial:
         prec = max(digits + 10, DEFAULT_COMPARISON_DIGITS)
         while True:
             lo, hi = self.evaluate_interval(prec)
-            if (lo > 0) == (hi > 0) and lo != 0 and hi != 0:
+            # lo <= hi: the enclosure excludes zero when lo > 0 or hi < 0
+            if lo.numerator > 0 or hi.numerator < 0:
                 s_lo = _truncate_rational(lo, digits)
                 s_hi = _truncate_rational(hi, digits)
                 if s_lo == s_hi:

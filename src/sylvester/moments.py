@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial, perm
+from math import comb, factorial, lcm, perm
 from typing import TYPE_CHECKING, Callable, Mapping
 
 from .exactnum import SQRT_PI, PiPolynomial, gamma_half, gamma_half_parts
@@ -109,16 +109,24 @@ def _miles_product(d: int, k: int, free: bool) -> PiPolynomial:
     return PiPolynomial({h: Fraction(num, den)})
 
 
+def _inverse_sum(values: list[int], power: int = 1) -> tuple[int, int]:
+    """sum(Fraction(1, c) ** power for c in values) as (numerator, denominator),
+    not reduced: in integers over one denominator, the values' lcm to the power."""
+    common = lcm(*values)
+    return sum((common // c) ** power for c in values), common**power
+
+
 def _triangle_moment_q(k: int) -> Fraction:
-    inv_sq = sum(Fraction(1, comb(k, i)) ** 2 for i in range(k + 1))
-    lead = Fraction(12, (k + 1) ** 3 * (k + 2) ** 3 * (k + 3) * (2 * k + 5))
-    return lead * (6 * (k + 1) ** 2 + (k + 2) ** 2 * inv_sq)
+    # 12 (6 (k+1)^2 + (k+2)^2 sum_i C(k, i)^-2) / ((k+1)^3 (k+2)^3 (k+3) (2k+5))
+    num, den = _inverse_sum([comb(k, i) for i in range(k + 1)], 2)
+    return Fraction(12 * (6 * (k + 1) ** 2 * den + (k + 2) ** 2 * num),
+                    (k + 1) ** 3 * (k + 2) ** 3 * (k + 3) * (2 * k + 5) * den)
 
 
 def _triangle_midpoint_moment_q(k: int) -> Fraction:
-    inv = sum(Fraction(1, comb(k + 2, l)) for l in range(1, k + 2))
-    lead = Fraction(2**3, 2**k) / ((k + 1) * (k + 2) ** 2 * (k + 3))
-    return lead * (inv + 1)
+    # 2^3 (1 + sum_{l=1..k+1} C(k+2, l)^-1) / (2^k (k+1) (k+2)^2 (k+3))
+    num, den = _inverse_sum([comb(k + 2, l) for l in range(1, k + 2)])
+    return Fraction(8 * (den + num), ((k + 1) * (k + 2) ** 2 * (k + 3) * den) << k)
 
 
 def triangle_moment(k: int) -> PiPolynomial:
@@ -143,8 +151,8 @@ def cutoff_integral_right_angle(k: int) -> PiPolynomial:
     planar quadrature (1/2^k) * int_0^1 int_0^1 (a+b-2ab)^k * ab da db.
     """
     _check_order(k)
-    inv = sum(Fraction(1, comb(k + 2, l)) for l in range(1, k + 2))
-    return PiPolynomial.from_rational(Fraction(1, 2**k * (k + 1) * (k + 2)) * inv)
+    num, den = _inverse_sum([comb(k + 2, l) for l in range(1, k + 2)])
+    return PiPolynomial.from_rational(Fraction(num, ((k + 1) * (k + 2) * den) << k))
 
 
 def cutoff_integral_acute(k: int) -> PiPolynomial:

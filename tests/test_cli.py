@@ -8,7 +8,9 @@ import os
 import random
 import subprocess
 import sys
+import threading
 import time
+import unittest.mock
 from fractions import Fraction
 
 import pytest
@@ -1141,6 +1143,45 @@ def _json_values():
 def test_kept_encoder_writes_what_json_dumps_writes(record):
     # nan encodes as NaN on both sides; compare the texts, not the objects
     assert cli._encode(record) == json.dumps(record, sort_keys=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.text(), _json_values(), max_size=6))
+def test_encoder_without_the_c_accelerator_writes_what_json_dumps_writes(record):
+    expected = json.dumps(record, sort_keys=True)
+    # JSONEncoder reads c_make_encoder at each call, so the fallback runs under the patch
+    with unittest.mock.patch.object(json.encoder, "c_make_encoder", None):
+        fallback = cli._encoder()
+        assert isinstance(fallback.__self__, json.JSONEncoder)
+        assert fallback(record) == expected
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.dictionaries(st.text(), _json_values(), min_size=1, max_size=6),
+                min_size=4, max_size=4, unique_by=lambda r: json.dumps(r, sort_keys=True)))
+def test_kept_encoder_serves_threads_at_once(records):
+    # one encoder, four threads, each encoding its own record over and over,
+    # switched as often as the interpreter allows
+    start = threading.Barrier(len(records), timeout=60)
+    texts = [[] for _ in records]
+
+    def encode(record, out):
+        start.wait()
+        out.extend(cli._encode(record) for _ in range(200))
+
+    threads = [threading.Thread(target=encode, args=pair) for pair in zip(records, texts)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for record, out in zip(records, texts):
+        assert out == [json.dumps(record, sort_keys=True)] * 200
 
 
 def test_kept_encoder_on_the_commands_records(capsys):

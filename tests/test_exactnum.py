@@ -1,3 +1,4 @@
+import contextlib
 import decimal
 import functools
 import json
@@ -9,8 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sylvester.exactnum import (
+    DEFAULT_COMPARISON_DIGITS,
+    MAX_COMPARISON_DIGITS,
     _atan_inv,
+    _scaled,
     _sqrt_pi,
+    _term,
     _truncate_rational,
     PI,
     SQRT_PI,
@@ -541,3 +546,132 @@ def test_cached_slots_keep_the_value_immutable():
 
 def test_gamma_half_parts_are_cached():
     assert gamma_half_parts(301) is gamma_half_parts(301)
+
+
+# ---------------------------------------------------------------------------
+# enclosures built from their integer ends, against the Fraction formula
+
+
+def _enclosure_by_fractions(value: PiPolynomial, digits: int) -> tuple[F, F]:
+    """evaluate_interval's ends as the integer sums at scale 2^-shift times
+    the Fraction 2^-shift, term by term as evaluate_interval builds them."""
+    terms = value.terms
+    if not terms:
+        return F(0), F(0)
+    work = digits * 10 // 3 + 20
+    bits = work + max(map(abs, terms)).bit_length() + 4
+    s_lo, s_hi = _sqrt_pi(bits)
+    lows, highs = [], []
+    for h, c in terms.items():
+        rising = (c > 0) == (h > 0)
+        lows.append(_term(c, h, s_lo if rising else s_hi, bits))
+        highs.append(_term(c, h, s_hi if rising else s_lo, bits))
+    shift = work - max(n.bit_length() - d.bit_length() for n, d in lows)
+    unit = F(2) ** -shift
+    return (sum(_scaled(n, d, shift, False) for n, d in lows) * unit,
+            sum(_scaled(n, d, shift, True) for n, d in highs) * unit)
+
+
+def _sign_by_fractions(value: PiPolynomial) -> tuple[int, list[int]]:
+    """PiPolynomial.sign on those ends, with the precisions it tried."""
+    if value.is_zero or value.is_rational:
+        q = value.coefficient(0)
+        return (q > 0) - (q < 0), []
+    steps, digits = [], DEFAULT_COMPARISON_DIGITS
+    while True:
+        steps.append(digits)
+        lo, hi = _enclosure_by_fractions(value, digits)
+        if lo > 0:
+            return 1, steps
+        if hi < 0:
+            return -1, steps
+        assert digits < MAX_COMPARISON_DIGITS
+        digits = min(2 * digits, MAX_COMPARISON_DIGITS)
+
+
+def _decimal_by_fractions(value: PiPolynomial, digits: int) -> tuple[str, list[int]]:
+    """PiPolynomial.to_decimal on those ends, with the precisions it tried."""
+    if value.is_zero or value.is_rational:
+        return _truncate_rational(value.coefficient(0), digits), []
+    steps, prec = [], max(digits + 10, DEFAULT_COMPARISON_DIGITS)
+    while True:
+        steps.append(prec)
+        lo, hi = _enclosure_by_fractions(value, prec)
+        if (lo > 0) == (hi > 0) and lo != 0 and hi != 0:
+            s_lo, s_hi = _truncate_rational(lo, digits), _truncate_rational(hi, digits)
+            if s_lo == s_hi:
+                return s_lo, steps
+        assert prec < MAX_COMPARISON_DIGITS + digits
+        prec = 2 * prec
+
+
+@contextlib.contextmanager
+def _precisions_tried():
+    steps = []
+    evaluate = PiPolynomial.evaluate_interval
+
+    def recorded(self, digits):
+        steps.append(digits)
+        return evaluate(self, digits)
+
+    PiPolynomial.evaluate_interval = recorded
+    try:
+        yield steps
+    finally:
+        PiPolynomial.evaluate_interval = evaluate
+
+
+def _wide_pi_polynomials():
+    # mixed signs, h in -8..8, coefficients of up to thousands of digits
+    coefficients = st.builds(F, _big_integers(2000), _big_integers(2000).filter(bool))
+    return st.dictionaries(st.integers(min_value=-8, max_value=8), coefficients,
+                           max_size=5).map(PiPolynomial)
+
+
+def _near_zero(value: PiPolynomial, places: int) -> PiPolynomial:
+    """value less a truncated decimal of itself: a sign or a decimal of the
+    difference needs about ``places`` digits more than the value's terms."""
+    if value.is_zero or value.is_rational:
+        return value
+    return value - F(value.to_decimal(places))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_wide_pi_polynomials(), st.integers(min_value=1, max_value=200))
+def test_enclosure_ends_equal_the_fraction_formula(value, digits):
+    assert value.evaluate_interval(digits) == _enclosure_by_fractions(value, digits)
+
+
+def test_enclosure_ends_at_both_signs_of_the_shift():
+    # a term of 600 bits at 1 digit is scaled down (shift < 0); 1/3 is scaled up
+    for value, whole in ((PiPolynomial({1: 2**600 + 1, -3: -7}), True),
+                         (PiPolynomial({1: F(1, 3)}), False)):
+        for digits in (1, 200):
+            lo, hi = value.evaluate_interval(digits)
+            assert (lo, hi) == _enclosure_by_fractions(value, digits)
+        lo, hi = value.evaluate_interval(1)
+        assert (lo.denominator == hi.denominator == 1) is whole
+
+
+@settings(max_examples=150, deadline=None)
+@given(_wide_pi_polynomials(), st.one_of(st.just(None), st.integers(min_value=30, max_value=300)),
+       st.integers(min_value=1, max_value=200))
+def test_sign_and_decimal_equal_the_fraction_formula(value, places, digits):
+    if places is not None:
+        value = _near_zero(value, places)
+    with _precisions_tried() as steps:
+        sign = value.sign()
+    assert (sign, steps) == _sign_by_fractions(value)
+    with _precisions_tried() as steps:
+        text = value.to_decimal(digits)
+    assert (text, steps) == _decimal_by_fractions(value, digits)
+
+
+def test_sign_and_decimal_escalate_as_the_fraction_formula_does():
+    value = _near_zero(PiPolynomial({1: F(-22, 7), 3: 5, -2: F(1, 10**40)}), 120)
+    with _precisions_tried() as steps:
+        sign = value.sign()
+    assert (sign, steps) == _sign_by_fractions(value) and len(steps) > 1
+    with _precisions_tried() as steps:
+        text = value.to_decimal(30)
+    assert (text, steps) == _decimal_by_fractions(value, 30) and len(steps) > 1

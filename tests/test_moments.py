@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from sylvester.exactnum import PI, PiPolynomial, pi_power
 from sylvester.moments import (
+    _triangle_midpoint_moment_q,
+    _triangle_moment_q,
     MAX_CLOSED_FORM_SIZE,
     SUPPORT,
     MomentQuery,
@@ -187,6 +189,16 @@ def test_triangle_table_rows_exact():
     for row in rows:
         mid, free, ratio = TRIANGLE_TABLE[row.k]
         assert (row.midpoint_moment, row.free_moment, row.ratio) == (mid, free, ratio)
+
+
+def test_triangle_sums_over_one_denominator_equal_the_fraction_sums():
+    for k in range(301):
+        inv_sq = sum(F(1, math.comb(k, i)) ** 2 for i in range(k + 1))
+        lead = F(12, (k + 1) ** 3 * (k + 2) ** 3 * (k + 3) * (2 * k + 5))
+        assert _triangle_moment_q(k) == lead * (6 * (k + 1) ** 2 + (k + 2) ** 2 * inv_sq), k
+        inv = sum(F(1, math.comb(k + 2, l)) for l in range(1, k + 2))
+        lead = F(2**3, 2**k) / ((k + 1) * (k + 2) ** 2 * (k + 3))
+        assert _triangle_midpoint_moment_q(k) == lead * (inv + 1), k
 
 
 def test_triangle_low_order_values():

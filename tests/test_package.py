@@ -74,3 +74,28 @@ def test_every_private_module_level_name_is_used_by_the_package():
     private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
     unused = sorted(private - used)
     assert private and unused == []
+
+
+def test_json_is_encoded_in_one_place():
+    # cli._encoder builds the package's one JSON encoder; nothing else in src/
+    # calls json.dumps or json.dump or builds a JSONEncoder or a C encoder
+    encoding = {"dumps", "dump", "JSONEncoder", "c_make_encoder"}
+
+    def called(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in encoding:
+                    yield name
+
+    inside, outside = [], []
+    for path in Path(sylvester.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for stmt in tree.body:
+            if path.name == "cli.py" and isinstance(stmt, ast.FunctionDef) \
+                    and stmt.name == "_encoder":
+                inside += called(stmt)
+            else:
+                outside += [(path.name, name) for name in called(stmt)]
+    assert inside and outside == []
