@@ -462,30 +462,33 @@ class Support:
     d: int | None  # the body's dimension; None: any d >= 1, set by the query
     covariance: Callable[[int, Fraction | None], Covariance]  # (d, l), for the k = 2 form
     closed_form: Callable[[int, int, Fraction | None], PiPolynomial] | None = None  # (d, k, l)
-    exact_k: frozenset[int] | None = None  # the orders with a form at every d; None: every k
-    fourth: Mapping[int, PiPolynomial] = field(default_factory=dict)  # d -> E V^4, beside exact_k
+    # (d, k) -> E V^k beside the k = 2 form, on a row without closed_form
+    constants: Mapping[tuple[int, int], PiPolynomial] = field(default_factory=dict)
 
     def exact_at(self, d: int, k: int) -> bool:
-        return self.exact_k is None or k in self.exact_k or (k == 4 and d in self.fourth)
+        return self.closed_form is not None or k == 2 or (d, k) in self.constants
 
     def moment(self, d: int, k: int, l: Fraction | None) -> PiPolynomial:
-        """The form at an order it has: the ``fourth`` value at k = 4,
-        :func:`second_moment` at k = 2 unless ``closed_form`` holds at every
-        order, else ``closed_form``."""
-        if k == 4 and d in self.fourth:
-            return self.fourth[d]
-        if k == 2 and self.exact_k is not None:
+        """The form at an order it has: ``closed_form`` where it holds at
+        every order, else :func:`second_moment` at k = 2 and the
+        ``constants`` entry at any other (d, k)."""
+        if self.closed_form is not None:
+            return self.closed_form(d, k, l)
+        if k == 2:
             return second_moment(d, self.covariance(d, l))
-        return self.closed_form(d, k, l)
+        return self.constants[d, k]
 
     def describe(self) -> str:
         d = "any d" if self.d is None else f"d={self.d}"
-        if self.exact_k is None:
+        if self.closed_form is not None:
             return f"{d}, exact any k"
-        orders = sorted(self.exact_k) + ([4] if self.fourth and self.d is not None else [])
-        text = f"{d}, exact k={','.join(map(str, orders))}"
-        if self.fourth and self.d is None:
-            text += f", and k=4 at d={','.join(map(str, sorted(self.fourth)))}"
+        orders = sorted({k for _, k in self.constants})
+        if self.d is not None:
+            return f"{d}, exact k={','.join(map(str, sorted({2, *orders})))} only"
+        text = f"{d}, exact k=2"
+        for k in orders:
+            at = ",".join(str(e) for e, j in sorted(self.constants) if j == k)
+            text += f", and k={k} at d={at}"
         return text + " only"
 
 
@@ -524,20 +527,13 @@ _FIXED = {
 }
 
 
-#: E V^4 of the pairs without a closed form at every k, from the expansion of
-#: E det^4 over four permutations (Nyquist, Rice & Riordan 1954), run row by
-#: row on each body's monomial moments of order <= 4; the test suite re-derives
-#: each.  The half-ball has pi in even d, the simplices are rational.
-_HALFBALL_FOURTH = {
-    3: PiPolynomial.from_rational(Fraction(9827, 702464000)),
-    4: PiPolynomial({0: Fraction(475, 3057647616), -4: Fraction(-83, 54867456),
-                     -8: Fraction(64, 43758225)}),
-}
-_TETRAHEDRON_FOURTH = PiPolynomial.from_rational(Fraction(871, 123480000))
-_FACET_CENTROID_FOURTH = PiPolynomial.from_rational(Fraction(43, 27783000))
-
 #: (body kind, fixed kind) -> :class:`Support`; looking up any other pair
-#: raises :class:`UnsupportedQueryError` listing the supported ones.
+#: raises :class:`UnsupportedQueryError` listing the supported ones.  The
+#: ``constants`` are tetrahedron/none's E V, and E V^4 of each pair without a
+#: closed form at every k, from the expansion of E det^4 over four
+#: permutations (Nyquist, Rice & Riordan 1954), run row by row on each body's
+#: monomial moments of order <= 4; the test suite re-derives each.  The
+#: half-ball's have pi in even d, the simplices' are rational.
 SUPPORT = _SupportTable({
     ("interval", "none"): Support(1, lambda d, l: Covariance(
                                       PiPolynomial.from_rational(_length(l) ** 2 / 12)),
@@ -546,20 +542,22 @@ SUPPORT = _SupportTable({
                               lambda d, k, l: ball_moment(d, k)),
     ("ball", "origin"): Support(None, lambda d, l: _ball_covariance(d, True),
                                 lambda d, k, l: ball_fixed_moment(d, k)),
-    ("halfball", "none"): Support(None, lambda d, l: _halfball_covariance(d, False),
-                                  exact_k=frozenset({2}), fourth=_HALFBALL_FOURTH),
+    ("halfball", "none"): Support(None, lambda d, l: _halfball_covariance(d, False), constants={
+        (3, 4): PiPolynomial.from_rational(Fraction(9827, 702464000)),
+        (4, 4): PiPolynomial({0: Fraction(475, 3057647616), -4: Fraction(-83, 54867456),
+                              -8: Fraction(64, 43758225)})}),
     ("halfball", "origin"): Support(None, lambda d, l: _halfball_covariance(d, True),
                                     lambda d, k, l: halfball_fixed_moment(d, k)),
     ("triangle", "none"): Support(2, lambda d, l: _simplex_covariance(2, False),
                                   lambda d, k, l: triangle_moment(k)),
     ("triangle", "edge_midpoint"): Support(2, lambda d, l: _simplex_covariance(2, True),
                                            lambda d, k, l: triangle_midpoint_moment(k)),
-    ("tetrahedron", "none"): Support(3, lambda d, l: _simplex_covariance(3, False),
-                                     lambda d, k, l: tetrahedron_moment_k1(),
-                                     exact_k=frozenset({1, 2}), fourth={3: _TETRAHEDRON_FOURTH}),
+    ("tetrahedron", "none"): Support(3, lambda d, l: _simplex_covariance(3, False), constants={
+        (3, 1): tetrahedron_moment_k1(),
+        (3, 4): PiPolynomial.from_rational(Fraction(871, 123480000))}),
     ("tetrahedron", "facet_centroid"): Support(3, lambda d, l: _simplex_covariance(3, True),
-                                               exact_k=frozenset({2}),
-                                               fourth={3: _FACET_CENTROID_FOURTH}),
+                                               constants={(3, 4): PiPolynomial.from_rational(
+                                                   Fraction(43, 27783000))}),
 })
 SUPPORTED = ", ".join(f"{b}/{f} ({row.describe()})" for (b, f), row in SUPPORT.items())
 BODY_KINDS = tuple(dict.fromkeys(b for b, _ in SUPPORT))

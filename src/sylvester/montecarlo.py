@@ -32,8 +32,9 @@ bit-identical results at any worker count.  ``estimate_moment`` computes
 its chunks in ``os.cpu_count()`` helper processes forked beside the caller,
 or in fewer when SYLVESTER_THREADS (a process count, under its old name) or
 the ``workers`` argument asks for fewer, or in the caller alone when that
-is one.  The caller sends each helper chunk indices down its pipe, the
-next one for each result it gets back, and merges the results
+is one.  Each chunk has one owner, helper i mod H of H: the caller sends
+each helper the indices of its chunks down its pipe, a few ahead, and
+reads the results back in index order as it merges them
 (:class:`_Team`).  The helpers are forked at the first run that needs
 them, and kept for the process (:func:`_run`): a second run pays no fork,
 and the helpers share the parent's pages copy-on-write.  A process forked
@@ -783,9 +784,8 @@ def _resolve_workers(workers: int | None) -> int:
     return max(1, workers)
 
 
-#: A helper is sent at most this many chunk indices ahead of its answers,
-#: and the helpers at most this many each ahead of the caller's merge (see
-#: _Team).
+#: The caller sends each helper at most this many chunk indices ahead of the
+#: chunks it has merged of that helper's (see _Team).
 _WINDOW = 2
 
 _DIED = ("a Monte Carlo worker process died, so the run was stopped; "
@@ -796,18 +796,21 @@ class _Team:
     """``helpers`` forked helper processes, which compute the chunks of one
     run at a time while the caller hands out their indices and merges them.
 
-    The caller is the only scheduler.  It sends each helper the run, then
-    chunk indices down the helper's pipe; a helper computes chunk i from i
-    alone (:func:`_job`), so no job list is built, and answers (i, stats).
-    For each answer the caller sends that helper the next index not yet
-    sent, so a helper has its next chunk waiting as it finishes one, and
-    merges every chunk in index order.  A helper is sent an index only
-    while it has fewer than _WINDOW unanswered and fewer than _WINDOW per
-    helper are sent and not yet merged, so the caller holds a bounded
-    number of results, however long the run and however slow a helper.  A run ends when every
-    chunk is merged, so no helper computes between runs.  The caller waits
-    on the helpers' sentinels too, so a helper that dies fails the run with
-    ChildProcessError.
+    Each chunk has one owner: of H helpers, helper h computes chunks h,
+    h + H, h + 2H, ...  The caller sends each helper the run, then the
+    indices of the chunks it owns down its pipe; a helper computes chunk i
+    from i alone (:func:`_job`), so no job list is built, and answers with
+    its stats, in the order it was sent the indices, so an answer needs no
+    index.  The caller sends the first H * _WINDOW indices at the start,
+    reads chunk i from its owner's pipe in index order, merges it, and only
+    then sends that helper chunk i + H * _WINDOW: a helper has its next
+    chunk waiting as it finishes one, and the caller holds at most one
+    result at a time, however long the run and however slow a helper.  A
+    helper's share is fixed, so a slower helper is not relieved by the
+    others.  A run ends when every chunk is merged, so no helper computes
+    between runs.  Only a helper holds its end of its pipe, so a helper
+    that dies reads as the end of its pipe, at the latest when the caller
+    reaches its next chunk, and fails the run with ChildProcessError.
     """
 
     def __init__(self, helpers: int):
@@ -826,28 +829,18 @@ class _Team:
     def run(self, body: Body, fixed: FixedPointSpec, config: EstimatorConfig,
             chunks: int) -> tuple[int, float, float]:
         """The index-order fold of the ``chunks`` chunk stats of the run."""
-        from multiprocessing.connection import wait
-
-        sentinels = [helper.sentinel for helper in self.helpers]
-        # a helper's link once per index it may be sent now, longest waiting first
-        idle = self.links * _WINDOW
-        held, stats, merged, sent = {}, _EMPTY, 0, 0
+        links, stats = self.links, _EMPTY
+        ahead = len(links) * _WINDOW
         try:
-            for link in self.links:
+            for link in links:
                 link.send((body, fixed, config))
-            while merged < chunks:
-                while idle and sent < min(chunks, merged + len(self.links) * _WINDOW):
-                    idle.pop(0).send(sent)
-                    sent += 1
-                for ready in wait(self.links + sentinels):
-                    if isinstance(ready, int):
-                        raise ChildProcessError(_DIED)
-                    i, result = ready.recv()
-                    held[i] = result
-                    idle.append(ready)
-                while merged in held:
-                    stats = _merge(stats, held.pop(merged))
-                    merged += 1
+            for i in range(min(chunks, ahead)):
+                links[i % len(links)].send(i)
+            for i in range(chunks):
+                link = links[i % len(links)]
+                stats = _merge(stats, link.recv())
+                if i + ahead < chunks:
+                    link.send(i + ahead)
         except (EOFError, OSError):  # a helper that died, in this run or before it
             raise ChildProcessError(_DIED) from None
         return stats
@@ -856,7 +849,7 @@ class _Team:
 def _help(link) -> None:
     """A helper's life: :func:`_worker_init`, then the caller's messages until
     it closes the team: a tuple sets the run, and an index i is answered with
-    (i, the stats of chunk i)."""
+    the stats of chunk i."""
     _worker_init()
     while True:
         try:
@@ -866,7 +859,7 @@ def _help(link) -> None:
         if isinstance(message, tuple):
             run = message
         else:
-            link.send((message, _chunk_stats(*_job(*run, message))))
+            link.send(_chunk_stats(*_job(*run, message)))
 
 
 #: The kept team, or None before the first run with a helper; guarded by
@@ -878,11 +871,12 @@ _TEAM_LOCK = threading.RLock()
 
 def _run(body: Body, fixed: FixedPointSpec, config: EstimatorConfig,
          workers: int) -> tuple[int, float, float]:
-    """The index-order fold of the run's chunk stats, computed by
-    ``min(workers, cores, chunks)`` helpers (:class:`_Team`), or, where that
-    is 1, by the caller alone, which computes and folds the chunks in index
-    order itself and builds no team: numpy-bound chunks gain nothing from
-    more processes than cores, and each holds a chunk's arrays.
+    """The index-order fold of the run's chunk stats, computed by H =
+    ``min(workers, cores, chunks)`` helpers (:class:`_Team`), chunk i by
+    helper i mod H, or, where H is 1, by the caller alone, which computes
+    and folds the chunks in index order itself and builds no team:
+    numpy-bound chunks gain nothing from more processes than cores, and each
+    holds a chunk's arrays.
 
     The caller computes no chunk beside helpers.  On a 2-vCPU host that was
     as fast (637 against 648 ms for the five benchmark cases in process),

@@ -1086,7 +1086,8 @@ def test_counterexample_stdout_byte_identical_across_thread_counts():
 
 # one row of each closed form, table1 and qscan: the commands that need no numpy
 EXACT_COMMANDS = [
-    ["exact", "--body", body, "--fixed", fixed, "--k", str(min(row.exact_k or {1})),
+    ["exact", "--body", body, "--fixed", fixed,
+     "--k", str(min(k for k in (1, 2) if row.exact_at(row.d or 3, k))),
      *(["--d", "3"] if row.d is None else [])]  # ball/origin d=3 k=1: 9/1024*pi
     for (body, fixed), row in SUPPORT.items()
 ] + [["table1"], ["qscan", "--d", "2"], ["qscan", "--d", "3"]]

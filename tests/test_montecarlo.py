@@ -2108,6 +2108,80 @@ def test_unmerged_chunks_stay_few_when_a_helper_is_slow(monkeypatch):
     mc._drop_team()
 
 
+@needs_two_cores
+def test_each_chunk_is_sent_to_its_one_owner_also_when_a_helper_is_slow(monkeypatch):
+    # helper h of H is sent chunks h, h + H, h + 2H, ... in that order and
+    # no other, in a run at an even pace and in one whose chunk-0 helper is
+    # slow at each of its chunks
+    import sylvester.montecarlo as mc
+    from multiprocessing.connection import Connection
+
+    cfg = make_config(k=1, n_samples=40_000, seed=5, chunk_size=500)
+    serial = estimate_moment(Ball(2), NO_FIXED_POINT, cfg, workers=1)
+    caller, real, sent, slowed, taken = os.getpid(), Connection.send, [], [False], []
+
+    def send(link, message):
+        if os.getpid() == caller and isinstance(message, int):
+            sent.append((link, message))
+        return real(link, message)
+
+    def paced(*job):
+        if os.getpid() != caller:
+            taken.append(job[4])  # in the helper's own copy of the list
+            if slowed[0] and taken[0] == 0:
+                time.sleep(0.01)
+        return _real_chunk_stats(*job)
+
+    monkeypatch.setattr(mc, "_chunk_stats", paced)
+    monkeypatch.setattr(Connection, "send", send)
+    for slow in (False, True):
+        mc._drop_team()  # so that the helpers forked next see `slowed` as it is now
+        slowed[0] = slow
+        sent.clear()
+        assert estimate_moment(Ball(2), NO_FIXED_POINT, cfg, workers=2) == serial
+        links = mc._TEAM.links
+        assert len(links) == 2
+        for h, link in enumerate(links):
+            assert [i for to, i in sent if to is link] == list(range(h, 80, 2)), slow
+    mc._drop_team()
+
+
+@needs_two_cores
+@needs_proc
+def test_a_helper_that_dies_while_the_caller_waits_on_another_fails_the_run(monkeypatch):
+    # the owner of chunk 1 dies at it while the owner of chunk 0 still
+    # computes that: the caller reads chunk 1 only after chunk 0, and the
+    # run still fails, and leaves no helper alive
+    import sylvester.montecarlo as mc
+
+    caller, failures, teams, real = os.getpid(), [], [], mc._Team
+
+    def slow_or_dying(*job):
+        if os.getpid() != caller:
+            if job[4] == 0:
+                time.sleep(1.0)
+            elif job[4] == 1:
+                os._exit(9)
+        return _real_chunk_stats(*job)
+
+    def run():
+        try:
+            estimate_moment(Ball(3), NO_FIXED_POINT, _POOL_CFG, workers=2)
+        except ChildProcessError as exc:
+            failures.append(str(exc))
+
+    mc._drop_team()  # so that the helpers forked next run `slow_or_dying`
+    monkeypatch.setattr(mc, "_chunk_stats", slow_or_dying)
+    monkeypatch.setattr(mc, "_Team", lambda helpers: teams.append(real(helpers)) or teams[-1])
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert failures == [_DIED]
+    assert mc._TEAM is None and _workers() == []
+    assert len(teams) == 1 and not any(_alive(helper.pid) for helper in teams[0].helpers)
+
+
 def _race(runs, timeout=60.0):
     """Each of ``runs`` in a thread of its own, all at once, with the switch
     interval shortened; their results and exceptions, all within ``timeout``
