@@ -33,13 +33,13 @@ its chunks in ``os.cpu_count()`` helper processes forked beside the caller,
 or in fewer when SYLVESTER_THREADS (a process count, under its old name) or
 the ``workers`` argument asks for fewer, or in the caller alone when that
 is one.  Each chunk has one owner, helper i mod H of H: the caller sends
-each helper the indices of its chunks down its pipe, a few ahead, and
-reads the results back in index order as it merges them
-(:class:`_Team`).  The helpers are forked at the first run that needs
-them, and kept for the process (:func:`_run`): a second run pays no fork,
-and the helpers share the parent's pages copy-on-write.  A process forked
-from the host forks helpers of its own; the threads of one process take
-turns on its helpers.
+each helper the range of its chunks in one message, the helper answers
+them in order as it computes them, and the caller reads the answers back
+in index order as it merges them (:class:`_Team`).  The helpers are
+forked at the first run that needs them, and kept for the process
+(:func:`_run`): a second run pays no fork, and the helpers share the
+parent's pages copy-on-write.  A process forked from the host forks
+helpers of its own; the threads of one process take turns on its helpers.
 Processes, not threads: two threads scaled at 0.61 on the benchmark's
 ``mc`` cases, as the GIL changes hands between numpy calls on 2^14-point
 blocks, and two processes at 0.75 (BENCH_25.json).
@@ -784,33 +784,29 @@ def _resolve_workers(workers: int | None) -> int:
     return max(1, workers)
 
 
-#: The caller sends each helper at most this many chunk indices ahead of the
-#: chunks it has merged of that helper's (see _Team).
-_WINDOW = 2
-
 _DIED = ("a Monte Carlo worker process died, so the run was stopped; "
          "the next run starts new workers")
 
 
 class _Team:
     """``helpers`` forked helper processes, which compute the chunks of one
-    run at a time while the caller hands out their indices and merges them.
+    run at a time while the caller merges them.
 
     Each chunk has one owner: of H helpers, helper h computes chunks h,
-    h + H, h + 2H, ...  The caller sends each helper the run, then the
-    indices of the chunks it owns down its pipe; a helper computes chunk i
-    from i alone (:func:`_job`), so no job list is built, and answers with
-    its stats, in the order it was sent the indices, so an answer needs no
-    index.  The caller sends the first H * _WINDOW indices at the start,
-    reads chunk i from its owner's pipe in index order, merges it, and only
-    then sends that helper chunk i + H * _WINDOW: a helper has its next
-    chunk waiting as it finishes one, and the caller holds at most one
-    result at a time, however long the run and however slow a helper.  A
-    helper's share is fixed, so a slower helper is not relieved by the
-    others.  A run ends when every chunk is merged, so no helper computes
-    between runs.  Only a helper holds its end of its pipe, so a helper
-    that dies reads as the end of its pipe, at the latest when the caller
-    reaches its next chunk, and fails the run with ChildProcessError.
+    h + H, h + 2H, ...  The caller sends each helper one message per run,
+    the run and the range of the chunks it owns; a helper computes chunk i
+    from i alone (:func:`_job`), so no job list is built, and a range pickles
+    in a few bytes however large the budget.  It answers each chunk of its
+    share in order with its stats, unprompted, so an answer needs no index.
+    The caller reads chunk i from its owner's pipe in index order and merges
+    it.  A helper that runs ahead waits on its full pipe, behind the answer
+    the caller reads next of it, so the answers waiting are bounded by the
+    pipes' kernel buffers.  A helper's share is fixed, so a slower helper is
+    not relieved by the others.  A run ends when every chunk is merged, and
+    a share ends with the run's last chunk, so no helper computes between
+    runs.  Only a helper holds its end of its pipe, so a helper that dies
+    reads as the end of its pipe, at the latest when the caller reaches its
+    next chunk, and fails the run with ChildProcessError.
     """
 
     def __init__(self, helpers: int):
@@ -830,36 +826,28 @@ class _Team:
             chunks: int) -> tuple[int, float, float]:
         """The index-order fold of the ``chunks`` chunk stats of the run."""
         links, stats = self.links, _EMPTY
-        ahead = len(links) * _WINDOW
         try:
-            for link in links:
-                link.send((body, fixed, config))
-            for i in range(min(chunks, ahead)):
-                links[i % len(links)].send(i)
+            for h, link in enumerate(links):
+                link.send((body, fixed, config, range(h, chunks, len(links))))
             for i in range(chunks):
-                link = links[i % len(links)]
-                stats = _merge(stats, link.recv())
-                if i + ahead < chunks:
-                    link.send(i + ahead)
+                stats = _merge(stats, links[i % len(links)].recv())
         except (EOFError, OSError):  # a helper that died, in this run or before it
             raise ChildProcessError(_DIED) from None
         return stats
 
 
 def _help(link) -> None:
-    """A helper's life: :func:`_worker_init`, then the caller's messages until
-    it closes the team: a tuple sets the run, and an index i is answered with
-    the stats of chunk i."""
+    """A helper's life: :func:`_worker_init`, then the caller's runs until it
+    closes the team: each is answered with the stats of every chunk of the
+    helper's share, in index order."""
     _worker_init()
     while True:
         try:
-            message = link.recv()
+            body, fixed, config, share = link.recv()
         except EOFError:  # the caller closed the team
             return
-        if isinstance(message, tuple):
-            run = message
-        else:
-            link.send(_chunk_stats(*_job(*run, message)))
+        for i in share:
+            link.send(_chunk_stats(*_job(body, fixed, config, i)))
 
 
 #: The kept team, or None before the first run with a helper; guarded by
@@ -873,10 +861,10 @@ def _run(body: Body, fixed: FixedPointSpec, config: EstimatorConfig,
          workers: int) -> tuple[int, float, float]:
     """The index-order fold of the run's chunk stats, computed by H =
     ``min(workers, cores, chunks)`` helpers (:class:`_Team`), chunk i by
-    helper i mod H, or, where H is 1, by the caller alone, which computes
-    and folds the chunks in index order itself and builds no team:
-    numpy-bound chunks gain nothing from more processes than cores, and each
-    holds a chunk's arrays.
+    helper i mod H, which is sent its whole share in one message, or, where
+    H is 1, by the caller alone, which computes and folds the chunks in
+    index order itself and builds no team: numpy-bound chunks gain nothing
+    from more processes than cores, and each holds a chunk's arrays.
 
     The caller computes no chunk beside helpers.  On a 2-vCPU host that was
     as fast (637 against 648 ms for the five benchmark cases in process),
@@ -891,8 +879,9 @@ def _run(body: Body, fixed: FixedPointSpec, config: EstimatorConfig,
     own, so at most one team is alive; a run of the caller alone keeps it.
     The team is keyed by pid: a process forked from the host inherits the
     object but none of its helpers, and forks its own.  Any exception in the
-    run, an interrupt or a dead helper, stops the helpers, so no stale result
-    reaches the next run, which forks anew.
+    run, an interrupt or a dead helper, stops the helpers, those still
+    working through their shares too, so no stale result reaches the next
+    run, which forks anew.
     """
     global _TEAM
     chunks = -(-config.n_samples // config.chunk_size)

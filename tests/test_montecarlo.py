@@ -1993,28 +1993,14 @@ def test_a_dead_worker_fails_the_run_in_one_line_and_the_next_run_forks_anew(
     assert len(_workers()) == 2
 
 
-def _sent_indices(monkeypatch):
-    """The chunk indices this process sends its helpers, as it sends them."""
-    from multiprocessing.connection import Connection
-
-    sent, caller, real = [], os.getpid(), Connection.send
-
-    def send(link, message):
-        if os.getpid() == caller and isinstance(message, int):
-            sent.append(message)
-        return real(link, message)
-
-    monkeypatch.setattr(Connection, "send", send)
-    return sent
-
-
 @needs_two_cores
 def test_a_helper_that_dies_mid_run_fails_the_run(monkeypatch):
-    # the helper sent chunk 0 exits as it starts its fifth of the forty
-    # chunks, having answered four: the run fails and leaves no helper
+    # the owner of chunk 0 exits as it starts its fifth of the forty chunks,
+    # chunk 8, having answered 0, 2, 4 and 6: the caller merges chunks 0-7,
+    # then the run fails and leaves no helper
     import sylvester.montecarlo as mc
 
-    caller, taken = os.getpid(), []
+    caller, taken, merged, real = os.getpid(), [], [], mc._merge
 
     def dies_at_its_fifth_chunk(*job):
         if os.getpid() != caller:
@@ -2023,9 +2009,14 @@ def test_a_helper_that_dies_mid_run_fails_the_run(monkeypatch):
                 os._exit(9)
         return _real_chunk_stats(*job)
 
+    def merge(a, b):  # the index of each chunk the caller merges
+        merged.append(a[0] // 1_000)
+        return real(a, b)
+
     mc._drop_team()  # so that the helpers forked next run `dies_at_its_fifth_chunk`
     monkeypatch.setattr(mc, "_chunk_stats", dies_at_its_fifth_chunk)
-    sent, failures = _sent_indices(monkeypatch), []
+    monkeypatch.setattr(mc, "_merge", merge)
+    failures = []
 
     def run():
         try:
@@ -2040,7 +2031,7 @@ def test_a_helper_that_dies_mid_run_fails_the_run(monkeypatch):
     thread.join(timeout=60)
     assert not thread.is_alive()
     assert failures == [_DIED]
-    assert 5 < len(sent) < 40
+    assert merged == list(range(8))
     assert mc._TEAM is None and _workers() == []
 
 
@@ -2051,12 +2042,11 @@ def test_an_interrupted_run_leaves_no_helper_computing(monkeypatch):
 
     serial = estimate_moment(Ball(3), NO_FIXED_POINT, _POOL_CFG, workers=1)
     seen, real = {}, mc._merge
-    sent = _sent_indices(monkeypatch)
 
     def interrupted(a, b):
         # Ctrl-C in the caller as it merges chunk 2, while its helpers compute
         if a[0] == 2_000:
-            seen.update(pids=[helper.pid for helper in mc._TEAM.helpers], sent=len(sent))
+            seen.update(pids=[helper.pid for helper in mc._TEAM.helpers])
             raise KeyboardInterrupt
         return real(a, b)
 
@@ -2066,7 +2056,7 @@ def test_an_interrupted_run_leaves_no_helper_computing(monkeypatch):
         estimate_moment(Ball(3), NO_FIXED_POINT,
                         make_config(k=1, n_samples=400_000, seed=3, chunk_size=1_000),
                         workers=2)
-    assert len(seen["pids"]) == 2 and seen["sent"] < 400
+    assert len(seen["pids"]) == 2
     assert mc._TEAM is None and _workers() == []
     assert not any(_alive(pid) for pid in seen["pids"])
     monkeypatch.setattr(mc, "_merge", real)
@@ -2075,34 +2065,29 @@ def test_an_interrupted_run_leaves_no_helper_computing(monkeypatch):
 
 
 @needs_two_cores
-def test_unmerged_chunks_stay_few_when_a_helper_is_slow(monkeypatch):
-    # the caller sends an index only while fewer than _WINDOW per helper are
-    # sent and not yet merged, so one slow chunk holds the others back and
-    # the caller holds a bounded number of results, however long the run
+def test_a_slow_helper_gives_the_serial_bits_and_leaves_no_answer_unread(monkeypatch):
+    # every tenth chunk is slow, so the other helper runs ahead of the
+    # caller's merges; each chunk is still merged once, in index order
     import sylvester.montecarlo as mc
 
     cfg = make_config(k=1, n_samples=40_000, seed=5, chunk_size=500)
     serial = estimate_moment(Ball(2), NO_FIXED_POINT, cfg, workers=1)
-    caller, real, ahead = os.getpid(), mc._merge, []
+    caller, real, merged = os.getpid(), mc._merge, []
 
-    def slow(*job):  # every tenth chunk is slow
+    def slow(*job):
         if os.getpid() != caller and job[4] % 10 == 0:
             time.sleep(0.05)
         return _real_chunk_stats(*job)
 
-    def merge(a, b):  # indices sent past those merged, as each is merged
-        ahead.append(len(sent) - a[0] // 500)
+    def merge(a, b):  # the index of each chunk the caller merges
+        merged.append(a[0] // 500)
         return real(a, b)
 
     mc._drop_team()  # so that the helpers forked next run `slow`
     monkeypatch.setattr(mc, "_chunk_stats", slow)
     monkeypatch.setattr(mc, "_merge", merge)
-    sent = _sent_indices(monkeypatch)
     assert estimate_moment(Ball(2), NO_FIXED_POINT, cfg, workers=2) == serial
-    assert len(ahead) == 80 and sorted(sent) == list(range(80))
-    # every helper was sent a chunk before the first merge, and none ran ahead
-    assert len(mc._TEAM.helpers) <= ahead[0]
-    assert max(ahead) <= mc._WINDOW * len(mc._TEAM.helpers)
+    assert merged == list(range(80))
     # the run ended with every answer read: no helper computes between runs
     assert not any(link.poll(0.1) for link in mc._TEAM.links)
     mc._drop_team()
@@ -2110,20 +2095,27 @@ def test_unmerged_chunks_stay_few_when_a_helper_is_slow(monkeypatch):
 
 @needs_two_cores
 def test_each_chunk_is_sent_to_its_one_owner_also_when_a_helper_is_slow(monkeypatch):
-    # helper h of H is sent chunks h, h + H, h + 2H, ... in that order and
-    # no other, in a run at an even pace and in one whose chunk-0 helper is
-    # slow at each of its chunks
+    # a run sends helper h of H one message, naming its share range(h,
+    # chunks, H), and the caller reads chunk i from helper i % H, in a run
+    # at an even pace and in one whose chunk-0 helper is slow at each of
+    # its chunks
     import sylvester.montecarlo as mc
     from multiprocessing.connection import Connection
 
     cfg = make_config(k=1, n_samples=40_000, seed=5, chunk_size=500)
     serial = estimate_moment(Ball(2), NO_FIXED_POINT, cfg, workers=1)
-    caller, real, sent, slowed, taken = os.getpid(), Connection.send, [], [False], []
+    caller, slowed, taken = os.getpid(), [False], []
+    real_send, real_recv, sent, read = Connection.send, Connection.recv, [], []
 
     def send(link, message):
-        if os.getpid() == caller and isinstance(message, int):
+        if os.getpid() == caller:
             sent.append((link, message))
-        return real(link, message)
+        return real_send(link, message)
+
+    def recv(link):
+        if os.getpid() == caller:
+            read.append(link)
+        return real_recv(link)
 
     def paced(*job):
         if os.getpid() != caller:
@@ -2134,16 +2126,55 @@ def test_each_chunk_is_sent_to_its_one_owner_also_when_a_helper_is_slow(monkeypa
 
     monkeypatch.setattr(mc, "_chunk_stats", paced)
     monkeypatch.setattr(Connection, "send", send)
+    monkeypatch.setattr(Connection, "recv", recv)
     for slow in (False, True):
         mc._drop_team()  # so that the helpers forked next see `slowed` as it is now
         slowed[0] = slow
         sent.clear()
+        read.clear()
         assert estimate_moment(Ball(2), NO_FIXED_POINT, cfg, workers=2) == serial
         links = mc._TEAM.links
         assert len(links) == 2
         for h, link in enumerate(links):
-            assert [i for to, i in sent if to is link] == list(range(h, 80, 2)), slow
+            messages = [message for to, message in sent if to is link]
+            assert len(messages) == 1 and messages[0][3] == range(h, 80, 2), slow
+        assert read == [links[i % 2] for i in range(80)], slow
     mc._drop_team()
+
+
+@needs_two_cores
+def test_a_helper_blocked_on_its_full_pipe_gives_the_serial_bits_and_stops(monkeypatch, capfd):
+    # the owner of chunk 0 sleeps 1 s at it, while the other helper answers
+    # its 12,500 tiny chunks: its pipe holds a few hundred answers, so it
+    # waits in send until the caller reads chunk 1.  The run gives the
+    # serial bits; a Ctrl-C as the caller merges chunk 0, with that helper
+    # still blocked, stops both helpers without a traceback
+    import sylvester.montecarlo as mc
+
+    cfg = make_config(k=1, n_samples=200_000, seed=3, chunk_size=8)
+    serial = estimate_moment(Ball(2), NO_FIXED_POINT, cfg, workers=1)
+    caller, real = os.getpid(), mc._merge
+
+    def slow_first(*job):
+        if os.getpid() != caller and job[4] == 0:
+            time.sleep(1.0)
+        return _real_chunk_stats(*job)
+
+    def interrupted(a, b):
+        if a[0] == 0:
+            assert mc._TEAM.links[1].poll()  # answers wait on the other pipe
+            raise KeyboardInterrupt
+        return real(a, b)
+
+    mc._drop_team()  # so that the helpers forked next run `slow_first`
+    monkeypatch.setattr(mc, "_chunk_stats", slow_first)
+    assert estimate_moment(Ball(2), NO_FIXED_POINT, cfg, workers=2) == serial
+    mc._drop_team()
+    monkeypatch.setattr(mc, "_merge", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        estimate_moment(Ball(2), NO_FIXED_POINT, cfg, workers=2)
+    assert mc._TEAM is None and _workers() == []
+    assert "Traceback" not in capfd.readouterr().err
 
 
 @needs_two_cores

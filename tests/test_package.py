@@ -99,3 +99,38 @@ def test_json_is_encoded_in_one_place():
             else:
                 outside += [(path.name, name) for name in called(stmt)]
     assert inside and outside == []
+
+
+_COUNTED = '''\
+"""A module docstring,
+on two lines."""
+import os  # 1
+
+# a comment line
+
+
+def f(x):  # 2
+    """A function's docstring."""
+    text = """a string
+that is not a docstring"""  # 3, 4
+    "an expression, not the body's first statement"  # 5
+    return os.path.join(  # 6
+        x, text)  # 7
+
+
+class C:  # 8
+    \'\'\'A class's docstring.\'\'\'
+    y = 1  # 9
+'''
+
+
+def test_code_lines_counts_no_blank_line_comment_or_docstring(tmp_path):
+    import code_lines
+
+    assert code_lines.code_lines(_COUNTED) == 9
+    assert code_lines.code_lines("") == 0
+    path = tmp_path / "counted.py"
+    path.write_text(_COUNTED)
+    proc = subprocess.run([sys.executable, code_lines.__file__, str(path)],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == f"9 {path}\n"
