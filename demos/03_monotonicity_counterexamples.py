@@ -16,7 +16,9 @@ value.
 Each estimated side is given its exact E V^2 and E V^4, as the CLI's
 `counterexample` does, and so samples the quartic control variate
 V(1 + t(a + b t^2)), t = V/R, instead of V: the same draws in a range of
-0.135 R instead of R, where R bounds the volume.
+0.135 R instead of R.  R is the largest volume of a simplex the side can
+reach: sqrt(3)/4 in the free 3-half-ball, 27/32 of the 3-ball's, and a third
+of the tetrahedron's volume with a vertex at its facet centroid.
 """
 
 import sylvester as sy
@@ -59,7 +61,8 @@ for title, lhs, rhs in scenarios:
                   f"n={e.n} (budget {N})")
             trace = side.trace_dict()
             print(f"  sample {trace['sample']} (a={trace['a']}, b={trace['b']}), "
-                  f"range {trace['range']:.6f} = {trace['range'] / side.moment_range:.4f} R")
+                  f"range {trace['range']:.6f} = {trace['range'] / side.moment_range:.4f} R, "
+                  f"R = {side.moment_range:.6f}")
             print(f"  log-wealth {max(side.test.log_wealth):.2f} "
                   f"against the threshold {side.test.threshold:.2f}")
     print(f"  verdict: {verdict.relation}  at confidence {verdict.confidence}")

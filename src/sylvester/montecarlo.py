@@ -151,8 +151,10 @@ class Interval:
     def volume(self) -> float:
         return self.length
 
-    def max_simplex_volume(self) -> float:
-        """Largest volume of a simplex with vertices in the body: its length."""
+    def max_simplex_volume(self, fixed: FixedPointSpec) -> float:
+        """Largest volume of a simplex with vertices in the body, with or
+        without a fixed vertex: its length, which no computed volume exceeds
+        (rounding is monotone, and both points lie in [0, length])."""
         return self.length
 
     def vertex_array(self) -> np.ndarray:
@@ -175,6 +177,11 @@ def _factorial(d: int, what: str) -> int:
     return factorial(d)
 
 
+#: A range's margin over the largest volume computed in doubles: every range
+#: but an interval's is rounded up by this relative 2^-40 (see EstimatedSide).
+_ROUND_UP = 1.0 + 2.0**-40
+
+
 def _hadamard_bound(d: int) -> float:
     """The largest volume of a simplex with vertices in the unit d-ball.
 
@@ -183,12 +190,9 @@ def _hadamard_bound(d: int) -> float:
     (a, x_i) have norm at most sqrt(a^2 + 1), so by Hadamard's inequality
     |det A| <= (a^2 + 1)^((d+1)/2) / a.  At a^2 = 1/d this is
     sqrt(d+1) ((d+1)/d)^(d/2), the |det A| of the regular simplex inscribed
-    in the sphere, so the bound is attained.  It is rounded up by a relative
-    2^-40, far above the rounding error of computing it, so that no computed
-    volume exceeds it.
+    in the sphere, so the bound is attained.
     """
-    bound = sqrt(d + 1) * ((d + 1) / d) ** (d / 2) / _factorial(d, "a ball's range")
-    return bound * (1.0 + 2.0**-40)
+    return sqrt(d + 1) * ((d + 1) / d) ** (d / 2) / _factorial(d, "a ball's range")
 
 
 @dataclass(frozen=True)
@@ -208,8 +212,11 @@ class Ball:
     def volume(self) -> float:
         return kappa(self.d).to_float()
 
-    def max_simplex_volume(self) -> float:
-        return _hadamard_bound(self.d)
+    def max_simplex_volume(self, fixed: FixedPointSpec) -> float:
+        """Largest volume of a simplex with vertices in the body, with or
+        without a fixed vertex: the regular simplex's (:func:`_hadamard_bound`),
+        rounded up by a relative 2^-40."""
+        return _hadamard_bound(self.d) * _ROUND_UP
 
     def contains(self, point) -> bool:
         p = np.asarray(point, dtype=float)
@@ -227,6 +234,16 @@ class HalfBall(Ball):
 
     def volume(self) -> float:
         return super().volume() / 2.0
+
+    def max_simplex_volume(self, fixed: FixedPointSpec) -> float:
+        """Largest volume of a free simplex with vertices in the body: the
+        pole e_1 and a regular (d-1)-simplex inscribed in the base's rim,
+        R_ball(d-1) / d (see EstimatedSide); 1 at d = 1, where the body is
+        [0, 1].  With a fixed vertex, the ball's bound.  Rounded up by a
+        relative 2^-40."""
+        if isinstance(fixed, FixedPoint):
+            return super().max_simplex_volume(fixed)
+        return (1.0 if self.d == 1 else _hadamard_bound(self.d - 1) / self.d) * _ROUND_UP
 
     def contains(self, point) -> bool:
         return super().contains(point) and float(point[0]) >= -_MEMBERSHIP_TOL
@@ -264,19 +281,25 @@ class Simplex:
         vecs = verts[1:] - verts[0]
         return abs(float(np.linalg.det(vecs))) / _factorial(self.dimension, "a simplex volume")
 
-    def max_simplex_volume(self) -> float:
-        """A simplex inside a simplex has at most its volume."""
-        return self.volume()
+    def barycentric(self, point) -> np.ndarray:
+        """The point's barycentric coordinates (lambda_0, ..., lambda_d)."""
+        verts = self.vertex_array()
+        lam = np.linalg.solve((verts[1:] - verts[0]).T, np.asarray(point, dtype=float) - verts[0])
+        return np.concatenate(([1.0 - lam.sum()], lam))
+
+    def max_simplex_volume(self, fixed: FixedPointSpec) -> float:
+        """Largest volume of a simplex with vertices in the body: its volume,
+        and with a vertex fixed at barycentric coordinates lambda, its volume
+        times max_j |lambda_j| (see EstimatedSide).  Rounded up by a relative
+        2^-40."""
+        reach = (float(np.abs(self.barycentric(fixed.coords)).max())
+                 if isinstance(fixed, FixedPoint) else 1.0)
+        return self.volume() * reach * _ROUND_UP
 
     def contains(self, point) -> bool:
-        verts = self.vertex_array()
         p = np.asarray(point, dtype=float)
-        if p.shape != (self.dimension,):
-            return False
-        lam = np.linalg.solve((verts[1:] - verts[0]).T, p - verts[0])
-        return bool(
-            np.all(lam >= -_MEMBERSHIP_TOL) and lam.sum() <= 1.0 + _MEMBERSHIP_TOL
-        )
+        return p.shape == (self.dimension,) and bool(
+            np.all(self.barycentric(p) >= -_MEMBERSHIP_TOL))
 
     def to_json_dict(self) -> dict:
         return {"kind": "simplex", "vertices": [list(v) for v in self.vertices]}
@@ -986,7 +1009,7 @@ def _ramp(body: Body, fixed: FixedPointSpec, config: EstimatorConfig,
         i += 1
 
 
-# A fixed vertex's membership and a body's range are constants of the frozen
+# A fixed vertex's membership and a side's range are constants of the frozen
 # (body, fixed) pair, so each is computed once per process.
 @cache
 def _check_inside(body: Body, fixed: FixedPoint) -> None:
@@ -998,8 +1021,18 @@ def _check_inside(body: Body, fixed: FixedPoint) -> None:
 
 
 @cache
-def _max_simplex_volume(body: Body) -> float:
-    return body.max_simplex_volume()
+def _moment_range(body: Body, fixed: FixedPointSpec, k: int) -> float:
+    """R^k, for R the range of the volumes a side on the body and fixed vertex
+    computes (see :class:`EstimatedSide`); ValueError unless it is a positive
+    finite double."""
+    try:
+        moment_range = body.max_simplex_volume(fixed) ** k
+    except OverflowError:
+        moment_range = inf
+    if not 0.0 < moment_range < inf:
+        raise ValueError(f"the range R^{k} of V^{k} in this body, "
+                         f"{moment_range}, is not a positive finite double")
+    return moment_range
 
 
 def estimate_moment(body: Body, fixed: FixedPointSpec, config: EstimatorConfig,
@@ -1165,8 +1198,60 @@ class EstimatedSide:
     ``jobs`` ramp up to a fraction of the chunk size (see :func:`_ramp`).
 
     Without ``second_moment`` the samples are Y = x = V^k, c = R^k =
-    ``moment_range``, where R is the largest simplex volume in the body, and
-    ``shift`` is (0, 0).
+    ``moment_range``, and ``shift`` is (0, 0).  R is the range of the side's
+    volumes: ``body.max_simplex_volume(fixed)``, the largest volume of a
+    simplex with its vertices in the body and the fixed vertex, if any,
+    among them, rounded up by a relative 2^-40 but in an interval:
+
+    * the d-ball, and a half-ball with a fixed vertex: the d-ball's
+      R_ball(d), that of the regular simplex inscribed in the sphere
+      (:func:`_hadamard_bound`);
+    * the free d-half-ball, d >= 2: R_half(d) = R_ball(d-1) / d, the volume
+      of the simplex S of the pole e_1 and a regular (d-1)-simplex inscribed
+      in the rim of the base.  S's Steiner circumellipsoid E (the ellipsoid
+      through its vertices centred at its centroid) has centre e_1 / (d+1),
+      semi-axis p = d / (d+1) along e_1 and q = d / sqrt(d^2 - 1) across
+      it.  At a point x of the half-ball, with c = x_1 in [0, 1] and
+      |x|^2 <= 1, E's form (c - 1/(d+1))^2 / p^2 + (|x|^2 - c^2) / q^2 is at
+      most its value on the sphere, 1 - 2 (d+1) c (1-c) / d^2 <= 1, so the
+      half-ball lies in E.  The affine map that takes E onto the unit ball
+      scales every volume by one factor, p q^(d-1) = R_ball(d-1) /
+      (d R_ball(d)), and takes S to a simplex inscribed in the sphere with
+      its centroid at the centre, the regular one.  So no simplex in E, and
+      none in the half-ball, exceeds S, which lies in the half-ball.
+      R_half(3) = sqrt(3)/4 = (27/32) R_ball(3), and R_half(4) =
+      0.881 R_ball(4).  At d = 1 the half-ball is [0, 1], and R = 1;
+    * a simplex T: the volume is |det| of an affine function of each
+      vertex, so convex in it, and its largest value over vertices in T is
+      at vertices of T.  Free, that gives V(T).  With a vertex fixed at
+      barycentric coordinates lambda, the d others at distinct vertices of
+      T span it with the facet opposite one vertex j, a volume of
+      V(T) |lambda_j|: R = V(T) max_j |lambda_j|, V(T)/3 at the centroid of
+      a tetrahedron's facet and V(T)/2 at the midpoint of a triangle's edge;
+    * the interval: its length, with no margin: a computed volume is the
+      rounded difference of two rounded points in [0, length], and rounding
+      is monotone.
+
+    The 2^-40 covers the rounding of R itself (a few units in the last
+    place; in a simplex, those of ``np.linalg``'s V(T) and lambda) and that
+    of every computed volume, |det| / d! of rounded vertex differences.
+    The sampler's few sums and products put each computed point within
+    eps = 64 u M of a point of the body, u = 2^-53, M the largest size of a
+    coordinate in it, and moving each vertex by eps moves det by at most
+    2 d eps D^(d-1), D the body's diameter (Hadamard's inequality).  For
+    d <= 4 det is a closed form of d! products of d differences, each at
+    most D in size, and no path from a coordinate to det passes more than
+    d + 5 roundings, the differences' included, so they move it by at most
+    (d + 5) d! u D^d.  In the program's bodies (M <= 1.82, D <= 2.57,
+    d! R >= 1) both together are below a relative 2^-41 of d! R, so no
+    computed volume exceeds R; a caller's body meets the same bound when
+    M^d / (d! R) is small, as it is here (at most 3, at the tetrahedron's
+    facet centroid).  For d >= 5 det is LAPACK's LU, whose
+    backward error (Higham, Accuracy and Stability of Numerical Algorithms,
+    2002, ch. 9) has a constant that grows with d; the tests check the
+    extremal simplices to d = 12 and sampled ones to d = 6.  For k > 1, the
+    roundings of V^k and of R^k, an ulp each, are inside the k 2^-40 that
+    R^k is raised by.
 
     With ``second_moment``, the exact E V^(2k), the samples are the bounded
     control variate Y = x (1 + t (a + b t^2)), t = x / R^k, for a fixed row
@@ -1187,15 +1272,8 @@ class EstimatedSide:
 
     Y is computed by Horner's rule (:func:`_quartic_variate`) as fl(x g),
     g = fl(1 + fl(t fl(a + fl(b fl(t t))))), with t = fl(x / R^k) in [0, 1],
-    since x <= R^k and rounding is monotone, and x <= R^k t / (1 - u),
-    u = 2^-53.  In a ball or half-ball x <= R^k holds because R is rounded
-    up by a relative 2^-40 (:func:`_hadamard_bound`).  In a simplex R is its
-    volume from ``np.linalg.det``, not rounded up, and the computed volume of
-    the body's own vertices can exceed it by an ulp (``simplex_volume`` of
-    :func:`unit_area_triangle`'s vertices is 1.0000000000000002, R = 1.0):
-    there x <= R^k rests on the condition that no sampled simplex lies
-    within about a relative 2^-52 of the whole body.  Then 0 <= Y <= c, by
-    one argument per row:
+    since x <= R^k (above) and rounding is monotone, and
+    x <= R^k t / (1 - u).  Then 0 <= Y <= c, by one argument per row:
 
     * Row (-1, 0): b fl(t t) = 0, a + 0 = -1 and t (-1) = -t are exact, so
       g = fl(1 - t), which is >= 0 for t in [0, 1], and Y >= 0.  With
@@ -1230,20 +1308,20 @@ class EstimatedSide:
     the eight simplices has the draw's distribution and the sample has E Y
     as its mean: the orbit is a set of antithetic variates (Hammersley &
     Morton, Proc. Cambridge Philos. Soc. 52, 1956).  Draws are i.i.d., and
-    so are the samples.  Range: c is a double with c <= R^k <= 1 (R < 0.52
-    in the 3-half-ball), so 2c, 4c and 8c are exact doubles.  With each y_i
-    in [0, c] and rounding monotone, the pair sums lie in [0, fl(c + c)] =
-    [0, 2c], the sums of two pair sums in [0, 4c] and the whole sum in
-    [0, 8c]; 0.125 (8c) = c is exact, so the sample lies in [0, c] as
-    before, and eight values of c give exactly c.  The tests so hold as
-    they are.  The Laplace form computes
-    each volume from the raw coordinates, all in [-1, 1]: each of the six
-    products is at most 4 in size and within 16u of its value, u = 2^-53,
-    and the five sums behind each D_s, none above 24 in size, add at most
-    64u.  So the computed |D_s| is within 160u < 2^-45 of |det|, and
-    |D_s| / 6 within about 2^-47 of the volume: far under the relative
-    2^-40 by which R is rounded up (R 2^-40 > 2^-42), so no computed volume
-    exceeds R, as with the differences' determinant.  With the quartic
+    so are the samples.  Range: c is a double with c <= R^k <= 1
+    (R = sqrt(3)/4 in the free 3-half-ball), so 2c, 4c and 8c are exact
+    doubles.  With each y_i in [0, c] and rounding monotone, the pair sums
+    lie in [0, fl(c + c)] = [0, 2c], the sums of two pair sums in [0, 4c]
+    and the whole sum in [0, 8c]; 0.125 (8c) = c is exact, so the sample
+    lies in [0, c] as before, and eight values of c give exactly c.  The tests so hold as
+    they are.  The Laplace form computes each volume from the raw
+    coordinates, all in [-1, 1]: each of the six products is at most 4 in
+    size and within 16u of its value, and the five sums behind each D_s,
+    none above 24 in size, add at most 64u.  So the computed |D_s| is within
+    160u < 2^-45 of |det|, and |D_s| / 6 within about 2^-47 of the volume,
+    or 2^-46 with the points' own rounding (eps above).  R is rounded up by
+    a relative 2^-40, and R 2^-40 > 2^-42 since R > 1/4, so no computed
+    volume exceeds R, as with the differences' determinant.  With the quartic
     variate the orbit's sample has 0.39x the variance of one simplex's
     (2^20 draws), at about 1.5x the cost of a 2,048-draw chunk of single
     simplices.  A side with a fixed vertex has no orbit.
@@ -1264,13 +1342,7 @@ class EstimatedSide:
         _check_run(body, fixed, config)  # before R is computed
         self.body, self.fixed, self.config, self.alpha = body, fixed, config, alpha
         k = config.k
-        try:
-            self.moment_range = _max_simplex_volume(body) ** k
-        except OverflowError:
-            self.moment_range = inf
-        if not 0.0 < self.moment_range < inf:
-            raise ValueError(f"the range R^{k} of V^{k} in this body, "
-                             f"{self.moment_range}, is not a positive finite double")
+        self.moment_range = _moment_range(body, fixed, k)
         self.value_range, self.shift, self.variate = self.moment_range, (0.0, 0.0), None
         if fourth_moment is not None and second_moment is None:
             raise ValueError("the quartic control variate needs E V^(2k) too")

@@ -337,13 +337,13 @@ def test_a_counterexample_side_is_built_once_per_query(capsys, monkeypatch):
 def test_the_query_caches_hold_one_entry_per_query(capsys):
     # the exact constants of a certification are cached per process: after 50
     # seeds of each scenario, one entry per exact side (enclosure, decimal),
-    # one per estimated side (shift, betting bounds, the body's range), one per
+    # one per estimated side (shift, betting bounds, the side's range), one per
     # betting test (the chunk-0 stakes' psi values, keyed by span) and one per
     # fixed vertex (its check that it lies in the body); a further seed adds none
     from sylvester import cli, montecarlo
 
     caches = {"_exact_bounds": 3, "_exact_decimal": 3, "_shift": 3, "_betting_tests": 3,
-              "_chunk0_bets": 6, "_max_simplex_volume": 3, "_check_inside": 1}
+              "_chunk0_bets": 6, "_moment_range": 3, "_check_inside": 1}
     for name in caches:
         getattr(montecarlo, name).cache_clear()
     cli._side.cache_clear()
@@ -390,9 +390,9 @@ def test_an_unused_budget_costs_nothing(capsys):
 # and --n 2000000.  A change to the stopping rule, or to the draws, shows up
 # here by name.
 PINNED_STOPS = {
-    "halfball-d3": [21_504, 13_312, 7_168, 3_072, 9_216,
+    "halfball-d3": [19_456, 11_264, 7_168, 3_072, 5_120,
                     9_216, 9_216, 3_072, 11_264, 9_216],
-    "tetra-d3": [3_072, 3_072, 3_072, 3_072, 3_072, 3_072, 5_120, 3_072, 3_072, 3_072],
+    "tetra-d3": [3_072, 1_024, 1_024, 1_024, 1_024, 3_072, 3_072, 1_024, 3_072, 1_024],
     "halfball-d4-k1": [1_024] * 10,
 }
 
@@ -414,18 +414,18 @@ def test_certification_stops_are_pinned(capsys, scenario):
 # newline) of each scenario at --n 2000000, seeds 0 and 17.  A change to the
 # draws, the kernel, the stopping rule or the output format shows up here.
 PINNED_OUTPUT_DIGESTS = {
-    ("halfball-d3", 0): ("f4928eedbf2e5d47c2b810f71a76b098afb99d8e541829b660df36d6468d9d51",
-                         "13a6741e6d0ab53fccbff28f49be86e0725847ef644c3d2f329eaa312eca62e8"),
-    ("halfball-d3", 17): ("fc8fd0fe6faa38452b405d9bb9fa93a0ce0f8784571dadfae987dbf7249b6936",
-                          "8c49f68dff26721a8ff90381e99630b4bbd940cfc4157b95a3348979d9ef276b"),
-    ("tetra-d3", 0): ("2237b6da1a09288ef4787994223570e951139f778b49c05f00818e91cd7aac8f",
-                      "59adae1cdd48f81f4e19b5f50fc20f34369cf9c19e2bc0cb3bc412fe09775956"),
-    ("tetra-d3", 17): ("916e28754fa36295fb7b1cd0c1f647f16fd3afcfdfb42d42c42705edd29f920f",
-                       "ff3fd4d9807c85659b2e8481a18fb8aea71b7489e782ae97e0db81598fb231aa"),
-    ("halfball-d4-k1", 0): ("754c4f6f3417ca29519482ae6468fda2b815fbb2f25aef8b87bd2c32a7576dd2",
-                            "0a303eebc878008af6f5790a1ad5392bef75fdad4ac6093feb71419bb0050f24"),
-    ("halfball-d4-k1", 17): ("6010486b44bf10bf480d77e3606d412166451b7e342a4b24b0e704c764147054",
-                             "a4378a853de2ed90982ae24aa0f7098e7fc7d5ce22544fa14a37d2543dfab58c"),
+    ("halfball-d3", 0): ("686a66dcbe41e0316437c81cf94298c50b8f5bc11511091c4ccc566ccf734ceb",
+                         "c8a2c943fcf5997ffe469265628a48040777fedd2ca5115d987f762c9df6c40f"),
+    ("halfball-d3", 17): ("138aa716455faeb979eb4c42e607396ee6e259c2bc26c07ae283974d3f12262d",
+                          "4a29be81582be61a5da3bd6f67ccd810f91339c8f92f230ca37f950f6910170c"),
+    ("tetra-d3", 0): ("fc8dc73fa455e8b744690a5bcd1a2f5651a734ef23bec8ce460434548542a6c0",
+                      "38e707df994cdd2ed4ef33e1fa71b37d26ce0ef6eb069d9e3d12a0bb5048d3d0"),
+    ("tetra-d3", 17): ("82de16706d76eb6ade22206b4d3428f075ca14a5834e660be81cc3d0f8d58486",
+                       "533363d0abdbe81985d0496ffa34f37c5a41d658e34abea21bef5809559d9c64"),
+    ("halfball-d4-k1", 0): ("c53216833cccc2ca18c8c93c55079e265af0450775cd6814881cba3b50936028",
+                            "3cf808fe6107875be60de8eb63d86684bde0c135298a07eb3010cd5a2fdc204b"),
+    ("halfball-d4-k1", 17): ("7e9632827b16eb811426b6870a964dcb315e9d5260dfd6c881ed1d7d4405438b",
+                             "00bb40f3b5a8c371be14671b52996e4a293266c759875fa4ba6f9ce493d94c9e"),
 }
 
 
@@ -492,15 +492,16 @@ def test_counterexample_writes_its_certification_trace_to_stderr(capsys):
     trace = trace["certification"]
     est = record["verdict"]["rhs"]["estimate"]
     assert "lhs" not in trace  # the exact side
-    # at this seed, the ramp's 1,024 + 2,048
-    assert est["n"] == 3_072
+    # at this seed, the ramp's first chunk, 1,024
+    assert est["n"] == 1_024
     # the facet-centroid side has an exact E V^2 and E V^4, so it samples the
-    # quartic control variate, whose range is 0.1352 of the volume's; its
-    # test against the exact side decides at a log-wealth above log(2 / alpha)
+    # quartic control variate, whose range is 0.1352 of the volume's range,
+    # R = 1/3 at the facet centroid; its test against the exact side decides
+    # at a log-wealth above log(2 / alpha)
     log_wealth = trace["rhs"]["log_wealth"]
-    assert trace["rhs"] == {"samples": est["n"], "chunks": 2,
+    assert trace["rhs"] == {"samples": est["n"], "chunks": 1,
                             "budget": 2_000_000, "alpha": pytest.approx(0.01),
-                            "range": pytest.approx(0.1352418), "stop": "decided",
+                            "range": pytest.approx(0.1352418 / 3), "stop": "decided",
                             "sample": "V^k(1+t(a+b*t^2)),t=V^k/R^k",
                             "a": -1.93029937, "b": 1.06554117,
                             "log_wealth": log_wealth,

@@ -107,16 +107,22 @@ def _regular_simplex(d):
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
+def _ball_bound(d):
+    """R_ball(d) without its margin."""
+    return math.sqrt(d + 1) * ((d + 1) / d) ** (d / 2) / math.factorial(d)
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
 def test_hadamard_range_is_never_exceeded(d):
     from sylvester.montecarlo import _batched_abs_det, _sample_batch
 
-    bound = Ball(d).max_simplex_volume()
-    assert HalfBall(d).max_simplex_volume() == bound
+    bound = Ball(d).max_simplex_volume(NO_FIXED_POINT)
+    origin = FixedPoint((0.0,) * d)
+    # a ball's range, and a half-ball's with a fixed vertex, is the d-ball's
+    assert Ball(d).max_simplex_volume(origin) == HalfBall(d).max_simplex_volume(origin) == bound
     # Hadamard's inequality with the first column scaled by 1/sqrt(d), rounded
     # up by a relative 2^-40 so that it stays a range ...
-    assert bound == (math.sqrt(d + 1) * ((d + 1) / d) ** (d / 2) / math.factorial(d)
-                     * (1 + 2.0**-40))
+    assert bound == _ball_bound(d) * (1 + 2.0**-40)
     # ... and below its unscaled form 2^((d+1)/2) / d! from d = 2 on
     assert bound <= 2 ** ((d + 1) / 2) / math.factorial(d) * (1 + 1e-12)
     rng = _rng([31, d])
@@ -136,9 +142,126 @@ def test_hadamard_range_is_never_exceeded(d):
 
 
 def test_max_simplex_volume_of_the_other_bodies():
-    assert Interval(2.5).max_simplex_volume() == 2.5
-    tetra = unit_volume_tetrahedron()
-    assert tetra.max_simplex_volume() == tetra.volume()
+    up = 1 + 2.0**-40
+    # an interval's is its length, with or without a fixed vertex, and no margin
+    assert Interval(2.5).max_simplex_volume(NO_FIXED_POINT) == 2.5
+    assert Interval(2.5).max_simplex_volume(FixedPoint((1.0,))) == 2.5
+    # the free half-ball's: the pole and a regular simplex inscribed in the rim
+    assert HalfBall(1).max_simplex_volume(NO_FIXED_POINT) == up
+    for d in range(2, 13):
+        assert HalfBall(d).max_simplex_volume(NO_FIXED_POINT) == _ball_bound(d - 1) / d * up
+    assert HalfBall(3).max_simplex_volume(NO_FIXED_POINT) == pytest.approx(math.sqrt(3) / 4)
+    ratio = HalfBall(4).max_simplex_volume(NO_FIXED_POINT) / Ball(4).max_simplex_volume(
+        NO_FIXED_POINT)
+    assert ratio == pytest.approx(0.8813, abs=1e-4)
+    # a simplex's: its volume, and V(T) max_j |lambda_j| with a fixed vertex
+    tetra, triangle = unit_volume_tetrahedron(), unit_area_triangle()
+    assert tetra.max_simplex_volume(NO_FIXED_POINT) == tetra.volume() * up
+    assert triangle.max_simplex_volume(NO_FIXED_POINT) == triangle.volume() * up
+    assert tetra.max_simplex_volume(FixedPoint(tetra.vertices[2])) == tetra.volume() * up
+    assert tetra.max_simplex_volume(tetrahedron_facet_centroid()) == pytest.approx(1 / 3)
+    assert triangle.max_simplex_volume(triangle_edge_midpoint()) == pytest.approx(1 / 2)
+    # a point outside by the membership tolerance counts at its |lambda_j|
+    outside = FixedPoint((-1e-10, 0.0, 0.0))
+    assert tetra.max_simplex_volume(outside) == pytest.approx(1.0, abs=1e-9)
+    assert tetra.max_simplex_volume(outside) >= tetra.volume() * (1 + 1e-10 / tetra.vertices[1][0])
+
+
+def test_each_simplex_body_s_own_vertices_stay_within_its_range():
+    # the computed volume of a simplex body's own vertices can exceed its
+    # volume() by an ulp (the triangle's is 1.0000000000000002 against 1.0),
+    # and stays at or below its range; so do the largest simplices with a
+    # vertex at an edge midpoint or a facet centroid
+    assert simplex_volume(unit_area_triangle().vertices) > unit_area_triangle().volume()
+    for body, fixed in ((unit_area_triangle(), triangle_edge_midpoint()),
+                        (unit_volume_tetrahedron(), tetrahedron_facet_centroid()),
+                        (Simplex(((0.1, 0.2), (1.3, 0.4), (0.5, 2.7))), NO_FIXED_POINT),
+                        (Simplex(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0),
+                                  (1.0, 1.0, 1.0))), NO_FIXED_POINT)):
+        d, verts = body.dimension, np.asarray(body.vertices)
+        assert simplex_volume(verts) <= body.max_simplex_volume(NO_FIXED_POINT)
+        if isinstance(fixed, FixedPoint):
+            r = body.max_simplex_volume(fixed)
+            # the fixed vertex with d of the body's: the largest ones it can reach
+            vols = [simplex_volume(np.concatenate([fixed.array()[None],
+                                                   np.delete(verts, j, axis=0)]))
+                    for j in range(d + 1)]
+            assert max(vols) <= r
+            assert max(vols) == pytest.approx(r, rel=1e-12)
+
+
+def _rim_simplex(d):
+    """The pole e_1 and a regular (d-1)-simplex inscribed in the rim of the
+    d-half-ball's base: the largest simplex in the half-ball."""
+    rim = np.zeros((d, d))
+    rim[:, 1:] = _regular_simplex(d - 1)
+    return np.concatenate([np.eye(d)[:1], rim])
+
+
+def test_the_half_ball_s_circumellipsoid_in_exact_arithmetic():
+    # the Steiner circumellipsoid of the pole and the rim's regular simplex:
+    # centre e_1 / (d+1), semi-axes p = d / (d+1) along e_1 and
+    # q = d / sqrt(d^2 - 1) across.  Its volume factor p q^(d-1) is
+    # R_ball(d-1) / (d R_ball(d)), compared squared, since R_ball(d)^2 =
+    # (d+1) ((d+1)/d)^d / d!^2 is rational
+    def ball_squared(d):
+        return F(d + 1) * F(d + 1, d) ** d / F(math.factorial(d)) ** 2
+
+    for d in range(2, 13):
+        p2, q2 = F(d, d + 1) ** 2, F(d * d, d * d - 1)
+        assert p2 * q2 ** (d - 1) == ball_squared(d - 1) / (d * d * ball_squared(d))
+
+        def form(c):  # on the sphere, at x_1 = c: |x'|^2 = 1 - c^2
+            return (c - F(1, d + 1)) ** 2 / p2 + (1 - c * c) / q2
+
+        def stated(c):
+            return 1 - 2 * (d + 1) * c * (1 - c) / F(d * d)
+
+        # two quadratics that agree at three points are equal
+        assert all(form(F(c)) == stated(F(c)) for c in (0, 1, F(1, 3)))
+        # 1 at the pole (c = 1) and on the rim (c = 0), and below 1 between
+        # them, where c (1 - c) > 0
+        assert stated(F(0)) == stated(F(1)) == 1
+        assert all(stated(F(i, 64)) < 1 for i in range(1, 64))
+
+
+def test_the_half_ball_s_extremal_simplex_computes_within_its_range():
+    # for d = 2..12, the pole plus the rim's regular simplex: at or below R
+    # and within 1e-12 of it (the fixed-vertex extremes are checked with the
+    # simplex bodies' own vertices above)
+    for d in range(2, 13):
+        r = HalfBall(d).max_simplex_volume(NO_FIXED_POINT)
+        volume = simplex_volume(_rim_simplex(d))
+        assert volume <= r
+        assert volume == pytest.approx(r, rel=1e-12)
+
+
+# the sides whose range a fixed vertex or a half-ball tightens: the free
+# d-half-ball, d = 2..6, and the tetrahedron with its facet centroid fixed
+_TIGHT_SIDES = [(HalfBall(d), NO_FIXED_POINT) for d in range(2, 7)] + [
+    (unit_volume_tetrahedron(), tetrahedron_facet_centroid())]
+
+
+@settings(max_examples=60, deadline=None)
+@given(side=st.sampled_from(_TIGHT_SIDES), seed=st.integers(0, 2**64 - 1),
+       index=st.integers(0, 2**20))
+def test_no_sampled_simplex_exceeds_its_side_s_range(side, seed, index):
+    # the volumes a certification chunk computes from _sample_batch's draws,
+    # and, on the free 3-half-ball, those of the draw's orbit
+    from sylvester.montecarlo import _batched_abs_det, _keyed, _orbit_dets, _sample_batch
+
+    body, fixed = side
+    d = body.dimension
+    r = body.max_simplex_volume(fixed)
+    if isinstance(fixed, FixedPoint):
+        pts = _sample_batch(body, _keyed(seed, index), 4_096, d)
+        vecs = pts - fixed.array()
+    else:
+        pts = _sample_batch(body, _keyed(seed, index), 4_096, d + 1)
+        vecs = pts[:, 1:, :] - pts[:, :1, :]
+        if d == 3:
+            assert np.abs(_orbit_dets(pts)).max() / 6 <= r
+    assert (_batched_abs_det(vecs) / math.factorial(d)).max() <= r
 
 
 def test_simplex_volume_shape_errors():
@@ -1245,6 +1368,44 @@ def test_paired_betting_test_coverage_audit():
     print("; ".join(report))
 
 
+def test_tight_range_betting_test_coverage_audit():
+    """The boundary-null audit of the betting test for sides whose range a
+    fixed vertex tightens, so that their control variates sample t = V^k / R^k
+    at a new scale.
+
+    The triangle with its edge midpoint fixed at k = 1 on the quartic row
+    (R = 1/2, with its exact E V, E V^2 and E V^4), and the tetrahedron with
+    its facet centroid fixed at k = 2 on the (-1, 0) row (R = 1/3, with its
+    exact E V^2 and E V^4), with the frozen seeds, budget, ramp and
+    confidence 0.8 of the audits above: the two tests together may certify
+    in at most a fraction delta = 0.2 of runs, up to a binomial margin.
+    """
+    from sylvester.moments import MomentQuery, exact_moment
+
+    tetra = [exact_moment(MomentQuery(3, k, "tetrahedron", "facet_centroid")) for k in (2, 4)]
+    cases = {
+        "triangle-midpoint k=1 quartic": (
+            (unit_area_triangle(), triangle_edge_midpoint(), 1, triangle_midpoint_moment(2),
+             triangle_midpoint_moment(4)), triangle_midpoint_moment(1), 1 / 2),
+        "tetrahedron-facet-centroid k=2 (-1, 0)": (
+            (unit_volume_tetrahedron(), tetrahedron_facet_centroid(), 2, tetra[1]), tetra[0],
+            1 / 9),
+    }
+    runs, delta = 100, 0.2
+    report = []
+    for name, (spec, value, moment_range) in cases.items():
+        false = 0
+        for seed in range(runs):
+            cfg = make_config(k=spec[2], n_samples=16 * 128, seed=seed, chunk_size=128,
+                              confidence=1 - delta)
+            verdict = certify_counterexample(spec, value, cfg)
+            assert verdict.lhs.moment_range == pytest.approx(moment_range, rel=1e-11)
+            false += verdict.relation != INCONCLUSIVE
+        report.append(f"{name}: tight-range betting test {false}/{runs}")
+        assert false <= _binomial_upper(runs, delta), report
+    print("; ".join(report))
+
+
 @settings(max_examples=300, deadline=None)
 @given(c=st.floats(2.0**-60, 2.0**60), m_frac=st.floats(2.0**-20, 1.0),
        up=st.booleans(), n=st.integers(1, 2**15), gap_frac=st.floats(-1.0, 1.0),
@@ -1558,7 +1719,8 @@ def test_a_certification_encloses_each_exact_value_once(monkeypatch):
 
     monkeypatch.setattr(PiPolynomial, "evaluate_interval", counted)
     second = exact_moment(MomentQuery(3, 2, "halfball"))
-    cfg = make_config(k=1, n_samples=1_000_000, seed=3)
+    # chunks ramp up to 512 samples, so the run takes many (21 at this seed)
+    cfg = make_config(k=1, n_samples=1_000_000, seed=3, chunk_size=8_192)
     verdict = certify_counterexample((HalfBall(3), NO_FIXED_POINT, 1, second),
                                      halfball_fixed_moment(3, 1), cfg)
     assert verdict.relation == LHS_GREATER and verdict.lhs.chunks > 3
